@@ -8,34 +8,27 @@ from .core import (
     DegenerateSpreadError,
     EstimateSign,
     FixedThreshold,
-    IdealStats,
     InputValidationError,
     ObservedStats,
     PivError,
     PivResult,
-    PosteriorNormal,
     SignMismatchError,
     StatisticalThreshold,
     Threshold,
     ideal_correlation,
     ideal_means,
     ideal_sd,
-    ideal_stats,
     piv,
     piv_from_correlation,
-    posterior,
-    power_of_ideal_test,
     probit_piv,
     resolve_threshold,
     saturation_limits,
     se_ideal,
     std_normal_cdf,
-    std_normal_quantile,
 )
 from .bounds import (
     BeliefRegion,
     BoundResult,
-    ClampFlags,
     ContourGrid,
     Verdict,
     bound_piv,
@@ -52,8 +45,6 @@ __all__ = [
     "StatisticalThreshold",
     "FixedThreshold",
     "Threshold",
-    "IdealStats",
-    "PosteriorNormal",
     "PivResult",
     "PivError",
     "InputValidationError",
@@ -62,20 +53,15 @@ __all__ = [
     "ideal_means",
     "ideal_sd",
     "ideal_correlation",
-    "ideal_stats",
     "se_ideal",
-    "posterior",
     "resolve_threshold",
     "saturation_limits",
     "piv_from_correlation",
     "probit_piv",
     "piv",
-    "power_of_ideal_test",
     "std_normal_cdf",
-    "std_normal_quantile",
     "BeliefRegion",
     "ContourGrid",
-    "ClampFlags",
     "BoundResult",
     "Verdict",
     "evaluate_grid",

@@ -3,14 +3,13 @@
 A belief about the mean counterfactual outcomes is rarely a single point;
 more often it is a rectangle "y_t_un at most A, y_c_un between B and C",
 possibly unbounded on some sides.  This module evaluates the PIV on grids
-over such rectangles, finds its extrema by a deterministic coarse scan plus
-per-axis golden-section refinement, and turns the resulting lower bound into
-a robustness verdict.
+over such rectangles, finds its exact extrema from a short list of closed-form
+candidates, and turns the resulting lower bound into a robustness verdict.
 
-Unbounded sides are clamped to a finite effective range before searching
-(the correlation saturates at finite limits, so beyond a few dozen outcome
-standard deviations the PIV is flat); the clamp is flagged and the exact
-asymptotic PIV for each unbounded direction is reported alongside.
+The correlation saturates at finite limits as the counterfactual means run
+to infinity, so a bound approached only at infinity is reported as that
+limit, with no belief attaining it; the exact asymptotic PIV for each
+unbounded side is reported alongside.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .core import (
 __all__ = [
     "BeliefRegion",
     "ContourGrid",
-    "ClampFlags",
     "BoundResult",
     "Verdict",
     "evaluate_grid",
@@ -41,8 +39,6 @@ __all__ = [
     "robustness_verdict",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_TIE_TOL = 1e-12
 _DEFAULT_CELL_CAP = 10_000_000
 
 
@@ -109,27 +105,18 @@ class ContourGrid:
 
 
 @dataclass(frozen=True)
-class ClampFlags:
-    """Which sides of the search region were clamped from an infinite bound."""
-
-    t_lo: bool = False
-    t_hi: bool = False
-    c_lo: bool = False
-    c_hi: bool = False
-
-    def any(self) -> bool:
-        return self.t_lo or self.t_hi or self.c_lo or self.c_hi
-
-
-@dataclass(frozen=True)
 class BoundResult:
-    """Extremal PIV over a belief region, with the points attaining the extrema."""
+    """Extremal PIV over a belief region.
+
+    argmin and argmax are the beliefs attaining the bounds, or None where the
+    bound is a limit at infinity that no belief attains.  asymptotic_piv holds
+    the exact limit PIV for each unbounded side (keys t_lo, t_hi, c_lo, c_hi).
+    """
 
     piv_min: float
-    argmin: CounterfactualBelief
+    argmin: CounterfactualBelief | None
     piv_max: float
-    argmax: CounterfactualBelief
-    clamped: ClampFlags
+    argmax: CounterfactualBelief | None
     asymptotic_piv: dict[str, float]
 
 
@@ -184,142 +171,86 @@ def evaluate_grid(
     return ContourGrid(t_values=t_values, c_values=c_values, piv=tuple(rows))
 
 
-def _argext_lex(matrix: tuple[tuple[float, ...], ...], minimize: bool) -> tuple[int, int]:
-    """Index of the extremum; ties within 1e-12 go to the lexicographically smallest index."""
-    best = min(min(row) for row in matrix) if minimize else max(max(row) for row in matrix)
-    for i, row in enumerate(matrix):
-        for j, v in enumerate(row):
-            if abs(v - best) <= _TIE_TOL:
-                return i, j
-    raise AssertionError("extremum vanished during scan")  # pragma: no cover
-
-
-def _golden_section(f, lo: float, hi: float, iters: int, minimize: bool) -> tuple[float, float]:
-    """Deterministic golden-section search on [lo, hi]; returns the best probe found."""
-    better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
-    candidates = [(lo, f(lo)), (hi, f(hi))]
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if better(f1, f2):
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    candidates.extend([(x1, f1), (x2, f2)])
-    best_x, best_v = candidates[0]
-    for x, v in candidates[1:]:
-        if better(v, best_v):
-            best_x, best_v = x, v
-    return best_x, best_v
-
-
-def _refine(
-    grid: ContourGrid,
-    index: tuple[int, int],
-    minimize: bool,
-    refine_iters: int,
-    objective,
-) -> tuple[float, float, float]:
-    """Coordinate descent from a grid cell: golden-section over the neighbor bracket per axis."""
-    i, j = index
-    t = grid.t_values[i]
-    c = grid.c_values[j]
-    value = grid.piv[i][j]
-    better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
-    t_lo = grid.t_values[max(i - 1, 0)]
-    t_hi = grid.t_values[min(i + 1, len(grid.t_values) - 1)]
-    c_lo = grid.c_values[max(j - 1, 0)]
-    c_hi = grid.c_values[min(j + 1, len(grid.c_values) - 1)]
-    for _ in range(2):  # two coordinate sweeps suffice for a smooth 2D surface
-        if t_lo < t_hi:
-            x, v = _golden_section(lambda u: objective(u, c), t_lo, t_hi, refine_iters, minimize)
-            if better(v, value):
-                t, value = x, v
-        if c_lo < c_hi:
-            x, v = _golden_section(lambda u: objective(t, u), c_lo, c_hi, refine_iters, minimize)
-            if better(v, value):
-                c, value = x, v
-    return t, c, value
-
-
 def bound_piv(
     region: BeliefRegion,
     stats: ObservedStats,
     sign: EstimateSign,
     threshold: Threshold,
-    *,
-    coarse_resolution: tuple[int, int] = (101, 101),
-    refine_iters: int = 60,
-    clamp_width: float | None = None,
 ) -> BoundResult:
-    """Extremal PIV over a belief region.
+    """Exact extremal PIV over a belief region.
 
-    Coarse grid scan over the (clamped) region, then golden-section
-    refinement per axis starting from the best and worst cells.  Unbounded
-    sides are clamped at clamp_width beyond the observed grand mean (default
-    10 outcome standard deviations, using the larger group variance); the
-    flags record which sides were clamped and asymptotic_piv carries the
-    exact limit PIV for each unbounded direction.
+    With x = (y_t_un - y_t_ob, y_c_un - y_c_ob), g = (1-pi, -pi),
+    L0 = y_t_ob - y_c_ob, V = (var_t + var_c)/2 and D = pi*(1-pi)/2, the
+    completed-sample correlation is r = L / (2*sqrt(Q)) with L = g.x + L0 and
+    Q = V + D*|x|^2 + L^2/4.  PIV is monotone in r, so each extreme over the
+    rectangle is one of these candidates:
+
+    * a finite corner;
+    * the stationary point of r on a finite edge (the quadratic terms cancel
+      in the derivative, leaving a linear equation);
+    * the interior stationary point x* = (V/(D*L0))*g;
+    * a limit at infinity: the saturation limit along each unbounded axis
+      direction, and +/-|g| = +/-sqrt(1 - 2*pi*(1-pi)) along +/-g when both
+      sides the direction needs are unbounded.
+
+    Ties go to an attained candidate, then in the order corner, edge,
+    interior, limit.
     """
-    if clamp_width is None:
-        clamp_width = 10.0 * math.sqrt(max(stats.var_t, stats.var_c))
-    elif clamp_width < 0.0 or not math.isfinite(clamp_width):
-        raise InputValidationError(f"clamp_width must be finite and >= 0, got {clamp_width}")
-    anchor = stats.pi * stats.y_t_ob + (1.0 - stats.pi) * stats.y_c_ob
+    pi = stats.pi
+    y_t, y_c = stats.y_t_ob, stats.y_c_ob
+    l0 = y_t - y_c
+    v = 0.5 * (stats.var_t + stats.var_c)
+    d = 0.5 * pi * (1.0 - pi)
+    (t_lo, t_hi), (c_lo, c_hi) = region.t_interval, region.c_interval
+    ts = [t for t in region.t_interval if math.isfinite(t)]
+    cs = [c for c in region.c_interval if math.isfinite(c)]
 
-    def clamp(interval: tuple[float, float]) -> tuple[tuple[float, float], bool, bool]:
-        lo, hi = interval
-        lo_clamped = hi_clamped = False
-        if lo == -math.inf:
-            lo = min(anchor - clamp_width, hi)
-            lo_clamped = True
-        if hi == math.inf:
-            hi = max(anchor + clamp_width, lo)
-            hi_clamped = True
-        return (lo, hi), lo_clamped, hi_clamped
+    points = [(t, c) for t in ts for c in cs]
+    for t in ts:
+        denominator = d * ((1.0 - pi) * (t - y_t) + l0)
+        if denominator != 0.0:
+            c = y_c - pi * (v + d * (t - y_t) ** 2) / denominator
+            if c_lo <= c <= c_hi:
+                points.append((t, c))
+    for c in cs:
+        denominator = d * (l0 - pi * (c - y_c))
+        if denominator != 0.0:
+            t = y_t + (1.0 - pi) * (v + d * (c - y_c) ** 2) / denominator
+            if t_lo <= t <= t_hi:
+                points.append((t, c))
+    if l0 != 0.0:
+        scale = v / (d * l0)
+        t, c = y_t + (1.0 - pi) * scale, y_c - pi * scale
+        if t_lo <= t <= t_hi and c_lo <= c <= c_hi:
+            points.append((t, c))
+    candidates: list[tuple[float, CounterfactualBelief | None]] = []
+    for t, c in points:
+        belief = CounterfactualBelief(t, c)
+        candidates.append((piv(belief, stats, sign, threshold).piv, belief))
 
-    t_interval, t_lo_clamped, t_hi_clamped = clamp(region.t_interval)
-    c_interval, c_lo_clamped, c_hi_clamped = clamp(region.c_interval)
-    flags = ClampFlags(t_lo_clamped, t_hi_clamped, c_lo_clamped, c_hi_clamped)
-    search_region = BeliefRegion(t_interval=t_interval, c_interval=c_interval)
+    def limit_piv(r: float) -> float:
+        return piv_from_correlation(r, stats, sign, threshold).piv
 
-    grid = evaluate_grid(search_region, coarse_resolution, stats, sign, threshold)
-
-    def objective(t: float, c: float) -> float:
-        return piv(CounterfactualBelief(t, c), stats, sign, threshold).piv
-
-    results = {}
-    for minimize in (True, False):
-        index = _argext_lex(grid.piv, minimize)
-        t, c, value = _refine(grid, index, minimize, refine_iters, objective)
-        results[minimize] = (value, CounterfactualBelief(t, c))
-
-    # Asymptotic PIV per unbounded direction, from the correlation saturation limits.
     t_limit, c_limit = saturation_limits(stats)
-    direction_r = {
-        "t_lo": -t_limit,
-        "t_hi": t_limit,
-        "c_lo": c_limit,
-        "c_hi": -c_limit,
-    }
-    asymptotic = {
-        name: piv_from_correlation(r, stats, sign, threshold).piv
-        for name, r in direction_r.items()
-        if getattr(flags, name)
-    }
+    sides = {"t_lo": (t_lo, -t_limit), "t_hi": (t_hi, t_limit),
+             "c_lo": (c_lo, c_limit), "c_hi": (c_hi, -c_limit)}
+    asymptotic = {side: limit_piv(r) for side, (end, r) in sides.items() if math.isinf(end)}
+    limits = list(asymptotic.values())
+    g_norm = math.sqrt(1.0 - 2.0 * pi * (1.0 - pi))
+    if "t_hi" in asymptotic and "c_lo" in asymptotic:
+        limits.append(limit_piv(g_norm))
+    if "t_lo" in asymptotic and "c_hi" in asymptotic:
+        limits.append(limit_piv(-g_norm))
+    candidates.extend((value, None) for value in limits)
 
+    # min and max keep the first of equal values, which gives the tie order above.
+    piv_min, argmin = min(candidates, key=lambda item: item[0])
+    piv_max, argmax = max(candidates, key=lambda item: item[0])
     return BoundResult(
-        piv_min=results[True][0],
-        argmin=results[True][1],
-        piv_max=results[False][0],
-        argmax=results[False][1],
-        clamped=flags,
+        piv_min=piv_min,
+        argmin=argmin,
+        piv_max=piv_max,
+        argmax=argmax,
         asymptotic_piv=asymptotic,
     )
 

@@ -6,8 +6,8 @@ beliefs (points or rectangles).  `piv replicate` runs the built-in
 kindergarten-retention case study end to end; `piv verify` drives the
 brute-force oracle checks.
 
-Exit codes: 0 success, 2 config error, 3 degenerate math, 4 I/O error,
-5 verification failure.
+Exit codes: 0 success, 2 config error (any other invalid input), 3 degenerate
+math, 4 I/O error, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -32,11 +32,14 @@ from .core import (
     FixedThreshold,
     InputValidationError,
     ObservedStats,
+    PivError,
+    SignMismatchError,
     StatisticalThreshold,
     Threshold,
     ideal_correlation,
     piv,
     piv_from_correlation,
+    resolve_threshold,
     se_ideal,
 )
 from . import oracle
@@ -166,6 +169,10 @@ def parse_config(obj) -> AnalysisConfig:
         threshold = FixedThreshold(_number(threshold_obj, "beta_sharp", "threshold"))
     else:
         raise InputValidationError(f"threshold.kind: expected 'statistical' or 'fixed', got {kind!r}")
+    try:
+        resolve_threshold(threshold, sign, observed)
+    except SignMismatchError as exc:
+        raise InputValidationError(f"threshold: {exc}") from exc
 
     beliefs_obj = root["beliefs"]
     if not isinstance(beliefs_obj, list) or not beliefs_obj:
@@ -331,32 +338,28 @@ def _belief_json(belief: CounterfactualBelief) -> dict:
 def _bound_json(bound: BoundResult, verdict, piv_threshold: float) -> dict:
     return {
         "piv_min": bound.piv_min,
-        "argmin": _belief_json(bound.argmin),
+        "argmin": None if bound.argmin is None else _belief_json(bound.argmin),
         "piv_max": bound.piv_max,
-        "argmax": _belief_json(bound.argmax),
-        "clamped": {
-            "t_lo": bound.clamped.t_lo,
-            "t_hi": bound.clamped.t_hi,
-            "c_lo": bound.clamped.c_lo,
-            "c_hi": bound.clamped.c_hi,
-        },
+        "argmax": None if bound.argmax is None else _belief_json(bound.argmax),
         "asymptotic_piv": dict(bound.asymptotic_piv),
         "piv_threshold": piv_threshold,
         "verdict": verdict.value,
     }
 
 
+def _where(belief: CounterfactualBelief | None) -> str:
+    if belief is None:
+        return "approached at infinity"
+    return f"at y_t_un={_fmt(belief.y_t_un)} y_c_un={_fmt(belief.y_c_un)}"
+
+
 def _bound_text(bound: BoundResult, verdict, piv_threshold: float) -> list[str]:
     lines = [
-        f"piv_min   {_fmt(bound.piv_min)}  at y_t_un={_fmt(bound.argmin.y_t_un)} "
-        f"y_c_un={_fmt(bound.argmin.y_c_un)}",
-        f"piv_max   {_fmt(bound.piv_max)}  at y_t_un={_fmt(bound.argmax.y_t_un)} "
-        f"y_c_un={_fmt(bound.argmax.y_c_un)}",
+        f"piv_min   {_fmt(bound.piv_min)}  {_where(bound.argmin)}",
+        f"piv_max   {_fmt(bound.piv_max)}  {_where(bound.argmax)}",
     ]
-    clamped_sides = [s for s in ("t_lo", "t_hi", "c_lo", "c_hi") if getattr(bound.clamped, s)]
-    lines.append("clamped   " + (", ".join(clamped_sides) if clamped_sides else "none"))
-    for side in clamped_sides:
-        lines.append(f"asymptotic[{side}] {_fmt(bound.asymptotic_piv[side])}")
+    for side, value in bound.asymptotic_piv.items():
+        lines.append(f"asymptotic[{side}] {_fmt(value)}")
     lines.append(f"verdict   {verdict.value} (piv_threshold {_fmt(piv_threshold)})")
     return lines
 
@@ -447,10 +450,9 @@ def replicate_report() -> tuple[list[str], dict]:
         verdict = robustness_verdict(bound, config.piv_threshold)
         data["bounds"][name] = bound
         data["verdicts"][name] = verdict
-        lines.append(
-            f"        {name}: lower bound {_fmt(bound.piv_min)} at "
-            f"(y_t_un={_fmt(bound.argmin.y_t_un)}, y_c_un={_fmt(bound.argmin.y_c_un)})"
-        )
+        where = ("approached at infinity" if bound.argmin is None else
+                 f"at (y_t_un={_fmt(bound.argmin.y_t_un)}, y_c_un={_fmt(bound.argmin.y_c_un)})")
+        lines.append(f"        {name}: lower bound {_fmt(bound.piv_min)} {where}")
     lines.append(f"step 6  verdicts at PIV threshold {config.piv_threshold}:")
     for name in bound_names:
         lines.append(f"        {name}: {data['verdicts'][name].value}")
@@ -784,12 +786,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputValidationError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
     except DegenerateSpreadError as exc:
         sys.stderr.write(f"degenerate inputs: {exc}\n")
         return EXIT_DEGENERATE
+    except PivError as exc:
+        sys.stderr.write(f"config error: {exc}\n")
+        return EXIT_CONFIG
 
 
 def entrypoint() -> None:

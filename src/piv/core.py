@@ -59,23 +59,17 @@ __all__ = [
     "StatisticalThreshold",
     "FixedThreshold",
     "Threshold",
-    "IdealStats",
-    "PosteriorNormal",
     "PivResult",
     "std_normal_cdf",
-    "std_normal_quantile",
     "ideal_means",
     "ideal_sd",
     "ideal_correlation",
-    "ideal_stats",
     "se_ideal",
-    "posterior",
     "resolve_threshold",
     "saturation_limits",
     "piv_from_correlation",
     "probit_piv",
     "piv",
-    "power_of_ideal_test",
 ]
 
 
@@ -200,24 +194,6 @@ Threshold = StatisticalThreshold | FixedThreshold
 
 
 @dataclass(frozen=True)
-class IdealStats:
-    """Summary statistics of the completed sample implied by one belief point."""
-
-    y_t_id: float
-    y_c_id: float
-    sigma_y_id: float
-    r_wy_id: float
-
-
-@dataclass(frozen=True)
-class PosteriorNormal:
-    """Normal distribution of the standardized treatment coefficient given the completed sample."""
-
-    mean: float
-    variance: float
-
-
-@dataclass(frozen=True)
 class PivResult:
     """PIV at one belief point, with the probit, resolved threshold and T-ratio."""
 
@@ -228,11 +204,10 @@ class PivResult:
 
 
 # =============================================================================
-# Standard normal distribution (cdf and quantile)
+# Standard normal distribution
 # =============================================================================
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
 def std_normal_cdf(x: float) -> float:
@@ -242,87 +217,6 @@ def std_normal_cdf(x: float) -> float:
     naive 0.5*(1 + erf(...)) form loses.
     """
     return 0.5 * math.erfc(-float(x) / _SQRT2)
-
-
-# Rational approximation for the normal quantile (Acklam's coefficients),
-# accurate to ~1.15e-9 relative; refined below by Halley iterations.
-_ACKLAM_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-_ACKLAM_P_LOW = 0.02425
-
-
-def _quantile_initial(p: float) -> float:
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if p < _ACKLAM_P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    if p > 1.0 - _ACKLAM_P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    )
-
-
-def std_normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF for p strictly inside (0, 1).
-
-    Acklam's rational approximation followed by two Halley refinement steps
-    against std_normal_cdf; the refined result round-trips the cdf to float64
-    resolution wherever the tail information survives in p itself.
-    """
-    if isinstance(p, bool) or not isinstance(p, (int, float)):
-        raise InputValidationError(f"p must be a real number, got {p!r}")
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise InputValidationError(f"quantile requires 0 < p < 1, got {p}")
-    x = _quantile_initial(p)
-    for _ in range(2):
-        err = std_normal_cdf(x) - p
-        if err == 0.0:
-            break
-        pdf = math.exp(-0.5 * x * x) / _SQRT_TWO_PI
-        if pdf <= 0.0 or not math.isfinite(pdf):
-            break
-        u = err / pdf
-        step = u / (1.0 + 0.5 * x * u)
-        if not math.isfinite(step):
-            break
-        x -= step
-    return x
 
 
 # =============================================================================
@@ -343,6 +237,21 @@ def ideal_means(belief: CounterfactualBelief, stats: ObservedStats) -> tuple[flo
     return y_t_id, y_c_id
 
 
+def _gap_and_sd(belief: CounterfactualBelief, stats: ObservedStats) -> tuple[float, float]:
+    """Completed-sample arm mean difference y_t_id - y_c_id and outcome sd."""
+    y_t_id, y_c_id = ideal_means(belief, stats)
+    gap = y_t_id - y_c_id
+    pi = stats.pi
+    dev_sq = (belief.y_t_un - stats.y_t_ob) ** 2 + (belief.y_c_un - stats.y_c_ob) ** 2
+    variance = (
+        0.5 * stats.var_t
+        + 0.5 * pi * (1.0 - pi) * dev_sq
+        + 0.5 * stats.var_c
+        + 0.25 * gap ** 2
+    )
+    return gap, math.sqrt(variance)
+
+
 def ideal_sd(belief: CounterfactualBelief, stats: ObservedStats) -> float:
     """Outcome standard deviation of the completed sample.
 
@@ -353,16 +262,7 @@ def ideal_sd(belief: CounterfactualBelief, stats: ObservedStats) -> float:
     (both variances zero and all four means equal), which downstream
     operations surface as DegenerateSpreadError.
     """
-    y_t_id, y_c_id = ideal_means(belief, stats)
-    pi = stats.pi
-    dev_sq = (belief.y_t_un - stats.y_t_ob) ** 2 + (belief.y_c_un - stats.y_c_ob) ** 2
-    variance = (
-        0.5 * stats.var_t
-        + 0.5 * pi * (1.0 - pi) * dev_sq
-        + 0.5 * stats.var_c
-        + 0.25 * (y_t_id - y_c_id) ** 2
-    )
-    return math.sqrt(variance)
+    return _gap_and_sd(belief, stats)[1]
 
 
 def ideal_correlation(belief: CounterfactualBelief, stats: ObservedStats) -> float:
@@ -372,29 +272,12 @@ def ideal_correlation(belief: CounterfactualBelief, stats: ObservedStats) -> flo
     because the completed arms are exactly balanced.  Raises
     DegenerateSpreadError when the spread is zero.
     """
-    sd = ideal_sd(belief, stats)
+    gap, sd = _gap_and_sd(belief, stats)
     if sd == 0.0:
         raise DegenerateSpreadError(
             "completed sample has zero outcome spread; correlation undefined"
         )
-    y_t_id, y_c_id = ideal_means(belief, stats)
-    return 0.5 * (y_t_id - y_c_id) / sd
-
-
-def ideal_stats(belief: CounterfactualBelief, stats: ObservedStats) -> IdealStats:
-    """All completed-sample summary statistics for one belief point."""
-    y_t_id, y_c_id = ideal_means(belief, stats)
-    sd = ideal_sd(belief, stats)
-    if sd == 0.0:
-        raise DegenerateSpreadError(
-            "completed sample has zero outcome spread; correlation undefined"
-        )
-    return IdealStats(
-        y_t_id=y_t_id,
-        y_c_id=y_c_id,
-        sigma_y_id=sd,
-        r_wy_id=0.5 * (y_t_id - y_c_id) / sd,
-    )
+    return 0.5 * gap / sd
 
 
 def se_ideal(stats: ObservedStats) -> float:
@@ -404,19 +287,6 @@ def se_ideal(stats: ObservedStats) -> float:
     and a balanced binary predictor.
     """
     return math.sqrt((1.0 - stats.r_squared) / (2.0 * stats.n_ob))
-
-
-def posterior(belief: CounterfactualBelief, stats: ObservedStats) -> PosteriorNormal:
-    """Distribution of the standardized treatment coefficient given the completed sample.
-
-    The mean is the completed-sample correlation; the variance
-    (1 - r_squared)/(2*n_ob) depends only on the observed statistics, never
-    on the belief.
-    """
-    return PosteriorNormal(
-        mean=ideal_correlation(belief, stats),
-        variance=(1.0 - stats.r_squared) / (2.0 * stats.n_ob),
-    )
 
 
 # =============================================================================
@@ -458,8 +328,9 @@ def saturation_limits(stats: ObservedStats) -> tuple[float, float]:
 
     Returns (t_limit, c_limit): as y_t_un -> +/-inf the correlation tends to
     +/-sqrt((1-pi)/(1+pi)); as y_c_un -> +/-inf it tends to
-    -/+sqrt(pi/(2-pi)).  No belief can push |correlation| beyond the larger
-    of the two.
+    -/+sqrt(pi/(2-pi)).  These are not global caps: when both means run to
+    infinity along +/-(1-pi, -pi), |correlation| tends to
+    sqrt(1 - 2*pi*(1-pi)), which exceeds both limits for every pi in (0, 1).
     """
     pi = stats.pi
     return (
@@ -520,24 +391,3 @@ def piv(
     """PIV at one belief point: probability of rejecting the null again in the completed sample."""
     r = ideal_correlation(belief, stats)
     return piv_from_correlation(r, stats, sign, threshold)
-
-
-def power_of_ideal_test(
-    effect: float,
-    stats: ObservedStats,
-    sign: EstimateSign,
-    critical_magnitude: float,
-) -> float:
-    """Power of the one-sided completed-sample z test under the alternative N(effect/se, 1).
-
-    Rejects beyond the signed critical value; equals piv(...).piv whenever
-    effect is the completed-sample correlation of the belief.
-    """
-    effect = _require_finite(effect, "effect")
-    mag = _require_finite(critical_magnitude, "critical_magnitude")
-    if mag <= 0.0:
-        raise InputValidationError(f"critical_magnitude must be > 0, got {mag}")
-    t_ratio = effect / se_ideal(stats)
-    c = _signed_critical(mag, sign)
-    probit = (t_ratio - c) if sign is EstimateSign.POSITIVE else (c - t_ratio)
-    return std_normal_cdf(probit)

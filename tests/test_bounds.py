@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,9 +11,7 @@ import pytest
 from piv.bounds import (
     BeliefRegion,
     BoundResult,
-    ClampFlags,
     Verdict,
-    _argext_lex,
     bound_piv,
     evaluate_grid,
     robustness_verdict,
@@ -20,14 +19,17 @@ from piv.bounds import (
 from piv.core import (
     CounterfactualBelief,
     EstimateSign,
+    FixedThreshold,
     InputValidationError,
+    ObservedStats,
     StatisticalThreshold,
+    ideal_correlation,
     piv,
     piv_from_correlation,
     saturation_limits,
 )
 
-from helpers import CASE_STUDY
+from helpers import CASE_STUDY, random_observed_stats, random_sign
 
 NEG = EstimateSign.NEGATIVE
 C196 = StatisticalThreshold(1.96)
@@ -141,18 +143,6 @@ class TestCsvAndJson:
         assert obj["piv"] == [list(row) for row in grid.piv]
 
 
-class TestArgextTieBreak:
-    def test_lexicographically_first_tie_wins(self):
-        matrix = ((0.5, 0.2), (0.2, 0.9))
-        assert _argext_lex(matrix, minimize=True) == (0, 1)
-        matrix = ((0.5, 0.9), (0.9, 0.1))
-        assert _argext_lex(matrix, minimize=False) == (0, 1)
-
-    def test_near_tie_within_tolerance(self):
-        matrix = ((0.5, 0.2 + 5e-13), (0.2, 0.9))
-        assert _argext_lex(matrix, minimize=True) == (0, 1)
-
-
 class TestBoundPiv:
     def test_belief_1(self):
         region = BeliefRegion(t_interval=(-math.inf, 45.78), c_interval=(45.2, 45.2))
@@ -160,8 +150,8 @@ class TestBoundPiv:
         assert bound.piv_min == pytest.approx(0.92, abs=5e-3)
         assert bound.argmin.y_t_un == pytest.approx(45.78, abs=1e-6)
         assert bound.argmin.y_c_un == 45.2
-        assert bound.clamped == ClampFlags(t_lo=True)
         assert set(bound.asymptotic_piv) == {"t_lo"}
+        assert bound.argmax is not None
 
     def test_belief_2(self):
         region = BeliefRegion(t_interval=(-math.inf, 45.2), c_interval=(36.77, 45.78))
@@ -182,7 +172,7 @@ class TestBoundPiv:
         grid = evaluate_grid(PLAUSIBLE, (200, 200), CASE_STUDY, NEG, C196)
         assert bound.piv_min <= grid.min() + 1e-6
         assert bound.piv_max >= grid.max() - 1e-6
-        assert not bound.clamped.any()
+        assert bound.argmin is not None and bound.argmax is not None
         assert bound.asymptotic_piv == {}
 
     def test_asymptotic_piv_matches_saturated_correlation(self):
@@ -196,7 +186,12 @@ class TestBoundPiv:
             "c_hi": piv_from_correlation(-c_limit, CASE_STUDY, NEG, C196).piv,
         }
         assert bound.asymptotic_piv == expected
-        assert bound.clamped == ClampFlags(True, True, True, True)
+        # L0 < 0 here: the largest correlation is the limit along
+        # (1-pi, -pi), which no belief attains; the smallest is attained
+        g_norm = math.sqrt(1.0 - 2.0 * CASE_STUDY.pi * (1.0 - CASE_STUDY.pi))
+        assert bound.argmin is None
+        assert bound.piv_min == piv_from_correlation(g_norm, CASE_STUDY, NEG, C196).piv
+        assert bound.argmax is not None
 
     def test_point_region(self):
         region = BeliefRegion(t_interval=(45.78, 45.78), c_interval=(45.2, 45.2))
@@ -204,21 +199,139 @@ class TestBoundPiv:
         exact = piv(CounterfactualBelief(45.78, 45.2), CASE_STUDY, NEG, C196).piv
         assert bound.piv_min == exact and bound.piv_max == exact
 
-    def test_refinement_beats_coarse_grid(self):
-        # a deliberately coarse scan must still land within 1e-6 of the truth
-        region = BeliefRegion(t_interval=(36.77, 45.78), c_interval=(45.2, 45.2))
-        coarse = bound_piv(region, CASE_STUDY, NEG, C196, coarse_resolution=(5, 5))
-        fine = bound_piv(region, CASE_STUDY, NEG, C196)
-        assert coarse.piv_min <= fine.piv_min + 1e-6
+    def test_case_study_lower_bounds_exact(self):
+        pins = {
+            (-math.inf, 45.78, 45.2, 45.2): 0.9184332704,
+            (-math.inf, 45.78, 44.0, math.inf): 0.8202827277,
+            (-math.inf, 45.2, 36.77, 45.78): 0.9363803440,
+            (45.2, 45.78, 43.77, math.inf): 0.7952356893,
+        }
+        for (t_lo, t_hi, c_lo, c_hi), expected in pins.items():
+            region = BeliefRegion(t_interval=(t_lo, t_hi), c_interval=(c_lo, c_hi))
+            assert bound_piv(region, CASE_STUDY, NEG, C196).piv_min == pytest.approx(
+                expected, abs=1e-9
+            )
 
-    def test_clamp_width_override(self):
-        region = BeliefRegion(t_interval=(-math.inf, 45.78), c_interval=(45.2, 45.2))
-        narrow = bound_piv(region, CASE_STUDY, NEG, C196, clamp_width=1.0)
-        wide = bound_piv(region, CASE_STUDY, NEG, C196, clamp_width=500.0)
-        # the minimum sits at the finite corner either way
-        assert narrow.piv_min == pytest.approx(wide.piv_min, abs=1e-9)
-        with pytest.raises(InputValidationError):
-            bound_piv(region, CASE_STUDY, NEG, C196, clamp_width=-1.0)
+    def test_optimum_far_outside_observed_spread(self):
+        # the interior stationary point x* = (V/(D*L0))*(1-pi, -pi) lies at
+        # (202, -200), 20 outcome sd from the observed means
+        stats = ObservedStats(0.0, 30, 2.0, 0.0, 100.0, 100.0, 0.5)
+        open_region = BeliefRegion((-math.inf, math.inf), (-math.inf, math.inf))
+        bound = bound_piv(open_region, stats, EstimateSign.POSITIVE, FixedThreshold(0.70))
+        assert bound.piv_max == pytest.approx(0.5273686, abs=1e-7)
+        assert bound.argmax.y_t_un == pytest.approx(202.0, abs=1e-9)
+        assert bound.argmax.y_c_un == pytest.approx(-200.0, abs=1e-9)
+
+    def test_bound_approached_only_at_infinity(self):
+        stats = ObservedStats(0.0, 100, 10.0, 0.0, 1.0, 1.0, 0.5)
+        region = BeliefRegion(t_interval=(-math.inf, 10.0), c_interval=(0.0, 0.0))
+        bound = bound_piv(region, stats, EstimateSign.POSITIVE, C196)
+        assert bound.piv_min < 1e-20
+        assert bound.argmin is None
+        assert bound.piv_min == bound.asymptotic_piv["t_lo"]
+        assert robustness_verdict(bound, 0.8) is Verdict.INDETERMINATE
+
+
+def _cut(lo: float, hi: float, centre: float, width: float) -> tuple[float, float]:
+    """Replace the infinite ends of [lo, hi] by finite ones `width` away."""
+    if lo == -math.inf:
+        lo = (centre if hi == math.inf else hi) - width
+    if hi == math.inf:
+        hi = max(lo, centre) + width
+    return lo, hi
+
+
+def _limit_directions(region, stats) -> list[tuple[tuple[float, float], float]]:
+    """(direction, limit correlation) for every way of leaving the region to infinity."""
+    (t_lo, t_hi), (c_lo, c_hi) = region.t_interval, region.c_interval
+    t_limit, c_limit = saturation_limits(stats)
+    pi = stats.pi
+    g_norm = math.sqrt(1.0 - 2.0 * pi * (1.0 - pi))
+    g = ((1.0 - pi) / g_norm, -pi / g_norm)
+    options = [
+        (t_lo == -math.inf, (-1.0, 0.0), -t_limit),
+        (t_hi == math.inf, (1.0, 0.0), t_limit),
+        (c_lo == -math.inf, (0.0, -1.0), c_limit),
+        (c_hi == math.inf, (0.0, 1.0), -c_limit),
+        (t_hi == math.inf and c_lo == -math.inf, g, g_norm),
+        (t_lo == -math.inf and c_hi == math.inf, (-g[0], -g[1]), -g_norm),
+    ]
+    return [(direction, r) for allowed, direction, r in options if allowed]
+
+
+class TestExactBoundProperty:
+    # finite, half-open, fully open and zero-width sides, including both
+    # quadrants that hold a direction of steepest correlation growth
+    SHAPES = (
+        ("finite", "finite"),
+        ("lo-open", "finite"),
+        ("finite", "hi-open"),
+        ("hi-open", "lo-open"),
+        ("lo-open", "hi-open"),
+        ("open", "open"),
+        ("point", "open"),
+        ("point", "point"),
+    )
+
+    @staticmethod
+    def _interval(rng, shape: str) -> tuple[float, float]:
+        a, b = sorted(float(v) for v in rng.uniform(-150.0, 150.0, 2))
+        return {
+            "finite": (a, b),
+            "lo-open": (-math.inf, b),
+            "hi-open": (a, math.inf),
+            "open": (-math.inf, math.inf),
+            "point": (a, a),
+        }[shape]
+
+    def test_random_regions(self):
+        rng = np.random.default_rng(53)
+        for case in range(160):
+            # small samples keep the PIV away from 0 and 1, where float64
+            # would hide a missed extreme
+            stats = dataclasses.replace(random_observed_stats(rng), n_ob=int(rng.integers(2, 60)))
+            sign = random_sign(rng)
+            if rng.random() < 0.5:
+                threshold = StatisticalThreshold(float(rng.uniform(1.0, 3.0)))
+            else:
+                magnitude = float(rng.uniform(0.0, 0.3))
+                threshold = FixedThreshold(magnitude if sign is EstimateSign.POSITIVE else -magnitude)
+            t_shape, c_shape = self.SHAPES[case % len(self.SHAPES)]
+            region = BeliefRegion(self._interval(rng, t_shape), self._interval(rng, c_shape))
+            bound = bound_piv(region, stats, sign, threshold)
+            lo, hi = bound.piv_min - 1e-9, bound.piv_max + 1e-9
+            sd = math.sqrt(max(stats.var_t, stats.var_c))
+
+            def box(width: float) -> BeliefRegion:
+                return BeliefRegion(_cut(*region.t_interval, stats.y_t_ob, width),
+                                    _cut(*region.c_interval, stats.y_c_ob, width))
+
+            grid = evaluate_grid(box(1e3 * sd), (41, 41), stats, sign, threshold)
+            assert lo <= grid.min() and grid.max() <= hi
+            probes = evaluate_grid(box(1e6 * sd), (5, 5), stats, sign, threshold)
+            assert lo <= probes.min() and probes.max() <= hi
+            start = box(0.0)
+            limits = _limit_directions(region, stats)
+            for (dt, dc), _ in limits:
+                far = CounterfactualBelief(start.t_interval[0] + 1e6 * sd * dt,
+                                           start.c_interval[0] + 1e6 * sd * dc)
+                assert lo <= piv(far, stats, sign, threshold).piv <= hi
+
+            for value, belief in ((bound.piv_min, bound.argmin), (bound.piv_max, bound.argmax)):
+                if belief is not None:
+                    assert region.t_interval[0] <= belief.y_t_un <= region.t_interval[1]
+                    assert region.c_interval[0] <= belief.y_c_un <= region.c_interval[1]
+                    assert piv(belief, stats, sign, threshold).piv == value
+                    continue
+                matches = [
+                    (direction, r) for direction, r in limits
+                    if piv_from_correlation(r, stats, sign, threshold).piv == value
+                ]
+                assert matches
+                (dt, dc), r = matches[0]
+                far = CounterfactualBelief(start.t_interval[0] + 1e8 * sd * dt,
+                                           start.c_interval[0] + 1e8 * sd * dc)
+                assert ideal_correlation(far, stats) == pytest.approx(r, abs=1e-6)
 
 
 class TestVerdict:
@@ -226,7 +339,7 @@ class TestVerdict:
         point = CounterfactualBelief(0.0, 0.0)
         return BoundResult(
             piv_min=piv_min, argmin=point, piv_max=piv_max, argmax=point,
-            clamped=ClampFlags(), asymptotic_piv={},
+            asymptotic_piv={},
         )
 
     def test_robust(self):

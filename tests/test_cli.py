@@ -20,7 +20,8 @@ from piv.cli import (
     render_json,
     replicate_report,
 )
-from piv.core import InputValidationError, StatisticalThreshold
+from piv import cli
+from piv.core import FixedThreshold, InputValidationError, SignMismatchError, StatisticalThreshold
 
 
 def base_config_object() -> dict:
@@ -101,6 +102,14 @@ class TestConfigParsing:
         with pytest.raises(InputValidationError):
             parse_config(obj)
 
+    def test_fixed_threshold_sign_checked(self):
+        obj = base_config_object()
+        obj["threshold"] = {"kind": "fixed", "beta_sharp": 0.1}
+        with pytest.raises(InputValidationError, match="threshold"):
+            parse_config(obj)
+        obj["threshold"]["beta_sharp"] = -0.1
+        assert isinstance(parse_config(obj).threshold, FixedThreshold)
+
     def test_round_trip(self):
         config = parse_config(base_config_object())
         assert parse_config(config_to_json_object(config)) == config
@@ -158,6 +167,24 @@ class TestComputeCommand:
         assert main(["compute", "--config", path, "--belief", "corner"]) == EXIT_CONFIG
         assert "pi" in capsys.readouterr().err
 
+    def test_fixed_sign_mismatch_exits_2(self, tmp_path, capsys):
+        obj = base_config_object()
+        obj["threshold"] = {"kind": "fixed", "beta_sharp": 0.1}
+        path = write_config(tmp_path, obj)
+        assert main(["compute", "--config", path, "--belief", "corner"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: threshold: ")
+        assert "Traceback" not in err
+
+    def test_any_package_error_maps_to_exit_code(self, tmp_path, capsys, monkeypatch):
+        def mismatch(*args):
+            raise SignMismatchError("fixed threshold on the wrong side")
+
+        monkeypatch.setattr(cli, "piv", mismatch)
+        path = write_config(tmp_path, base_config_object())
+        assert main(["compute", "--config", path, "--belief", "corner"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: fixed threshold on the wrong side\n"
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["compute", "--config", str(tmp_path / "nope.json"),
                      "--belief", "corner"]) == EXIT_CONFIG
@@ -188,8 +215,26 @@ class TestBoundCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["piv_min"] == pytest.approx(0.936, abs=5e-3)
         assert out["verdict"] == "robust"
-        assert out["clamped"]["t_lo"] is True
-        assert "t_lo" in out["asymptotic_piv"]
+        assert out["argmin"] == {"y_t_un": 45.2, "y_c_un": 36.77}
+        assert set(out["asymptotic_piv"]) == {"t_lo"}
+        assert set(out) == {"piv_min", "argmin", "piv_max", "argmax", "asymptotic_piv",
+                            "piv_threshold", "verdict"}
+
+    def test_limit_reported_as_limit(self, tmp_path, capsys):
+        obj = base_config_object()
+        obj["beliefs"].append({"name": "open", "region": {"t": [None, None], "c": [None, None]}})
+        path = write_config(tmp_path, obj)
+        assert main(["bound", "--config", path, "--belief", "open", "--format", "json"]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["argmin"] is None and out["argmax"] is not None
+        assert set(out["asymptotic_piv"]) == {"t_lo", "t_hi", "c_lo", "c_hi"}
+        assert main(["bound", "--config", path, "--belief", "open"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"piv_min   {out['piv_min']:.6f}  approached at infinity"
+        assert lines[1].startswith(f"piv_max   {out['piv_max']:.6f}  at y_t_un=")
+        assert [line.split()[0] for line in lines[2:6]] == [
+            "asymptotic[t_lo]", "asymptotic[t_hi]", "asymptotic[c_lo]", "asymptotic[c_hi]"]
+        assert lines[6].startswith("verdict   ") and len(lines) == 7
 
     def test_point_belief_rejected(self, tmp_path):
         path = write_config(tmp_path, base_config_object())

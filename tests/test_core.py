@@ -7,6 +7,7 @@ is checked against an 80-digit Decimal power-series oracle implemented here.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from decimal import Decimal, getcontext
 
@@ -26,16 +27,13 @@ from piv.core import (
     ideal_correlation,
     ideal_means,
     ideal_sd,
-    ideal_stats,
     piv,
-    posterior,
-    power_of_ideal_test,
+    piv_from_correlation,
     probit_piv,
     resolve_threshold,
     saturation_limits,
     se_ideal,
     std_normal_cdf,
-    std_normal_quantile,
 )
 
 from helpers import (
@@ -152,8 +150,6 @@ class TestIdealSd:
         with pytest.raises(DegenerateSpreadError):
             ideal_correlation(belief, stats)
         with pytest.raises(DegenerateSpreadError):
-            ideal_stats(belief, stats)
-        with pytest.raises(DegenerateSpreadError):
             piv(belief, stats, NEG, C196)
 
 
@@ -188,34 +184,22 @@ class TestIdealCorrelation:
         for _ in range(200):
             stats = random_observed_stats(rng)
             belief = random_belief(rng)
-            summary = ideal_stats(belief, stats)
-            assert min(belief.y_t_un, stats.y_t_ob) <= summary.y_t_id <= max(belief.y_t_un, stats.y_t_ob)
-            assert min(belief.y_c_un, stats.y_c_ob) <= summary.y_c_id <= max(belief.y_c_un, stats.y_c_ob)
-            assert summary.sigma_y_id > 0.0
-            assert abs(summary.r_wy_id) < 1.0
+            y_t_id, y_c_id = ideal_means(belief, stats)
+            assert min(belief.y_t_un, stats.y_t_ob) <= y_t_id <= max(belief.y_t_un, stats.y_t_ob)
+            assert min(belief.y_c_un, stats.y_c_ob) <= y_c_id <= max(belief.y_c_un, stats.y_c_ob)
+            assert ideal_sd(belief, stats) > 0.0
+            assert abs(ideal_correlation(belief, stats)) < 1.0
 
-
-class TestPosterior:
-    def test_case_study_variance(self):
-        post = posterior(BELIEF_1_CORNER, CASE_STUDY)
-        assert post.variance == pytest.approx(0.64 / 15278, rel=1e-15)
-
-    def test_mean_zero_for_null_consistent_belief(self):
-        stats = ObservedStats(0.2, 60, 8.0, 8.0, 2.0, 3.0, 0.25)
-        post = posterior(CounterfactualBelief(8.0, 8.0), stats)
-        assert post.mean == 0.0
-
-    def test_variance_without_explained_variance(self):
-        stats = ObservedStats(0.0, 50, 1.0, 2.0, 1.0, 1.0, 0.5)
-        assert posterior(CounterfactualBelief(0.0, 0.0), stats).variance == 1.0 / 100
-
-    def test_variance_never_depends_on_belief(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            stats = random_observed_stats(rng)
-            expected = (1.0 - stats.r_squared) / (2.0 * stats.n_ob)
-            for _ in range(3):
-                assert posterior(random_belief(rng), stats).variance == expected
+    def test_joint_saturation_exceeds_axis_limits(self):
+        # along x = s*(1-pi, -pi) the correlation tends to
+        # sqrt(1 - 2*pi*(1-pi)), beyond both single-axis limits
+        rng = np.random.default_rng(13)
+        for pi in rng.uniform(0.01, 0.99, 200):
+            stats = dataclasses.replace(CASE_STUDY, pi=float(pi))
+            far = CounterfactualBelief(stats.y_t_ob + 1e8 * (1.0 - pi), stats.y_c_ob - 1e8 * pi)
+            r = ideal_correlation(far, stats)
+            assert r == pytest.approx(math.sqrt(1.0 - 2.0 * pi * (1.0 - pi)), abs=1e-6)
+            assert r > max(saturation_limits(stats))
 
 
 class TestSeIdeal:
@@ -374,19 +358,33 @@ class TestPiv:
 
 
 class TestPowerOfIdealTest:
+    """The PIV is the power of the one-sided z test in the completed sample."""
+
     def test_zero_effect_is_test_size(self):
-        power = power_of_ideal_test(0.0, CASE_STUDY, NEG, 1.96)
+        power = piv_from_correlation(0.0, CASE_STUDY, NEG, C196).piv
         assert power == std_normal_cdf(-1.96)
 
     def test_effect_on_critical_boundary(self):
         se = se_ideal(CASE_STUDY)
-        assert power_of_ideal_test(1.96 * se, CASE_STUDY, POS, 1.96) == pytest.approx(0.5, abs=1e-12)
-        assert power_of_ideal_test(-1.96 * se, CASE_STUDY, NEG, 1.96) == pytest.approx(0.5, abs=1e-12)
+        assert piv_from_correlation(1.96 * se, CASE_STUDY, POS, C196).piv == pytest.approx(
+            0.5, abs=1e-12
+        )
+        assert piv_from_correlation(-1.96 * se, CASE_STUDY, NEG, C196).piv == pytest.approx(
+            0.5, abs=1e-12
+        )
+
+    @staticmethod
+    def _z_test_power(effect: float, stats, sign, critical_magnitude: float) -> float:
+        # reject beyond the signed critical value, z ~ N(effect / se, 1)
+        shift = effect / se_ideal(stats)
+        if sign is POS:
+            return 1.0 - std_normal_cdf(critical_magnitude - shift)
+        return std_normal_cdf(-critical_magnitude - shift)
 
     def test_identity_with_piv(self):
         r = ideal_correlation(BELIEF_1_CORNER, CASE_STUDY)
-        power = power_of_ideal_test(r, CASE_STUDY, NEG, 1.96)
-        assert power == piv(BELIEF_1_CORNER, CASE_STUDY, NEG, C196).piv
+        power = self._z_test_power(r, CASE_STUDY, NEG, 1.96)
+        assert power == pytest.approx(piv(BELIEF_1_CORNER, CASE_STUDY, NEG, C196).piv, abs=1e-12)
 
     def test_identity_with_piv_randomized(self):
         rng = np.random.default_rng(41)
@@ -396,7 +394,7 @@ class TestPowerOfIdealTest:
             sign = random_sign(rng)
             mag = float(rng.uniform(0.5, 3.0))
             r = ideal_correlation(belief, stats)
-            assert power_of_ideal_test(r, stats, sign, mag) == pytest.approx(
+            assert self._z_test_power(r, stats, sign, mag) == pytest.approx(
                 piv(belief, stats, sign, StatisticalThreshold(mag)).piv, abs=1e-12
             )
 
@@ -456,42 +454,3 @@ class TestStdNormalCdf:
         assert all(b >= a for a, b in zip(values, values[1:]))
         # strictly inside (0, 1) wherever float64 can represent the tail
         assert all(0.0 < std_normal_cdf(float(x)) < 1.0 for x in np.linspace(-8.0, 8.0, 201))
-
-
-class TestStdNormalQuantile:
-    def test_median(self):
-        assert std_normal_quantile(0.5) == 0.0
-
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1, math.nan])
-    def test_rejects_out_of_domain(self, p):
-        with pytest.raises(InputValidationError):
-            std_normal_quantile(p)
-
-    def test_roundtrip_where_float64_preserves_tail(self):
-        # below ~|x| = 4 on the upper side (and everywhere on the lower side)
-        # the cdf value retains enough precision for a 1e-12 roundtrip
-        for x in np.linspace(-8.0, 4.0, 1201):
-            p = std_normal_cdf(float(x))
-            assert abs(std_normal_quantile(p) - float(x)) <= 1e-12
-
-    def test_roundtrip_upper_tail_at_information_limit(self):
-        # beyond x ~ 4 the spacing of float64 near 1.0 dominates: the best any
-        # implementation can do is ulp(p) / pdf(x)
-        for x in np.linspace(4.0, 8.0, 81):
-            p = std_normal_cdf(float(x))
-            pdf = math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-            information_limit = 2.0 * math.ulp(p) / pdf
-            assert abs(std_normal_quantile(p) - float(x)) <= information_limit + 1e-12
-
-    def test_quantile_matches_reference(self):
-        # above p ~ 0.999 two correct inverses may differ by ulp(p)/pdf, since
-        # the float64 cdf is many-to-one there; allow exactly that much
-        ndtri = pytest.importorskip("scipy.special").ndtri
-        for p in np.linspace(1e-10, 1 - 1e-10, 999):
-            mine = std_normal_quantile(float(p))
-            ref = float(ndtri(p))
-            pdf = math.exp(-0.5 * ref * ref) / math.sqrt(2 * math.pi)
-            slack = 2.0 * math.ulp(float(p)) / pdf if pdf > 0 else math.inf
-            assert mine == pytest.approx(ref, abs=1e-12 + slack)
-        for p in np.linspace(1e-10, 0.999, 500):
-            assert std_normal_quantile(float(p)) == pytest.approx(float(ndtri(p)), abs=1e-12)
