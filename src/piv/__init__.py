@@ -20,7 +20,6 @@ from .core import (
     ideal_sd,
     piv,
     piv_from_correlation,
-    probit_piv,
     resolve_threshold,
     saturation_limits,
     se_ideal,
@@ -57,7 +56,6 @@ __all__ = [
     "resolve_threshold",
     "saturation_limits",
     "piv_from_correlation",
-    "probit_piv",
     "piv",
     "std_normal_cdf",
     "BeliefRegion",

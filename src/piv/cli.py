@@ -41,6 +41,7 @@ from .core import (
     piv_from_correlation,
     resolve_threshold,
     se_ideal,
+    std_normal_cdf,
 )
 from . import oracle
 
@@ -465,7 +466,7 @@ def replicate_report() -> tuple[list[str], dict]:
     corner_piv = piv_from_correlation(r, stats, sign, threshold).piv
     alt_scale = math.sqrt(stats.n_ob) / math.sqrt(1.0 - stats.r_squared)
     alt_probit = -threshold.critical_magnitude - alt_scale * r
-    alt_piv = 0.5 * math.erfc(-alt_probit / math.sqrt(2.0))
+    alt_piv = std_normal_cdf(alt_probit)
     data["corner_piv"] = corner_piv
     data["alt_scale_coefficient"] = alt_scale
     data["alt_scale_piv"] = alt_piv
@@ -496,7 +497,7 @@ def verify_report(seeds: int, reps: int, seed: int = 0) -> tuple[list[str], bool
         r = ideal_correlation(belief, stats)
         std_w = oracle.standardized_w_coefficient(dataset)
         worst["closed_form"] = max(worst["closed_form"], abs(std_w - r) / abs(r))
-        direct = float(oracle.ols_fit(dataset).coefficients[-1])
+        direct = float(oracle.ols_fit(dataset)[-1])
         via_moments = oracle.w_coefficient_via_moments(dataset)
         worst["moments"] = max(worst["moments"], abs(via_moments - direct) / max(abs(direct), 1e-30))
         worst["block"] = max(worst["block"], oracle.block_inverse_check(dataset))
@@ -528,7 +529,7 @@ def verify_report(seeds: int, reps: int, seed: int = 0) -> tuple[list[str], bool
         mc_spec, mc_spec.observed_stats(0.0), EstimateSign.NEGATIVE,
         StatisticalThreshold(1.96), reps=reps, seed=seed,
     )
-    size = 0.5 * math.erfc(1.96 / math.sqrt(2.0))
+    size = std_normal_cdf(-1.96)
     mc_tol = 3.0 * math.sqrt(size * (1.0 - size) / reps) + 0.02
     mc_ok = abs(rate - size) <= mc_tol
     ok &= mc_ok
@@ -664,9 +665,9 @@ def cmd_contour(args) -> int:
         resolution = config.grid
     else:
         resolution = (101, 101)
-    grid = evaluate_grid(region, resolution, config.observed, config.sign, config.threshold)
     if args.out is None:
         raise InputValidationError("--out is required")
+    grid = evaluate_grid(region, resolution, config.observed, config.sign, config.threshold)
     try:
         _write_grid(grid, args.out, args.format)
     except OSError as exc:

@@ -68,7 +68,6 @@ __all__ = [
     "resolve_threshold",
     "saturation_limits",
     "piv_from_correlation",
-    "probit_piv",
     "piv",
 ]
 
@@ -369,17 +368,6 @@ def piv_from_correlation(
         threshold_value=threshold_value,
         t_ratio=t_ratio,
     )
-
-
-def probit_piv(
-    belief: CounterfactualBelief,
-    stats: ObservedStats,
-    sign: EstimateSign,
-    threshold: Threshold,
-) -> float:
-    """Probit of the PIV at one belief point."""
-    r = ideal_correlation(belief, stats)
-    return piv_from_correlation(r, stats, sign, threshold).probit_piv
 
 
 def piv(

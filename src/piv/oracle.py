@@ -4,9 +4,9 @@ The closed forms in piv.core are derived by block-matrix algebra over the
 completed sample.  This module rebuilds everything the hard way: it
 constructs explicit completed datasets whose four (arm x provenance) cells
 match target means and variances exactly, fits least squares through the
-normal equations with a hand-rolled Gaussian elimination, and checks the
-closed forms against those fits.  It also estimates the PIV by Monte Carlo
-as a rejection rate over simulated completed samples.
+normal equations with np.linalg under a 1e10 condition bound, and checks
+the closed forms against those fits.  It also estimates the PIV by Monte
+Carlo as a rejection rate over simulated completed samples.
 
 Conventions that the checks depend on:
 
@@ -39,7 +39,6 @@ __all__ = [
     "SingularDesignError",
     "SyntheticSpec",
     "IdealDataset",
-    "OlsFit",
     "build_exact_dataset",
     "ols_fit",
     "w_coefficient_via_moments",
@@ -48,68 +47,28 @@ __all__ = [
     "bayes_combination_check",
     "monte_carlo_piv",
     "random_spec",
-    "gaussian_solve",
-    "gaussian_inverse",
 ]
 
-_PIVOT_RTOL = 1e-10
+_MAX_CONDITION = 1e10
 
 
 class SingularDesignError(PivError):
     """The design matrix is numerically rank deficient."""
 
 
-# =============================================================================
-# Dense linear algebra (no external solver)
-# =============================================================================
+def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """np.linalg.solve that refuses a numerically rank-deficient matrix.
 
-
-def gaussian_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve matrix @ x = rhs by Gaussian elimination with partial pivoting.
-
-    rhs may have several columns.  Raises SingularDesignError when the
-    smallest pivot falls below 1e-10 of the largest.
+    rhs may have several columns; a 0x0 matrix (no covariates) passes through.
     """
-    a = np.array(matrix, dtype=float)
-    b = np.array(rhs, dtype=float)
-    squeeze = b.ndim == 1
-    if squeeze:
-        b = b[:, None]
-    n = a.shape[0]
-    if a.shape != (n, n) or b.shape[0] != n:
-        raise InputValidationError("gaussian_solve requires square matrix and matching rhs")
-    if n == 0:
-        return b[:, 0] if squeeze else b
-    pivots = []
-    for k in range(n):
-        lead = k + int(np.argmax(np.abs(a[k:, k])))
-        pivot = abs(a[lead, k])
-        if pivot == 0.0:
-            raise SingularDesignError(f"zero pivot at elimination step {k}")
-        pivots.append(pivot)
-        if lead != k:
-            a[[k, lead]] = a[[lead, k]]
-            b[[k, lead]] = b[[lead, k]]
-        factors = a[k + 1 :, k] / a[k, k]
-        a[k + 1 :, k:] -= factors[:, None] * a[k, k:]
-        b[k + 1 :] -= factors[:, None] * b[k]
-    if min(pivots) < _PIVOT_RTOL * max(pivots):
-        raise SingularDesignError(
-            f"pivot ratio {min(pivots) / max(pivots):.3e} below {_PIVOT_RTOL:.0e}"
-        )
-    x = np.empty_like(b)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
-    return x[:, 0] if squeeze else x
+    if matrix.size and (condition := np.linalg.cond(matrix)) > _MAX_CONDITION:
+        raise SingularDesignError(f"condition number {condition:.3e} above {_MAX_CONDITION:.0e}")
+    return np.linalg.solve(matrix, rhs)
 
 
-def gaussian_inverse(matrix: np.ndarray) -> np.ndarray:
-    """Matrix inverse via gaussian_solve against the identity."""
-    a = np.asarray(matrix, dtype=float)
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    return gaussian_solve(a, np.eye(n))
+def _require_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InputValidationError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 # =============================================================================
@@ -153,6 +112,7 @@ class SyntheticSpec:
                 raise InputValidationError(f"{name} must be >= 0")
         if not isinstance(self.p, int) or self.p < 0:
             raise InputValidationError(f"p must be a nonnegative integer, got {self.p!r}")
+        _require_seed(self.seed)
 
     @property
     def n_treated(self) -> int:
@@ -261,37 +221,19 @@ def build_exact_dataset(spec: SyntheticSpec) -> IdealDataset:
 # =============================================================================
 
 
-@dataclass(frozen=True, eq=False)
-class OlsFit:
-    """Coefficients and inverse Gram matrix of a least-squares fit.
-
-    coefficient_variance_w is the variance of the treatment coefficient per
-    unit residual variance, i.e. the bottom-right entry of (X'X)^-1.
-    """
-
-    coefficients: np.ndarray
-    xtx_inverse: np.ndarray
-    coefficient_variance_w: float
-
-
-def ols_fit(dataset: IdealDataset) -> OlsFit:
-    """Fit [1, Z, W] by solving the normal equations directly."""
+def ols_fit(dataset: IdealDataset) -> np.ndarray:
+    """Coefficients of [1, Z, W] from solving the normal equations directly."""
     x = dataset.design_matrix()
     gram = x.T @ x
     moment = x.T @ dataset.outcome
-    coefficients = gaussian_solve(gram, moment)
+    coefficients = _solve(gram, moment)
     residual = np.max(np.abs(gram @ coefficients - moment))
     scale = max(np.max(np.abs(moment)), 1.0)
     if residual > 1e-9 * scale:
         raise SingularDesignError(
             f"normal-equation residual {residual:.3e} exceeds 1e-9 relative"
         )
-    inverse = gaussian_solve(gram, np.eye(gram.shape[0]))
-    return OlsFit(
-        coefficients=coefficients,
-        xtx_inverse=inverse,
-        coefficient_variance_w=float(inverse[-1, -1]),
-    )
+    return coefficients
 
 
 def _moments(dataset: IdealDataset) -> dict:
@@ -321,13 +263,11 @@ def w_coefficient_via_moments(dataset: IdealDataset) -> float:
     """Treatment coefficient from sample covariances alone.
 
     (s_wy - s_wz s_zz^-1 s_zy) / (s_ww - s_wz s_zz^-1 s_zw); an independent
-    route to the same number ols_fit produces by elimination.
+    route to the same number ols_fit produces from the full normal equations.
     """
     m = _moments(dataset)
-    if dataset.p == 0:
-        return m["s_wy"] / m["s_ww"]
-    szz_inv_szw = gaussian_solve(m["s_zz"], m["s_zw"])
-    szz_inv_szy = gaussian_solve(m["s_zz"], m["s_zy"])
+    szz_inv_szw = _solve(m["s_zz"], m["s_zw"])
+    szz_inv_szy = _solve(m["s_zz"], m["s_zy"])
     numerator = m["s_wy"] - float(m["s_zw"] @ szz_inv_szy)
     denominator = m["s_ww"] - float(m["s_zw"] @ szz_inv_szw)
     return numerator / denominator
@@ -335,9 +275,8 @@ def w_coefficient_via_moments(dataset: IdealDataset) -> float:
 
 def standardized_w_coefficient(dataset: IdealDataset) -> float:
     """Treatment coefficient after scaling outcome and treatment to unit variance."""
-    fit = ols_fit(dataset)
     m = _moments(dataset)
-    return float(fit.coefficients[-1]) * math.sqrt(m["s_ww"]) / math.sqrt(m["s_yy"])
+    return float(ols_fit(dataset)[-1]) * math.sqrt(m["s_ww"]) / math.sqrt(m["s_yy"])
 
 
 def block_inverse_check(dataset: IdealDataset) -> float:
@@ -352,13 +291,13 @@ def block_inverse_check(dataset: IdealDataset) -> float:
 
     and S_VV itself inverts through the Schur complement of its covariate
     block.  Returns the maximum entrywise discrepancy against the direct
-    Gaussian-elimination inverse, scaled by the largest entry magnitude.
+    inverse, scaled by the largest entry magnitude.
     """
     m = _moments(dataset)
     n = m["n"]
     p = dataset.p
 
-    szz_inv = gaussian_inverse(m["s_zz"])
+    szz_inv = _solve(m["s_zz"], np.eye(p))
     schur = m["s_ww"] - float(m["s_zw"] @ (szz_inv @ m["s_zw"]))
     if schur <= 0.0:
         raise SingularDesignError("nonpositive Schur complement of the covariate block")
@@ -384,7 +323,7 @@ def block_inverse_check(dataset: IdealDataset) -> float:
     last_row[1 : p + 1] = -(schur_inv * (m["s_zw"] @ szz_inv)) / n
     last_row[p + 1] = schur_inv / n
 
-    direct = gaussian_inverse(dataset.design_matrix().T @ dataset.design_matrix())
+    direct = _solve(dataset.design_matrix().T @ dataset.design_matrix(), np.eye(p + 2))
     scale = float(np.max(np.abs(direct)))
     error = float(np.max(np.abs(assembled - direct)))
     error = max(error, float(np.max(np.abs(last_row - direct[-1]))))
@@ -410,8 +349,8 @@ def bayes_combination_check(dataset: IdealDataset) -> float:
     y = dataset.outcome
     xo, yo = x[observed], y[observed]
     xu, yu = x[~observed], y[~observed]
-    combined = gaussian_solve(xo.T @ xo + xu.T @ xu, xo.T @ yo + xu.T @ yu)
-    stacked = ols_fit(dataset).coefficients
+    combined = _solve(xo.T @ xo + xu.T @ xu, xo.T @ yo + xu.T @ yu)
+    stacked = ols_fit(dataset)
     return float(np.max(np.abs(combined - stacked)))
 
 
@@ -430,24 +369,26 @@ def monte_carlo_piv(
 ) -> float:
     """Empirical rejection rate over simulated completed samples.
 
-    Each replication draws every cell's outcomes from a normal with that
-    cell's target mean and variance, computes the completed-sample
-    correlation r from the arm moments (the standardized two-group fit), and
-    rejects when z = r * sqrt(2 n_ob) / sqrt(1 - r^2) crosses the signed
-    critical value; a fixed threshold is compared against r directly.  Each
-    replication uses its own child stream of the seed, so the rate does not
-    depend on evaluation order.
+    Each replication simulates a completed sample whose cells hold normal
+    outcomes with the cell's target mean and variance, computes the
+    completed-sample correlation r from the arm moments (the standardized
+    two-group fit), and rejects when z = r * sqrt(2 n_ob) / sqrt(1 - r^2)
+    crosses the signed critical value; a fixed threshold is compared against
+    r directly.  r depends on the outcomes only through each arm's mean and
+    1/n variance, so each replication draws their sufficient statistics
+    instead of the rows: per cell of k rows a sample mean N(mu, sd^2 / k),
+    and per arm of n_ob rows in two cells a within-cell sum of squares
+    sd^2 * chi2(n_ob - 2).  All replications come from one generator.
     """
     if not isinstance(reps, int) or reps < 1000:
         raise InputValidationError(f"reps must be an integer >= 1000, got {reps!r}")
+    _require_seed(seed)
     for name in ("n_ob", "pi", "y_t_ob", "y_c_ob", "var_t", "var_c"):
         if not math.isclose(getattr(spec, name), getattr(stats, name), rel_tol=1e-12, abs_tol=1e-12):
             raise InputValidationError(
                 f"spec and stats disagree on {name}: {getattr(spec, name)} vs {getattr(stats, name)}"
             )
     n_t, n_c, n = spec.n_treated, spec.n_control, spec.n_ob
-    sd_t, sd_c = math.sqrt(spec.var_t), math.sqrt(spec.var_c)
-    scale = math.sqrt(2.0 * n)
     positive = sign is EstimateSign.POSITIVE
     if isinstance(threshold, StatisticalThreshold):
         critical = threshold.critical_magnitude if positive else -threshold.critical_magnitude
@@ -458,39 +399,31 @@ def monte_carlo_piv(
     else:
         raise InputValidationError(f"unknown threshold type: {threshold!r}")
 
-    rejections = 0
-    for child in np.random.SeedSequence(seed).spawn(reps):
-        rng = np.random.default_rng(child)
-        treated = np.concatenate(
-            [
-                spec.y_t_ob + sd_t * rng.standard_normal(n_t),
-                spec.y_t_un + sd_t * rng.standard_normal(n_c),
-            ]
-        )
-        control = np.concatenate(
-            [
-                spec.y_c_ob + sd_c * rng.standard_normal(n_c),
-                spec.y_c_un + sd_c * rng.standard_normal(n_t),
-            ]
-        )
-        mean_t, mean_c = treated.mean(), control.mean()
-        var_pooled = (
-            0.5 * float(np.var(treated))
-            + 0.5 * float(np.var(control))
-            + 0.25 * (mean_t - mean_c) ** 2
-        )
-        if var_pooled == 0.0:
-            continue
-        r = 0.5 * (mean_t - mean_c) / math.sqrt(var_pooled)
+    rng = np.random.default_rng(seed)
+
+    def arm(cell_means: tuple[float, float], counts: tuple[int, int], var: float):
+        # observed cell first, counterfactual cell second
+        k = np.array(counts)
+        means = np.array(cell_means) + np.sqrt(var / k) * rng.standard_normal((reps, 2))
+        within = var * rng.chisquare(n - 2, reps)
+        arm_mean = means @ k / n
+        between = (means - arm_mean[:, None]) ** 2 @ k
+        return arm_mean, (within + between) / n
+
+    mean_t, var_t = arm((spec.y_t_ob, spec.y_t_un), (n_t, n_c), spec.var_t)
+    mean_c, var_c = arm((spec.y_c_ob, spec.y_c_un), (n_c, n_t), spec.var_c)
+    var_pooled = 0.5 * var_t + 0.5 * var_c + 0.25 * (mean_t - mean_c) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # var_pooled == 0 gives r = 0/0 = NaN, and NaN never rejects
+        r = 0.5 * (mean_t - mean_c) / np.sqrt(var_pooled)
         if critical is None:
             rejected = r > beta_sharp if positive else r < beta_sharp
         else:
             # |r| = 1 happens only for zero-variance cells; the z statistic
             # is then unbounded on the side of r
-            z = scale * r / math.sqrt(1.0 - r * r) if r * r < 1.0 else math.inf * r
+            z = np.where(r * r < 1.0, math.sqrt(2.0 * n) * r / np.sqrt(1.0 - r * r), np.inf * r)
             rejected = z > critical if positive else z < critical
-        rejections += rejected
-    return rejections / reps
+    return int(np.count_nonzero(rejected)) / reps
 
 
 # =============================================================================

@@ -18,6 +18,7 @@ from piv.core import (
     ObservedStats,
     StatisticalThreshold,
     ideal_correlation,
+    piv,
     piv_from_correlation,
     saturation_limits,
     se_ideal,
@@ -91,8 +92,6 @@ def test_criterion_4_minus_seven_anchor():
 
 
 def test_criterion_5_probit_identity():
-    from piv.core import probit_piv
-
     rng = np.random.default_rng(50)
     worst = 0.0
     for _ in range(1000):
@@ -100,7 +99,7 @@ def test_criterion_5_probit_identity():
         belief = random_belief(rng)
         sign = random_sign(rng)
         magnitude = float(rng.uniform(0.5, 3.5))
-        probit = probit_piv(belief, stats, sign, StatisticalThreshold(magnitude))
+        probit = piv(belief, stats, sign, StatisticalThreshold(magnitude)).probit_piv
         t_ratio = ideal_correlation(belief, stats) / se_ideal(stats)
         if sign is POS:
             expected = t_ratio - magnitude

@@ -98,13 +98,11 @@ class TestEvaluateGrid:
         # checked by first differences over a dense grid; the PIV itself
         # saturates to exactly 1.0 in float64 over much of this region, so
         # strictness is asserted on the probit and on the unsaturated PIV
-        from piv.core import probit_piv
-
         grid = evaluate_grid(PLAUSIBLE, (200, 200), CASE_STUDY, NEG, C196)
         probit = np.array(
             [
                 [
-                    probit_piv(CounterfactualBelief(t, c), CASE_STUDY, NEG, C196)
+                    piv(CounterfactualBelief(t, c), CASE_STUDY, NEG, C196).probit_piv
                     for c in grid.c_values
                 ]
                 for t in grid.t_values

@@ -296,6 +296,15 @@ class TestContourCommand:
         assert main(["contour", "--config", path, "--belief", "belief-2",
                      "--out", str(tmp_path / "grid.csv")]) == EXIT_CONFIG
 
+    def test_missing_out_exits_2_before_grid(self, tmp_path, capsys, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("grid evaluated before --out was checked")
+
+        monkeypatch.setattr(cli, "evaluate_grid", no_grid)
+        path = write_config(tmp_path, base_config_object())
+        assert main(["contour", "--config", path, "--belief", "box"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: --out is required\n"
+
 
 class TestPowerCommand:
     def test_power_equals_compute_piv(self, tmp_path, capsys):
@@ -370,3 +379,9 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
         assert "expected failure" in out
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["verify", "--seeds", "1", "--reps", "1000", "--seed", "-1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seed must be a nonnegative integer")
+        assert "Traceback" not in err

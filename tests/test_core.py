@@ -29,7 +29,6 @@ from piv.core import (
     ideal_sd,
     piv,
     piv_from_correlation,
-    probit_piv,
     resolve_threshold,
     saturation_limits,
     se_ideal,
@@ -244,13 +243,13 @@ class TestResolveThreshold:
 class TestProbitPiv:
     def test_case_study_corner(self):
         # frozen: C - r/se with C = -1.96
-        value = probit_piv(BELIEF_1_CORNER, CASE_STUDY, NEG, C196)
+        value = piv(BELIEF_1_CORNER, CASE_STUDY, NEG, C196).probit_piv
         assert value == pytest.approx(1.3946100621430948, rel=1e-12)
 
     def test_zero_effect_gives_minus_critical(self):
         belief = CounterfactualBelief(CASE_STUDY.y_c_ob, CASE_STUDY.y_t_ob)  # r == 0
-        assert probit_piv(belief, CASE_STUDY, POS, C196) == -1.96
-        assert probit_piv(belief, CASE_STUDY, NEG, C196) == -1.96
+        assert piv(belief, CASE_STUDY, POS, C196).probit_piv == -1.96
+        assert piv(belief, CASE_STUDY, NEG, C196).probit_piv == -1.96
 
     def test_sign_branches_are_reflections(self):
         rng = np.random.default_rng(17)
@@ -259,12 +258,12 @@ class TestProbitPiv:
             belief = random_belief(rng)
             # shared fixed threshold: the two branches sum to zero
             fixed = FixedThreshold(0.0)
-            total = probit_piv(belief, stats, POS, fixed) + probit_piv(belief, stats, NEG, fixed)
+            total = piv(belief, stats, POS, fixed).probit_piv + piv(belief, stats, NEG, fixed).probit_piv
             assert total == pytest.approx(0.0, abs=1e-9)
             # statistical threshold: the signed critical values differ by 2C
             mag = float(rng.uniform(0.5, 3.0))
             stat = StatisticalThreshold(mag)
-            total = probit_piv(belief, stats, POS, stat) + probit_piv(belief, stats, NEG, stat)
+            total = piv(belief, stats, POS, stat).probit_piv + piv(belief, stats, NEG, stat).probit_piv
             assert total == pytest.approx(-2.0 * mag, abs=1e-9)
 
     def test_statistical_equals_fixed_at_resolved_value(self):
@@ -274,9 +273,9 @@ class TestProbitPiv:
             belief = random_belief(rng)
             sign = random_sign(rng)
             mag = float(rng.uniform(0.5, 3.0))
-            via_statistical = probit_piv(belief, stats, sign, StatisticalThreshold(mag))
+            via_statistical = piv(belief, stats, sign, StatisticalThreshold(mag)).probit_piv
             resolved = resolve_threshold(StatisticalThreshold(mag), sign, stats)
-            via_fixed = probit_piv(belief, stats, sign, FixedThreshold(resolved))
+            via_fixed = piv(belief, stats, sign, FixedThreshold(resolved)).probit_piv
             assert via_statistical == pytest.approx(via_fixed, abs=1e-12)
 
 

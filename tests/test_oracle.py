@@ -3,7 +3,8 @@
 These are the dual-route checks: every closed form in piv.core must agree
 with a least-squares fit on an explicitly constructed completed dataset, and
 the normal-equation solver must agree with independently assembled block
-formulas.
+formulas.  The Monte Carlo estimator, which draws sufficient statistics,
+is checked against a reference sampler that draws every row.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 from piv.core import (
     CounterfactualBelief,
     EstimateSign,
+    FixedThreshold,
     InputValidationError,
     ObservedStats,
     StatisticalThreshold,
@@ -26,14 +28,11 @@ from piv.core import (
 )
 from piv.oracle import (
     IdealDataset,
-    OlsFit,
     SingularDesignError,
     SyntheticSpec,
     bayes_combination_check,
     block_inverse_check,
     build_exact_dataset,
-    gaussian_inverse,
-    gaussian_solve,
     monte_carlo_piv,
     ols_fit,
     random_spec,
@@ -43,33 +42,13 @@ from piv.oracle import (
 
 from helpers import binomial_mc_tolerance
 
+POS = EstimateSign.POSITIVE
 NEG = EstimateSign.NEGATIVE
 C196 = StatisticalThreshold(1.96)
 
 
 def _spec_belief_stats(spec: SyntheticSpec) -> tuple[CounterfactualBelief, ObservedStats]:
     return CounterfactualBelief(spec.y_t_un, spec.y_c_un), spec.observed_stats(0.0)
-
-
-class TestGaussianSolve:
-    def test_matches_known_solution(self):
-        a = np.array([[2.0, 1.0], [1.0, 3.0]])
-        x = gaussian_solve(a, np.array([5.0, 10.0]))
-        assert np.allclose(a @ x, [5.0, 10.0], atol=1e-14)
-
-    def test_inverse_identity(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
-        inv = gaussian_inverse(a)
-        assert np.max(np.abs(a @ inv - np.eye(6))) < 1e-12
-
-    def test_zero_by_zero(self):
-        assert gaussian_inverse(np.zeros((0, 0))).shape == (0, 0)
-
-    def test_singular_raises(self):
-        a = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(SingularDesignError):
-            gaussian_solve(a, np.array([1.0, 2.0]))
 
 
 class TestSyntheticSpec:
@@ -85,6 +64,12 @@ class TestSyntheticSpec:
         with pytest.raises(InputValidationError):
             SyntheticSpec(n_ob=100, pi=0.0617, y_t_ob=0, y_c_ob=0, y_t_un=0, y_c_un=0,
                           var_t=1, var_c=1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(InputValidationError, match="seed"):
+            SyntheticSpec(n_ob=8, pi=0.5, y_t_ob=0, y_c_ob=0, y_t_un=0, y_c_un=0,
+                          var_t=1, var_c=1, seed=seed)
 
 
 class TestBuildExactDataset:
@@ -140,17 +125,16 @@ class TestOlsFit:
     def test_two_group_coefficient_is_mean_difference(self):
         spec = random_spec(11, p=0)
         ds = build_exact_dataset(spec)
-        fit = ols_fit(ds)
         treated_mean = ds.outcome[ds.w == 1.0].mean()
         control_mean = ds.outcome[ds.w == 0.0].mean()
-        assert float(fit.coefficients[-1]) == pytest.approx(
+        assert float(ols_fit(ds)[-1]) == pytest.approx(
             treated_mean - control_mean, rel=1e-12
         )
 
     def test_moment_route_matches_direct_solve(self):
         spec = random_spec(13, p=4, n_ob=64)
         ds = build_exact_dataset(spec)
-        direct = float(ols_fit(ds).coefficients[-1])
+        direct = float(ols_fit(ds)[-1])
         assert w_coefficient_via_moments(ds) == pytest.approx(direct, rel=1e-10)
 
     def test_standardized_coefficient_equals_closed_form(self):
@@ -169,14 +153,6 @@ class TestOlsFit:
         with pytest.raises(SingularDesignError):
             ols_fit(broken)
 
-    def test_fit_exposes_inverse(self):
-        ds = build_exact_dataset(random_spec(23, p=2))
-        fit = ols_fit(ds)
-        assert isinstance(fit, OlsFit)
-        gram = ds.design_matrix().T @ ds.design_matrix()
-        assert np.max(np.abs(gram @ fit.xtx_inverse - np.eye(gram.shape[0]))) < 1e-9
-        assert fit.coefficient_variance_w == fit.xtx_inverse[-1, -1]
-
 
 class TestBlockInverse:
     def test_p_zero_reduces_to_classical_two_by_two(self):
@@ -188,7 +164,7 @@ class TestBlockInverse:
         n = gram[0, 0]
         det = gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0]
         expected = np.array([[gram[1, 1], -gram[0, 1]], [-gram[1, 0], gram[0, 0]]]) / det
-        assert np.max(np.abs(gaussian_inverse(gram) - expected)) < 1e-12
+        assert np.max(np.abs(np.linalg.inv(gram) - expected)) < 1e-12
         assert n == 2 * ds.n_ob
 
     def test_seeded_specs_within_tolerance(self):
@@ -211,7 +187,8 @@ class TestVarianceFactorization:
         # 1 / (N * (s_ww - s_wz s_zz^-1 s_zw)); scaling by any sigma^2 is linear
         for seed in (2, 7, 12):
             ds = build_exact_dataset(random_spec(seed, p=3))
-            fit = ols_fit(ds)
+            x = ds.design_matrix()
+            variance_w = float(np.linalg.inv(x.T @ x)[-1, -1])
             y, w, z = ds.outcome, ds.w, ds.z
             n = y.shape[0]
             w_c = w - w.mean()
@@ -219,11 +196,11 @@ class TestVarianceFactorization:
             s_ww = float(w_c @ w_c) / n
             s_zw = (z_c.T @ w_c) / n
             s_zz = (z_c.T @ z_c) / n
-            schur = s_ww - float(s_zw @ gaussian_solve(s_zz, s_zw))
+            schur = s_ww - float(s_zw @ np.linalg.solve(s_zz, s_zw))
             expected = 1.0 / (n * schur)
-            assert fit.coefficient_variance_w == pytest.approx(expected, rel=1e-10)
+            assert variance_w == pytest.approx(expected, rel=1e-10)
             for sigma_sq in (0.5, 2.7):
-                assert sigma_sq * fit.coefficient_variance_w == pytest.approx(
+                assert sigma_sq * variance_w == pytest.approx(
                     sigma_sq * expected, rel=1e-10
                 )
 
@@ -240,7 +217,7 @@ class TestBayesCombination:
         y = ds.outcome
         xo, yo = x[ds.observed], y[ds.observed]
         xu, yu = x[~ds.observed], y[~ds.observed]
-        combined = gaussian_solve(xo.T @ xo + xu.T @ xu, xo.T @ yo + xu.T @ yu)
+        combined = np.linalg.solve(xo.T @ xo + xu.T @ xu, xo.T @ yo + xu.T @ yu)
         treated_mean = y[ds.w == 1.0].mean()
         control_mean = y[ds.w == 0.0].mean()
         assert float(combined[-1]) == pytest.approx(treated_mean - control_mean, rel=1e-12)
@@ -264,6 +241,27 @@ class TestMixtureVarianceConsistency:
             assert float(np.var(ds.outcome)) == pytest.approx(
                 ideal_sd(belief, stats) ** 2, rel=1e-10
             )
+
+
+def _brute_force_rate(spec: SyntheticSpec, sign: EstimateSign, threshold, reps: int,
+                      seed: int) -> float:
+    """Reference rejection rate that draws every row of every completed sample."""
+    rng = np.random.default_rng(seed)
+    n_t, n_c, n = spec.n_treated, spec.n_control, spec.n_ob
+    sd_t, sd_c = math.sqrt(spec.var_t), math.sqrt(spec.var_c)
+    treated = np.hstack([spec.y_t_ob + sd_t * rng.standard_normal((reps, n_t)),
+                         spec.y_t_un + sd_t * rng.standard_normal((reps, n_c))])
+    control = np.hstack([spec.y_c_ob + sd_c * rng.standard_normal((reps, n_c)),
+                         spec.y_c_un + sd_c * rng.standard_normal((reps, n_t))])
+    gap = treated.mean(axis=1) - control.mean(axis=1)
+    r = 0.5 * gap / np.sqrt(0.5 * treated.var(axis=1) + 0.5 * control.var(axis=1) + 0.25 * gap**2)
+    if isinstance(threshold, FixedThreshold):
+        statistic, cut = r, threshold.beta_sharp
+    else:
+        statistic = math.sqrt(2.0 * n) * r / np.sqrt(1.0 - r * r)
+        cut = threshold.critical_magnitude if sign is POS else -threshold.critical_magnitude
+    rejected = statistic > cut if sign is POS else statistic < cut
+    return float(np.mean(rejected))
 
 
 class TestMonteCarlo:
@@ -308,3 +306,37 @@ class TestMonteCarlo:
         closed = piv_from_correlation(r, spec.observed_stats(r * r), NEG, C196).piv
         rate = monte_carlo_piv(spec, spec.observed_stats(0.0), NEG, C196, reps=4000, seed=3)
         assert abs(rate - closed) <= binomial_mc_tolerance(closed, 4000)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_rejects_bad_seed(self, seed):
+        spec = self._null_spec()
+        with pytest.raises(InputValidationError, match="seed"):
+            monte_carlo_piv(spec, spec.observed_stats(0.0), NEG, C196, reps=1000, seed=seed)
+
+    @pytest.mark.parametrize("sign", [POS, NEG])
+    @pytest.mark.parametrize("kind", ["statistical", "fixed"])
+    def test_small_cells_match_brute_force(self, sign, kind):
+        # n_ob = 8 with pi = 0.25 leaves cells of 2 and 6 rows, where a wrong
+        # chi-square degree of freedom for the within-cell spread shows at once
+        flip = 1.0 if sign is POS else -1.0
+        spec = SyntheticSpec(n_ob=8, pi=0.25, y_t_ob=flip, y_c_ob=0.0, y_t_un=0.8 * flip,
+                             y_c_un=0.2 * flip, var_t=1.5, var_c=0.6)
+        threshold = C196 if kind == "statistical" else FixedThreshold(0.3 * flip)
+        reps = 200_000
+        rate = monte_carlo_piv(spec, spec.observed_stats(0.0), sign, threshold, reps=reps, seed=1)
+        reference = _brute_force_rate(spec, sign, threshold, reps, seed=2)
+        p = 0.5 * (rate + reference)
+        assert 0.05 < p < 0.95
+        assert abs(rate - reference) <= 4.0 * math.sqrt(2.0 * p * (1.0 - p) / reps)
+
+    def test_zero_variance_cells(self):
+        # equal means everywhere: r = 0/0 is NaN and never rejects
+        flat = SyntheticSpec(n_ob=8, pi=0.5, y_t_ob=3.0, y_c_ob=3.0, y_t_un=3.0, y_c_un=3.0,
+                             var_t=0.0, var_c=0.0)
+        assert monte_carlo_piv(flat, flat.observed_stats(0.0), POS, C196, reps=1000) == 0.0
+        assert monte_carlo_piv(flat, flat.observed_stats(0.0), NEG, C196, reps=1000) == 0.0
+        # separated means: |r| = 1 and z is infinite on the side of r
+        split = SyntheticSpec(n_ob=8, pi=0.5, y_t_ob=4.0, y_c_ob=3.0, y_t_un=4.0, y_c_un=3.0,
+                              var_t=0.0, var_c=0.0)
+        assert monte_carlo_piv(split, split.observed_stats(0.0), POS, C196, reps=1000) == 1.0
+        assert monte_carlo_piv(split, split.observed_stats(0.0), NEG, C196, reps=1000) == 0.0
