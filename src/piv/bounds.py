@@ -18,12 +18,15 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .core import (
     CounterfactualBelief,
     EstimateSign,
     InputValidationError,
     ObservedStats,
     Threshold,
+    _completed_piv,
     piv,
     piv_from_correlation,
     saturation_limits,
@@ -40,6 +43,9 @@ __all__ = [
 ]
 
 _DEFAULT_CELL_CAP = 10_000_000
+
+# numpy has no erfc; math.erfc mapped over an array gives the scalar path's values.
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _check_bound(value: float, name: str) -> float:
@@ -75,32 +81,36 @@ class BeliefRegion:
         return all(math.isfinite(v) for v in (*self.t_interval, *self.c_interval))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContourGrid:
-    """PIV evaluated on a rectangular grid: one row per t value, one column per c value."""
+    """PIV evaluated on a rectangular grid: one row per t value, one column per c value.
+
+    piv is a read-only float64 array of shape (len(t_values), len(c_values)).
+    """
 
     t_values: tuple[float, ...]
     c_values: tuple[float, ...]
-    piv: tuple[tuple[float, ...], ...]
+    piv: np.ndarray
 
     def min(self) -> float:
-        return min(min(row) for row in self.piv)
+        return float(self.piv.min())
 
     def max(self) -> float:
-        return max(max(row) for row in self.piv)
+        return float(self.piv.max())
 
     def to_csv_text(self) -> str:
         """CSV serialization: header row of c values, first column of t values, PIV to 6 decimals."""
         lines = ["y_t_un," + ",".join(repr(c) for c in self.c_values)]
+        # one row of Python floats at a time keeps the peak memory of a large grid down
         for t, row in zip(self.t_values, self.piv):
-            lines.append(repr(t) + "," + ",".join(f"{v:.6f}" for v in row))
+            lines.append(repr(t) + "," + ",".join([f"{v:.6f}" for v in row.tolist()]))
         return "\n".join(lines) + "\n"
 
     def to_json_object(self) -> dict:
         return {
             "t_values": list(self.t_values),
             "c_values": list(self.c_values),
-            "piv": [list(row) for row in self.piv],
+            "piv": self.piv.tolist(),
         }
 
 
@@ -147,8 +157,8 @@ def evaluate_grid(
     """Evaluate the PIV on a uniform grid over a finite region.
 
     Both endpoints of each axis are included; a zero-width axis yields a
-    single coordinate.  Cells are independent, so any evaluation order gives
-    bit-identical results.
+    single coordinate.  Each t row is evaluated at once over the c axis by
+    the kernel piv() uses, so every cell equals piv() at that belief.
     """
     if not region.is_finite:
         raise InputValidationError("evaluate_grid requires a finite region")
@@ -162,13 +172,16 @@ def evaluate_grid(
         raise InputValidationError(
             f"grid of {len(t_values)}x{len(c_values)} cells exceeds cap {cell_cap}"
         )
-    rows = []
-    for t in t_values:
-        row = [
-            piv(CounterfactualBelief(t, c), stats, sign, threshold).piv for c in c_values
-        ]
-        rows.append(tuple(row))
-    return ContourGrid(t_values=t_values, c_values=c_values, piv=tuple(rows))
+    c = np.array(c_values)
+    values = np.empty((len(t_values), len(c_values)))
+    # an overflowing variance raises from the kernel; keep numpy from warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, t in enumerate(t_values):
+            values[i] = _completed_piv(
+                t, c, stats, sign, threshold, sqrt=np.sqrt, erfc=_erfc, every=np.all
+            )[0]
+    values.flags.writeable = False
+    return ContourGrid(t_values=t_values, c_values=c_values, piv=values)
 
 
 def bound_piv(
@@ -207,15 +220,17 @@ def bound_piv(
 
     points = [(t, c) for t in ts for c in cs]
     for t in ts:
-        denominator = d * ((1.0 - pi) * (t - y_t) + l0)
+        dt = t - y_t
+        denominator = d * ((1.0 - pi) * dt + l0)
         if denominator != 0.0:
-            c = y_c - pi * (v + d * (t - y_t) ** 2) / denominator
+            c = y_c - pi * (v + d * (dt * dt)) / denominator
             if c_lo <= c <= c_hi:
                 points.append((t, c))
     for c in cs:
-        denominator = d * (l0 - pi * (c - y_c))
+        dc = c - y_c
+        denominator = d * (l0 - pi * dc)
         if denominator != 0.0:
-            t = y_t + (1.0 - pi) * (v + d * (c - y_c) ** 2) / denominator
+            t = y_t + (1.0 - pi) * (v + d * (dc * dc)) / denominator
             if t_lo <= t <= t_hi:
                 points.append((t, c))
     if l0 != 0.0:

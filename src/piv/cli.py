@@ -315,8 +315,13 @@ def render_json(value, indent: int = 0) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        inner = ",\n".join(pad + "  " + render_json(v, indent + 1) for v in value)
-        return "[\n" + inner + "\n" + pad + "]"
+        if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+            # a flat list of finite floats, such as a contour row, skips the
+            # per-element recursion; anything else takes it and its checks
+            inner = ",\n".join([pad + "  " + format(v, ".17g") for v in value])
+        else:
+            inner = ",\n".join(pad + "  " + render_json(v, indent + 1) for v in value)
+        return f"[\n{inner}\n{pad}]"
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -324,7 +329,7 @@ def render_json(value, indent: int = 0) -> str:
             pad + "  " + json.dumps(str(k)) + ": " + render_json(v, indent + 1)
             for k, v in value.items()
         )
-        return "{\n" + inner + "\n" + pad + "}"
+        return f"{{\n{inner}\n{pad}}}"
     raise InputValidationError(f"cannot serialize {type(value).__name__}")
 
 

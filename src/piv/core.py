@@ -215,7 +215,11 @@ def std_normal_cdf(x: float) -> float:
     The erfc route keeps full relative precision in the lower tail, which the
     naive 0.5*(1 + erf(...)) form loses.
     """
-    return 0.5 * math.erfc(-float(x) / _SQRT2)
+    return _cdf(float(x))
+
+
+def _cdf(x, erfc=math.erfc):
+    return 0.5 * erfc(-x / _SQRT2)
 
 
 # =============================================================================
@@ -230,25 +234,69 @@ def ideal_means(belief: CounterfactualBelief, stats: ObservedStats) -> tuple[flo
     holds the pi*n_ob observed treated plus the (1-pi)*n_ob controls under
     their unrealized treatment, and symmetrically for control.
     """
+    return _arm_means(belief.y_t_un, belief.y_c_un, stats)
+
+
+# The kernel below takes a float belief or numpy arrays of beliefs and uses
+# only + - * / on them, so both give bit-identical results.  Squares are
+# written as products: float ** 2 calls libm pow, which can differ in the
+# last bit from the exact product that numpy computes.
+
+
+def _arm_means(y_t_un, y_c_un, stats: ObservedStats):
     pi = stats.pi
-    y_t_id = (1.0 - pi) * belief.y_t_un + pi * stats.y_t_ob
-    y_c_id = pi * belief.y_c_un + (1.0 - pi) * stats.y_c_ob
+    y_t_id = (1.0 - pi) * y_t_un + pi * stats.y_t_ob
+    y_c_id = pi * y_c_un + (1.0 - pi) * stats.y_c_ob
     return y_t_id, y_c_id
 
 
-def _gap_and_sd(belief: CounterfactualBelief, stats: ObservedStats) -> tuple[float, float]:
-    """Completed-sample arm mean difference y_t_id - y_c_id and outcome sd."""
-    y_t_id, y_c_id = ideal_means(belief, stats)
+def _gap_and_variance(y_t_un, y_c_un, stats: ObservedStats):
+    """Completed-sample arm mean difference y_t_id - y_c_id and outcome variance."""
+    y_t_id, y_c_id = _arm_means(y_t_un, y_c_un, stats)
     gap = y_t_id - y_c_id
     pi = stats.pi
-    dev_sq = (belief.y_t_un - stats.y_t_ob) ** 2 + (belief.y_c_un - stats.y_c_ob) ** 2
+    d_t = y_t_un - stats.y_t_ob
+    d_c = y_c_un - stats.y_c_ob
     variance = (
         0.5 * stats.var_t
-        + 0.5 * pi * (1.0 - pi) * dev_sq
+        + 0.5 * pi * (1.0 - pi) * (d_t * d_t + d_c * d_c)
         + 0.5 * stats.var_c
-        + 0.25 * gap ** 2
+        + 0.25 * (gap * gap)
     )
-    return gap, math.sqrt(variance)
+    return gap, variance
+
+
+_VARIANCE_OVERFLOW = (
+    "completed-sample variance overflows float64; the counterfactual means "
+    "lie too far from the observed ones"
+)
+
+
+def _correlation(y_t_un, y_c_un, stats: ObservedStats, sqrt=math.sqrt, every=bool):
+    """0.5*gap/sd; arrays take sqrt=np.sqrt and every=np.all."""
+    gap, variance = _gap_and_variance(y_t_un, y_c_un, stats)
+    if not every(variance < math.inf):
+        raise InputValidationError(_VARIANCE_OVERFLOW)
+    if not every(variance > 0.0):
+        raise DegenerateSpreadError(
+            "completed sample has zero outcome spread; correlation undefined"
+        )
+    return 0.5 * gap / sqrt(variance)
+
+
+def _completed_piv(
+    y_t_un, y_c_un, stats: ObservedStats, sign: EstimateSign, threshold: Threshold,
+    sqrt=math.sqrt, erfc=math.erfc, every=bool,
+):
+    """(piv, probit, threshold value, T) at one belief, or elementwise over arrays.
+
+    Floats take the math defaults; arrays take np.sqrt, an elementwise erfc
+    and np.all.  Raises InputValidationError where the completed-sample
+    variance overflows and DegenerateSpreadError where it is zero.
+    """
+    r = _correlation(y_t_un, y_c_un, stats, sqrt, every)
+    probit, threshold_value, t_ratio = _probit(r, stats, sign, threshold)
+    return _cdf(probit, erfc), probit, threshold_value, t_ratio
 
 
 def ideal_sd(belief: CounterfactualBelief, stats: ObservedStats) -> float:
@@ -259,9 +307,13 @@ def ideal_sd(belief: CounterfactualBelief, stats: ObservedStats) -> float:
     equally sized arms contribute a between-arm term of a quarter of the
     squared mean difference.  Returns 0.0 only in the fully degenerate case
     (both variances zero and all four means equal), which downstream
-    operations surface as DegenerateSpreadError.
+    operations surface as DegenerateSpreadError.  Raises
+    InputValidationError when the variance overflows.
     """
-    return _gap_and_sd(belief, stats)[1]
+    variance = _gap_and_variance(belief.y_t_un, belief.y_c_un, stats)[1]
+    if not variance < math.inf:
+        raise InputValidationError(_VARIANCE_OVERFLOW)
+    return math.sqrt(variance)
 
 
 def ideal_correlation(belief: CounterfactualBelief, stats: ObservedStats) -> float:
@@ -269,14 +321,10 @@ def ideal_correlation(belief: CounterfactualBelief, stats: ObservedStats) -> flo
 
     Equals half the standardized arm mean difference, 0.5*(y_t_id - y_c_id)/sd,
     because the completed arms are exactly balanced.  Raises
-    DegenerateSpreadError when the spread is zero.
+    DegenerateSpreadError when the spread is zero and InputValidationError
+    when the variance overflows.
     """
-    gap, sd = _gap_and_sd(belief, stats)
-    if sd == 0.0:
-        raise DegenerateSpreadError(
-            "completed sample has zero outcome spread; correlation undefined"
-        )
-    return 0.5 * gap / sd
+    return _correlation(belief.y_t_un, belief.y_c_un, stats)
 
 
 def se_ideal(stats: ObservedStats) -> float:
@@ -338,6 +386,23 @@ def saturation_limits(stats: ObservedStats) -> tuple[float, float]:
     )
 
 
+def _probit(r, stats: ObservedStats, sign: EstimateSign, threshold: Threshold):
+    """(probit, threshold value, T) for a float correlation or an array of them."""
+    se = se_ideal(stats)
+    t_ratio = r / se
+    positive = sign is EstimateSign.POSITIVE
+    if isinstance(threshold, StatisticalThreshold):
+        c = _signed_critical(threshold.critical_magnitude, sign)
+        probit = (t_ratio - c) if positive else (c - t_ratio)
+        return probit, c * se, t_ratio
+    if isinstance(threshold, FixedThreshold):
+        _check_fixed_sign(threshold.beta_sharp, sign)
+        b = threshold.beta_sharp
+        probit = ((r - b) / se) if positive else ((b - r) / se)
+        return probit, b, t_ratio
+    raise InputValidationError(f"unknown threshold type: {threshold!r}")
+
+
 def piv_from_correlation(
     r: float, stats: ObservedStats, sign: EstimateSign, threshold: Threshold
 ) -> PivResult:
@@ -347,27 +412,10 @@ def piv_from_correlation(
     estimate) or C - T (negative), C signed; fixed thresholds give
     probit = (r - beta_sharp)/se or (beta_sharp - r)/se.
     """
-    r = _require_finite(r, "correlation")
-    se = se_ideal(stats)
-    t_ratio = r / se
-    positive = sign is EstimateSign.POSITIVE
-    if isinstance(threshold, StatisticalThreshold):
-        c = _signed_critical(threshold.critical_magnitude, sign)
-        probit = (t_ratio - c) if positive else (c - t_ratio)
-        threshold_value = c * se
-    elif isinstance(threshold, FixedThreshold):
-        _check_fixed_sign(threshold.beta_sharp, sign)
-        b = threshold.beta_sharp
-        probit = ((r - b) / se) if positive else ((b - r) / se)
-        threshold_value = b
-    else:
-        raise InputValidationError(f"unknown threshold type: {threshold!r}")
-    return PivResult(
-        piv=std_normal_cdf(probit),
-        probit_piv=probit,
-        threshold_value=threshold_value,
-        t_ratio=t_ratio,
+    probit, threshold_value, t_ratio = _probit(
+        _require_finite(r, "correlation"), stats, sign, threshold
     )
+    return PivResult(_cdf(probit), probit, threshold_value, t_ratio)
 
 
 def piv(
@@ -377,5 +425,4 @@ def piv(
     threshold: Threshold,
 ) -> PivResult:
     """PIV at one belief point: probability of rejecting the null again in the completed sample."""
-    r = ideal_correlation(belief, stats)
-    return piv_from_correlation(r, stats, sign, threshold)
+    return PivResult(*_completed_piv(belief.y_t_un, belief.y_c_un, stats, sign, threshold))

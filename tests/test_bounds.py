@@ -16,8 +16,10 @@ from piv.bounds import (
     evaluate_grid,
     robustness_verdict,
 )
+from piv.cli import render_json
 from piv.core import (
     CounterfactualBelief,
+    DegenerateSpreadError,
     EstimateSign,
     FixedThreshold,
     InputValidationError,
@@ -120,7 +122,94 @@ class TestEvaluateGrid:
         assert np.all(dc[unsaturated[:, 1:] & unsaturated[:, :-1]] > 0)
 
 
+def _random_grid_case(rng: np.random.Generator):
+    """A seeded analysis over both signs and threshold kinds, pi near 0 or 1
+    now and then, and a box around the observed means up to 1e6 sd wide."""
+    stats = random_observed_stats(rng)
+    pi = float(rng.choice([stats.pi, 1e-4, 0.9999]))
+    stats = dataclasses.replace(stats, pi=pi)
+    sign = random_sign(rng)
+    if rng.random() < 0.5:
+        threshold = StatisticalThreshold(float(rng.uniform(0.5, 4.0)))
+    else:
+        magnitude = float(rng.uniform(0.0, 0.5))
+        threshold = FixedThreshold(magnitude if sign is EstimateSign.POSITIVE else -magnitude)
+    sd = math.sqrt(0.5 * (stats.var_t + stats.var_c))
+    half = sd * 10.0 ** float(rng.uniform(-2.0, 6.0))
+    t0 = stats.y_t_ob + float(rng.uniform(-1.0, 1.0)) * half
+    c0 = stats.y_c_ob + float(rng.uniform(-1.0, 1.0)) * half
+    region = BeliefRegion(t_interval=(t0 - half, t0 + half), c_interval=(c0 - half, c0 + half))
+    return region, stats, sign, threshold
+
+
+class TestGridMatchesPiv:
+    def test_every_cell_equals_piv_exactly(self):
+        rng = np.random.default_rng(20260418)
+        for _ in range(60):
+            region, stats, sign, threshold = _random_grid_case(rng)
+            grid = evaluate_grid(region, (9, 11), stats, sign, threshold)
+            assert grid.piv.dtype == np.float64 and grid.piv.shape == (9, 11)
+            for i, t in enumerate(grid.t_values):
+                for j, c in enumerate(grid.c_values):
+                    assert grid.piv[i, j] == piv(CounterfactualBelief(t, c), stats, sign, threshold).piv
+
+    def test_cells_are_read_only(self):
+        grid = evaluate_grid(PLAUSIBLE, (3, 3), CASE_STUDY, NEG, C196)
+        assert not grid.piv.flags.writeable
+        with pytest.raises(ValueError):
+            grid.piv[0, 0] = 0.5
+
+    def test_degenerate_point_raises(self):
+        stats = ObservedStats(0.0, 10, 5.0, 5.0, 0.0, 0.0, 0.5)
+        region = BeliefRegion(t_interval=(4.0, 6.0), c_interval=(4.0, 6.0))
+        with pytest.raises(DegenerateSpreadError):
+            evaluate_grid(region, (3, 3), stats, NEG, C196)
+
+    def test_overflowing_belief_raises(self):
+        region = BeliefRegion(t_interval=(1e200, 2e200), c_interval=(36.77, 45.78))
+        with pytest.raises(InputValidationError, match="variance overflows"):
+            evaluate_grid(region, (3, 3), CASE_STUDY, NEG, C196)
+        with pytest.raises(InputValidationError, match="variance overflows"):
+            bound_piv(region, CASE_STUDY, NEG, C196)
+
+
+def _cellwise_csv(t_values, c_values, rows) -> str:
+    lines = ["y_t_un," + ",".join(repr(c) for c in c_values)]
+    for t, row in zip(t_values, rows):
+        lines.append(repr(t) + "," + ",".join(f"{v:.6f}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _cellwise_json(t_values, c_values, rows) -> str:
+    def floats(values, pad: str) -> str:
+        return "[\n" + ",\n".join(pad + "  " + format(v, ".17g") for v in values) + "\n" + pad + "]"
+
+    piv_rows = ",\n".join("    " + floats(row, "    ") for row in rows)
+    return (
+        "{\n"
+        f'  "t_values": {floats(t_values, "  ")},\n'
+        f'  "c_values": {floats(c_values, "  ")},\n'
+        f'  "piv": [\n{piv_rows}\n  ]\n'
+        "}"
+    )
+
+
 class TestCsvAndJson:
+    def test_bytes_equal_cellwise_rendering(self):
+        rng = np.random.default_rng(7)
+        cases = [(PLAUSIBLE, CASE_STUDY, NEG, C196)]
+        cases += [_random_grid_case(rng) for _ in range(5)]
+        for region, stats, sign, threshold in cases:
+            grid = evaluate_grid(region, (7, 5), stats, sign, threshold)
+            rows = [
+                [piv(CounterfactualBelief(t, c), stats, sign, threshold).piv for c in grid.c_values]
+                for t in grid.t_values
+            ]
+            assert grid.to_csv_text() == _cellwise_csv(grid.t_values, grid.c_values, rows)
+            assert render_json(grid.to_json_object()) == _cellwise_json(
+                grid.t_values, grid.c_values, rows
+            )
+
     def test_csv_shape_and_values(self):
         grid = evaluate_grid(PLAUSIBLE, (200, 200), CASE_STUDY, NEG, C196)
         lines = grid.to_csv_text().strip().split("\n")

@@ -132,8 +132,9 @@ class TestRenderJson:
         assert render_json(1.0 / 3.0) == "0.33333333333333331"
 
     def test_non_finite_rejected(self):
-        with pytest.raises(InputValidationError):
-            render_json(math.inf)
+        for value in (math.inf, [0.5, math.nan], [[0.25, -math.inf]]):
+            with pytest.raises(InputValidationError, match="non-finite"):
+                render_json(value)
 
 
 class TestComputeCommand:
@@ -385,3 +386,58 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: seed must be a nonnegative integer")
         assert "Traceback" not in err
+
+
+def _degenerate(obj: dict) -> None:
+    obj["observed"].update({"var_t": 0.0, "var_c": 0.0, "y_t_ob": 5.0, "y_c_ob": 5.0})
+
+
+_MALFORMED_BELIEFS = [
+    {"name": "huge", "point": {"y_t_un": 1e200, "y_c_un": 0.0}},
+    {"name": "far", "region": {"t": [1e200, 2e200], "c": [36.77, 45.78]}},
+    {"name": "flat", "point": {"y_t_un": 5.0, "y_c_un": 5.0}},
+    {"name": "flat-point-region", "region": {"t": [5.0, 5.0], "c": [5.0, 5.0]}},
+    {"name": "flat-box", "region": {"t": [4.0, 6.0], "c": [4.0, 6.0]}},
+]
+_CONFIG_ERROR = (EXIT_CONFIG, "config error: ")
+_DEGENERATE = (EXIT_DEGENERATE, "degenerate inputs: ")
+
+# (config edit, argv after the command's --config, expected exit code, stderr prefix)
+MALFORMED_INPUTS = {
+    "compute-huge-belief": (None, ["compute", "--belief", "huge"], *_CONFIG_ERROR),
+    "power-huge-belief": (None, ["power", "--belief", "huge"], *_CONFIG_ERROR),
+    "bound-huge-region": (None, ["bound", "--belief", "far"], *_CONFIG_ERROR),
+    "contour-huge-region": (None, ["contour", "--belief", "far", "--out", "{out}"], *_CONFIG_ERROR),
+    "contour-grid-1x5": (None, ["contour", "--belief", "box", "--grid", "1x5", "--out", "{out}"],
+                         *_CONFIG_ERROR),
+    "contour-grid-axb": (None, ["contour", "--belief", "box", "--grid", "axb", "--out", "{out}"],
+                         *_CONFIG_ERROR),
+    "contour-infinite-region": (None, ["contour", "--belief", "belief-2", "--out", "{out}"],
+                                *_CONFIG_ERROR),
+    "compute-degenerate": (_degenerate, ["compute", "--belief", "flat"], *_DEGENERATE),
+    "power-degenerate": (_degenerate, ["power", "--belief", "flat"], *_DEGENERATE),
+    "bound-degenerate": (_degenerate, ["bound", "--belief", "flat-point-region"], *_DEGENERATE),
+    "contour-degenerate": (_degenerate, ["contour", "--belief", "flat-box", "--grid", "3x3",
+                                         "--out", "{out}"], *_DEGENERATE),
+    "contour-unwritable-out": (None, ["contour", "--belief", "box",
+                                      "--out", "{tmp}/no_dir/grid.csv"], EXIT_IO, "cannot write "),
+    "verify-negative-seed": (None, ["verify", "--seeds", "1", "--reps", "1000", "--seed", "-1"],
+                             *_CONFIG_ERROR),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exit_code(case, tmp_path, capsys):
+    edit, argv, code, prefix = MALFORMED_INPUTS[case]
+    obj = base_config_object()
+    obj["beliefs"] += _MALFORMED_BELIEFS
+    if edit is not None:
+        edit(obj)
+    path = write_config(tmp_path, obj)
+    argv = [arg.format(out=tmp_path / "grid.csv", tmp=tmp_path) for arg in argv]
+    if argv[0] != "verify":
+        argv[1:1] = ["--config", path]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert "Traceback" not in err

@@ -151,6 +151,15 @@ class TestIdealSd:
         with pytest.raises(DegenerateSpreadError):
             piv(belief, stats, NEG, C196)
 
+    def test_overflowing_variance_raises(self):
+        # the squared distance to the observed means exceeds float64
+        belief = CounterfactualBelief(1e200, 0.0)
+        for call in (lambda: ideal_sd(belief, CASE_STUDY),
+                     lambda: ideal_correlation(belief, CASE_STUDY),
+                     lambda: piv(belief, CASE_STUDY, NEG, C196)):
+            with pytest.raises(InputValidationError, match="variance overflows"):
+                call()
+
 
 class TestIdealCorrelation:
     def test_zero_when_completed_means_equal(self):
