@@ -42,7 +42,7 @@ __all__ = [
     "robustness_verdict",
 ]
 
-_DEFAULT_CELL_CAP = 10_000_000
+_CELL_CAP = 10_000_000
 
 # numpy has no erfc; math.erfc mapped over an array gives the scalar path's values.
 _erfc = np.frompyfunc(math.erfc, 1, 1)
@@ -51,7 +51,12 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 def _check_bound(value: float, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputValidationError(f"{name} must be a real number or +/-inf, got {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError as exc:
+        raise InputValidationError(
+            f"{name} must be a real number or +/-inf, got an integer too large for a float"
+        ) from exc
     if math.isnan(x):
         raise InputValidationError(f"{name} must not be NaN")
     return x
@@ -137,7 +142,7 @@ class Verdict(Enum):
 
 
 def _axis_points(lo: float, hi: float, n: int) -> tuple[float, ...]:
-    if lo == hi:
+    if n == 1:
         return (lo,)
     step = (hi - lo) / (n - 1)
     points = [lo + i * step for i in range(n)]
@@ -151,13 +156,12 @@ def evaluate_grid(
     stats: ObservedStats,
     sign: EstimateSign,
     threshold: Threshold,
-    *,
-    cell_cap: int = _DEFAULT_CELL_CAP,
 ) -> ContourGrid:
     """Evaluate the PIV on a uniform grid over a finite region.
 
     Both endpoints of each axis are included; a zero-width axis yields a
-    single coordinate.  Each t row is evaluated at once over the c axis by
+    single coordinate.  A grid of more than 10**7 cells is refused before any
+    coordinate is built.  Each t row is evaluated at once over the c axis by
     the kernel piv() uses, so every cell equals piv() at that belief.
     """
     if not region.is_finite:
@@ -166,12 +170,12 @@ def evaluate_grid(
     for name, n in (("nt", nt), ("nc", nc)):
         if isinstance(n, bool) or not isinstance(n, int) or n < 2:
             raise InputValidationError(f"resolution {name} must be an integer >= 2, got {n!r}")
-    t_values = _axis_points(region.t_interval[0], region.t_interval[1], nt)
-    c_values = _axis_points(region.c_interval[0], region.c_interval[1], nc)
-    if len(t_values) * len(c_values) > cell_cap:
-        raise InputValidationError(
-            f"grid of {len(t_values)}x{len(c_values)} cells exceeds cap {cell_cap}"
-        )
+    (t_lo, t_hi), (c_lo, c_hi) = region.t_interval, region.c_interval
+    nt, nc = (1 if t_lo == t_hi else nt), (1 if c_lo == c_hi else nc)
+    if nt * nc > _CELL_CAP:
+        raise InputValidationError(f"grid of {nt}x{nc} cells exceeds cap {_CELL_CAP}")
+    t_values = _axis_points(t_lo, t_hi, nt)
+    c_values = _axis_points(c_lo, c_hi, nc)
     c = np.array(c_values)
     values = np.empty((len(t_values), len(c_values)))
     # an overflowing variance raises from the kernel; keep numpy from warning first

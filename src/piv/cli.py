@@ -16,7 +16,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, astuple, dataclass, fields
 
 from .bounds import (
     BeliefRegion,
@@ -33,7 +34,6 @@ from .core import (
     InputValidationError,
     ObservedStats,
     PivError,
-    SignMismatchError,
     StatisticalThreshold,
     Threshold,
     ideal_correlation,
@@ -94,6 +94,22 @@ class AnalysisConfig:
         raise InputValidationError(f"unknown belief {name!r}; config defines: {known}")
 
 
+def _belief(config: AnalysisConfig, name: str | None, kind: str):
+    """The point or region (kind) of the named belief; name None means --belief was not given."""
+    if name is None:
+        raise InputValidationError("--belief is required")
+    value = getattr(config.belief(name), kind)
+    if value is None:
+        other = "region" if kind == "point" else "point"
+        raise InputValidationError(f"belief {name!r} is a {other}; this command needs a {kind}")
+    return value
+
+
+# threshold kind -> (domain type, JSON key of its one value)
+_THRESHOLDS = {"statistical": (StatisticalThreshold, "critical"),
+               "fixed": (FixedThreshold, "beta_sharp")}
+
+
 def _require_mapping(obj, path: str) -> dict:
     if not isinstance(obj, dict):
         raise InputValidationError(f"{path}: expected an object, got {type(obj).__name__}")
@@ -109,51 +125,35 @@ def _check_keys(obj: dict, path: str, required: tuple[str, ...], optional: tuple
         raise InputValidationError(f"{path}: missing keys {missing}")
 
 
-def _number(obj: dict, key: str, path: str) -> float:
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise InputValidationError(f"{path}.{key}: expected a number, got {v!r}")
-    return float(v)
+@contextmanager
+def _at(path: str):
+    """Re-raise an error of the domain types as a config error naming the JSON path."""
+    try:
+        yield
+    except PivError as exc:
+        raise InputValidationError(f"{path}: {exc}") from exc
 
 
-def _interval(value, path: str) -> tuple[float, float]:
+def _interval(value, path: str) -> tuple:
     if not isinstance(value, list) or len(value) != 2:
         raise InputValidationError(f"{path}: expected [lo, hi] with null for an unbounded side")
     lo, hi = value
-    if lo is None:
-        lo = -math.inf
-    if hi is None:
-        hi = math.inf
-    for name, v in (("lo", lo), ("hi", hi)):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise InputValidationError(f"{path}.{name}: expected a number or null, got {v!r}")
-    return float(lo), float(hi)
+    return (-math.inf if lo is None else lo, math.inf if hi is None else hi)
 
 
 def parse_config(obj) -> AnalysisConfig:
-    """Validate a decoded JSON object into an AnalysisConfig; unknown keys are rejected."""
+    """Validate a decoded JSON object into an AnalysisConfig; unknown keys are rejected.
+
+    This checks the JSON shape; the domain types check the values.
+    """
     root = _require_mapping(obj, "config")
     _check_keys(root, "config", ("observed", "sign", "threshold", "beliefs"),
                 ("piv_threshold", "grid"))
 
     observed_obj = _require_mapping(root["observed"], "observed")
-    fields = ("r_squared", "n_ob", "y_t_ob", "y_c_ob", "var_t", "var_c", "pi")
-    _check_keys(observed_obj, "observed", fields)
-    n_ob = observed_obj["n_ob"]
-    if isinstance(n_ob, bool) or not isinstance(n_ob, int):
-        raise InputValidationError(f"observed.n_ob: expected an integer, got {n_ob!r}")
-    try:
-        observed = ObservedStats(
-            r_squared=_number(observed_obj, "r_squared", "observed"),
-            n_ob=n_ob,
-            y_t_ob=_number(observed_obj, "y_t_ob", "observed"),
-            y_c_ob=_number(observed_obj, "y_c_ob", "observed"),
-            var_t=_number(observed_obj, "var_t", "observed"),
-            var_c=_number(observed_obj, "var_c", "observed"),
-            pi=_number(observed_obj, "pi", "observed"),
-        )
-    except InputValidationError as exc:
-        raise InputValidationError(f"observed: {exc}") from exc
+    _check_keys(observed_obj, "observed", tuple(f.name for f in fields(ObservedStats)))
+    with _at("observed"):
+        observed = ObservedStats(**observed_obj)
 
     sign_value = root["sign"]
     if sign_value not in ("positive", "negative"):
@@ -162,24 +162,18 @@ def parse_config(obj) -> AnalysisConfig:
 
     threshold_obj = _require_mapping(root["threshold"], "threshold")
     kind = threshold_obj.get("kind")
-    if kind == "statistical":
-        _check_keys(threshold_obj, "threshold", ("kind", "critical"))
-        threshold: Threshold = StatisticalThreshold(_number(threshold_obj, "critical", "threshold"))
-    elif kind == "fixed":
-        _check_keys(threshold_obj, "threshold", ("kind", "beta_sharp"))
-        threshold = FixedThreshold(_number(threshold_obj, "beta_sharp", "threshold"))
-    else:
+    if not isinstance(kind, str) or kind not in _THRESHOLDS:
         raise InputValidationError(f"threshold.kind: expected 'statistical' or 'fixed', got {kind!r}")
-    try:
+    threshold_type, key = _THRESHOLDS[kind]
+    _check_keys(threshold_obj, "threshold", ("kind", key))
+    with _at("threshold"):
+        threshold = threshold_type(threshold_obj[key])
         resolve_threshold(threshold, sign, observed)
-    except SignMismatchError as exc:
-        raise InputValidationError(f"threshold: {exc}") from exc
 
     beliefs_obj = root["beliefs"]
     if not isinstance(beliefs_obj, list) or not beliefs_obj:
         raise InputValidationError("beliefs: expected a non-empty list")
-    beliefs = []
-    seen = set()
+    beliefs: list[NamedBelief] = []
     for i, entry in enumerate(beliefs_obj):
         path = f"beliefs[{i}]"
         entry = _require_mapping(entry, path)
@@ -187,46 +181,35 @@ def parse_config(obj) -> AnalysisConfig:
         name = entry["name"]
         if not isinstance(name, str) or not name:
             raise InputValidationError(f"{path}.name: expected a non-empty string")
-        if name in seen:
+        if any(belief.name == name for belief in beliefs):
             raise InputValidationError(f"{path}.name: duplicate belief name {name!r}")
-        seen.add(name)
-        has_point = "point" in entry
-        has_region = "region" in entry
-        if has_point == has_region:
+        if ("point" in entry) == ("region" in entry):
             raise InputValidationError(f"{path}: exactly one of 'point' or 'region' is required")
-        try:
-            if has_point:
-                point_obj = _require_mapping(entry["point"], f"{path}.point")
-                _check_keys(point_obj, f"{path}.point", ("y_t_un", "y_c_un"))
-                beliefs.append(NamedBelief(name=name, point=CounterfactualBelief(
-                    y_t_un=_number(point_obj, "y_t_un", f"{path}.point"),
-                    y_c_un=_number(point_obj, "y_c_un", f"{path}.point"),
-                )))
-            else:
-                region_obj = _require_mapping(entry["region"], f"{path}.region")
-                _check_keys(region_obj, f"{path}.region", ("t", "c"))
-                beliefs.append(NamedBelief(name=name, region=BeliefRegion(
-                    t_interval=_interval(region_obj["t"], f"{path}.region.t"),
-                    c_interval=_interval(region_obj["c"], f"{path}.region.c"),
-                )))
-        except InputValidationError as exc:
-            raise InputValidationError(f"{path}: {exc}") from exc
+        if "point" in entry:
+            point = _require_mapping(entry["point"], f"{path}.point")
+            _check_keys(point, f"{path}.point", ("y_t_un", "y_c_un"))
+            with _at(f"{path}.point"):
+                beliefs.append(NamedBelief(name, point=CounterfactualBelief(**point)))
+        else:
+            region = _require_mapping(entry["region"], f"{path}.region")
+            _check_keys(region, f"{path}.region", ("t", "c"))
+            t, c = (_interval(region[axis], f"{path}.region.{axis}") for axis in ("t", "c"))
+            with _at(f"{path}.region"):
+                beliefs.append(NamedBelief(name, region=BeliefRegion(t, c)))
 
-    piv_threshold = 0.8
-    if "piv_threshold" in root:
-        piv_threshold = _number(root, "piv_threshold", "config")
-        if not 0.0 < piv_threshold < 1.0:
-            raise InputValidationError(f"piv_threshold: must be in (0, 1), got {piv_threshold}")
+    piv_threshold = root.get("piv_threshold", 0.8)
+    if (isinstance(piv_threshold, bool) or not isinstance(piv_threshold, (int, float))
+            or not 0.0 < piv_threshold < 1.0):
+        raise InputValidationError(f"piv_threshold: must be in (0, 1), got {piv_threshold!r}")
 
     grid = None
     if "grid" in root:
         grid_obj = _require_mapping(root["grid"], "grid")
         _check_keys(grid_obj, "grid", ("nt", "nc"))
-        nt, nc = grid_obj["nt"], grid_obj["nc"]
-        for label, n in (("nt", nt), ("nc", nc)):
+        grid = (grid_obj["nt"], grid_obj["nc"])
+        for label, n in zip(("nt", "nc"), grid):
             if isinstance(n, bool) or not isinstance(n, int) or n < 2:
                 raise InputValidationError(f"grid.{label}: expected an integer >= 2, got {n!r}")
-        grid = (nt, nc)
 
     return AnalysisConfig(
         observed=observed,
@@ -246,45 +229,28 @@ def load_config(path: str) -> AnalysisConfig:
         raise InputValidationError(f"cannot read config {path}: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
         raise InputValidationError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(obj)
 
 
 def config_to_json_object(config: AnalysisConfig) -> dict:
     """Inverse of parse_config: an object that re-parses to an identical analysis."""
-
-    def interval_to_json(interval: tuple[float, float]) -> list:
-        lo, hi = interval
-        return [None if lo == -math.inf else lo, None if hi == math.inf else hi]
-
-    threshold: dict
-    if isinstance(config.threshold, StatisticalThreshold):
-        threshold = {"kind": "statistical", "critical": config.threshold.critical_magnitude}
-    else:
-        threshold = {"kind": "fixed", "beta_sharp": config.threshold.beta_sharp}
+    kind, key = next((kind, key) for kind, (threshold_type, key) in _THRESHOLDS.items()
+                     if isinstance(config.threshold, threshold_type))
+    (threshold_value,) = astuple(config.threshold)
     beliefs = []
     for belief in config.beliefs:
         if belief.point is not None:
-            beliefs.append({"name": belief.name, "point": {
-                "y_t_un": belief.point.y_t_un, "y_c_un": belief.point.y_c_un}})
-        else:
-            assert belief.region is not None
+            beliefs.append({"name": belief.name, "point": asdict(belief.point)})
+        else:  # only an unbounded side is infinite; JSON writes it as null
             beliefs.append({"name": belief.name, "region": {
-                "t": interval_to_json(belief.region.t_interval),
-                "c": interval_to_json(belief.region.c_interval)}})
+                axis: [None if math.isinf(v) else v for v in interval]
+                for axis, interval in zip(("t", "c"), astuple(belief.region))}})
     obj = {
-        "observed": {
-            "r_squared": config.observed.r_squared,
-            "n_ob": config.observed.n_ob,
-            "y_t_ob": config.observed.y_t_ob,
-            "y_c_ob": config.observed.y_c_ob,
-            "var_t": config.observed.var_t,
-            "var_c": config.observed.var_c,
-            "pi": config.observed.pi,
-        },
+        "observed": asdict(config.observed),
         "sign": config.sign.value,
-        "threshold": threshold,
+        "threshold": {"kind": kind, key: threshold_value},
         "beliefs": beliefs,
         "piv_threshold": config.piv_threshold,
     }
@@ -337,16 +303,12 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _belief_json(belief: CounterfactualBelief) -> dict:
-    return {"y_t_un": belief.y_t_un, "y_c_un": belief.y_c_un}
-
-
 def _bound_json(bound: BoundResult, verdict, piv_threshold: float) -> dict:
     return {
         "piv_min": bound.piv_min,
-        "argmin": None if bound.argmin is None else _belief_json(bound.argmin),
+        "argmin": None if bound.argmin is None else asdict(bound.argmin),
         "piv_max": bound.piv_max,
-        "argmax": None if bound.argmax is None else _belief_json(bound.argmax),
+        "argmax": None if bound.argmax is None else asdict(bound.argmax),
         "asymptotic_piv": dict(bound.asymptotic_piv),
         "piv_threshold": piv_threshold,
         "verdict": verdict.value,
@@ -442,17 +404,14 @@ def replicate_report() -> tuple[list[str], dict]:
     lines.append("step 4  beliefs about the mean counterfactual outcomes:")
     bound_names = ["belief-1", "belief-1-relaxed", "belief-2", "retained-effect-minus-7"]
     for name in bound_names:
-        region = config.belief(name).region
-        assert region is not None
+        region = _belief(config, name, "region")
         lines.append(f"        {name}: y_t_un {describe(region.t_interval)}, "
                      f"y_c_un {describe(region.c_interval)}")
 
     data: dict = {"scale_coefficient": scale, "bounds": {}, "verdicts": {}}
     lines.append("step 5  PIV bounds:")
     for name in bound_names:
-        belief = config.belief(name)
-        assert belief.region is not None
-        bound = bound_piv(belief.region, stats, sign, threshold)
+        bound = bound_piv(_belief(config, name, "region"), stats, sign, threshold)
         verdict = robustness_verdict(bound, config.piv_threshold)
         data["bounds"][name] = bound
         data["verdicts"][name] = verdict
@@ -465,8 +424,7 @@ def replicate_report() -> tuple[list[str], dict]:
 
     # Scale-factor cross-check: the sqrt(2*n_ob) form reproduces the published
     # bounds; a sqrt(n_ob) variant of the coefficient would not.
-    corner = config.belief("belief-1-corner").point
-    assert corner is not None
+    corner = _belief(config, "belief-1-corner", "point")
     r = ideal_correlation(corner, stats)
     corner_piv = piv_from_correlation(r, stats, sign, threshold).piv
     alt_scale = math.sqrt(stats.n_ob) / math.sqrt(1.0 - stats.r_squared)
@@ -570,42 +528,8 @@ def _print(lines) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _maybe_dump_config(args, config: AnalysisConfig) -> bool:
-    if getattr(args, "dump_config", False):
-        sys.stdout.write(render_json(config_to_json_object(config)) + "\n")
-        return True
-    return False
-
-
-def _load_for(args) -> AnalysisConfig:
-    if args.config is None:
-        raise InputValidationError("--config is required")
-    return load_config(args.config)
-
-
-def _named_point(config: AnalysisConfig, name: str | None) -> CounterfactualBelief:
-    if name is None:
-        raise InputValidationError("--belief is required")
-    belief = config.belief(name)
-    if belief.point is None:
-        raise InputValidationError(f"belief {name!r} is a region; this command needs a point")
-    return belief.point
-
-
-def _named_region(config: AnalysisConfig, name: str | None) -> BeliefRegion:
-    if name is None:
-        raise InputValidationError("--belief is required")
-    belief = config.belief(name)
-    if belief.region is None:
-        raise InputValidationError(f"belief {name!r} is a point; this command needs a region")
-    return belief.region
-
-
-def cmd_compute(args) -> int:
-    config = _load_for(args)
-    if _maybe_dump_config(args, config):
-        return EXIT_OK
-    point = _named_point(config, args.belief)
+def cmd_compute(args, config: AnalysisConfig) -> int:
+    point = _belief(config, args.belief, "point")
     result = piv(point, config.observed, config.sign, config.threshold)
     if args.format == "json":
         _print([render_json({
@@ -624,11 +548,8 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def cmd_bound(args) -> int:
-    config = _load_for(args)
-    if _maybe_dump_config(args, config):
-        return EXIT_OK
-    region = _named_region(config, args.belief)
+def cmd_bound(args, config: AnalysisConfig) -> int:
+    region = _belief(config, args.belief, "region")
     bound = bound_piv(region, config.observed, config.sign, config.threshold)
     verdict = robustness_verdict(bound, config.piv_threshold)
     if args.format == "json":
@@ -639,44 +560,35 @@ def cmd_bound(args) -> int:
 
 
 def _parse_grid_flag(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise InputValidationError(f"--grid expects NTxNC, got {text!r}")
     try:
-        nt, nc = int(parts[0]), int(parts[1])
+        nt, nc = map(int, text.lower().split("x"))
     except ValueError as exc:
         raise InputValidationError(f"--grid expects NTxNC, got {text!r}") from exc
-    if nt < 2 or nc < 2:
-        raise InputValidationError(f"--grid sizes must be >= 2, got {text!r}")
     return nt, nc
 
 
-def _write_grid(grid, out: str, fmt: str) -> None:
-    payload = grid.to_csv_text() if fmt == "csv" else render_json(grid.to_json_object()) + "\n"
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write(payload)
-
-
-def cmd_contour(args) -> int:
-    config = _load_for(args)
-    if _maybe_dump_config(args, config):
-        return EXIT_OK
-    region = _named_region(config, args.belief)
-    if not region.is_finite:
-        raise InputValidationError("contour requires a finite region")
-    if args.grid is not None:
-        resolution = _parse_grid_flag(args.grid)
-    elif config.grid is not None:
-        resolution = config.grid
-    else:
-        resolution = (101, 101)
+def _export_grid(args, config: AnalysisConfig, region: BeliefRegion, fmt: str):
+    """Evaluate the grid over region and write it to --out; None when the file cannot be written."""
+    resolution = _parse_grid_flag(args.grid) if args.grid is not None else config.grid or (101, 101)
     if args.out is None:
         raise InputValidationError("--out is required")
     grid = evaluate_grid(region, resolution, config.observed, config.sign, config.threshold)
+    payload = grid.to_csv_text() if fmt == "csv" else render_json(grid.to_json_object()) + "\n"
     try:
-        _write_grid(grid, args.out, args.format)
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(payload)
     except OSError as exc:
         sys.stderr.write(f"cannot write {args.out}: {exc}\n")
+        return None
+    return grid
+
+
+def cmd_contour(args, config: AnalysisConfig) -> int:
+    region = _belief(config, args.belief, "region")
+    if not region.is_finite:
+        raise InputValidationError("contour requires a finite region")
+    grid = _export_grid(args, config, region, args.format)
+    if grid is None:
         return EXIT_IO
     _print([
         f"wrote {args.out} ({len(grid.t_values)}x{len(grid.c_values)} cells, format {args.format})",
@@ -686,11 +598,8 @@ def cmd_contour(args) -> int:
     return EXIT_OK
 
 
-def cmd_power(args) -> int:
-    config = _load_for(args)
-    if _maybe_dump_config(args, config):
-        return EXIT_OK
-    point = _named_point(config, args.belief)
+def cmd_power(args, config: AnalysisConfig) -> int:
+    point = _belief(config, args.belief, "point")
     result = piv(point, config.observed, config.sign, config.threshold)
     effect = ideal_correlation(point, config.observed)
     se = se_ideal(config.observed)
@@ -711,29 +620,18 @@ def cmd_power(args) -> int:
     return EXIT_OK
 
 
-def cmd_replicate(args) -> int:
-    config = case_study_config()
-    if _maybe_dump_config(args, config):
-        return EXIT_OK
+def cmd_replicate(args, config: AnalysisConfig) -> int:
     lines, _ = replicate_report()
     _print(lines)
-    region = config.belief("plausible-region").region
-    assert region is not None
-    resolution = _parse_grid_flag(args.grid) if args.grid is not None else config.grid
-    assert resolution is not None
-    grid = evaluate_grid(region, resolution, config.observed, config.sign, config.threshold)
-    out = args.out if args.out is not None else "piv_contour.csv"
-    try:
-        _write_grid(grid, out, "csv")
-    except OSError as exc:
-        sys.stderr.write(f"cannot write {out}: {exc}\n")
+    grid = _export_grid(args, config, _belief(config, "plausible-region", "region"), "csv")
+    if grid is None:
         return EXIT_IO
-    _print([f"wrote contour grid to {out} "
+    _print([f"wrote contour grid to {args.out} "
             f"({len(grid.t_values)}x{len(grid.c_values)} cells)"])
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, _config) -> int:
     lines, ok = verify_report(seeds=args.seeds, reps=args.reps, seed=args.seed)
     _print(lines)
     return EXIT_OK if ok else EXIT_VERIFY
@@ -773,7 +671,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("replicate", help="run the built-in kindergarten-retention case study")
-    p.add_argument("--out", help="contour output path (default piv_contour.csv)")
+    p.add_argument("--out", default="piv_contour.csv",
+                   help="contour output path (default piv_contour.csv)")
     p.add_argument("--grid", help="contour resolution NTxNC (default 200x200)")
     p.add_argument("--dump-config", action="store_true",
                    help="print the case-study config as canonical JSON and exit")
@@ -791,7 +690,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "verify":
+            config = None
+        elif args.command == "replicate":
+            config = case_study_config()
+        elif args.config is None:
+            raise InputValidationError("--config is required")
+        else:
+            config = load_config(args.config)
+        if getattr(args, "dump_config", False):
+            _print([render_json(config_to_json_object(config))])
+            return EXIT_OK
+        return args.func(args, config)
     except DegenerateSpreadError as exc:
         sys.stderr.write(f"degenerate inputs: {exc}\n")
         return EXIT_DEGENERATE

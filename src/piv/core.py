@@ -91,7 +91,12 @@ class SignMismatchError(PivError, ValueError):
 def _require_finite(value: float, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputValidationError(f"{name} must be a finite real number, got {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError as exc:
+        raise InputValidationError(
+            f"{name} must be finite, got an integer too large for a float"
+        ) from exc
     if not math.isfinite(x):
         raise InputValidationError(f"{name} must be finite, got {x}")
     return x
@@ -123,22 +128,20 @@ class ObservedStats:
             raise InputValidationError(f"r_squared must be in [0, 1), got {r2}")
         if isinstance(self.n_ob, bool) or not isinstance(self.n_ob, int):
             raise InputValidationError(f"n_ob must be an integer, got {self.n_ob!r}")
-        if self.n_ob < 2:
+        # n_ob enters float arithmetic, so it must convert to a float
+        if _require_finite(self.n_ob, "n_ob") < 2:
             raise InputValidationError(f"n_ob must be >= 2, got {self.n_ob}")
-        _require_finite(self.y_t_ob, "y_t_ob")
-        _require_finite(self.y_c_ob, "y_c_ob")
+        object.__setattr__(self, "r_squared", r2)
+        for name in ("y_t_ob", "y_c_ob"):
+            object.__setattr__(self, name, _require_finite(getattr(self, name), name))
         for name in ("var_t", "var_c"):
             v = _require_finite(getattr(self, name), name)
             if v < 0.0:
                 raise InputValidationError(f"{name} must be >= 0, got {v}")
+            object.__setattr__(self, name, v)
         p = _require_finite(self.pi, "pi")
         if not 0.0 < p < 1.0:
             raise InputValidationError(f"pi must be strictly inside (0, 1), got {p}")
-        object.__setattr__(self, "r_squared", r2)
-        object.__setattr__(self, "y_t_ob", float(self.y_t_ob))
-        object.__setattr__(self, "y_c_ob", float(self.y_c_ob))
-        object.__setattr__(self, "var_t", float(self.var_t))
-        object.__setattr__(self, "var_c", float(self.var_c))
         object.__setattr__(self, "pi", p)
 
 

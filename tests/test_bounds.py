@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from piv import bounds
 from piv.bounds import (
     BeliefRegion,
     BoundResult,
@@ -94,6 +95,18 @@ class TestEvaluateGrid:
             evaluate_grid(PLAUSIBLE, (1, 5), CASE_STUDY, NEG, C196)
         with pytest.raises(InputValidationError):
             evaluate_grid(PLAUSIBLE, (4000, 4000), CASE_STUDY, NEG, C196)
+
+    def test_cap_checked_before_axes_are_built(self, monkeypatch):
+        # a zero-width axis counts as one coordinate, whatever its requested count
+        point = BeliefRegion(t_interval=(45.78, 45.78), c_interval=(45.2, 45.2))
+        assert evaluate_grid(point, (10**12, 10**12), CASE_STUDY, NEG, C196).piv.shape == (1, 1)
+
+        def no_axes(*args):
+            raise AssertionError("axis points built before the cell cap was checked")
+
+        monkeypatch.setattr(bounds, "_axis_points", no_axes)
+        with pytest.raises(InputValidationError, match="exceeds cap"):
+            evaluate_grid(PLAUSIBLE, (10**12, 10**12), CASE_STUDY, NEG, C196)
 
     def test_monotone_over_plausible_region(self):
         # decreasing in y_t_un and increasing in y_c_un at every grid point,

@@ -186,6 +186,13 @@ class TestComputeCommand:
         assert main(["compute", "--config", path, "--belief", "corner"]) == EXIT_CONFIG
         assert capsys.readouterr().err == "config error: fixed threshold on the wrong side\n"
 
+    def test_integer_past_digit_limit_exits_2(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError for an integer literal over 4300 digits
+        path = tmp_path / "config.json"
+        path.write_text('{"observed": ' + "9" * 5000 + "}", encoding="utf-8")
+        assert main(["compute", "--config", str(path), "--belief", "corner"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["compute", "--config", str(tmp_path / "nope.json"),
                      "--belief", "corner"]) == EXIT_CONFIG
@@ -400,6 +407,7 @@ _MALFORMED_BELIEFS = [
     {"name": "flat-box", "region": {"t": [4.0, 6.0], "c": [4.0, 6.0]}},
 ]
 _CONFIG_ERROR = (EXIT_CONFIG, "config error: ")
+_HUGE = 10**400  # a JSON integer that float() cannot convert
 _DEGENERATE = (EXIT_DEGENERATE, "degenerate inputs: ")
 
 # (config edit, argv after the command's --config, expected exit code, stderr prefix)
@@ -423,6 +431,14 @@ MALFORMED_INPUTS = {
                                       "--out", "{tmp}/no_dir/grid.csv"], EXIT_IO, "cannot write "),
     "verify-negative-seed": (None, ["verify", "--seeds", "1", "--reps", "1000", "--seed", "-1"],
                              *_CONFIG_ERROR),
+    "compute-huge-int-observed": (lambda obj: obj["observed"].update(y_t_ob=_HUGE),
+                                  ["compute", "--belief", "corner"], *_CONFIG_ERROR),
+    "bound-huge-int-region": (lambda obj: obj["beliefs"][3]["region"].update(t=[36.77, _HUGE]),
+                              ["bound", "--belief", "box"], *_CONFIG_ERROR),
+    "compute-huge-int-critical": (lambda obj: obj["threshold"].update(critical=_HUGE),
+                                  ["compute", "--belief", "corner"], *_CONFIG_ERROR),
+    "bound-huge-int-piv-threshold": (lambda obj: obj.update(piv_threshold=_HUGE),
+                                     ["bound", "--belief", "box"], *_CONFIG_ERROR),
 }
 
 
@@ -441,3 +457,27 @@ def test_malformed_input_exit_code(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(prefix)
     assert "Traceback" not in err
+
+
+# (config edit, JSON path that the error names once, at its start)
+CONFIG_ERROR_PATHS = {
+    "observed": (lambda obj: obj["observed"].update(r_squared="high"), "observed"),
+    "sign": (lambda obj: obj.update(sign="up"), "sign"),
+    "threshold": (lambda obj: obj["threshold"].update(critical=-1.96), "threshold"),
+    "point": (lambda obj: obj["beliefs"][0]["point"].update(y_t_un="a"), "beliefs[0].point"),
+    "region": (lambda obj: obj["beliefs"][3]["region"].update(c=[36.77, "b"]), "beliefs[3].region"),
+    "piv_threshold": (lambda obj: obj.update(piv_threshold="high"), "piv_threshold"),
+    "grid": (lambda obj: obj.update(grid={"nt": 1, "nc": 5}), "grid.nt"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERROR_PATHS))
+def test_config_error_names_path_once(case, tmp_path, capsys):
+    edit, path = CONFIG_ERROR_PATHS[case]
+    obj = base_config_object()
+    edit(obj)
+    assert main(["compute", "--config", write_config(tmp_path, obj),
+                 "--belief", "corner"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ")
+    assert err.count(path.split(".")[0]) == 1

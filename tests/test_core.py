@@ -14,6 +14,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
+from piv.bounds import BeliefRegion
 from piv.core import (
     CounterfactualBelief,
     DegenerateSpreadError,
@@ -67,6 +68,7 @@ class TestObservedStats:
             ("r_squared", math.nan),
             ("n_ob", 1),
             ("n_ob", 7639.0),
+            pytest.param("n_ob", 10**400, id="n_ob-10**400"),
             ("y_t_ob", math.inf),
             ("var_t", -1.0),
             ("var_c", -1e-9),
@@ -89,6 +91,16 @@ class TestObservedStats:
             CounterfactualBelief(math.nan, 0.0)
         with pytest.raises(InputValidationError):
             CounterfactualBelief(0.0, math.inf)
+
+    @pytest.mark.parametrize("build", [
+        lambda huge: ObservedStats(0.36, 7639, huge, 45.78, 143.26, 138.83, 0.0617),
+        lambda huge: CounterfactualBelief(0.0, huge),
+        lambda huge: BeliefRegion(t_interval=(-math.inf, huge), c_interval=(0.0, 1.0)),
+    ], ids=["observed", "belief", "region"])
+    def test_integer_beyond_float_range_rejected(self, build):
+        # float() raises OverflowError on such an integer, which JSON can hold
+        with pytest.raises(InputValidationError, match="too large for a float"):
+            build(10**400)
 
     def test_threshold_validation(self):
         with pytest.raises(InputValidationError):
