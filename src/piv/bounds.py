@@ -10,6 +10,9 @@ The correlation saturates at finite limits as the counterfactual means run
 to infinity, so a bound approached only at infinity is reported as that
 limit, with no belief attaining it; the exact asymptotic PIV for each
 unbounded side is reported alongside.
+
+Only evaluate_grid uses numpy, and it imports it on first call, so bounding
+and verdicts run without loading numpy.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .core import (
     CounterfactualBelief,
@@ -43,9 +44,6 @@ __all__ = [
 ]
 
 _CELL_CAP = 10_000_000
-
-# numpy has no erfc; math.erfc mapped over an array gives the scalar path's values.
-_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _check_bound(value: float, name: str) -> float:
@@ -174,6 +172,10 @@ def evaluate_grid(
     nt, nc = (1 if t_lo == t_hi else nt), (1 if c_lo == c_hi else nc)
     if nt * nc > _CELL_CAP:
         raise InputValidationError(f"grid of {nt}x{nc} cells exceeds cap {_CELL_CAP}")
+    import numpy as np
+
+    # numpy has no erfc; math.erfc mapped over an array gives the scalar path's values.
+    erfc = np.frompyfunc(math.erfc, 1, 1)
     t_values = _axis_points(t_lo, t_hi, nt)
     c_values = _axis_points(c_lo, c_hi, nc)
     c = np.array(c_values)
@@ -182,7 +184,7 @@ def evaluate_grid(
     with np.errstate(over="ignore", invalid="ignore"):
         for i, t in enumerate(t_values):
             values[i] = _completed_piv(
-                t, c, stats, sign, threshold, sqrt=np.sqrt, erfc=_erfc, every=np.all
+                t, c, stats, sign, threshold, sqrt=np.sqrt, erfc=erfc, every=np.all
             )[0]
     values.flags.writeable = False
     return ContourGrid(t_values=t_values, c_values=c_values, piv=values)

@@ -43,7 +43,6 @@ from .core import (
     se_ideal,
     std_normal_cdf,
 )
-from . import oracle
 
 __all__ = [
     "AnalysisConfig",
@@ -449,6 +448,8 @@ def replicate_report() -> tuple[list[str], dict]:
 
 def verify_report(seeds: int, reps: int, seed: int = 0) -> tuple[list[str], bool]:
     """Run every oracle check; returns the report lines and an overall pass flag."""
+    from . import oracle
+
     if seeds < 1:
         raise InputValidationError(f"seeds must be >= 1, got {seeds}")
     worst = {"closed_form": 0.0, "moments": 0.0, "block": 0.0, "bayes": 0.0}

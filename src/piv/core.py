@@ -111,7 +111,8 @@ def _require_finite(value: float, name: str) -> float:
 class ObservedStats:
     """The seven observed summary statistics, validated on construction.
 
-    r_squared in [0, 1); n_ob integer >= 2; var_t, var_c >= 0; pi in (0, 1).
+    r_squared in [0, 1); n_ob integer >= 2 and small enough that se_ideal > 0;
+    var_t, var_c >= 0; pi in (0, 1).
     """
 
     r_squared: float
@@ -129,9 +130,13 @@ class ObservedStats:
         if isinstance(self.n_ob, bool) or not isinstance(self.n_ob, int):
             raise InputValidationError(f"n_ob must be an integer, got {self.n_ob!r}")
         # n_ob enters float arithmetic, so it must convert to a float
-        if _require_finite(self.n_ob, "n_ob") < 2:
+        n = _require_finite(self.n_ob, "n_ob")
+        if n < 2:
             raise InputValidationError(f"n_ob must be >= 2, got {self.n_ob}")
         object.__setattr__(self, "r_squared", r2)
+        # the probit divides by se; near the float limit 2*n_ob is inf and se rounds to 0
+        if not se_ideal(self) > 0.0:
+            raise InputValidationError(f"n_ob is too large for a positive standard error, got {n:g}")
         for name in ("y_t_ob", "y_c_ob"):
             object.__setattr__(self, name, _require_finite(getattr(self, name), name))
         for name in ("var_t", "var_c"):

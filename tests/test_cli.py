@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -439,6 +443,13 @@ MALFORMED_INPUTS = {
                                   ["compute", "--belief", "corner"], *_CONFIG_ERROR),
     "bound-huge-int-piv-threshold": (lambda obj: obj.update(piv_threshold=_HUGE),
                                      ["bound", "--belief", "box"], *_CONFIG_ERROR),
+    # 2.0 * n_ob overflows to inf, so se would be 0 and the probit would divide by it
+    "compute-n-ob-zero-se": (lambda obj: obj["observed"].update(n_ob=10**308),
+                             ["compute", "--belief", "corner"],
+                             EXIT_CONFIG, "config error: observed: n_ob "),
+    "bound-n-ob-zero-se": (lambda obj: obj["observed"].update(n_ob=10**308),
+                           ["bound", "--belief", "box"],
+                           EXIT_CONFIG, "config error: observed: n_ob "),
 }
 
 
@@ -481,3 +492,60 @@ def test_config_error_names_path_once(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {path}: ")
     assert err.count(path.split(".")[0]) == 1
+
+
+# =============================================================================
+# Cold path: only contour, replicate and verify import numpy
+# =============================================================================
+
+# Imports the package, then runs each argv through main() in one process, and
+# prints [step, whether numpy is in sys.modules after it] for every step.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+steps = []
+def step(name):
+    steps.append([name, "numpy" in sys.modules])
+import piv
+step("import piv")
+import piv.cli
+step("import piv.cli")
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = piv.cli.main(argv)
+    if code != 0:
+        sys.exit(f"{argv} exited {code}")
+    step(" ".join(argv))
+print(json.dumps(steps))
+"""
+
+
+def _numpy_after(argvs: list[list[str]]) -> list[list]:
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_point_bound_and_dump_config_do_not_import_numpy(tmp_path):
+    path = write_config(tmp_path, config_to_json_object(case_study_config()))
+    argvs = [[command, "--config", path, "--belief", belief, "--format", fmt]
+             for command, belief in (("compute", "belief-1-corner"), ("power", "belief-1-corner"),
+                                     ("bound", "belief-1"), ("bound", "belief-2"))
+             for fmt in ("text", "json")]
+    argvs.append(["compute", "--config", path, "--dump-config"])
+    steps = _numpy_after(argvs)
+    assert len(steps) == 2 + len(argvs)
+    assert [name for name, loaded in steps if loaded] == []
+
+
+@pytest.mark.parametrize("command", ["contour", "verify"])
+def test_grid_and_oracle_commands_import_numpy(command, tmp_path):
+    if command == "contour":
+        path = write_config(tmp_path, config_to_json_object(case_study_config()))
+        argv = ["contour", "--config", path, "--belief", "plausible-region",
+                "--grid", "3x3", "--out", str(tmp_path / "grid.csv")]
+    else:
+        argv = ["verify", "--seeds", "1"]
+    steps = _numpy_after([argv])
+    assert [loaded for _, loaded in steps] == [False, False, True]

@@ -69,6 +69,8 @@ class TestObservedStats:
             ("n_ob", 1),
             ("n_ob", 7639.0),
             pytest.param("n_ob", 10**400, id="n_ob-10**400"),
+            # converts to a float, but se = sqrt((1 - r_squared)/(2*n_ob)) rounds to 0
+            pytest.param("n_ob", 10**308, id="n_ob-10**308"),
             ("y_t_ob", math.inf),
             ("var_t", -1.0),
             ("var_c", -1e-9),
