@@ -16,8 +16,6 @@ from .core import (
     StatisticalThreshold,
     Threshold,
     ideal_correlation,
-    ideal_means,
-    ideal_sd,
     piv,
     piv_from_correlation,
     resolve_threshold,
@@ -49,8 +47,6 @@ __all__ = [
     "InputValidationError",
     "DegenerateSpreadError",
     "SignMismatchError",
-    "ideal_means",
-    "ideal_sd",
     "ideal_correlation",
     "se_ideal",
     "resolve_threshold",

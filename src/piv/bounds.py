@@ -18,6 +18,7 @@ and verdicts run without loading numpy.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -101,13 +102,17 @@ class ContourGrid:
     def max(self) -> float:
         return float(self.piv.max())
 
-    def to_csv_text(self) -> str:
-        """CSV serialization: header row of c values, first column of t values, PIV to 6 decimals."""
-        lines = ["y_t_un," + ",".join(repr(c) for c in self.c_values)]
-        # one row of Python floats at a time keeps the peak memory of a large grid down
+    def csv_lines(self) -> Iterator[str]:
+        """CSV lines: header row of c values, then each t value and its PIV row to 6 decimals."""
+        yield "y_t_un," + ",".join(repr(c) for c in self.c_values) + "\n"
+        # one % per row; %.6f formats a float exactly as format(v, ".6f") does
+        template = "," + ",".join(["%.6f"] * len(self.c_values)) + "\n"
         for t, row in zip(self.t_values, self.piv):
-            lines.append(repr(t) + "," + ",".join([f"{v:.6f}" for v in row.tolist()]))
-        return "\n".join(lines) + "\n"
+            yield repr(t) + template % tuple(row.tolist())
+
+    def to_csv_text(self) -> str:
+        """The lines of csv_lines as one string."""
+        return "".join(self.csv_lines())
 
     def to_json_object(self) -> dict:
         return {
@@ -174,8 +179,10 @@ def evaluate_grid(
         raise InputValidationError(f"grid of {nt}x{nc} cells exceeds cap {_CELL_CAP}")
     import numpy as np
 
-    # numpy has no erfc; math.erfc mapped over an array gives the scalar path's values.
-    erfc = np.frompyfunc(math.erfc, 1, 1)
+    def erfc(x):
+        # numpy has no erfc; math.erfc mapped over an array gives the scalar path's values.
+        return np.fromiter(map(math.erfc, x.tolist()), float, x.size)
+
     t_values = _axis_points(t_lo, t_hi, nt)
     c_values = _axis_points(c_lo, c_hi, nc)
     c = np.array(c_values)

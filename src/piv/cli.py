@@ -16,12 +16,14 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, fields
 
 from .bounds import (
     BeliefRegion,
     BoundResult,
+    ContourGrid,
     bound_piv,
     evaluate_grid,
     robustness_verdict,
@@ -280,12 +282,7 @@ def render_json(value, indent: int = 0) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
-            # a flat list of finite floats, such as a contour row, skips the
-            # per-element recursion; anything else takes it and its checks
-            inner = ",\n".join([pad + "  " + format(v, ".17g") for v in value])
-        else:
-            inner = ",\n".join(pad + "  " + render_json(v, indent + 1) for v in value)
+        inner = ",\n".join(pad + "  " + render_json(v, indent + 1) for v in value)
         return f"[\n{inner}\n{pad}]"
     if isinstance(value, dict):
         if not value:
@@ -296,6 +293,23 @@ def render_json(value, indent: int = 0) -> str:
         )
         return f"{{\n{inner}\n{pad}}}"
     raise InputValidationError(f"cannot serialize {type(value).__name__}")
+
+
+def _json_chunks(grid: ContourGrid) -> Iterator[str]:
+    """render_json(grid.to_json_object()) + "\n", one piv row per chunk.
+
+    The axes go through render_json; each piv row is one % on a template that
+    has render_json's layout, since %.17g formats a float as format(v, ".17g").
+    """
+    yield ('{\n  "t_values": ' + render_json(list(grid.t_values), 1)
+           + ',\n  "c_values": ' + render_json(list(grid.c_values), 1)
+           + ',\n  "piv": [\n')
+    template = "    [\n" + ",\n".join(["      %.17g"] * len(grid.c_values)) + "\n    ]"
+    separator = ""
+    for row in grid.piv:
+        yield separator + template % tuple(row.tolist())
+        separator = ",\n"
+    yield "\n  ]\n}\n"
 
 
 def _fmt(x: float) -> str:
@@ -569,15 +583,22 @@ def _parse_grid_flag(text: str) -> tuple[int, int]:
 
 
 def _export_grid(args, config: AnalysisConfig, region: BeliefRegion, fmt: str):
-    """Evaluate the grid over region and write it to --out; None when the file cannot be written."""
+    """Evaluate the grid over region and stream it to --out one row at a time.
+
+    Returns the grid, or None when the file cannot be written.
+    """
     resolution = _parse_grid_flag(args.grid) if args.grid is not None else config.grid or (101, 101)
     if args.out is None:
         raise InputValidationError("--out is required")
     grid = evaluate_grid(region, resolution, config.observed, config.sign, config.threshold)
-    payload = grid.to_csv_text() if fmt == "csv" else render_json(grid.to_json_object()) + "\n"
+    import numpy as np  # loaded by evaluate_grid
+
+    # refuse before the file is opened, so a refused grid leaves no partial file
+    if not np.isfinite(grid.piv).all():
+        raise InputValidationError("cannot serialize a grid with a non-finite PIV")
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+            handle.writelines(grid.csv_lines() if fmt == "csv" else _json_chunks(grid))
     except OSError as exc:
         sys.stderr.write(f"cannot write {args.out}: {exc}\n")
         return None

@@ -61,8 +61,6 @@ __all__ = [
     "Threshold",
     "PivResult",
     "std_normal_cdf",
-    "ideal_means",
-    "ideal_sd",
     "ideal_correlation",
     "se_ideal",
     "resolve_threshold",
@@ -235,16 +233,6 @@ def _cdf(x, erfc=math.erfc):
 # =============================================================================
 
 
-def ideal_means(belief: CounterfactualBelief, stats: ObservedStats) -> tuple[float, float]:
-    """Mean outcomes of the completed treated and control arms.
-
-    Each arm mixes observed and counterfactual rows: the completed treated arm
-    holds the pi*n_ob observed treated plus the (1-pi)*n_ob controls under
-    their unrealized treatment, and symmetrically for control.
-    """
-    return _arm_means(belief.y_t_un, belief.y_c_un, stats)
-
-
 # The kernel below takes a float belief or numpy arrays of beliefs and uses
 # only + - * / on them, so both give bit-identical results.  Squares are
 # written as products: float ** 2 calls libm pow, which can differ in the
@@ -252,6 +240,12 @@ def ideal_means(belief: CounterfactualBelief, stats: ObservedStats) -> tuple[flo
 
 
 def _arm_means(y_t_un, y_c_un, stats: ObservedStats):
+    """Mean outcomes y_t_id, y_c_id of the completed treated and control arms.
+
+    Each arm mixes observed and counterfactual rows: the completed treated arm
+    holds the pi*n_ob observed treated plus the (1-pi)*n_ob controls under
+    their unrealized treatment, and symmetrically for control.
+    """
     pi = stats.pi
     y_t_id = (1.0 - pi) * y_t_un + pi * stats.y_t_ob
     y_c_id = pi * y_c_un + (1.0 - pi) * stats.y_c_ob
@@ -259,7 +253,14 @@ def _arm_means(y_t_un, y_c_un, stats: ObservedStats):
 
 
 def _gap_and_variance(y_t_un, y_c_un, stats: ObservedStats):
-    """Completed-sample arm mean difference y_t_id - y_c_id and outcome variance."""
+    """Completed-sample arm mean difference y_t_id - y_c_id and outcome variance.
+
+    Within each arm the outcome is a two-component mixture (observed and
+    counterfactual cells with the arm's observed variance), and the two
+    equally sized arms add a between-arm term of a quarter of the squared
+    gap.  The variance is 0.0 only when both variances are zero and all four
+    means are equal, and inf when it overflows; _correlation raises on both.
+    """
     y_t_id, y_c_id = _arm_means(y_t_un, y_c_un, stats)
     gap = y_t_id - y_c_id
     pi = stats.pi
@@ -305,23 +306,6 @@ def _completed_piv(
     r = _correlation(y_t_un, y_c_un, stats, sqrt, every)
     probit, threshold_value, t_ratio = _probit(r, stats, sign, threshold)
     return _cdf(probit, erfc), probit, threshold_value, t_ratio
-
-
-def ideal_sd(belief: CounterfactualBelief, stats: ObservedStats) -> float:
-    """Outcome standard deviation of the completed sample.
-
-    Within each arm the outcome is a two-component mixture (observed and
-    counterfactual cells with the arm's observed variance), and the two
-    equally sized arms contribute a between-arm term of a quarter of the
-    squared mean difference.  Returns 0.0 only in the fully degenerate case
-    (both variances zero and all four means equal), which downstream
-    operations surface as DegenerateSpreadError.  Raises
-    InputValidationError when the variance overflows.
-    """
-    variance = _gap_and_variance(belief.y_t_un, belief.y_c_un, stats)[1]
-    if not variance < math.inf:
-        raise InputValidationError(_VARIANCE_OVERFLOW)
-    return math.sqrt(variance)
 
 
 def ideal_correlation(belief: CounterfactualBelief, stats: ObservedStats) -> float:

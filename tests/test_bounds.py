@@ -17,7 +17,7 @@ from piv.bounds import (
     evaluate_grid,
     robustness_verdict,
 )
-from piv.cli import render_json
+from piv.cli import AnalysisConfig, NamedBelief, config_to_json_object, main, render_json
 from piv.core import (
     CounterfactualBelief,
     DegenerateSpreadError,
@@ -207,21 +207,45 @@ def _cellwise_json(t_values, c_values, rows) -> str:
     )
 
 
+def _shaped(region: BeliefRegion, shape: str) -> tuple[BeliefRegion, tuple[int, int]]:
+    """The region and resolution for a shape; a zero-width axis keeps its lower bound."""
+    if shape == "1x5":
+        return dataclasses.replace(region, t_interval=(region.t_interval[0],) * 2), (7, 5)
+    if shape == "7x1":
+        return dataclasses.replace(region, c_interval=(region.c_interval[0],) * 2), (7, 5)
+    nt, nc = map(int, shape.split("x"))
+    return region, (nt, nc)
+
+
 class TestCsvAndJson:
-    def test_bytes_equal_cellwise_rendering(self):
+    def test_bytes_equal_cellwise_rendering(self, tmp_path):
         rng = np.random.default_rng(7)
         cases = [(PLAUSIBLE, CASE_STUDY, NEG, C196)]
         cases += [_random_grid_case(rng) for _ in range(5)]
-        for region, stats, sign, threshold in cases:
-            grid = evaluate_grid(region, (7, 5), stats, sign, threshold)
-            rows = [
-                [piv(CounterfactualBelief(t, c), stats, sign, threshold).piv for c in grid.c_values]
-                for t in grid.t_values
-            ]
-            assert grid.to_csv_text() == _cellwise_csv(grid.t_values, grid.c_values, rows)
-            assert render_json(grid.to_json_object()) == _cellwise_json(
-                grid.t_values, grid.c_values, rows
-            )
+        for base, stats, sign, threshold in cases:
+            for shape in ("7x5", "2x2", "1x5", "7x1"):
+                region, resolution = _shaped(base, shape)
+                grid = evaluate_grid(region, resolution, stats, sign, threshold)
+                assert grid.piv.shape == tuple(map(int, shape.split("x")))
+                rows = [
+                    [piv(CounterfactualBelief(t, c), stats, sign, threshold).piv for c in grid.c_values]
+                    for t in grid.t_values
+                ]
+                csv = _cellwise_csv(grid.t_values, grid.c_values, rows)
+                json_text = _cellwise_json(grid.t_values, grid.c_values, rows)
+                assert grid.to_csv_text() == csv
+                assert render_json(grid.to_json_object()) == json_text
+
+                # the files piv contour streams to --out, row by row
+                config = AnalysisConfig(stats, sign, threshold, (NamedBelief("box", region=region),))
+                path = tmp_path / "config.json"
+                path.write_text(render_json(config_to_json_object(config)), encoding="utf-8")
+                for fmt, expected in (("csv", csv), ("json", json_text + "\n")):
+                    out = tmp_path / f"grid.{fmt}"
+                    argv = ["contour", "--config", str(path), "--belief", "box", "--format", fmt,
+                            "--grid", "x".join(map(str, resolution)), "--out", str(out)]
+                    assert main(argv) == 0
+                    assert out.read_bytes() == expected.encode()
 
     def test_csv_shape_and_values(self):
         grid = evaluate_grid(PLAUSIBLE, (200, 200), CASE_STUDY, NEG, C196)

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from piv.bounds import ContourGrid
 from piv.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -26,6 +30,13 @@ from piv.cli import (
 )
 from piv import cli
 from piv.core import FixedThreshold, InputValidationError, SignMismatchError, StatisticalThreshold
+
+
+# sha256 of the contour CSV that `piv replicate` writes by default
+REPLICATE_CONTOUR_SHA256 = "1ad2c71cd78ea103e5bea94a13be92586b47a749fa5d4390449e09869cbde26b"
+
+# the environment of a child process that imports this checkout's piv
+_SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
 
 def base_config_object() -> dict:
@@ -308,6 +319,51 @@ class TestContourCommand:
         assert main(["contour", "--config", path, "--belief", "belief-2",
                      "--out", str(tmp_path / "grid.csv")]) == EXIT_CONFIG
 
+    def test_full_device_exits_4_without_traceback(self, tmp_path):
+        # the grid streams out row by row, so the write can fail on any row
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        path = write_config(tmp_path, base_config_object())
+        for fmt in ("csv", "json"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "piv.cli", "contour", "--config", path, "--belief", "box",
+                 "--grid", "200x200", "--format", fmt, "--out", "/dev/full"],
+                env=_SRC_ENV, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == EXIT_IO
+            assert "cannot write /dev/full" in proc.stderr
+            assert "Traceback" not in proc.stderr
+
+    def test_json_export_peak_memory_below_file_size(self, tmp_path):
+        # streamed, an export holds the grid array plus one row, not the payload
+        path = write_config(tmp_path, config_to_json_object(case_study_config()))
+        out_path = tmp_path / "grid.json"
+        argv = ["contour", "--config", path, "--belief", "plausible-region",
+                "--grid", "300x300", "--format", "json", "--out", str(out_path)]
+        assert main(argv) == EXIT_OK  # warm-up: imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = out_path.stat().st_size
+        assert size > 1_000_000
+        assert peak < size
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_grid_refused_before_file_is_opened(self, fmt, tmp_path, capsys,
+                                                           monkeypatch):
+        def nan_grid(*args):
+            return ContourGrid((1.0, 2.0), (3.0,), np.array([[0.5], [math.nan]]))
+
+        monkeypatch.setattr(cli, "evaluate_grid", nan_grid)
+        path = write_config(tmp_path, base_config_object())
+        out_path = tmp_path / "grid.out"
+        assert main(["contour", "--config", path, "--belief", "box", "--format", fmt,
+                     "--out", str(out_path)]) == EXIT_CONFIG
+        assert "non-finite" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_missing_out_exits_2_before_grid(self, tmp_path, capsys, monkeypatch):
         def no_grid(*args):
             raise AssertionError("grid evaluated before --out was checked")
@@ -377,6 +433,11 @@ class TestReplicateCommand:
         assert "robust" in out
         lines = out_path.read_text(encoding="utf-8").strip().split("\n")
         assert len(lines) == 41
+
+    def test_contour_file_pinned(self, tmp_path):
+        out_path = tmp_path / "contour.csv"
+        assert main(["replicate", "--out", str(out_path)]) == EXIT_OK
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == REPLICATE_CONTOUR_SHA256
 
     def test_dump_config(self, capsys):
         assert main(["replicate", "--dump-config"]) == EXIT_OK
@@ -520,9 +581,8 @@ print(json.dumps(steps))
 
 
 def _numpy_after(argvs: list[list[str]]) -> list[list]:
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_SRC_ENV, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 

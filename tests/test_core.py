@@ -25,9 +25,9 @@ from piv.core import (
     PivResult,
     SignMismatchError,
     StatisticalThreshold,
+    _arm_means,
+    _gap_and_variance,
     ideal_correlation,
-    ideal_means,
-    ideal_sd,
     piv,
     piv_from_correlation,
     resolve_threshold,
@@ -118,20 +118,32 @@ class TestObservedStats:
 # =============================================================================
 
 
+def _means(belief: CounterfactualBelief, stats: ObservedStats) -> tuple[float, float]:
+    """Completed-arm means y_t_id, y_c_id, checked against the gap the kernel uses."""
+    y_t_id, y_c_id = _arm_means(belief.y_t_un, belief.y_c_un, stats)
+    assert _gap_and_variance(belief.y_t_un, belief.y_c_un, stats)[0] == y_t_id - y_c_id
+    return y_t_id, y_c_id
+
+
+def _sd(belief: CounterfactualBelief, stats: ObservedStats) -> float:
+    """Completed-sample outcome standard deviation."""
+    return math.sqrt(_gap_and_variance(belief.y_t_un, belief.y_c_un, stats)[1])
+
+
 class TestIdealMeans:
     def test_case_study_point(self):
         # frozen: (1-0.0617)*45.78 + 0.0617*36.77 and 0.0617*45.2 + (1-0.0617)*45.78
-        y_t_id, y_c_id = ideal_means(BELIEF_1_CORNER, CASE_STUDY)
+        y_t_id, y_c_id = _means(BELIEF_1_CORNER, CASE_STUDY)
         assert y_t_id == pytest.approx(45.224083, abs=1e-9)
         assert y_c_id == pytest.approx(45.744214, abs=1e-9)
 
     def test_belief_at_observed_means_is_identity(self):
         belief = CounterfactualBelief(CASE_STUDY.y_t_ob, CASE_STUDY.y_c_ob)
-        assert ideal_means(belief, CASE_STUDY) == (CASE_STUDY.y_t_ob, CASE_STUDY.y_c_ob)
+        assert _means(belief, CASE_STUDY) == (CASE_STUDY.y_t_ob, CASE_STUDY.y_c_ob)
 
     def test_symmetric_weights_average(self):
         stats = ObservedStats(0.2, 100, 3.0, 7.0, 1.0, 1.0, 0.5)
-        y_t_id, y_c_id = ideal_means(CounterfactualBelief(5.0, 1.0), stats)
+        y_t_id, y_c_id = _means(CounterfactualBelief(5.0, 1.0), stats)
         assert y_t_id == pytest.approx((5.0 + 3.0) / 2, abs=1e-15)
         assert y_c_id == pytest.approx((1.0 + 7.0) / 2, abs=1e-15)
 
@@ -140,10 +152,10 @@ class TestIdealSd:
     def test_mixture_collapse(self):
         # belief at the observed means with equal group means: sd reduces to sqrt(v)
         stats = ObservedStats(0.1, 50, 4.0, 4.0, 9.0, 9.0, 0.3)
-        assert ideal_sd(CounterfactualBelief(4.0, 4.0), stats) == pytest.approx(3.0, abs=1e-15)
+        assert _sd(CounterfactualBelief(4.0, 4.0), stats) == pytest.approx(3.0, abs=1e-15)
 
     def test_case_study_value_and_lower_bound(self):
-        sd = ideal_sd(BELIEF_1_CORNER, CASE_STUDY)
+        sd = _sd(BELIEF_1_CORNER, CASE_STUDY)
         assert sd == pytest.approx(11.977990478997208, rel=1e-12)
         assert sd**2 >= 0.5 * (CASE_STUDY.var_t + CASE_STUDY.var_c)
 
@@ -152,14 +164,14 @@ class TestIdealSd:
         # deviations enter symmetrically once the completed mean gap is held fixed
         stats = ObservedStats(0.0, 40, 10.0, 10.0, 4.0, 4.0, 0.5)
         a, b = 2.5, -1.25
-        first = ideal_sd(CounterfactualBelief(10.0 + a, 10.0 + b), stats)
-        second = ideal_sd(CounterfactualBelief(10.0 - b, 10.0 - a), stats)
+        first = _sd(CounterfactualBelief(10.0 + a, 10.0 + b), stats)
+        second = _sd(CounterfactualBelief(10.0 - b, 10.0 - a), stats)
         assert first == pytest.approx(second, rel=1e-14)
 
     def test_degenerate_spread_is_zero_then_raises_downstream(self):
         stats = ObservedStats(0.0, 10, 5.0, 5.0, 0.0, 0.0, 0.5)
         belief = CounterfactualBelief(5.0, 5.0)
-        assert ideal_sd(belief, stats) == 0.0
+        assert _sd(belief, stats) == 0.0
         with pytest.raises(DegenerateSpreadError):
             ideal_correlation(belief, stats)
         with pytest.raises(DegenerateSpreadError):
@@ -168,8 +180,8 @@ class TestIdealSd:
     def test_overflowing_variance_raises(self):
         # the squared distance to the observed means exceeds float64
         belief = CounterfactualBelief(1e200, 0.0)
-        for call in (lambda: ideal_sd(belief, CASE_STUDY),
-                     lambda: ideal_correlation(belief, CASE_STUDY),
+        assert _gap_and_variance(belief.y_t_un, belief.y_c_un, CASE_STUDY)[1] == math.inf
+        for call in (lambda: ideal_correlation(belief, CASE_STUDY),
                      lambda: piv(belief, CASE_STUDY, NEG, C196)):
             with pytest.raises(InputValidationError, match="variance overflows"):
                 call()
@@ -191,8 +203,8 @@ class TestIdealCorrelation:
         for _ in range(200):
             stats = random_observed_stats(rng)
             belief = random_belief(rng)
-            y_t_id, y_c_id = ideal_means(belief, stats)
-            sd = ideal_sd(belief, stats)
+            y_t_id, y_c_id = _means(belief, stats)
+            sd = _sd(belief, stats)
             r = ideal_correlation(belief, stats)
             assert r == pytest.approx(0.5 * (y_t_id - y_c_id) / sd, rel=1e-14)
 
@@ -206,10 +218,10 @@ class TestIdealCorrelation:
         for _ in range(200):
             stats = random_observed_stats(rng)
             belief = random_belief(rng)
-            y_t_id, y_c_id = ideal_means(belief, stats)
+            y_t_id, y_c_id = _means(belief, stats)
             assert min(belief.y_t_un, stats.y_t_ob) <= y_t_id <= max(belief.y_t_un, stats.y_t_ob)
             assert min(belief.y_c_un, stats.y_c_ob) <= y_c_id <= max(belief.y_c_un, stats.y_c_ob)
-            assert ideal_sd(belief, stats) > 0.0
+            assert _sd(belief, stats) > 0.0
             assert abs(ideal_correlation(belief, stats)) < 1.0
 
     def test_joint_saturation_exceeds_axis_limits(self):

@@ -21,8 +21,8 @@ from piv.core import (
     InputValidationError,
     ObservedStats,
     StatisticalThreshold,
+    _gap_and_variance,
     ideal_correlation,
-    ideal_sd,
     piv_from_correlation,
     std_normal_cdf,
 )
@@ -239,7 +239,7 @@ class TestMixtureVarianceConsistency:
             ds = build_exact_dataset(spec)
             belief, stats = _spec_belief_stats(spec)
             assert float(np.var(ds.outcome)) == pytest.approx(
-                ideal_sd(belief, stats) ** 2, rel=1e-10
+                _gap_and_variance(belief.y_t_un, belief.y_c_un, stats)[1], rel=1e-10
             )
 
 
