@@ -466,6 +466,13 @@ def verify_report(seeds: int, reps: int, seed: int = 0) -> tuple[list[str], bool
 
     if seeds < 1:
         raise InputValidationError(f"seeds must be >= 1, got {seeds}")
+    # The Monte Carlo arguments are checked before any dataset is built:
+    # SyntheticSpec refuses a bad seed and _require_reps a bad reps.
+    mc_spec = oracle.SyntheticSpec(
+        n_ob=1000, pi=0.1, y_t_ob=10.0, y_c_ob=12.0,
+        y_t_un=12.0, y_c_un=10.0, var_t=20.0, var_c=25.0, seed=seed,
+    )
+    oracle._require_reps(reps)
     worst = {"closed_form": 0.0, "moments": 0.0, "block": 0.0, "bayes": 0.0}
     for i in range(seeds):
         spec = oracle.random_spec(i)
@@ -499,10 +506,6 @@ def verify_report(seeds: int, reps: int, seed: int = 0) -> tuple[list[str], bool
         )
 
     # Monte Carlo size: a null-consistent belief must reject at the one-sided rate.
-    mc_spec = oracle.SyntheticSpec(
-        n_ob=1000, pi=0.1, y_t_ob=10.0, y_c_ob=12.0,
-        y_t_un=12.0, y_c_un=10.0, var_t=20.0, var_c=25.0, seed=seed,
-    )
     rate = oracle.monte_carlo_piv(
         mc_spec, mc_spec.observed_stats(0.0), EstimateSign.NEGATIVE,
         StatisticalThreshold(1.96), reps=reps, seed=seed,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +72,11 @@ def _require_seed(seed) -> None:
         raise InputValidationError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
+def _require_reps(reps) -> None:
+    if not isinstance(reps, int) or reps < 1000:
+        raise InputValidationError(f"reps must be an integer >= 1000, got {reps!r}")
+
+
 # =============================================================================
 # Exact-moment completed datasets
 # =============================================================================
@@ -99,6 +105,9 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.n_ob, int) or self.n_ob <= 0 or self.n_ob % 2:
             raise InputValidationError(f"n_ob must be a positive even integer, got {self.n_ob!r}")
+        for name in ("pi", "y_t_ob", "y_c_ob", "y_t_un", "y_c_un", "var_t", "var_c"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
         n_t = self.pi * self.n_ob
         if abs(n_t - round(n_t)) > 1e-9:
             raise InputValidationError(f"pi * n_ob must be integral, got {n_t}")
@@ -142,12 +151,20 @@ class IdealDataset:
     Rows 0..n_ob-1 are the observed sample in subject order; rows
     n_ob..2*n_ob-1 are the same subjects' counterfactual rows (treatment
     flipped, covariates identical).
+
+    The four arrays are made read-only in place on construction, so the
+    design matrix, normal equations, moment blocks and least-squares fit,
+    each formed on first use and then shared by every check, cannot go stale.
     """
 
     outcome: np.ndarray
     w: np.ndarray
     z: np.ndarray
     observed: np.ndarray
+
+    def __post_init__(self) -> None:
+        for array in (self.outcome, self.w, self.z, self.observed):
+            array.flags.writeable = False
 
     @property
     def n_ob(self) -> int:
@@ -158,9 +175,58 @@ class IdealDataset:
         return self.z.shape[1]
 
     def design_matrix(self) -> np.ndarray:
-        """[1, Z, W] with the treatment column last."""
+        """[1, Z, W] with the treatment column last (read-only, shared)."""
+        return self._design
+
+    @cached_property
+    def _design(self) -> np.ndarray:
         n_rows = self.outcome.shape[0]
-        return np.column_stack([np.ones(n_rows), self.z, self.w])
+        x = np.column_stack([np.ones(n_rows), self.z, self.w])
+        x.flags.writeable = False
+        return x
+
+    @cached_property
+    def _normal_equations(self) -> tuple[np.ndarray, np.ndarray]:
+        """(X'X, X'y)."""
+        x = self._design
+        return x.T @ x, x.T @ self.outcome
+
+    @cached_property
+    def _moments(self) -> dict:
+        """Sample means and 1/n covariance blocks of (Z, W, Y)."""
+        y = self.outcome
+        w = self.w
+        z = self.z
+        y_c = y - y.mean()
+        w_c = w - w.mean()
+        z_c = z - z.mean(axis=0)
+        n = y.shape[0]
+        return {
+            "n": n,
+            "y_mean": y.mean(),
+            "w_mean": w.mean(),
+            "z_mean": z.mean(axis=0),
+            "s_zz": (z_c.T @ z_c) / n,
+            "s_zw": (z_c.T @ w_c) / n,
+            "s_zy": (z_c.T @ y_c) / n,
+            "s_ww": float(w_c @ w_c) / n,
+            "s_wy": float(w_c @ y_c) / n,
+            "s_yy": float(y_c @ y_c) / n,
+        }
+
+    @cached_property
+    def _fit(self) -> np.ndarray:
+        """Coefficients solving the normal equations, residual-checked."""
+        gram, moment = self._normal_equations
+        coefficients = _solve(gram, moment)
+        residual = np.max(np.abs(gram @ coefficients - moment))
+        scale = max(np.max(np.abs(moment)), 1.0)
+        if residual > 1e-9 * scale:
+            raise SingularDesignError(
+                f"normal-equation residual {residual:.3e} exceeds 1e-9 relative"
+            )
+        coefficients.flags.writeable = False
+        return coefficients
 
 
 def _two_point_cell(mean: float, sd: float, count: int) -> np.ndarray:
@@ -222,41 +288,11 @@ def build_exact_dataset(spec: SyntheticSpec) -> IdealDataset:
 
 
 def ols_fit(dataset: IdealDataset) -> np.ndarray:
-    """Coefficients of [1, Z, W] from solving the normal equations directly."""
-    x = dataset.design_matrix()
-    gram = x.T @ x
-    moment = x.T @ dataset.outcome
-    coefficients = _solve(gram, moment)
-    residual = np.max(np.abs(gram @ coefficients - moment))
-    scale = max(np.max(np.abs(moment)), 1.0)
-    if residual > 1e-9 * scale:
-        raise SingularDesignError(
-            f"normal-equation residual {residual:.3e} exceeds 1e-9 relative"
-        )
-    return coefficients
+    """Coefficients of [1, Z, W] from solving the normal equations directly.
 
-
-def _moments(dataset: IdealDataset) -> dict:
-    """Sample means and 1/n covariance blocks of (Z, W, Y)."""
-    y = dataset.outcome
-    w = dataset.w
-    z = dataset.z
-    y_c = y - y.mean()
-    w_c = w - w.mean()
-    z_c = z - z.mean(axis=0)
-    n = y.shape[0]
-    return {
-        "n": n,
-        "y_mean": y.mean(),
-        "w_mean": w.mean(),
-        "z_mean": z.mean(axis=0),
-        "s_zz": (z_c.T @ z_c) / n,
-        "s_zw": (z_c.T @ w_c) / n,
-        "s_zy": (z_c.T @ y_c) / n,
-        "s_ww": float(w_c @ w_c) / n,
-        "s_wy": float(w_c @ y_c) / n,
-        "s_yy": float(y_c @ y_c) / n,
-    }
+    The fit is formed once per dataset and returned read-only.
+    """
+    return dataset._fit
 
 
 def w_coefficient_via_moments(dataset: IdealDataset) -> float:
@@ -265,9 +301,8 @@ def w_coefficient_via_moments(dataset: IdealDataset) -> float:
     (s_wy - s_wz s_zz^-1 s_zy) / (s_ww - s_wz s_zz^-1 s_zw); an independent
     route to the same number ols_fit produces from the full normal equations.
     """
-    m = _moments(dataset)
-    szz_inv_szw = _solve(m["s_zz"], m["s_zw"])
-    szz_inv_szy = _solve(m["s_zz"], m["s_zy"])
+    m = dataset._moments
+    szz_inv_szw, szz_inv_szy = _solve(m["s_zz"], np.column_stack([m["s_zw"], m["s_zy"]])).T
     numerator = m["s_wy"] - float(m["s_zw"] @ szz_inv_szy)
     denominator = m["s_ww"] - float(m["s_zw"] @ szz_inv_szw)
     return numerator / denominator
@@ -275,7 +310,7 @@ def w_coefficient_via_moments(dataset: IdealDataset) -> float:
 
 def standardized_w_coefficient(dataset: IdealDataset) -> float:
     """Treatment coefficient after scaling outcome and treatment to unit variance."""
-    m = _moments(dataset)
+    m = dataset._moments
     return float(ols_fit(dataset)[-1]) * math.sqrt(m["s_ww"]) / math.sqrt(m["s_yy"])
 
 
@@ -293,7 +328,7 @@ def block_inverse_check(dataset: IdealDataset) -> float:
     block.  Returns the maximum entrywise discrepancy against the direct
     inverse, scaled by the largest entry magnitude.
     """
-    m = _moments(dataset)
+    m = dataset._moments
     n = m["n"]
     p = dataset.p
 
@@ -323,7 +358,7 @@ def block_inverse_check(dataset: IdealDataset) -> float:
     last_row[1 : p + 1] = -(schur_inv * (m["s_zw"] @ szz_inv)) / n
     last_row[p + 1] = schur_inv / n
 
-    direct = _solve(dataset.design_matrix().T @ dataset.design_matrix(), np.eye(p + 2))
+    direct = _solve(dataset._normal_equations[0], np.eye(p + 2))
     scale = float(np.max(np.abs(direct)))
     error = float(np.max(np.abs(assembled - direct)))
     error = max(error, float(np.max(np.abs(last_row - direct[-1]))))
@@ -380,8 +415,7 @@ def monte_carlo_piv(
     and per arm of n_ob rows in two cells a within-cell sum of squares
     sd^2 * chi2(n_ob - 2).  All replications come from one generator.
     """
-    if not isinstance(reps, int) or reps < 1000:
-        raise InputValidationError(f"reps must be an integer >= 1000, got {reps!r}")
+    _require_reps(reps)
     _require_seed(seed)
     for name in ("n_ob", "pi", "y_t_ob", "y_c_ob", "var_t", "var_c"):
         if not math.isclose(getattr(spec, name), getattr(stats, name), rel_tol=1e-12, abs_tol=1e-12):

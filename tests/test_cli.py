@@ -459,6 +459,21 @@ class TestVerifyCommand:
         assert err.startswith("config error: seed must be a nonnegative integer")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--reps", "10"], "reps must be an integer >= 1000, got 10"),
+        (["--seed", "-1"], "seed must be a nonnegative integer, got -1"),
+    ])
+    def test_bad_reps_or_seed_refused_before_any_dataset(self, argv, message, capsys,
+                                                         monkeypatch):
+        from piv import oracle
+
+        def no_dataset(spec):
+            raise AssertionError("a dataset was built before the arguments were checked")
+
+        monkeypatch.setattr(oracle, "build_exact_dataset", no_dataset)
+        assert main(["verify", *argv]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
 
 def _degenerate(obj: dict) -> None:
     obj["observed"].update({"var_t": 0.0, "var_c": 0.0, "y_t_ob": 5.0, "y_c_ob": 5.0})

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from piv import cli, oracle
 from piv.core import (
     CounterfactualBelief,
     EstimateSign,
@@ -70,6 +71,17 @@ class TestSyntheticSpec:
         with pytest.raises(InputValidationError, match="seed"):
             SyntheticSpec(n_ob=8, pi=0.5, y_t_ob=0, y_c_ob=0, y_t_un=0, y_c_un=0,
                           var_t=1, var_c=1, seed=seed)
+
+    @pytest.mark.parametrize("name, value", [
+        ("pi", math.nan), ("pi", math.inf), ("y_t_ob", math.nan), ("y_c_ob", -math.inf),
+        ("y_t_un", math.inf), ("y_c_un", math.nan), ("var_t", math.nan), ("var_c", math.inf),
+    ])
+    def test_non_finite_rejected(self, name, value):
+        fields = dict(n_ob=8, pi=0.5, y_t_ob=0.0, y_c_ob=0.0, y_t_un=0.0, y_c_un=0.0,
+                      var_t=1.0, var_c=1.0)
+        fields[name] = value
+        with pytest.raises(InputValidationError, match=f"{name} must be finite"):
+            SyntheticSpec(**fields)
 
 
 class TestBuildExactDataset:
@@ -147,11 +159,46 @@ class TestOlsFit:
 
     def test_duplicate_covariate_is_singular(self):
         base = build_exact_dataset(random_spec(19, p=2))
+        ols_fit(base)  # the base fit is cached on base and must not reach the rebuilt dataset
         z = base.z.copy()
         z[:, 1] = z[:, 0]
         broken = IdealDataset(outcome=base.outcome, w=base.w, z=z, observed=base.observed)
         with pytest.raises(SingularDesignError):
             ols_fit(broken)
+
+
+class TestSharedFit:
+    def test_fit_matches_explicit_normal_equations_once(self):
+        ds = build_exact_dataset(random_spec(23, p=3))
+        x = np.column_stack([np.ones(2 * ds.n_ob), ds.z, ds.w])
+        expected = np.linalg.solve(x.T @ x, x.T @ ds.outcome)
+        fit = ols_fit(ds)
+        assert np.max(np.abs(fit - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert ols_fit(ds) is fit
+
+    @pytest.mark.parametrize("get", [
+        lambda ds: ds.z, lambda ds: ds.outcome, lambda ds: ds.w, lambda ds: ds.observed,
+        ols_fit, IdealDataset.design_matrix,
+    ], ids=["z", "outcome", "w", "observed", "fit", "design"])
+    def test_arrays_are_read_only(self, get):
+        ds = build_exact_dataset(random_spec(25, p=2))
+        with pytest.raises(ValueError, match="read-only"):
+            get(ds)[...] = 0
+
+    def test_verify_makes_at_most_five_solves_per_dataset(self, monkeypatch):
+        calls = []
+        solve = oracle._solve
+
+        def counting_solve(matrix, rhs):
+            calls.append(matrix.shape)
+            return solve(matrix, rhs)
+
+        monkeypatch.setattr(oracle, "_solve", counting_solve)
+        lines, ok = cli.verify_report(10, 1000)
+        assert ok, lines
+        # fit, moment route, covariate-block inverse, Gram inverse, half-sample
+        # combination per dataset, plus the duplicated-covariate check
+        assert len(calls) <= 5 * 10 + 1
 
 
 class TestBlockInverse:
