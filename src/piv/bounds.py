@@ -11,12 +11,16 @@ to infinity, so a bound approached only at infinity is reported as that
 limit, with no belief attaining it; the exact asymptotic PIV for each
 unbounded side is reported alongside.
 
-Only evaluate_grid uses numpy, and it imports it on first call, so bounding
-and verdicts run without loading numpy.
+Grids are evaluated and written in blocks of whole rows, each one numpy
+pass: the kernel piv() uses, broadcast over the block, and a fixed-width
+"%.6f" CSV writer.  Only grid evaluation and the CSV writer use numpy, and
+they import it on first call, so bounding and verdicts run without loading
+numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -45,6 +49,15 @@ __all__ = [
 ]
 
 _CELL_CAP = 10_000_000
+# Grids are evaluated and written in blocks of whole rows: about 4096 cells,
+# enough to amortize numpy's per-call cost, and at most 1/128 of the grid, so
+# that a block's temporaries stay a small fraction of the grid array.
+_BLOCK_CELLS = 4096
+_BLOCK_SHARE = 128
+
+
+def _block_rows(nt: int, nc: int) -> int:
+    return max(1, min(_BLOCK_CELLS, nt * nc // _BLOCK_SHARE) // nc)
 
 
 def _check_bound(value: float, name: str) -> float:
@@ -103,12 +116,26 @@ class ContourGrid:
         return float(self.piv.max())
 
     def csv_lines(self) -> Iterator[str]:
-        """CSV lines: header row of c values, then each t value and its PIV row to 6 decimals."""
-        yield "y_t_un," + ",".join(repr(c) for c in self.c_values) + "\n"
-        # one % per row; %.6f formats a float exactly as format(v, ".6f") does
-        template = "," + ",".join(["%.6f"] * len(self.c_values)) + "\n"
-        for t, row in zip(self.t_values, self.piv):
-            yield repr(t) + template % tuple(row.tolist())
+        """CSV lines: header row of c values, then each t value and its PIV row to 6 decimals.
+
+        Each block of rows is built as fixed-width ASCII in one numpy pass
+        (see _csv_block).  A row holding a cell that path cannot format
+        exactly goes through "%.6f", so every cell reads as format(v, ".6f").
+        """
+        nt, nc = self.piv.shape
+        yield ("y_t_un" + ",%r" * nc + "\n") % self.c_values
+        template = ",%.6f" * nc + "\n"
+        width = 9 * nc
+        step = _block_rows(nt, nc)
+        for start in range(0, nt, step):
+            block = self.piv[start:start + step]
+            text, exact = _csv_block(block)
+            for j, t in enumerate(self.t_values[start:start + step]):
+                if exact[j]:
+                    yield f"{t!r},{text[j * width:(j + 1) * width]}"
+                else:
+                    yield repr(t) + template % tuple(block[j].tolist())
+            del text  # free it before the next block's text is built
 
     def to_csv_text(self) -> str:
         """The lines of csv_lines as one string."""
@@ -120,6 +147,61 @@ class ContourGrid:
             "c_values": list(self.c_values),
             "piv": self.piv.tolist(),
         }
+
+
+@functools.cache
+def _cell_words():
+    """Lookup tables for the 8 ASCII bytes of a "%.6f" cell in [0, 1], as
+    little-endian uint64 words to be OR-ed together.
+
+    head[q] holds "0.ddd" for q < 1000 and "1.000" for q = 1000 in bytes
+    0-4; tail[j] holds the three digits of j in bytes 5-7.
+    """
+    import numpy as np
+
+    head = "".join(f"0.{q:03d}\0\0\0" for q in range(1000)) + "1.000\0\0\0"
+    tail = "".join(f"\0\0\0\0\0{j:03d}" for j in range(1000))
+    return np.frombuffer(head.encode(), "<u8"), np.frombuffer(tail.encode(), "<u8")
+
+
+def _csv_block(block):
+    """The rows of a PIV block as "%.6f" cells, each followed by "," or, at
+    the end of a row, a newline.
+
+    Returns the text, 9 characters per cell, and a per-row flag that is true
+    where the text is exact.  A cell in [0, 1] prints as 8 characters, from
+    k = rint(v*1e6).  That k is what "%.6f" rounds to unless v*1e6 lies
+    within 1e-9 of a half-integer, where the rounding of the product itself
+    could pick the wrong side.  Rows holding such a cell, a cell outside
+    [0, 1], a NaN or -0.0 are flagged false and their text is not used.
+    """
+    import numpy as np
+
+    # in-place steps and dels keep at most three block-sized arrays alive
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN cells are flagged below
+        scaled = block * 1e6
+        k = np.rint(scaled)
+        scaled -= k  # the rounding residual
+        exact = np.abs(scaled, out=scaled) < 0.5 - 1e-9
+    del scaled
+    exact &= block <= 1.0
+    exact &= ~np.signbit(block)
+    if not exact.all():
+        k[~exact] = 0.0
+    k = k.astype(np.intp)
+    q, j = np.divmod(k, 1000)
+    del k
+    head, tail = _cell_words()
+    text = head.take(q)
+    del q
+    text |= tail.take(j)
+    del j
+    cells = np.empty(block.shape, [("text", "<u8"), ("end", "u1")])
+    cells["text"] = text
+    del text
+    cells["end"] = ord(",")
+    cells["end"][:, -1] = ord("\n")
+    return str(cells.reshape(-1).view(np.uint8), "ascii"), exact.all(axis=1).tolist()
 
 
 @dataclass(frozen=True)
@@ -153,6 +235,17 @@ def _axis_points(lo: float, hi: float, n: int) -> tuple[float, ...]:
     return tuple(points)
 
 
+def _erfc(x):
+    """math.erfc of each element of a float64 array.
+
+    numpy has no erfc; mapping math.erfc gives the scalar path's values.  The
+    memoryview yields the elements as floats without building a list.
+    """
+    import numpy as np
+
+    return np.fromiter(map(math.erfc, memoryview(x.ravel())), float, x.size).reshape(x.shape)
+
+
 def evaluate_grid(
     region: BeliefRegion,
     resolution: tuple[int, int],
@@ -164,8 +257,10 @@ def evaluate_grid(
 
     Both endpoints of each axis are included; a zero-width axis yields a
     single coordinate.  A grid of more than 10**7 cells is refused before any
-    coordinate is built.  Each t row is evaluated at once over the c axis by
-    the kernel piv() uses, so every cell equals piv() at that belief.
+    coordinate is built.  Each block of t rows is evaluated at once, the t
+    column broadcast against the c row, by the kernel piv() uses.  The
+    kernel's arithmetic is + - * / and sqrt, which numpy rounds as floats do,
+    and erfc is math.erfc, so every cell equals piv() at that belief.
     """
     if not region.is_finite:
         raise InputValidationError("evaluate_grid requires a finite region")
@@ -179,19 +274,18 @@ def evaluate_grid(
         raise InputValidationError(f"grid of {nt}x{nc} cells exceeds cap {_CELL_CAP}")
     import numpy as np
 
-    def erfc(x):
-        # numpy has no erfc; math.erfc mapped over an array gives the scalar path's values.
-        return np.fromiter(map(math.erfc, x.tolist()), float, x.size)
-
     t_values = _axis_points(t_lo, t_hi, nt)
     c_values = _axis_points(c_lo, c_hi, nc)
+    t = np.array(t_values)[:, None]
     c = np.array(c_values)
-    values = np.empty((len(t_values), len(c_values)))
+    values = np.empty((nt, nc))
+    step = _block_rows(nt, nc)
     # an overflowing variance raises from the kernel; keep numpy from warning first
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, t in enumerate(t_values):
-            values[i] = _completed_piv(
-                t, c, stats, sign, threshold, sqrt=np.sqrt, erfc=erfc, every=np.all
+        for start in range(0, nt, step):
+            values[start:start + step] = _completed_piv(
+                t[start:start + step], c, stats, sign, threshold,
+                sqrt=np.sqrt, erfc=_erfc, every=np.all,
             )[0]
     values.flags.writeable = False
     return ContourGrid(t_values=t_values, c_values=c_values, piv=values)

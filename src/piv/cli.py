@@ -586,7 +586,7 @@ def _parse_grid_flag(text: str) -> tuple[int, int]:
 
 
 def _export_grid(args, config: AnalysisConfig, region: BeliefRegion, fmt: str):
-    """Evaluate the grid over region and stream it to --out one row at a time.
+    """Evaluate the grid over region and stream it to --out, row by row or block by block.
 
     Returns the grid, or None when the file cannot be written.
     """
@@ -594,10 +594,9 @@ def _export_grid(args, config: AnalysisConfig, region: BeliefRegion, fmt: str):
     if args.out is None:
         raise InputValidationError("--out is required")
     grid = evaluate_grid(region, resolution, config.observed, config.sign, config.threshold)
-    import numpy as np  # loaded by evaluate_grid
-
-    # refuse before the file is opened, so a refused grid leaves no partial file
-    if not np.isfinite(grid.piv).all():
+    # refuse before the file is opened, so a refused grid leaves no partial file;
+    # min and max propagate NaN, and take no grid-sized temporary as isfinite would
+    if not (math.isfinite(grid.min()) and math.isfinite(grid.max())):
         raise InputValidationError("cannot serialize a grid with a non-finite PIV")
     try:
         with open(args.out, "w", encoding="utf-8") as handle:

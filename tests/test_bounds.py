@@ -166,6 +166,34 @@ class TestGridMatchesPiv:
                 for j, c in enumerate(grid.c_values):
                     assert grid.piv[i, j] == piv(CounterfactualBelief(t, c), stats, sign, threshold).piv
 
+    def test_block_rows(self):
+        # about 4096 cells per block, at most 1/128 of the grid, never less than a row
+        assert bounds._block_rows(1000, 1000) == 4
+        assert bounds._block_rows(500, 500) == 3
+        assert bounds._block_rows(300, 300) == 2
+        assert bounds._block_rows(1000, 7) == 7
+        assert bounds._block_rows(3, 4097) == 1
+        assert bounds._block_rows(2, 2) == 1
+
+    @pytest.mark.parametrize("shape", [(3, 4097), (5, 4095), (1000, 7)])
+    @pytest.mark.parametrize("sign", [EstimateSign.POSITIVE, NEG])
+    @pytest.mark.parametrize("kind", ["statistical", "fixed"])
+    def test_every_cell_equals_piv_across_block_boundaries(self, shape, sign, kind, monkeypatch):
+        if kind == "statistical":
+            threshold = C196
+        else:
+            threshold = FixedThreshold(0.05 if sign is EstimateSign.POSITIVE else -0.05)
+        grid = evaluate_grid(PLAUSIBLE, shape, CASE_STUDY, sign, threshold)
+        expected = np.array([
+            [piv(CounterfactualBelief(t, c), CASE_STUDY, sign, threshold).piv for c in grid.c_values]
+            for t in grid.t_values
+        ])
+        assert np.array_equal(grid.piv, expected)
+        # again with blocks of up to 4096 cells whatever the grid size: 1000x7
+        # then takes 585 rows a block, the last block partial
+        monkeypatch.setattr(bounds, "_BLOCK_SHARE", 1)
+        assert np.array_equal(evaluate_grid(PLAUSIBLE, shape, CASE_STUDY, sign, threshold).piv, expected)
+
     def test_cells_are_read_only(self):
         grid = evaluate_grid(PLAUSIBLE, (3, 3), CASE_STUDY, NEG, C196)
         assert not grid.piv.flags.writeable
@@ -265,6 +293,66 @@ class TestCsvAndJson:
         assert obj["t_values"] == list(grid.t_values)
         assert obj["c_values"] == list(grid.c_values)
         assert obj["piv"] == [list(row) for row in grid.piv]
+
+
+def _hand_grid(values: np.ndarray) -> bounds.ContourGrid:
+    """A ContourGrid holding arbitrary cell values, on axes 0, 1, 2, ..."""
+    nt, nc = values.shape
+    return bounds.ContourGrid(tuple(map(float, range(nt))), tuple(map(float, range(nc))), values)
+
+
+def _hard_cells(rng: np.random.Generator) -> np.ndarray:
+    """PIV-range values where a fixed-width "%.6f" writer can go wrong."""
+    ties = [m / 128 for m in range(1, 128, 2)]  # m/128 * 1e6 is exactly a half-integer
+    near = []
+    for k in rng.integers(0, 1_000_000, 300).tolist():
+        mid = (k + 0.5) / 1e6
+        near += [float(np.nextafter(mid, 0.0)), mid, float(np.nextafter(mid, 2.0))]
+    edges = [0.0, 5e-324, 1e-7, 4.9999999e-7, 5e-7,
+             float(np.nextafter(0.9999995, 0.0)), 0.9999995, float(np.nextafter(0.9999995, 2.0)),
+             float(np.nextafter(1.0, 0.0)), 1.0]
+    return np.array(ties + near + edges + rng.random(500).tolist())
+
+
+class TestCsvWriterExact:
+    """csv_lines writes cells as fixed-width ASCII built in numpy; every cell
+    must still read as format(v, ".6f")."""
+
+    OUT_OF_RANGE = [-0.0, 1.5, 2.0, -1e-9, float(np.nextafter(1.0, 2.0)), 1e308,
+                    math.inf, -math.inf, math.nan]
+
+    @staticmethod
+    def _check(grid: bounds.ContourGrid) -> None:
+        assert grid.to_csv_text() == _cellwise_csv(grid.t_values, grid.c_values, grid.piv.tolist())
+
+    @pytest.mark.parametrize("shape", [(1, 2000), (2000, 1), (2, 4100), (3, 4097), (1000, 7)])
+    def test_hard_cells_equal_format(self, shape):
+        # 1xN and Nx1; rows longer than a block; blocks of several rows, the last partial
+        rng = np.random.default_rng(20261018)
+        cells = rng.permutation(np.resize(_hard_cells(rng), shape[0] * shape[1]))
+        self._check(_hand_grid(cells.reshape(shape)))
+
+    @pytest.mark.parametrize("value", OUT_OF_RANGE, ids=repr)
+    def test_out_of_range_cell_takes_format_path(self, value):
+        rng = np.random.default_rng(5)
+        cells = rng.random((400, 30))
+        cells[171, 11] = value
+        grid = _hand_grid(cells)
+        self._check(grid)
+        # only the row holding the value leaves the fixed-width path
+        exact = bounds._csv_block(grid.piv)[1]
+        assert [i for i, ok in enumerate(exact) if not ok] == [171]
+
+    def test_ties_take_format_path(self):
+        ties = np.array([[m / 128] for m in range(1, 128, 2)])
+        assert not any(bounds._csv_block(ties)[1])
+        # 0.0078125 prints as 0.007812: the tie rounds to the even digit
+        assert _hand_grid(ties).to_csv_text().split("\n")[1] == "0.0,0.007812"
+
+    def test_in_range_cells_take_fixed_width_path(self):
+        rng = np.random.default_rng(11)
+        cells = np.concatenate([rng.random(4001), [0.0, 5e-324, 1.0]]).reshape(-1, 7)
+        assert all(bounds._csv_block(cells)[1])
 
 
 class TestBoundPiv:

@@ -34,6 +34,11 @@ from piv.core import FixedThreshold, InputValidationError, SignMismatchError, St
 
 # sha256 of the contour CSV that `piv replicate` writes by default
 REPLICATE_CONTOUR_SHA256 = "1ad2c71cd78ea103e5bea94a13be92586b47a749fa5d4390449e09869cbde26b"
+# sha256 of large case-study plausible-region exports, pinned byte for byte
+CONTOUR_EXPORT_SHA256 = {
+    ("1000x250", "csv"): "6e612283eeb5d717c39bbe719f83f80595628fe29fa758d53b2d101607208ebf",
+    ("250x1000", "json"): "28ee940373cea538495a84265224ebb13409e3d199d55cb42f257280d51bea23",
+}
 
 # the environment of a child process that imports this checkout's piv
 _SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -349,6 +354,33 @@ class TestContourCommand:
         size = out_path.stat().st_size
         assert size > 1_000_000
         assert peak < size
+
+    def test_csv_export_peak_memory_below_file_size(self, tmp_path):
+        # a CSV cell is 9 bytes against the grid array's 8, so the blocks the grid
+        # is evaluated and written in must stay small beside the grid
+        path = write_config(tmp_path, config_to_json_object(case_study_config()))
+        out_path = tmp_path / "grid.csv"
+        argv = ["contour", "--config", path, "--belief", "plausible-region",
+                "--grid", "300x300", "--format", "csv", "--out", str(out_path)]
+        assert main(argv) == EXIT_OK  # warm-up: imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = out_path.stat().st_size
+        assert size > 800_000
+        assert peak < size
+
+    @pytest.mark.parametrize("grid, fmt", list(CONTOUR_EXPORT_SHA256))
+    def test_large_export_pinned(self, grid, fmt, tmp_path):
+        path = write_config(tmp_path, config_to_json_object(case_study_config()))
+        out_path = tmp_path / f"grid.{fmt}"
+        argv = ["contour", "--config", path, "--belief", "plausible-region",
+                "--grid", grid, "--format", fmt, "--out", str(out_path)]
+        assert main(argv) == EXIT_OK
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == CONTOUR_EXPORT_SHA256[grid, fmt]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_grid_refused_before_file_is_opened(self, fmt, tmp_path, capsys,
