@@ -18,7 +18,6 @@ from .core import (
     ideal_correlation,
     piv,
     piv_from_correlation,
-    resolve_threshold,
     saturation_limits,
     se_ideal,
     std_normal_cdf,
@@ -49,7 +48,6 @@ __all__ = [
     "SignMismatchError",
     "ideal_correlation",
     "se_ideal",
-    "resolve_threshold",
     "saturation_limits",
     "piv_from_correlation",
     "piv",

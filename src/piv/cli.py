@@ -41,7 +41,6 @@ from .core import (
     ideal_correlation,
     piv,
     piv_from_correlation,
-    resolve_threshold,
     se_ideal,
     std_normal_cdf,
 )
@@ -169,7 +168,7 @@ def parse_config(obj) -> AnalysisConfig:
     _check_keys(threshold_obj, "threshold", ("kind", key))
     with _at("threshold"):
         threshold = threshold_type(threshold_obj[key])
-        resolve_threshold(threshold, sign, observed)
+        threshold.signed(sign)
 
     beliefs_obj = root["beliefs"]
     if not isinstance(beliefs_obj, list) or not beliefs_obj:
@@ -226,12 +225,14 @@ def load_config(path: str) -> AnalysisConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputValidationError(f"cannot read config {path}: {exc}") from exc
     try:
         obj = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
         raise InputValidationError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputValidationError(f"config {path} is nested too deeply to parse") from exc
     return parse_config(obj)
 
 
@@ -392,13 +393,12 @@ def replicate_report() -> tuple[list[str], dict]:
     stats = config.observed
     sign = config.sign
     threshold = config.threshold
-    assert isinstance(threshold, StatisticalThreshold)
 
     lines = ["Kindergarten retention case study (Hong and Raudenbush 2005)", ""]
     lines.append("step 1  observed statistics: "
                  f"r_squared={stats.r_squared} n_ob={stats.n_ob} y_t_ob={stats.y_t_ob} "
                  f"y_c_ob={stats.y_c_ob} var_t={stats.var_t} var_c={stats.var_c} pi={stats.pi}")
-    lines.append(f"step 2  critical value: C = -{threshold.critical_magnitude} "
+    lines.append(f"step 2  critical value: C = {threshold.signed(sign)} "
                  "(significant negative estimate)")
     se = se_ideal(stats)
     scale = math.sqrt(2.0 * stats.n_ob) / math.sqrt(1.0 - stats.r_squared)
@@ -441,7 +441,7 @@ def replicate_report() -> tuple[list[str], dict]:
     r = ideal_correlation(corner, stats)
     corner_piv = piv_from_correlation(r, stats, sign, threshold).piv
     alt_scale = math.sqrt(stats.n_ob) / math.sqrt(1.0 - stats.r_squared)
-    alt_probit = -threshold.critical_magnitude - alt_scale * r
+    alt_probit = threshold.signed(sign) - alt_scale * r
     alt_piv = std_normal_cdf(alt_probit)
     data["corner_piv"] = corner_piv
     data["alt_scale_coefficient"] = alt_scale

@@ -63,7 +63,6 @@ __all__ = [
     "std_normal_cdf",
     "ideal_correlation",
     "se_ideal",
-    "resolve_threshold",
     "saturation_limits",
     "piv_from_correlation",
     "piv",
@@ -184,6 +183,11 @@ class StatisticalThreshold:
             raise InputValidationError(f"critical_magnitude must be > 0, got {c}")
         object.__setattr__(self, "critical_magnitude", c)
 
+    def signed(self, sign: EstimateSign) -> float:
+        """The signed cut C, in standard errors, on the estimate's side of zero."""
+        c = self.critical_magnitude
+        return c if sign is EstimateSign.POSITIVE else -c
+
 
 @dataclass(frozen=True)
 class FixedThreshold:
@@ -193,6 +197,19 @@ class FixedThreshold:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta_sharp", _require_finite(self.beta_sharp, "beta_sharp"))
+
+    def signed(self, sign: EstimateSign) -> float:
+        """The cut beta_sharp; SignMismatchError when it lies across zero from the estimate."""
+        b = self.beta_sharp
+        if sign is EstimateSign.POSITIVE and b < 0.0:
+            raise SignMismatchError(
+                f"fixed threshold {b} is negative but the estimate sign is positive"
+            )
+        if sign is EstimateSign.NEGATIVE and b > 0.0:
+            raise SignMismatchError(
+                f"fixed threshold {b} is positive but the estimate sign is negative"
+            )
+        return b
 
 
 Threshold = StatisticalThreshold | FixedThreshold
@@ -333,35 +350,6 @@ def se_ideal(stats: ObservedStats) -> float:
 # =============================================================================
 
 
-def _signed_critical(magnitude: float, sign: EstimateSign) -> float:
-    return magnitude if sign is EstimateSign.POSITIVE else -magnitude
-
-
-def _check_fixed_sign(beta_sharp: float, sign: EstimateSign) -> None:
-    if sign is EstimateSign.POSITIVE and beta_sharp < 0.0:
-        raise SignMismatchError(
-            f"fixed threshold {beta_sharp} is negative but the estimate sign is positive"
-        )
-    if sign is EstimateSign.NEGATIVE and beta_sharp > 0.0:
-        raise SignMismatchError(
-            f"fixed threshold {beta_sharp} is positive but the estimate sign is negative"
-        )
-
-
-def resolve_threshold(threshold: Threshold, sign: EstimateSign, stats: ObservedStats) -> float:
-    """Resolve a threshold to a signed effect-size value.
-
-    Fixed thresholds pass through verbatim (after a sign-consistency check);
-    statistical thresholds become signed_critical_value * se_ideal(stats).
-    """
-    if isinstance(threshold, FixedThreshold):
-        _check_fixed_sign(threshold.beta_sharp, sign)
-        return threshold.beta_sharp
-    if isinstance(threshold, StatisticalThreshold):
-        return _signed_critical(threshold.critical_magnitude, sign) * se_ideal(stats)
-    raise InputValidationError(f"unknown threshold type: {threshold!r}")
-
-
 def saturation_limits(stats: ObservedStats) -> tuple[float, float]:
     """Limits of |correlation| as one counterfactual mean runs to infinity.
 
@@ -379,20 +367,22 @@ def saturation_limits(stats: ObservedStats) -> tuple[float, float]:
 
 
 def _probit(r, stats: ObservedStats, sign: EstimateSign, threshold: Threshold):
-    """(probit, threshold value, T) for a float correlation or an array of them."""
+    """(probit, threshold value, T) for a float correlation or an array of them.
+
+    A statistical cut is in standard errors, so it is compared with T and
+    scaled by se for the threshold value; a fixed cut is compared with r.
+    """
+    if not isinstance(threshold, Threshold):
+        raise InputValidationError(f"unknown threshold type: {threshold!r}")
+    cut = threshold.signed(sign)
     se = se_ideal(stats)
     t_ratio = r / se
     positive = sign is EstimateSign.POSITIVE
-    if isinstance(threshold, StatisticalThreshold):
-        c = _signed_critical(threshold.critical_magnitude, sign)
-        probit = (t_ratio - c) if positive else (c - t_ratio)
-        return probit, c * se, t_ratio
     if isinstance(threshold, FixedThreshold):
-        _check_fixed_sign(threshold.beta_sharp, sign)
-        b = threshold.beta_sharp
-        probit = ((r - b) / se) if positive else ((b - r) / se)
-        return probit, b, t_ratio
-    raise InputValidationError(f"unknown threshold type: {threshold!r}")
+        probit = ((r - cut) / se) if positive else ((cut - r) / se)
+        return probit, cut, t_ratio
+    probit = (t_ratio - cut) if positive else (cut - t_ratio)
+    return probit, cut * se, t_ratio
 
 
 def piv_from_correlation(

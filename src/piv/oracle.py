@@ -31,9 +31,8 @@ from .core import (
     InputValidationError,
     ObservedStats,
     PivError,
-    StatisticalThreshold,
     Threshold,
-    resolve_threshold,
+    _require_finite,
 )
 
 __all__ = [
@@ -106,8 +105,7 @@ class SyntheticSpec:
         if not isinstance(self.n_ob, int) or self.n_ob <= 0 or self.n_ob % 2:
             raise InputValidationError(f"n_ob must be a positive even integer, got {self.n_ob!r}")
         for name in ("pi", "y_t_ob", "y_c_ob", "y_t_un", "y_c_un", "var_t", "var_c"):
-            if not math.isfinite(getattr(self, name)):
-                raise InputValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, _require_finite(getattr(self, name), name))
         n_t = self.pi * self.n_ob
         if abs(n_t - round(n_t)) > 1e-9:
             raise InputValidationError(f"pi * n_ob must be integral, got {n_t}")
@@ -408,12 +406,13 @@ def monte_carlo_piv(
     outcomes with the cell's target mean and variance, computes the
     completed-sample correlation r from the arm moments (the standardized
     two-group fit), and rejects when z = r * sqrt(2 n_ob) / sqrt(1 - r^2)
-    crosses the signed critical value; a fixed threshold is compared against
-    r directly.  r depends on the outcomes only through each arm's mean and
-    1/n variance, so each replication draws their sufficient statistics
-    instead of the rows: per cell of k rows a sample mean N(mu, sd^2 / k),
-    and per arm of n_ob rows in two cells a within-cell sum of squares
-    sd^2 * chi2(n_ob - 2).  All replications come from one generator.
+    crosses the signed cut threshold.signed(sign); a fixed threshold's cut
+    is compared against r directly.  r depends on the outcomes only through
+    each arm's mean and 1/n variance, so each replication draws their
+    sufficient statistics instead of the rows: per cell of k rows a sample
+    mean N(mu, sd^2 / k), and per arm of n_ob rows in two cells a
+    within-cell sum of squares sd^2 * chi2(n_ob - 2).  All replications
+    come from one generator.
     """
     _require_reps(reps)
     _require_seed(seed)
@@ -423,15 +422,9 @@ def monte_carlo_piv(
                 f"spec and stats disagree on {name}: {getattr(spec, name)} vs {getattr(stats, name)}"
             )
     n_t, n_c, n = spec.n_treated, spec.n_control, spec.n_ob
-    positive = sign is EstimateSign.POSITIVE
-    if isinstance(threshold, StatisticalThreshold):
-        critical = threshold.critical_magnitude if positive else -threshold.critical_magnitude
-        beta_sharp = None
-    elif isinstance(threshold, FixedThreshold):
-        critical = None
-        beta_sharp = resolve_threshold(threshold, sign, stats)
-    else:
+    if not isinstance(threshold, Threshold):
         raise InputValidationError(f"unknown threshold type: {threshold!r}")
+    cut = threshold.signed(sign)
 
     rng = np.random.default_rng(seed)
 
@@ -450,13 +443,15 @@ def monte_carlo_piv(
     with np.errstate(divide="ignore", invalid="ignore"):
         # var_pooled == 0 gives r = 0/0 = NaN, and NaN never rejects
         r = 0.5 * (mean_t - mean_c) / np.sqrt(var_pooled)
-        if critical is None:
-            rejected = r > beta_sharp if positive else r < beta_sharp
+        if isinstance(threshold, FixedThreshold):
+            statistic = r
         else:
             # |r| = 1 happens only for zero-variance cells; the z statistic
             # is then unbounded on the side of r
-            z = np.where(r * r < 1.0, math.sqrt(2.0 * n) * r / np.sqrt(1.0 - r * r), np.inf * r)
-            rejected = z > critical if positive else z < critical
+            statistic = np.where(
+                r * r < 1.0, math.sqrt(2.0 * n) * r / np.sqrt(1.0 - r * r), np.inf * r
+            )
+        rejected = statistic > cut if sign is EstimateSign.POSITIVE else statistic < cut
     return int(np.count_nonzero(rejected)) / reps
 
 

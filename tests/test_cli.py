@@ -578,6 +578,24 @@ def test_malformed_input_exit_code(case, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# config file bytes that cannot be decoded into a JSON object
+UNDECODABLE_CONFIGS = {
+    "not-utf-8": b"\xff\xfe{}",
+    "nested-too-deeply": b"[" * 200_000,
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE_CONFIGS))
+def test_undecodable_config_exits_2(case, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(UNDECODABLE_CONFIGS[case])
+    assert main(["compute", "--config", str(path), "--belief", "x"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
 # (config edit, JSON path that the error names once, at its start)
 CONFIG_ERROR_PATHS = {
     "observed": (lambda obj: obj["observed"].update(r_squared="high"), "observed"),

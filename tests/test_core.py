@@ -8,13 +8,16 @@ is checked against an 80-digit Decimal power-series oracle implemented here.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
+import re
 from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
 
-from piv.bounds import BeliefRegion
+from piv.bounds import BeliefRegion, bound_piv, evaluate_grid
+from piv.cli import EXIT_CONFIG, main, parse_config
 from piv.core import (
     CounterfactualBelief,
     DegenerateSpreadError,
@@ -30,11 +33,11 @@ from piv.core import (
     ideal_correlation,
     piv,
     piv_from_correlation,
-    resolve_threshold,
     saturation_limits,
     se_ideal,
     std_normal_cdf,
 )
+from piv.oracle import monte_carlo_piv, random_spec
 
 from helpers import (
     BELIEF_1_CORNER,
@@ -253,26 +256,85 @@ class TestSeIdeal:
 
 
 class TestResolveThreshold:
+    """Each threshold's signed cut, and the threshold value it resolves to."""
+
     def test_statistical_negative_case_study(self):
-        value = resolve_threshold(C196, NEG, CASE_STUDY)
+        assert C196.signed(NEG) == -1.96
+        value = piv_from_correlation(0.0, CASE_STUDY, NEG, C196).threshold_value
         assert value == pytest.approx(-0.012685652353154006, rel=1e-12)
 
     def test_fixed_passthrough(self):
-        assert resolve_threshold(FixedThreshold(0.1), POS, CASE_STUDY) == 0.1
+        assert FixedThreshold(0.1).signed(POS) == 0.1
+        assert piv_from_correlation(0.0, CASE_STUDY, POS, FixedThreshold(0.1)).threshold_value == 0.1
 
     def test_statistical_positive_sign(self):
-        assert resolve_threshold(C196, POS, CASE_STUDY) == pytest.approx(
+        assert C196.signed(POS) == 1.96
+        assert piv_from_correlation(0.0, CASE_STUDY, POS, C196).threshold_value == pytest.approx(
             1.96 * se_ideal(CASE_STUDY), rel=1e-15
         )
 
     def test_fixed_sign_mismatch(self):
-        with pytest.raises(SignMismatchError):
-            resolve_threshold(FixedThreshold(-0.1), POS, CASE_STUDY)
-        with pytest.raises(SignMismatchError):
-            resolve_threshold(FixedThreshold(0.1), NEG, CASE_STUDY)
+        for beta_sharp, sign, message in (
+            (-0.1, POS, "fixed threshold -0.1 is negative but the estimate sign is positive"),
+            (0.1, NEG, "fixed threshold 0.1 is positive but the estimate sign is negative"),
+        ):
+            with pytest.raises(SignMismatchError, match=f"^{re.escape(message)}$"):
+                FixedThreshold(beta_sharp).signed(sign)
+            with pytest.raises(SignMismatchError, match=f"^{re.escape(message)}$"):
+                piv_from_correlation(0.0, CASE_STUDY, sign, FixedThreshold(beta_sharp))
         # zero is on neither side
-        assert resolve_threshold(FixedThreshold(0.0), POS, CASE_STUDY) == 0.0
-        assert resolve_threshold(FixedThreshold(0.0), NEG, CASE_STUDY) == 0.0
+        for sign in (POS, NEG):
+            assert FixedThreshold(0.0).signed(sign) == 0.0
+            assert piv_from_correlation(0.0, CASE_STUDY, sign, FixedThreshold(0.0)).threshold_value == 0.0
+
+
+class _NotAThreshold:
+    """Has a signed() method but is neither threshold type."""
+
+    def signed(self, sign):
+        return 1.96
+
+
+class TestThresholdRefusals:
+    def test_wrong_side_and_non_thresholds_refused_everywhere(self, tmp_path):
+        rng = np.random.default_rng(31)
+        for i, sign in enumerate((POS, NEG) * 3):
+            spec = random_spec(int(rng.integers(0, 2**31)))
+            stats = spec.observed_stats(0.0)
+            belief = CounterfactualBelief(spec.y_t_un, spec.y_c_un)
+            magnitude = float(rng.uniform(0.01, 0.5))
+            wrong_side = FixedThreshold(-magnitude if sign is POS else magnitude)
+            half_width = float(rng.uniform(0.1, 5.0))
+            finite = BeliefRegion((belief.y_t_un - half_width, belief.y_t_un + half_width),
+                                  (belief.y_c_un - half_width, belief.y_c_un + half_width))
+            unbounded = BeliefRegion((-math.inf, math.inf), (-math.inf, math.inf))
+            calls = {
+                "piv": lambda t: piv(belief, stats, sign, t),
+                "piv_from_correlation": lambda t: piv_from_correlation(0.1, stats, sign, t),
+                "bound_piv": lambda t: bound_piv(finite, stats, sign, t),
+                "bound_piv unbounded": lambda t: bound_piv(unbounded, stats, sign, t),
+                "evaluate_grid": lambda t: evaluate_grid(finite, (4, 3), stats, sign, t),
+                "monte_carlo_piv": lambda t: monte_carlo_piv(spec, stats, sign, t, reps=1000),
+            }
+            for call in calls.values():
+                with pytest.raises(SignMismatchError, match="fixed threshold"):
+                    call(wrong_side)
+                for not_a_threshold in (None, 1.96, "fixed", _NotAThreshold()):
+                    with pytest.raises(InputValidationError, match="unknown threshold type"):
+                        call(not_a_threshold)
+            # a config with the wrong-side threshold is a config error
+            obj = {
+                "observed": dataclasses.asdict(stats),
+                "sign": sign.value,
+                "threshold": {"kind": "fixed", "beta_sharp": wrong_side.beta_sharp},
+                "beliefs": [{"name": "b", "point": dataclasses.asdict(belief)}],
+            }
+            with pytest.raises(InputValidationError, match="^threshold: fixed threshold") as info:
+                parse_config(obj)
+            assert isinstance(info.value.__cause__, SignMismatchError)
+            path = tmp_path / f"config{i}.json"
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            assert main(["compute", "--config", str(path), "--belief", "b"]) == EXIT_CONFIG
 
 
 class TestProbitPiv:
@@ -309,7 +371,7 @@ class TestProbitPiv:
             sign = random_sign(rng)
             mag = float(rng.uniform(0.5, 3.0))
             via_statistical = piv(belief, stats, sign, StatisticalThreshold(mag)).probit_piv
-            resolved = resolve_threshold(StatisticalThreshold(mag), sign, stats)
+            resolved = StatisticalThreshold(mag).signed(sign) * se_ideal(stats)
             via_fixed = piv(belief, stats, sign, FixedThreshold(resolved)).probit_piv
             assert via_statistical == pytest.approx(via_fixed, abs=1e-12)
 

@@ -83,6 +83,17 @@ class TestSyntheticSpec:
         with pytest.raises(InputValidationError, match=f"{name} must be finite"):
             SyntheticSpec(**fields)
 
+    @pytest.mark.parametrize("name, value", [
+        ("pi", "0.5"), ("y_t_ob", "a"), ("y_c_ob", None), ("y_t_un", [0.0]),
+        ("y_c_un", True), ("var_t", "1"), ("var_c", 1j),
+    ])
+    def test_non_number_rejected(self, name, value):
+        fields = dict(n_ob=8, pi=0.5, y_t_ob=0.0, y_c_ob=0.0, y_t_un=0.0, y_c_un=0.0,
+                      var_t=1.0, var_c=1.0)
+        fields[name] = value
+        with pytest.raises(InputValidationError, match=f"{name} must be a finite real number"):
+            SyntheticSpec(**fields)
+
 
 class TestBuildExactDataset:
     def test_standard_cells(self):
