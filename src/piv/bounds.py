@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -62,7 +63,8 @@ def _block_rows(nt: int, nc: int) -> int:
 
 def _check_bound(value: float, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputValidationError(f"{name} must be a real number or +/-inf, got {value!r}")
+        raise InputValidationError(
+            f"{name} must be a real number or +/-inf, got {reprlib.repr(value)}")
     try:
         x = float(value)
     except OverflowError as exc:
@@ -235,15 +237,58 @@ def _axis_points(lo: float, hi: float, n: int) -> tuple[float, ...]:
     return tuple(points)
 
 
-def _erfc(x):
-    """math.erfc of each element of a float64 array.
+@functools.cache
+def _erfc_cuts() -> tuple[float, float]:
+    """(lo, hi): math.erfc is exactly 2.0 at every x <= lo and exactly 0.0 at
+    every x >= hi.
 
-    numpy has no erfc; mapping math.erfc gives the scalar path's values.  The
-    memoryview yields the elements as floats without building a list.
+    The cuts depend on the libm, so they are found at first use, by bisection
+    over the bit patterns of |x| (which order as the non-negative floats do)
+    against math.erfc itself, which is monotone: lo is the negative float of
+    least magnitude where it gives 2.0, hi the least positive float where it
+    gives 0.0.  With glibc they are -5.863584748755168 and 27.226364135742188.
+    """
+    def magnitude(bits: int) -> float:
+        return memoryview(bits.to_bytes(8, "little")).cast("d")[0]
+
+    def least(sign: float, value: float) -> float:
+        below, above = 0, 0x7FF0000000000000  # the bits of 0.0, where erfc is 1.0, and of inf
+        while above - below > 1:
+            middle = (below + above) // 2
+            if math.erfc(sign * magnitude(middle)) == value:
+                above = middle
+            else:
+                below = middle
+        return sign * magnitude(above)
+
+    return least(-1.0, 2.0), least(1.0, 0.0)
+
+
+def _erfc(x):
+    """math.erfc of each element of a float64 array, written over the array.
+
+    numpy has no erfc, so cells call math.erfc, the scalar path's erfc,
+    through one map over a memoryview.  Only cells strictly between the cuts
+    of _erfc_cuts make that call, and so does NaN, which compares false with
+    both.  A cell at or below lo is set to 2.0 and one at or above hi to 0.0,
+    which are the values math.erfc gives there, so every element is
+    bit-identical to math.erfc.  The kernel passes a temporary, so writing
+    over it keeps no second block-sized array alive.
     """
     import numpy as np
 
-    return np.fromiter(map(math.erfc, memoryview(x.ravel())), float, x.size).reshape(x.shape)
+    lo, hi = _erfc_cuts()
+    low = x <= lo
+    high = x >= hi
+    between = ~(low | high)
+    if between.all():
+        x[...] = np.fromiter(map(math.erfc, memoryview(x.ravel())), float, x.size).reshape(x.shape)
+        return x
+    cells = x[between]
+    x[between] = np.fromiter(map(math.erfc, memoryview(cells)), float, cells.size)
+    x[low] = 2.0
+    x[high] = 0.0
+    return x
 
 
 def evaluate_grid(
@@ -260,14 +305,19 @@ def evaluate_grid(
     coordinate is built.  Each block of t rows is evaluated at once, the t
     column broadcast against the c row, by the kernel piv() uses.  The
     kernel's arithmetic is + - * / and sqrt, which numpy rounds as floats do,
-    and erfc is math.erfc, so every cell equals piv() at that belief.
+    and erfc is math.erfc, so every cell equals piv() at that belief.  Cells
+    far from the tipping band, whose erfc argument lies at or beyond a cut
+    of _erfc_cuts, skip the math.erfc call and take the exact 2.0 or 0.0 it
+    would return: the cells whose PIV is exactly 1.0, and all but a sliver
+    of those whose PIV is 0.0.
     """
     if not region.is_finite:
         raise InputValidationError("evaluate_grid requires a finite region")
     nt, nc = resolution
     for name, n in (("nt", nt), ("nc", nc)):
         if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-            raise InputValidationError(f"resolution {name} must be an integer >= 2, got {n!r}")
+            raise InputValidationError(
+                f"resolution {name} must be an integer >= 2, got {reprlib.repr(n)}")
     (t_lo, t_hi), (c_lo, c_hi) = region.t_interval, region.c_interval
     nt, nc = (1 if t_lo == t_hi else nt), (1 if c_lo == c_hi else nc)
     if nt * nc > _CELL_CAP:

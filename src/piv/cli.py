@@ -13,8 +13,10 @@ math, 4 I/O error, 5 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import reprlib
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -119,7 +121,7 @@ def _require_mapping(obj, path: str) -> dict:
 def _check_keys(obj: dict, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
     unknown = set(obj) - set(required) - set(optional)
     if unknown:
-        raise InputValidationError(f"{path}: unknown keys {sorted(unknown)}")
+        raise InputValidationError(f"{path}: unknown keys {reprlib.repr(sorted(unknown))}")
     missing = [k for k in required if k not in obj]
     if missing:
         raise InputValidationError(f"{path}: missing keys {missing}")
@@ -157,13 +159,15 @@ def parse_config(obj) -> AnalysisConfig:
 
     sign_value = root["sign"]
     if sign_value not in ("positive", "negative"):
-        raise InputValidationError(f"sign: expected 'positive' or 'negative', got {sign_value!r}")
+        raise InputValidationError(
+            f"sign: expected 'positive' or 'negative', got {reprlib.repr(sign_value)}")
     sign = EstimateSign(sign_value)
 
     threshold_obj = _require_mapping(root["threshold"], "threshold")
     kind = threshold_obj.get("kind")
     if not isinstance(kind, str) or kind not in _THRESHOLDS:
-        raise InputValidationError(f"threshold.kind: expected 'statistical' or 'fixed', got {kind!r}")
+        raise InputValidationError(
+            f"threshold.kind: expected 'statistical' or 'fixed', got {reprlib.repr(kind)}")
     threshold_type, key = _THRESHOLDS[kind]
     _check_keys(threshold_obj, "threshold", ("kind", key))
     with _at("threshold"):
@@ -182,7 +186,7 @@ def parse_config(obj) -> AnalysisConfig:
         if not isinstance(name, str) or not name:
             raise InputValidationError(f"{path}.name: expected a non-empty string")
         if any(belief.name == name for belief in beliefs):
-            raise InputValidationError(f"{path}.name: duplicate belief name {name!r}")
+            raise InputValidationError(f"{path}.name: duplicate belief name {reprlib.repr(name)}")
         if ("point" in entry) == ("region" in entry):
             raise InputValidationError(f"{path}: exactly one of 'point' or 'region' is required")
         if "point" in entry:
@@ -200,7 +204,8 @@ def parse_config(obj) -> AnalysisConfig:
     piv_threshold = root.get("piv_threshold", 0.8)
     if (isinstance(piv_threshold, bool) or not isinstance(piv_threshold, (int, float))
             or not 0.0 < piv_threshold < 1.0):
-        raise InputValidationError(f"piv_threshold: must be in (0, 1), got {piv_threshold!r}")
+        raise InputValidationError(
+            f"piv_threshold: must be in (0, 1), got {reprlib.repr(piv_threshold)}")
 
     grid = None
     if "grid" in root:
@@ -209,7 +214,8 @@ def parse_config(obj) -> AnalysisConfig:
         grid = (grid_obj["nt"], grid_obj["nc"])
         for label, n in zip(("nt", "nc"), grid):
             if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-                raise InputValidationError(f"grid.{label}: expected an integer >= 2, got {n!r}")
+                raise InputValidationError(
+                    f"grid.{label}: expected an integer >= 2, got {reprlib.repr(n)}")
 
     return AnalysisConfig(
         observed=observed,
@@ -301,14 +307,21 @@ def _json_chunks(grid: ContourGrid) -> Iterator[str]:
 
     The axes go through render_json; each piv row is one % on a template that
     has render_json's layout, since %.17g formats a float as format(v, ".17g").
+    A row whose bytes equal the previous row's reuses that row's text: equal
+    bytes are equal floats that format alike, and bytes keep -0.0 apart from
+    0.0.  Runs of saturated rows, all 1.0 or all 0.0, are where this pays.
     """
     yield ('{\n  "t_values": ' + render_json(list(grid.t_values), 1)
            + ',\n  "c_values": ' + render_json(list(grid.c_values), 1)
            + ',\n  "piv": [\n')
     template = "    [\n" + ",\n".join(["      %.17g"] * len(grid.c_values)) + "\n    ]"
     separator = ""
+    previous = text = None
     for row in grid.piv:
-        yield separator + template % tuple(row.tolist())
+        raw = row.tobytes()
+        if raw != previous:
+            previous, text = raw, template % tuple(row.tolist())
+        yield separator + text
         separator = ",\n"
     yield "\n  ]\n}\n"
 
@@ -661,7 +674,10 @@ def cmd_verify(args, _config) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parse_args leaves it unchanged, and a
+    fresh one per call would leave its ~400 objects as cyclic garbage."""
     parser = argparse.ArgumentParser(
         prog="piv",
         description="Bound the probability that a significant two-group regression "

@@ -45,6 +45,7 @@ n_ob >= 30.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 
@@ -87,7 +88,8 @@ class SignMismatchError(PivError, ValueError):
 
 def _require_finite(value: float, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputValidationError(f"{name} must be a finite real number, got {value!r}")
+        raise InputValidationError(
+            f"{name} must be a finite real number, got {reprlib.repr(value)}")
     try:
         x = float(value)
     except OverflowError as exc:
@@ -125,7 +127,7 @@ class ObservedStats:
         if not 0.0 <= r2 < 1.0:
             raise InputValidationError(f"r_squared must be in [0, 1), got {r2}")
         if isinstance(self.n_ob, bool) or not isinstance(self.n_ob, int):
-            raise InputValidationError(f"n_ob must be an integer, got {self.n_ob!r}")
+            raise InputValidationError(f"n_ob must be an integer, got {reprlib.repr(self.n_ob)}")
         # n_ob enters float arithmetic, so it must convert to a float
         n = _require_finite(self.n_ob, "n_ob")
         if n < 2:
@@ -320,8 +322,10 @@ def _completed_piv(
     and np.all.  Raises InputValidationError where the completed-sample
     variance overflows and DegenerateSpreadError where it is zero.
     """
-    r = _correlation(y_t_un, y_c_un, stats, sqrt, every)
-    probit, threshold_value, t_ratio = _probit(r, stats, sign, threshold)
+    # r is not kept past _probit, so that an array kernel does not hold it through _cdf
+    probit, threshold_value, t_ratio = _probit(
+        _correlation(y_t_un, y_c_un, stats, sqrt, every), stats, sign, threshold
+    )
     return _cdf(probit, erfc), probit, threshold_value, t_ratio
 
 

@@ -214,6 +214,87 @@ class TestGridMatchesPiv:
             bound_piv(region, CASE_STUDY, NEG, C196)
 
 
+def _floats_from(start: float, step: int, n: int) -> np.ndarray:
+    """n consecutive floats from start, moving its bit pattern by step each time
+    (+1 is away from zero, -1 toward it)."""
+    bits = np.array([start]).view(np.int64)[0]
+    return (bits + step * np.arange(n, dtype=np.int64)).view(np.float64)
+
+
+def _erfc_bytes(values: np.ndarray) -> bytes:
+    return np.array([math.erfc(v) for v in values.tolist()]).tobytes()
+
+
+class TestErfcSkip:
+    """_erfc calls math.erfc only strictly between the cuts; past them it
+    writes the 2.0 or 0.0 that math.erfc gives, bit for bit."""
+
+    def test_cuts_are_where_erfc_saturates(self):
+        lo, hi = bounds._erfc_cuts()
+        assert lo < 0.0 < hi
+        assert math.erfc(lo) == 2.0 and math.erfc(math.nextafter(lo, 0.0)) < 2.0
+        assert math.erfc(hi) == 0.0 and math.erfc(math.nextafter(hi, 0.0)) > 0.0
+        x = np.array([lo, math.nextafter(lo, 0.0), hi, math.nextafter(hi, 0.0)])
+        assert bounds._erfc(x.copy()).tobytes() == _erfc_bytes(x)
+
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    def test_floats_past_each_cut(self, side):
+        lo, hi = bounds._erfc_cuts()
+        cut, saturated = (lo, 2.0) if side == "lo" else (hi, 0.0)
+        rng = np.random.default_rng(20261018)
+        beyond = np.concatenate([
+            _floats_from(cut, 1, 100_000),
+            np.copysign(10.0 ** rng.uniform(math.log10(abs(cut)), 308.0, 10_000), cut),
+            cut + np.copysign(rng.uniform(0.0, 100.0, 10_000), cut),
+        ])
+        assert all(math.erfc(v) == saturated for v in beyond.tolist())
+        assert bounds._erfc(beyond.copy()).tobytes() == _erfc_bytes(beyond)
+        # inside the cut every float goes through math.erfc; mixed with the
+        # floats beyond it, each block row takes the masked path
+        inside = _floats_from(math.nextafter(cut, 0.0), -1, 100_000)
+        mixed = np.stack([inside, beyond[:100_000]], axis=1).reshape(400, 500)
+        assert bounds._erfc(inside.copy()).tobytes() == _erfc_bytes(inside)
+        assert bounds._erfc(mixed.copy()).tobytes() == _erfc_bytes(mixed.ravel())
+
+    def test_only_cells_between_the_cuts_call_erfc(self, monkeypatch):
+        lo, hi = bounds._erfc_cuts()
+        x = np.array([[lo, math.nextafter(lo, 0.0), -math.inf, 0.0, math.nan],
+                      [hi, math.nextafter(hi, 0.0), math.inf, -1e300, 1e300]])
+        expected = _erfc_bytes(x.ravel())
+        calls = []
+        real_erfc = math.erfc
+
+        def spy(v):
+            calls.append(v)
+            return real_erfc(v)
+
+        monkeypatch.setattr(math, "erfc", spy)
+        assert bounds._erfc(x).tobytes() == expected
+        assert calls[:2] == [math.nextafter(lo, 0.0), 0.0]
+        assert math.isnan(calls[2])
+        assert calls[3:] == [math.nextafter(hi, 0.0)]
+
+    @pytest.mark.parametrize("sign", [EstimateSign.POSITIVE, NEG])
+    @pytest.mark.parametrize("kind", ["statistical", "fixed"])
+    def test_grid_straddling_both_cuts_equals_piv(self, sign, kind):
+        # the probit here spans about -140..140, so the grid holds cells past
+        # both cuts and between them; at 60x41 each block is one row
+        if kind == "statistical":
+            threshold = C196
+        else:
+            threshold = FixedThreshold(0.05 if sign is EstimateSign.POSITIVE else -0.05)
+        region = BeliefRegion(t_interval=(0.0, 100.0), c_interval=(0.0, 100.0))
+        assert bounds._block_rows(60, 41) == 1
+        grid = evaluate_grid(region, (60, 41), CASE_STUDY, sign, threshold)
+        assert (grid.piv == 1.0).any() and (grid.piv == 0.0).any()
+        assert ((grid.piv > 0.0) & (grid.piv < 1.0)).any()
+        expected = np.array([
+            [piv(CounterfactualBelief(t, c), CASE_STUDY, sign, threshold).piv for c in grid.c_values]
+            for t in grid.t_values
+        ])
+        assert grid.piv.tobytes() == expected.tobytes()
+
+
 def _cellwise_csv(t_values, c_values, rows) -> str:
     lines = ["y_t_un," + ",".join(repr(c) for c in c_values)]
     for t, row in zip(t_values, rows):

@@ -373,6 +373,17 @@ class TestContourCommand:
         assert size > 800_000
         assert peak < size
 
+    def test_json_rows_reused_only_for_equal_bytes(self):
+        # repeated rows, distinct rows between them, and -0.0 next to 0.0: a row
+        # reuses the previous row's text only where their bytes are equal
+        a, b = [0.25, 1.0, 0.0], [0.25, 1.0, 5e-324]
+        rows = [a, a, a, b, a, b, b, [0.0] * 3, [-0.0] * 3, [-0.0] * 3, [0.0] * 3,
+                [1.0, -0.0, 0.0], [1.0, 0.0, -0.0], [1.0] * 3, [1.0] * 3]
+        grid = ContourGrid(tuple(map(float, range(len(rows)))), (0.5, 1.5, 2.5), np.array(rows))
+        text = "".join(cli._json_chunks(grid))
+        assert text == render_json(grid.to_json_object()) + "\n"
+        assert text.count("-0") == 8
+
     @pytest.mark.parametrize("grid, fmt", list(CONTOUR_EXPORT_SHA256))
     def test_large_export_pinned(self, grid, fmt, tmp_path):
         path = write_config(tmp_path, config_to_json_object(case_study_config()))
@@ -594,6 +605,38 @@ def test_undecodable_config_exits_2(case, tmp_path, capsys):
     assert err.startswith("config error: ")
     assert str(path) in err
     assert "Traceback" not in err
+
+
+_LONG_LIST = [0] * 200_000
+_LONG_STR = "x" * 200_000
+
+# config edits that put a value whose repr is about 600 kB where a number,
+# a keyword or a short name belongs
+OVERSIZED_VALUES = {
+    "observed-y_t_ob": lambda obj: obj["observed"].update(y_t_ob=_LONG_LIST),
+    "observed-n_ob": lambda obj: obj["observed"].update(n_ob=_LONG_LIST),
+    "observed-unknown-keys": lambda obj: obj["observed"].update(
+        {f"key{i:06d}": 0 for i in range(50_000)}),
+    "region-bound": lambda obj: obj["beliefs"][3]["region"].update(t=[_LONG_LIST, 45.78]),
+    "sign": lambda obj: obj.update(sign=_LONG_STR),
+    "threshold-kind": lambda obj: obj["threshold"].update(kind=_LONG_STR),
+    "piv_threshold": lambda obj: obj.update(piv_threshold=_LONG_LIST),
+    "grid-nt": lambda obj: obj.update(grid={"nt": _LONG_LIST, "nc": 5}),
+    "duplicate-name": lambda obj: obj["beliefs"].extend(
+        [{"name": _LONG_STR, "point": {"y_t_un": 0, "y_c_un": 0}}] * 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED_VALUES))
+def test_oversized_value_makes_one_short_error_line(case, tmp_path, capsys):
+    obj = base_config_object()
+    OVERSIZED_VALUES[case](obj)
+    path = write_config(tmp_path, obj)
+    assert main(["compute", "--config", path, "--belief", "corner"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert len(err) < 200
 
 
 # (config edit, JSON path that the error names once, at its start)
