@@ -272,22 +272,18 @@ def _erfc(x):
     of _erfc_cuts make that call, and so does NaN, which compares false with
     both.  A cell at or below lo is set to 2.0 and one at or above hi to 0.0,
     which are the values math.erfc gives there, so every element is
-    bit-identical to math.erfc.  The kernel passes a temporary, so writing
-    over it keeps no second block-sized array alive.
+    bit-identical to math.erfc.  The kernel passes a temporary, so it is
+    written over; besides it, only one mask and two arrays of the cells
+    between the cuts (their copy and their erfc) are alive at once.
     """
     import numpy as np
 
     lo, hi = _erfc_cuts()
-    low = x <= lo
-    high = x >= hi
-    between = ~(low | high)
-    if between.all():
-        x[...] = np.fromiter(map(math.erfc, memoryview(x.ravel())), float, x.size).reshape(x.shape)
-        return x
+    between = ~((x <= lo) | (x >= hi))
     cells = x[between]
+    x[x <= lo] = 2.0
+    x[x >= hi] = 0.0
     x[between] = np.fromiter(map(math.erfc, memoryview(cells)), float, cells.size)
-    x[low] = 2.0
-    x[high] = 0.0
     return x
 
 

@@ -13,7 +13,6 @@ math, 4 I/O error, 5 verification failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import reprlib
@@ -92,8 +91,9 @@ class AnalysisConfig:
         for belief in self.beliefs:
             if belief.name == name:
                 return belief
-        known = ", ".join(b.name for b in self.beliefs) or "<none>"
-        raise InputValidationError(f"unknown belief {name!r}; config defines: {known}")
+        known = reprlib.repr([belief.name for belief in self.beliefs])
+        raise InputValidationError(
+            f"unknown belief {reprlib.repr(name)}; config defines: {known}")
 
 
 def _belief(config: AnalysisConfig, name: str | None, kind: str):
@@ -674,10 +674,7 @@ def cmd_verify(args, _config) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once: parse_args leaves it unchanged, and a
-    fresh one per call would leave its ~400 objects as cyclic garbage."""
     parser = argparse.ArgumentParser(
         prog="piv",
         description="Bound the probability that a significant two-group regression "

@@ -624,6 +624,7 @@ OVERSIZED_VALUES = {
     "grid-nt": lambda obj: obj.update(grid={"nt": _LONG_LIST, "nc": 5}),
     "duplicate-name": lambda obj: obj["beliefs"].extend(
         [{"name": _LONG_STR, "point": {"y_t_un": 0, "y_c_un": 0}}] * 2),
+    "unknown-belief": lambda obj: obj["beliefs"][0].update(name=_LONG_STR),
 }
 
 
