@@ -22,6 +22,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, fields
 
 from .bounds import (
+    _BLOCK_CELLS,
     BeliefRegion,
     BoundResult,
     ContourGrid,
@@ -302,27 +303,43 @@ def render_json(value, indent: int = 0) -> str:
     raise InputValidationError(f"cannot serialize {type(value).__name__}")
 
 
+def _axis_json(values: tuple[float, ...]) -> str:
+    """render_json(list(values), 1) for an axis of floats, as one % on a
+    template of that layout: %.17g formats a float as format(v, ".17g")."""
+    if not values or not all(map(math.isfinite, values)):
+        return render_json(list(values), 1)  # "[]", or the non-finite error
+    return ("[\n    " + ",\n    ".join(["%.17g"] * len(values)) + "\n  ]") % tuple(values)
+
+
 def _json_chunks(grid: ContourGrid) -> Iterator[str]:
     """render_json(grid.to_json_object()) + "\n", one piv row per chunk.
 
-    The axes go through render_json; each piv row is one % on a template that
-    has render_json's layout, since %.17g formats a float as format(v, ".17g").
-    A row whose bytes equal the previous row's reuses that row's text: equal
-    bytes are equal floats that format alike, and bytes keep -0.0 apart from
-    0.0.  Runs of saturated rows, all 1.0 or all 0.0, are where this pays.
+    The axes are each one % on a template (see _axis_json).  A row whose
+    bytes equal the previous row's reuses its text: equal bytes are equal
+    floats that format alike, and bytes keep -0.0 apart from 0.0.  A grid of
+    _BLOCK_CELLS cells or more takes its rows from _json_rows.rows_json,
+    imported here on first use as numpy is, which builds the other rows as
+    "%.17g" text in numpy passes.  A smaller grid formats each new row with
+    one % on a template of render_json's layout, and never compiles that
+    module.
     """
-    yield ('{\n  "t_values": ' + render_json(list(grid.t_values), 1)
-           + ',\n  "c_values": ' + render_json(list(grid.c_values), 1)
+    yield ('{\n  "t_values": ' + _axis_json(grid.t_values)
+           + ',\n  "c_values": ' + _axis_json(grid.c_values)
            + ',\n  "piv": [\n')
-    template = "    [\n" + ",\n".join(["      %.17g"] * len(grid.c_values)) + "\n    ]"
-    separator = ""
-    previous = text = None
-    for row in grid.piv:
-        raw = row.tobytes()
-        if raw != previous:
-            previous, text = raw, template % tuple(row.tolist())
-        yield separator + text
-        separator = ",\n"
+    if grid.piv.size >= _BLOCK_CELLS:
+        from ._json_rows import rows_json
+
+        yield from rows_json(grid.piv)
+    else:
+        template = "    [\n" + ",\n".join(["      %.17g"] * len(grid.c_values)) + "\n    ]"
+        separator = ""
+        previous = text = None
+        for row in grid.piv:
+            raw = row.tobytes()
+            if raw != previous:
+                previous, text = raw, template % tuple(row.tolist())
+            yield separator + text
+            separator = ",\n"
     yield "\n  ]\n}\n"
 
 
@@ -674,58 +691,77 @@ def cmd_verify(args, _config) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="piv",
-        description="Bound the probability that a significant two-group regression "
-                    "inference survives retesting on the counterfactual-completed sample.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_common(p, formats=("text", "json")) -> None:
+    p.add_argument("--config", help="path to the analysis config (JSON)")
+    p.add_argument("--belief", help="name of the belief to evaluate")
+    p.add_argument("--format", choices=formats, default=formats[0])
+    p.add_argument("--dump-config", action="store_true",
+                   help="print the parsed config as canonical JSON and exit")
 
-    def add_common(p, formats=("text", "json")) -> None:
-        p.add_argument("--config", help="path to the analysis config (JSON)")
-        p.add_argument("--belief", help="name of the belief to evaluate")
-        p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--dump-config", action="store_true",
-                       help="print the parsed config as canonical JSON and exit")
 
-    p = sub.add_parser("compute", help="PIV at a point belief")
-    add_common(p)
-    p.set_defaults(func=cmd_compute)
-
-    p = sub.add_parser("bound", help="extremal PIV over a belief region, with verdict")
-    add_common(p)
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("contour", help="export a PIV grid over a finite region")
-    add_common(p, formats=("csv", "json"))
+def _add_contour(p) -> None:
+    _add_common(p, formats=("csv", "json"))
     p.add_argument("--out", help="output file path")
     p.add_argument("--grid", help="grid resolution NTxNC (default from config, else 101x101)")
-    p.set_defaults(func=cmd_contour)
 
-    p = sub.add_parser("power", help="retest power quantities at a point belief")
-    add_common(p)
-    p.set_defaults(func=cmd_power)
 
-    p = sub.add_parser("replicate", help="run the built-in kindergarten-retention case study")
+def _add_replicate(p) -> None:
     p.add_argument("--out", default="piv_contour.csv",
                    help="contour output path (default piv_contour.csv)")
     p.add_argument("--grid", help="contour resolution NTxNC (default 200x200)")
     p.add_argument("--dump-config", action="store_true",
                    help="print the case-study config as canonical JSON and exit")
-    p.set_defaults(func=cmd_replicate)
 
-    p = sub.add_parser("verify", help="run the brute-force oracle checks")
+
+def _add_verify(p) -> None:
     p.add_argument("--seeds", type=int, default=100, help="number of seeded datasets")
     p.add_argument("--reps", type=int, default=2000, help="monte carlo replications")
     p.add_argument("--seed", type=int, default=0, help="monte carlo seed")
-    p.set_defaults(func=cmd_verify)
 
+
+# command -> (help, adds its arguments, runs it)
+_COMMANDS = {
+    "compute": ("PIV at a point belief", _add_common, cmd_compute),
+    "bound": ("extremal PIV over a belief region, with verdict", _add_common, cmd_bound),
+    "contour": ("export a PIV grid over a finite region", _add_contour, cmd_contour),
+    "power": ("retest power quantities at a point belief", _add_common, cmd_power),
+    "replicate": ("run the built-in kindergarten-retention case study", _add_replicate,
+                  cmd_replicate),
+    "verify": ("run the brute-force oracle checks", _add_verify, cmd_verify),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with only command's subparser when command names one.
+
+    A process runs one command, and each add_argument call costs time and
+    leaves cyclic garbage, so main builds the subparser of the command it
+    was given.  For no command, an unknown one or a flag such as --help,
+    every subparser is built, so help and errors list them all.  The usage
+    line names every command either way, so each output is the same as the
+    full parser's.
+    """
+    parser = argparse.ArgumentParser(
+        prog="piv",
+        description="Bound the probability that a significant two-group regression "
+                    "inference survives retesting on the counterfactual-completed sample.",
+    )
+    only = command in _COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_COMMANDS) + "}" if only else None)
+    for name, (help_text, add_arguments, func) in _COMMANDS.items():
+        if only and name != command:
+            continue
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if args.command == "verify":
             config = None

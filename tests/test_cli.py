@@ -39,6 +39,10 @@ CONTOUR_EXPORT_SHA256 = {
     ("1000x250", "csv"): "6e612283eeb5d717c39bbe719f83f80595628fe29fa758d53b2d101607208ebf",
     ("250x1000", "json"): "28ee940373cea538495a84265224ebb13409e3d199d55cb42f257280d51bea23",
 }
+# a belief over the case study's tipping band, where 83% of a grid's cells lie
+# in (0, 1) and few rows repeat, and the sha256 of its 300x300 JSON export
+TIPPING_BAND = {"name": "tipping-band", "region": {"t": [44.0, 48.0], "c": [44.0, 47.0]}}
+TIPPING_BAND_JSON_SHA256 = "eee9b433e39a759e831062f03e8e45a354fdf5c5eecbffa6357d7f88aab833bc"
 
 # the environment of a child process that imports this checkout's piv
 _SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -393,6 +397,18 @@ class TestContourCommand:
         assert main(argv) == EXIT_OK
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == CONTOUR_EXPORT_SHA256[grid, fmt]
 
+    def test_unsaturated_export_pinned(self, tmp_path):
+        obj = config_to_json_object(case_study_config())
+        obj["beliefs"].append(TIPPING_BAND)
+        path = write_config(tmp_path, obj)
+        out_path = tmp_path / "grid.json"
+        argv = ["contour", "--config", path, "--belief", "tipping-band",
+                "--grid", "300x300", "--format", "json", "--out", str(out_path)]
+        assert main(argv) == EXIT_OK
+        data = out_path.read_bytes()
+        assert len(data) == 2_278_712
+        assert hashlib.sha256(data).hexdigest() == TIPPING_BAND_JSON_SHA256
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_grid_refused_before_file_is_opened(self, fmt, tmp_path, capsys,
                                                            monkeypatch):
@@ -669,12 +685,13 @@ def test_config_error_names_path_once(case, tmp_path, capsys):
 # =============================================================================
 
 # Imports the package, then runs each argv through main() in one process, and
-# prints [step, whether numpy is in sys.modules after it] for every step.
-_NUMPY_PROBE = """
+# prints [step, whether the module named by argv[2] is in sys.modules after it]
+# for every step.
+_MODULE_PROBE = """
 import contextlib, io, json, sys
 steps = []
 def step(name):
-    steps.append([name, "numpy" in sys.modules])
+    steps.append([name, sys.argv[2] in sys.modules])
 import piv
 step("import piv")
 import piv.cli
@@ -689,8 +706,8 @@ print(json.dumps(steps))
 """
 
 
-def _numpy_after(argvs: list[list[str]]) -> list[list]:
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)],
+def _loaded_after(argvs: list[list[str]], module: str = "numpy") -> list[list]:
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps(argvs), module],
                           env=_SRC_ENV, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -703,7 +720,7 @@ def test_point_bound_and_dump_config_do_not_import_numpy(tmp_path):
                                      ("bound", "belief-1"), ("bound", "belief-2"))
              for fmt in ("text", "json")]
     argvs.append(["compute", "--config", path, "--dump-config"])
-    steps = _numpy_after(argvs)
+    steps = _loaded_after(argvs)
     assert len(steps) == 2 + len(argvs)
     assert [name for name, loaded in steps if loaded] == []
 
@@ -716,5 +733,58 @@ def test_grid_and_oracle_commands_import_numpy(command, tmp_path):
                 "--grid", "3x3", "--out", str(tmp_path / "grid.csv")]
     else:
         argv = ["verify", "--seeds", "1"]
-    steps = _numpy_after([argv])
+    steps = _loaded_after([argv])
     assert [loaded for _, loaded in steps] == [False, False, True]
+
+
+def test_json_row_writer_loads_only_for_a_json_grid(tmp_path):
+    path = write_config(tmp_path, config_to_json_object(case_study_config()))
+    argvs = [["compute", "--config", path, "--belief", "belief-1-corner", "--format", "json"],
+             ["power", "--config", path, "--belief", "belief-1-corner", "--format", "json"],
+             ["bound", "--config", path, "--belief", "belief-1", "--format", "json"]]
+    # a grid under _BLOCK_CELLS cells is written without the module
+    argvs += [["contour", "--config", path, "--belief", "plausible-region", "--grid", grid,
+               "--format", fmt, "--out", str(tmp_path / f"grid.{fmt}")]
+              for grid, fmt in (("80x80", "csv"), ("20x20", "json"), ("80x80", "json"))]
+    steps = _loaded_after(argvs, "piv._json_rows")
+    assert [loaded for _, loaded in steps] == [False] * 7 + [True]
+
+
+# Help and parse errors.  main builds only the subparser of the command it is
+# given, and must print exactly what the parser holding every command prints.
+_PARSER_EXITS = [[], ["--help"], ["-h"], ["bogus"], ["--bogus"], ["compute", "--bogus"],
+                 ["compute", "extra"], ["compute", "--format", "xml"], ["contour", "--grid"],
+                 ["verify", "--seeds", "x"], ["replicate", "--out"]]
+_PARSER_EXITS += [[command, "--help"] for command in cli._COMMANDS]
+
+
+@pytest.mark.parametrize("argv", _PARSER_EXITS, ids=lambda argv: " ".join(argv) or "no-command")
+def test_help_and_errors_match_the_full_parser(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    with pytest.raises(SystemExit) as full:
+        cli.build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as one:
+        main(argv)
+    assert one.value.code == full.value.code
+    assert capsys.readouterr() == expected
+
+
+def test_usage_lists_every_command_for_a_one_command_parser(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        main(["compute", "--bogus"])
+    assert capsys.readouterr().err.startswith(
+        "usage: piv [-h] {compute,bound,contour,power,replicate,verify} ...\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--config", "a.json", "--belief", "corner", "--format", "json"],
+    ["bound", "--config", "a.json", "--dump-config"],
+    ["contour", "--config", "a.json", "--belief", "box", "--out", "g.csv", "--grid", "3x3"],
+    ["power", "--belief", "corner"],
+    ["replicate", "--grid", "20x20"],
+    ["verify", "--seeds", "3", "--reps", "1000"],
+], ids=lambda argv: argv[0])
+def test_one_command_parser_parses_as_the_full_parser(argv):
+    assert vars(cli.build_parser(argv[0]).parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
