@@ -1,0 +1,198 @@
+"""The text of a contour grid, as CSV or as JSON, in chunks.
+
+The contour export imports this module on first use, as it does numpy.  Both
+formats go through one row loop, _rows: a row whose bytes equal the previous
+row's yields that row's text again, and the other rows are built
+_block_rows at a time in numpy passes by the format's block formatter.  A
+row the formatter flags as inexact, and every row of a block under the
+format's min_cells, goes through one "%" on a template of the row's layout,
+so every row reads byte for byte as that template prints it.  The "%.17g"
+digits of JSON blocks come from piv._json_digits, imported on first need.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from collections.abc import Callable, Iterator
+from typing import NamedTuple
+
+import numpy as np
+
+from .bounds import _BLOCK_CELLS, ContourGrid, _block_rows
+
+
+class _Format(NamedTuple):
+    """A row is head, each cell as "%" prints cell followed by sep, the last
+    sep replaced by tail.  block(cells) returns a 2-D array's cells, each
+    followed by sep, as one text, each row's end offset in it, and whether
+    each row's text is exact.  A block of fewer than min_cells cells goes
+    through "%", which is faster there than block's fixed numpy cost."""
+
+    head: str
+    sep: str
+    tail: str
+    cell: str
+    block: Callable
+    min_cells: int
+
+
+@functools.cache
+def _cell_words():
+    """Lookup tables for the 8 ASCII bytes of a "%.6f" cell in [0, 1], as
+    little-endian uint64 words to be OR-ed together.
+
+    head[q] holds "0.ddd" for q < 1000 and "1.000" for q = 1000 in bytes
+    0-4; tail[j] holds the three digits of j in bytes 5-7.
+    """
+    head = "".join(f"0.{q:03d}\0\0\0" for q in range(1000)) + "1.000\0\0\0"
+    tail = "".join(f"\0\0\0\0\0{j:03d}" for j in range(1000))
+    return np.frombuffer(head.encode(), "<u8"), np.frombuffer(tail.encode(), "<u8")
+
+
+def _csv_block(block):
+    """The rows of a PIV block as "%.6f" cells, each followed by ",".
+
+    Returns the text, 9 characters per cell, each row's end offset in it,
+    and a per-row flag that is true where the text is exact.  A cell in
+    [0, 1] prints as 8 characters, from k = rint(v*1e6).  That k is what
+    "%.6f" rounds to unless v*1e6 lies within 1e-9 of a half-integer, where
+    the rounding of the product itself could pick the wrong side.  Rows
+    holding such a cell, a cell outside [0, 1], a NaN or -0.0 are flagged
+    false and their text is not used.
+    """
+    # in-place steps and dels keep at most three block-sized arrays alive
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN cells are flagged below
+        scaled = block * 1e6
+        k = np.rint(scaled)
+        scaled -= k  # the rounding residual
+        exact = np.abs(scaled, out=scaled) < 0.5 - 1e-9
+    del scaled
+    exact &= block <= 1.0
+    exact &= ~np.signbit(block)
+    if not exact.all():
+        k[~exact] = 0.0
+    k = k.astype(np.intp)
+    q, j = np.divmod(k, 1000)
+    del k
+    head, tail = _cell_words()
+    text = head.take(q)
+    del q
+    text |= tail.take(j)
+    del j
+    cells = np.empty(block.shape, [("text", "<u8"), ("end", "u1")])
+    cells["text"] = text
+    del text
+    cells["end"] = ord(",")
+    rows, nc = block.shape
+    return (str(cells.reshape(-1).view(np.uint8), "ascii"),
+            list(range(9 * nc, 9 * nc * rows + 1, 9 * nc)), exact.all(axis=1).tolist())
+
+
+def _json_block(cells):
+    from ._json_digits import _block_text  # on the first block that needs it
+
+    return _block_text(cells)
+
+
+# min_cells is a little above where "%" and the block pass cost the same, which
+# measured about 100 cells for CSV and 150 to 200 for JSON
+_CSV = _Format(",", ",", "\n", "%.6f", _csv_block, 128)
+# the rows of render_json at indent 1, each with the ",\n" that separates it
+# from the row before
+_JSON = _Format(",\n    [\n      ", ",\n      ", "\n    ]", "%.17g", _json_block, 256)
+
+
+def _percent(template: str, row) -> str:
+    """A row through the "%" template, for rows the block pass does not cover."""
+    return template % tuple(row.tolist())
+
+
+def _row_texts(piv, index, fmt: _Format, template: str) -> Iterator[str]:
+    """The text of each row of piv that index, an ascending array, names."""
+    nc = piv.shape[1]
+    if len(index) * nc < fmt.min_cells:
+        for j in index:
+            yield _percent(template, piv[j])
+        return
+    if nc > _BLOCK_CELLS:  # a block is one row, whose cells go a block at a time
+        pieces = [fmt.block(piv[index, i:i + _BLOCK_CELLS]) for i in range(0, nc, _BLOCK_CELLS)]
+        text = "".join(text for text, _, _ in pieces)
+        ends, exact = [len(text)], [all(exact for _, _, (exact,) in pieces)]
+        del pieces
+    else:  # a run of consecutive rows goes as a view: a copy would add to the peak
+        run = index[-1] - index[0] == len(index) - 1
+        text, ends, exact = fmt.block(piv[index[0]:index[-1] + 1] if run else piv[index])
+    begin = 0
+    for j, end, ok in zip(index, ends, exact):
+        yield (f"{fmt.head}{text[begin:end - len(fmt.sep)]}{fmt.tail}" if ok
+               else _percent(template, piv[j]))
+        begin = end
+
+
+def _new_rows(piv):
+    """A bool array: whether each row's bytes differ from the previous
+    row's; the first row is new.
+
+    Rows are compared as int64 words, a block at a time; the comparison's
+    temporary is one byte a cell, so a block is _BLOCK_CELLS cells.
+    """
+    nt, nc = piv.shape
+    words = np.ascontiguousarray(piv).view(np.int64)
+    new = np.empty(nt, bool)
+    new[:1] = True
+    step = max(1, _BLOCK_CELLS // nc)
+    for start in range(1, nt, step):
+        stop = min(start + step, nt)
+        new[start:stop] = (words[start:stop] != words[start - 1:stop - 1]).any(axis=1)
+    return new
+
+
+def _rows(piv, fmt: _Format) -> Iterator[str]:
+    """The text of each row of a 2-D float64 array in fmt, one chunk a row.
+
+    Equal bytes are equal floats that format alike, and bytes keep -0.0
+    apart from 0.0.  A block's text is let go before the next is built.
+    """
+    nt, nc = piv.shape
+    template = fmt.head + fmt.sep.join([fmt.cell] * nc) + fmt.tail
+    step = _block_rows(nt, nc)
+    new = _new_rows(piv)
+    distinct = np.flatnonzero(new)
+    texts = (text for start in range(0, len(distinct), step)
+             for text in _row_texts(piv, distinct[start:start + step], fmt, template))
+    for is_new in new:
+        if is_new:
+            text = next(texts)
+        yield text
+
+
+def csv_chunks(grid: ContourGrid) -> Iterator[str]:
+    """The CSV export: a header row of c values, then each t value and its
+    PIV row to 6 decimals."""
+    yield ("y_t_un" + ",%r" * len(grid.c_values) + "\n") % grid.c_values
+    for t, text in zip(grid.t_values, _rows(grid.piv, _CSV)):
+        yield repr(t)
+        yield text
+
+
+def _axis_json(values: tuple[float, ...]) -> str:
+    """render_json(list(values), 1) for an axis of floats, as one % on a
+    template of that layout: %.17g formats a float as format(v, ".17g")."""
+    if not values or not all(map(math.isfinite, values)):
+        from .cli import render_json
+
+        return render_json(list(values), 1)  # "[]", or the non-finite error
+    return ("[\n    " + ",\n    ".join(["%.17g"] * len(values)) + "\n  ]") % tuple(values)
+
+
+def json_chunks(grid: ContourGrid) -> Iterator[str]:
+    """The JSON export, render_json(grid.to_json_object()) + "\\n", one piv
+    row per chunk."""
+    yield ('{\n  "t_values": ' + _axis_json(grid.t_values)
+           + ',\n  "c_values": ' + _axis_json(grid.c_values)
+           + ',\n  "piv": [\n')
+    rows = _rows(grid.piv, _JSON)
+    yield next(rows, "")[len(",\n"):]
+    yield from rows
+    yield "\n  ]\n}\n"

@@ -1,16 +1,10 @@
-"""The rows of a PIV grid as JSON text, each cell as "%.17g" prints it.
+"""The cells of a PIV block as "%.17g" text, built in numpy passes.
 
-cli._json_chunks imports this module on first use, as it does numpy, so the
-commands that write no JSON grid neither load nor compile it.
-
-A row equal to the one before it reuses that row's text; the other rows are
-built as ASCII in numpy passes, a block of rows at a time.  A cell in (0, 1)
-prints from its 17 significant digits D = round(v * 10**n), n = 16 - X for
-its decade X = floor(log10 v).  The product v * 10**n is carried exactly, as
-a rounded double plus a small correction (see _scaled), and D is laid out
-as "%.17g" lays it out for that X.  A row holding a cell that this path does
-not cover goes through the "%" template, so every row reads byte for byte
-as the template prints it.
+piv._grid_text imports this module for the first JSON block of 256 cells
+or more.  A cell in (0, 1) prints from its 17 significant digits
+D = round(v * 10**(16 - X)) for its decade X = floor(log10 v), the product
+carried exactly as a rounded double plus a small correction (see _scaled),
+and D laid out as "%.17g" lays it out for that X.
 """
 
 from __future__ import annotations
@@ -20,17 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .bounds import _BLOCK_CELLS, _block_rows
-
-# Every row's text but the first is _HEAD, each cell followed by _SEP, the
-# last _SEP replaced by _TAIL: the rows of render_json at indent 1, each
-# with the ",\n" that separates it from the row before.
-_HEAD = ",\n    [\n      "
-_SEP = ",\n      "
-_TAIL = "\n    ]"
-# A block of fewer cells goes through the "%" template, which is faster
-# there than the fixed cost of the numpy calls.
-_MIN_CELLS = 256
+from ._grid_text import _JSON
 
 # A cell in (0, 1) lies in a decade from 10**-324 to 10**-1, so n runs from
 # 17 to 340, and one step either way while X is corrected.  The cell is
@@ -103,7 +87,7 @@ def _tables() -> SimpleNamespace:
         quads=(q // place % 10 + ord("0")).astype(np.uint8).view("<u4").ravel(),
         kept=4 - (q % (10 * place) == 0).sum(axis=1),
         exponent=_ascii_words([f"e-{e:02d}" for e in range(326)], 8),
-        sep=_ascii_words([_SEP], 8)[0],
+        sep=_ascii_words([_JSON.sep], 8)[0],
         layout17=layout * 17, keep=(keep * np.uint8(0xFF)).view("<u8"),
         length=keep.sum(axis=1))
 
@@ -214,8 +198,9 @@ def _slots(d, x, core, one):
 
 
 def _block_text(cells):
-    """The cells of an (R, m) array, each followed by _SEP, as one string,
-    with each row's end offset in it and whether the row's text is exact.
+    """The cells of an (R, m) array, each followed by the JSON separator,
+    as one string, with each row's end offset in it and whether the row's
+    text is exact.
 
     A cell prints exactly if it is 0.0, 1.0, or in (0, 1) with a product
     not within _TIE_MARGIN of a rounding tie.  A row holding any other cell
@@ -236,74 +221,3 @@ def _block_text(cells):
     words &= tables.keep.take(index, axis=0)
     text = words.tobytes().translate(None, b"\0").decode("ascii")
     return text, ends, exact.reshape(rows, m).all(axis=1).tolist()
-
-
-def _percent(template: str, row) -> str:
-    """A row through the "%" template, for rows the block pass does not cover."""
-    return template % tuple(row.tolist())
-
-
-def _row_texts(piv, index: list[int], template: str) -> list[str]:
-    """The text of each row of piv that index names."""
-    nc = piv.shape[1]
-    if len(index) * nc < _MIN_CELLS:
-        return [_percent(template, piv[j]) for j in index]
-    if nc > _BLOCK_CELLS:  # a block is one row, whose cells go a block at a time
-        (j,) = index
-        pieces = [_block_text(piv[j:j + 1, i:i + _BLOCK_CELLS]) for i in range(0, nc, _BLOCK_CELLS)]
-        if not all(exact for _, _, (exact,) in pieces):
-            return [_percent(template, piv[j])]
-        text = "".join(text for text, _, _ in pieces)
-        return [f"{_HEAD}{text[:-len(_SEP)]}{_TAIL}"]
-    rows = piv[index]
-    text, ends, exact = _block_text(rows)
-    texts, begin = [], 0
-    for j, end in enumerate(ends):
-        texts.append(f"{_HEAD}{text[begin:end - len(_SEP)]}{_TAIL}" if exact[j]
-                     else _percent(template, rows[j]))
-        begin = end
-    return texts
-
-
-def _new_rows(piv) -> list[bool]:
-    """Whether each row's bytes differ from the previous row's; the first
-    row is new.
-
-    Rows are compared as int64 words, a block at a time; the comparison's
-    temporary is one byte a cell, so a block is _BLOCK_CELLS cells.
-    """
-    nt, nc = piv.shape
-    words = np.ascontiguousarray(piv).view(np.int64)
-    new = np.empty(nt, bool)
-    new[0] = True
-    step = max(1, _BLOCK_CELLS // nc)
-    for start in range(1, nt, step):
-        stop = min(start + step, nt)
-        new[start:stop] = (words[start:stop] != words[start - 1:stop - 1]).any(axis=1)
-    return new.tolist()
-
-
-def rows_json(piv):
-    """The rows of a 2-D float64 array as the body of a JSON array, in
-    chunks: each row "[", one "%.17g" cell per line, "]", laid out as
-    render_json lays out a nested list at indent 1, the rows separated by
-    ",\n".
-
-    A row whose bytes equal the previous row's yields that row's text
-    again: equal bytes are equal floats that format alike, and bytes keep
-    -0.0 apart from 0.0.  The other rows are formatted _block_rows of them
-    at a time, so a block's temporaries stay a small share of the grid.
-    """
-    nt, nc = piv.shape
-    template = _HEAD + _SEP.join(["%.17g"] * nc) + _TAIL
-    step = _block_rows(nt, nc)
-    new = _new_rows(piv)
-    distinct = [i for i, is_new in enumerate(new) if is_new]
-    texts = (text for start in range(0, len(distinct), step)
-             for text in _row_texts(piv, distinct[start:start + step], template))
-    text = next(texts)
-    yield text[len(",\n"):]
-    for is_new in new[1:]:
-        if is_new:
-            text = next(texts)
-        yield text

@@ -11,11 +11,10 @@ to infinity, so a bound approached only at infinity is reported as that
 limit, with no belief attaining it; the exact asymptotic PIV for each
 unbounded side is reported alongside.
 
-Grids are evaluated and written in blocks of whole rows, each one numpy
-pass: the kernel piv() uses, broadcast over the block, and a fixed-width
-"%.6f" CSV writer.  Only grid evaluation and the CSV writer use numpy, and
-they import it on first call, so bounding and verdicts run without loading
-numpy.
+Grids are evaluated in blocks of whole rows, each one numpy pass of the
+kernel piv() uses, broadcast over the block.  Only grid evaluation uses
+numpy, and it imports it on first call, so bounding and verdicts run
+without loading numpy.  piv._grid_text writes grids as CSV and JSON.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 import reprlib
-from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -117,31 +115,11 @@ class ContourGrid:
     def max(self) -> float:
         return float(self.piv.max())
 
-    def csv_lines(self) -> Iterator[str]:
-        """CSV lines: header row of c values, then each t value and its PIV row to 6 decimals.
-
-        Each block of rows is built as fixed-width ASCII in one numpy pass
-        (see _csv_block).  A row holding a cell that path cannot format
-        exactly goes through "%.6f", so every cell reads as format(v, ".6f").
-        """
-        nt, nc = self.piv.shape
-        yield ("y_t_un" + ",%r" * nc + "\n") % self.c_values
-        template = ",%.6f" * nc + "\n"
-        width = 9 * nc
-        step = _block_rows(nt, nc)
-        for start in range(0, nt, step):
-            block = self.piv[start:start + step]
-            text, exact = _csv_block(block)
-            for j, t in enumerate(self.t_values[start:start + step]):
-                if exact[j]:
-                    yield f"{t!r},{text[j * width:(j + 1) * width]}"
-                else:
-                    yield repr(t) + template % tuple(block[j].tolist())
-            del text  # free it before the next block's text is built
-
     def to_csv_text(self) -> str:
-        """The lines of csv_lines as one string."""
-        return "".join(self.csv_lines())
+        """The CSV export as one string: see _grid_text.csv_chunks."""
+        from ._grid_text import csv_chunks
+
+        return "".join(csv_chunks(self))
 
     def to_json_object(self) -> dict:
         return {
@@ -149,61 +127,6 @@ class ContourGrid:
             "c_values": list(self.c_values),
             "piv": self.piv.tolist(),
         }
-
-
-@functools.cache
-def _cell_words():
-    """Lookup tables for the 8 ASCII bytes of a "%.6f" cell in [0, 1], as
-    little-endian uint64 words to be OR-ed together.
-
-    head[q] holds "0.ddd" for q < 1000 and "1.000" for q = 1000 in bytes
-    0-4; tail[j] holds the three digits of j in bytes 5-7.
-    """
-    import numpy as np
-
-    head = "".join(f"0.{q:03d}\0\0\0" for q in range(1000)) + "1.000\0\0\0"
-    tail = "".join(f"\0\0\0\0\0{j:03d}" for j in range(1000))
-    return np.frombuffer(head.encode(), "<u8"), np.frombuffer(tail.encode(), "<u8")
-
-
-def _csv_block(block):
-    """The rows of a PIV block as "%.6f" cells, each followed by "," or, at
-    the end of a row, a newline.
-
-    Returns the text, 9 characters per cell, and a per-row flag that is true
-    where the text is exact.  A cell in [0, 1] prints as 8 characters, from
-    k = rint(v*1e6).  That k is what "%.6f" rounds to unless v*1e6 lies
-    within 1e-9 of a half-integer, where the rounding of the product itself
-    could pick the wrong side.  Rows holding such a cell, a cell outside
-    [0, 1], a NaN or -0.0 are flagged false and their text is not used.
-    """
-    import numpy as np
-
-    # in-place steps and dels keep at most three block-sized arrays alive
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN cells are flagged below
-        scaled = block * 1e6
-        k = np.rint(scaled)
-        scaled -= k  # the rounding residual
-        exact = np.abs(scaled, out=scaled) < 0.5 - 1e-9
-    del scaled
-    exact &= block <= 1.0
-    exact &= ~np.signbit(block)
-    if not exact.all():
-        k[~exact] = 0.0
-    k = k.astype(np.intp)
-    q, j = np.divmod(k, 1000)
-    del k
-    head, tail = _cell_words()
-    text = head.take(q)
-    del q
-    text |= tail.take(j)
-    del j
-    cells = np.empty(block.shape, [("text", "<u8"), ("end", "u1")])
-    cells["text"] = text
-    del text
-    cells["end"] = ord(",")
-    cells["end"][:, -1] = ord("\n")
-    return str(cells.reshape(-1).view(np.uint8), "ascii"), exact.all(axis=1).tolist()
 
 
 @dataclass(frozen=True)

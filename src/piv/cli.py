@@ -17,15 +17,12 @@ import json
 import math
 import reprlib
 import sys
-from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, fields
 
 from .bounds import (
-    _BLOCK_CELLS,
     BeliefRegion,
     BoundResult,
-    ContourGrid,
     bound_piv,
     evaluate_grid,
     robustness_verdict,
@@ -104,7 +101,8 @@ def _belief(config: AnalysisConfig, name: str | None, kind: str):
     value = getattr(config.belief(name), kind)
     if value is None:
         other = "region" if kind == "point" else "point"
-        raise InputValidationError(f"belief {name!r} is a {other}; this command needs a {kind}")
+        raise InputValidationError(
+            f"belief {reprlib.repr(name)} is a {other}; this command needs a {kind}")
     return value
 
 
@@ -301,46 +299,6 @@ def render_json(value, indent: int = 0) -> str:
         )
         return f"{{\n{inner}\n{pad}}}"
     raise InputValidationError(f"cannot serialize {type(value).__name__}")
-
-
-def _axis_json(values: tuple[float, ...]) -> str:
-    """render_json(list(values), 1) for an axis of floats, as one % on a
-    template of that layout: %.17g formats a float as format(v, ".17g")."""
-    if not values or not all(map(math.isfinite, values)):
-        return render_json(list(values), 1)  # "[]", or the non-finite error
-    return ("[\n    " + ",\n    ".join(["%.17g"] * len(values)) + "\n  ]") % tuple(values)
-
-
-def _json_chunks(grid: ContourGrid) -> Iterator[str]:
-    """render_json(grid.to_json_object()) + "\n", one piv row per chunk.
-
-    The axes are each one % on a template (see _axis_json).  A row whose
-    bytes equal the previous row's reuses its text: equal bytes are equal
-    floats that format alike, and bytes keep -0.0 apart from 0.0.  A grid of
-    _BLOCK_CELLS cells or more takes its rows from _json_rows.rows_json,
-    imported here on first use as numpy is, which builds the other rows as
-    "%.17g" text in numpy passes.  A smaller grid formats each new row with
-    one % on a template of render_json's layout, and never compiles that
-    module.
-    """
-    yield ('{\n  "t_values": ' + _axis_json(grid.t_values)
-           + ',\n  "c_values": ' + _axis_json(grid.c_values)
-           + ',\n  "piv": [\n')
-    if grid.piv.size >= _BLOCK_CELLS:
-        from ._json_rows import rows_json
-
-        yield from rows_json(grid.piv)
-    else:
-        template = "    [\n" + ",\n".join(["      %.17g"] * len(grid.c_values)) + "\n    ]"
-        separator = ""
-        previous = text = None
-        for row in grid.piv:
-            raw = row.tobytes()
-            if raw != previous:
-                previous, text = raw, template % tuple(row.tolist())
-            yield separator + text
-            separator = ",\n"
-    yield "\n  ]\n}\n"
 
 
 def _fmt(x: float) -> str:
@@ -611,7 +569,7 @@ def _parse_grid_flag(text: str) -> tuple[int, int]:
     try:
         nt, nc = map(int, text.lower().split("x"))
     except ValueError as exc:
-        raise InputValidationError(f"--grid expects NTxNC, got {text!r}") from exc
+        raise InputValidationError(f"--grid expects NTxNC, got {reprlib.repr(text)}") from exc
     return nt, nc
 
 
@@ -628,9 +586,11 @@ def _export_grid(args, config: AnalysisConfig, region: BeliefRegion, fmt: str):
     # min and max propagate NaN, and take no grid-sized temporary as isfinite would
     if not (math.isfinite(grid.min()) and math.isfinite(grid.max())):
         raise InputValidationError("cannot serialize a grid with a non-finite PIV")
+    from ._grid_text import csv_chunks, json_chunks  # on first use, as numpy is
+
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.writelines(grid.csv_lines() if fmt == "csv" else _json_chunks(grid))
+            handle.writelines((csv_chunks if fmt == "csv" else json_chunks)(grid))
     except OSError as exc:
         sys.stderr.write(f"cannot write {args.out}: {exc}\n")
         return None

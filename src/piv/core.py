@@ -38,8 +38,8 @@ With T = r_id / se and a signed critical value C, probit(PIV) = T - C for a
 significant positive estimate and C - T for a significant negative one.
 Counterfactual within-group variances are taken equal to the corresponding
 observed within-group variances; the observed R-square is reused for the
-completed-sample standard error.  The normal approximation is intended for
-n_ob >= 30.
+completed-sample standard error.  The normal approximation reads low at small
+n_ob: below Monte Carlo by up to 0.037 at n_ob = 32 and 0.003 at 400 (README).
 """
 
 from __future__ import annotations

@@ -64,6 +64,14 @@ def negate_belief(belief: CounterfactualBelief) -> CounterfactualBelief:
     return CounterfactualBelief(y_t_un=-belief.y_t_un, y_c_un=-belief.y_c_un)
 
 
+def cellwise_csv(t_values, c_values, rows) -> str:
+    """A contour CSV built cell by cell, each PIV as format(v, ".6f")."""
+    lines = ["y_t_un," + ",".join(repr(c) for c in c_values)]
+    for t, row in zip(t_values, rows):
+        lines.append(repr(t) + "," + ",".join(f"{v:.6f}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def binomial_mc_tolerance(p: float, reps: int) -> float:
     """Monte Carlo acceptance band: three binomial sd plus systematic slack."""
     return 3.0 * math.sqrt(p * (1.0 - p) / reps) + 0.02

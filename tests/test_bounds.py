@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from piv import bounds
+from piv import _grid_text, bounds
 from piv.bounds import (
     BeliefRegion,
     BoundResult,
@@ -32,7 +32,7 @@ from piv.core import (
     saturation_limits,
 )
 
-from helpers import CASE_STUDY, random_observed_stats, random_sign
+from helpers import CASE_STUDY, cellwise_csv, random_observed_stats, random_sign
 
 NEG = EstimateSign.NEGATIVE
 C196 = StatisticalThreshold(1.96)
@@ -295,13 +295,6 @@ class TestErfcSkip:
         assert grid.piv.tobytes() == expected.tobytes()
 
 
-def _cellwise_csv(t_values, c_values, rows) -> str:
-    lines = ["y_t_un," + ",".join(repr(c) for c in c_values)]
-    for t, row in zip(t_values, rows):
-        lines.append(repr(t) + "," + ",".join(f"{v:.6f}" for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def _cellwise_json(t_values, c_values, rows) -> str:
     def floats(values, pad: str) -> str:
         return "[\n" + ",\n".join(pad + "  " + format(v, ".17g") for v in values) + "\n" + pad + "]"
@@ -340,7 +333,7 @@ class TestCsvAndJson:
                     [piv(CounterfactualBelief(t, c), stats, sign, threshold).piv for c in grid.c_values]
                     for t in grid.t_values
                 ]
-                csv = _cellwise_csv(grid.t_values, grid.c_values, rows)
+                csv = cellwise_csv(grid.t_values, grid.c_values, rows)
                 json_text = _cellwise_json(grid.t_values, grid.c_values, rows)
                 assert grid.to_csv_text() == csv
                 assert render_json(grid.to_json_object()) == json_text
@@ -396,7 +389,7 @@ def _hard_cells(rng: np.random.Generator) -> np.ndarray:
 
 
 class TestCsvWriterExact:
-    """csv_lines writes cells as fixed-width ASCII built in numpy; every cell
+    """The CSV writer builds cells as fixed-width ASCII in numpy; every cell
     must still read as format(v, ".6f")."""
 
     OUT_OF_RANGE = [-0.0, 1.5, 2.0, -1e-9, float(np.nextafter(1.0, 2.0)), 1e308,
@@ -404,11 +397,13 @@ class TestCsvWriterExact:
 
     @staticmethod
     def _check(grid: bounds.ContourGrid) -> None:
-        assert grid.to_csv_text() == _cellwise_csv(grid.t_values, grid.c_values, grid.piv.tolist())
+        assert grid.to_csv_text() == cellwise_csv(grid.t_values, grid.c_values, grid.piv.tolist())
 
-    @pytest.mark.parametrize("shape", [(1, 2000), (2000, 1), (2, 4100), (3, 4097), (1000, 7)])
+    @pytest.mark.parametrize("shape", [(1, 2000), (2000, 1), (2, 4100), (3, 4097), (1000, 7),
+                                       (601, 260)])
     def test_hard_cells_equal_format(self, shape):
-        # 1xN and Nx1; rows longer than a block; blocks of several rows, the last partial
+        # 1xN and Nx1; rows longer than a block; blocks of several rows, the last
+        # partial, under the CSV format's min_cells (1000x7) and over it (601x260)
         rng = np.random.default_rng(20261018)
         cells = rng.permutation(np.resize(_hard_cells(rng), shape[0] * shape[1]))
         self._check(_hand_grid(cells.reshape(shape)))
@@ -421,19 +416,19 @@ class TestCsvWriterExact:
         grid = _hand_grid(cells)
         self._check(grid)
         # only the row holding the value leaves the fixed-width path
-        exact = bounds._csv_block(grid.piv)[1]
+        exact = _grid_text._csv_block(grid.piv)[2]
         assert [i for i, ok in enumerate(exact) if not ok] == [171]
 
     def test_ties_take_format_path(self):
         ties = np.array([[m / 128] for m in range(1, 128, 2)])
-        assert not any(bounds._csv_block(ties)[1])
+        assert not any(_grid_text._csv_block(ties)[2])
         # 0.0078125 prints as 0.007812: the tie rounds to the even digit
         assert _hand_grid(ties).to_csv_text().split("\n")[1] == "0.0,0.007812"
 
     def test_in_range_cells_take_fixed_width_path(self):
         rng = np.random.default_rng(11)
         cells = np.concatenate([rng.random(4001), [0.0, 5e-324, 1.0]]).reshape(-1, 7)
-        assert all(bounds._csv_block(cells)[1])
+        assert all(_grid_text._csv_block(cells)[2])
 
 
 class TestBoundPiv:

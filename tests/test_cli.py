@@ -28,8 +28,10 @@ from piv.cli import (
     render_json,
     replicate_report,
 )
-from piv import cli
+from piv import _grid_text, cli
 from piv.core import FixedThreshold, InputValidationError, SignMismatchError, StatisticalThreshold
+
+from helpers import cellwise_csv
 
 
 # sha256 of the contour CSV that `piv replicate` writes by default
@@ -40,9 +42,12 @@ CONTOUR_EXPORT_SHA256 = {
     ("250x1000", "json"): "28ee940373cea538495a84265224ebb13409e3d199d55cb42f257280d51bea23",
 }
 # a belief over the case study's tipping band, where 83% of a grid's cells lie
-# in (0, 1) and few rows repeat, and the sha256 of its 300x300 JSON export
+# in (0, 1) and few rows repeat, and the size and sha256 of its 300x300 exports
 TIPPING_BAND = {"name": "tipping-band", "region": {"t": [44.0, 48.0], "c": [44.0, 47.0]}}
-TIPPING_BAND_JSON_SHA256 = "eee9b433e39a759e831062f03e8e45a354fdf5c5eecbffa6357d7f88aab833bc"
+TIPPING_BAND_SHA256 = {
+    "csv": (820_885, "a379672e84934e9cbcf8bb3e8995455e95c4a53dd3b5ad5bcfeda9c19ff9c083"),
+    "json": (2_278_712, "eee9b433e39a759e831062f03e8e45a354fdf5c5eecbffa6357d7f88aab833bc"),
+}
 
 # the environment of a child process that imports this checkout's piv
 _SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -377,16 +382,25 @@ class TestContourCommand:
         assert size > 800_000
         assert peak < size
 
-    def test_json_rows_reused_only_for_equal_bytes(self):
+    @pytest.mark.parametrize("copies", [1, 100])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_reused_only_for_equal_bytes(self, fmt, copies):
         # repeated rows, distinct rows between them, and -0.0 next to 0.0: a row
-        # reuses the previous row's text only where their bytes are equal
+        # reuses the previous row's text only where their bytes are equal.  At
+        # 100 copies a row is 300 cells, so its block goes through the numpy pass
         a, b = [0.25, 1.0, 0.0], [0.25, 1.0, 5e-324]
         rows = [a, a, a, b, a, b, b, [0.0] * 3, [-0.0] * 3, [-0.0] * 3, [0.0] * 3,
                 [1.0, -0.0, 0.0], [1.0, 0.0, -0.0], [1.0] * 3, [1.0] * 3]
-        grid = ContourGrid(tuple(map(float, range(len(rows)))), (0.5, 1.5, 2.5), np.array(rows))
-        text = "".join(cli._json_chunks(grid))
-        assert text == render_json(grid.to_json_object()) + "\n"
-        assert text.count("-0") == 8
+        cells = np.tile(np.array(rows), (1, copies))
+        grid = ContourGrid(tuple(map(float, range(len(rows)))),
+                           tuple(0.5 + i for i in range(3 * copies)), cells)
+        if fmt == "csv":
+            text = "".join(_grid_text.csv_chunks(grid))
+            assert text == cellwise_csv(grid.t_values, grid.c_values, cells.tolist())
+        else:
+            text = "".join(_grid_text.json_chunks(grid))
+            assert text == render_json(grid.to_json_object()) + "\n"
+        assert text.count("-0") == 8 * copies
 
     @pytest.mark.parametrize("grid, fmt", list(CONTOUR_EXPORT_SHA256))
     def test_large_export_pinned(self, grid, fmt, tmp_path):
@@ -401,13 +415,14 @@ class TestContourCommand:
         obj = config_to_json_object(case_study_config())
         obj["beliefs"].append(TIPPING_BAND)
         path = write_config(tmp_path, obj)
-        out_path = tmp_path / "grid.json"
-        argv = ["contour", "--config", path, "--belief", "tipping-band",
-                "--grid", "300x300", "--format", "json", "--out", str(out_path)]
-        assert main(argv) == EXIT_OK
-        data = out_path.read_bytes()
-        assert len(data) == 2_278_712
-        assert hashlib.sha256(data).hexdigest() == TIPPING_BAND_JSON_SHA256
+        for fmt, (size, sha256) in TIPPING_BAND_SHA256.items():
+            out_path = tmp_path / f"grid.{fmt}"
+            argv = ["contour", "--config", path, "--belief", "tipping-band",
+                    "--grid", "300x300", "--format", fmt, "--out", str(out_path)]
+            assert main(argv) == EXIT_OK
+            data = out_path.read_bytes()
+            assert len(data) == size
+            assert hashlib.sha256(data).hexdigest() == sha256
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_grid_refused_before_file_is_opened(self, fmt, tmp_path, capsys,
@@ -626,30 +641,38 @@ def test_undecodable_config_exits_2(case, tmp_path, capsys):
 _LONG_LIST = [0] * 200_000
 _LONG_STR = "x" * 200_000
 
-# config edits that put a value whose repr is about 600 kB where a number,
-# a keyword or a short name belongs
+_COMPUTE = ["compute", "--belief", "corner"]
+
+# (config edit, argv without --config): each puts a value whose repr is about
+# 600 kB where a number, a keyword or a short name belongs
 OVERSIZED_VALUES = {
-    "observed-y_t_ob": lambda obj: obj["observed"].update(y_t_ob=_LONG_LIST),
-    "observed-n_ob": lambda obj: obj["observed"].update(n_ob=_LONG_LIST),
-    "observed-unknown-keys": lambda obj: obj["observed"].update(
-        {f"key{i:06d}": 0 for i in range(50_000)}),
-    "region-bound": lambda obj: obj["beliefs"][3]["region"].update(t=[_LONG_LIST, 45.78]),
-    "sign": lambda obj: obj.update(sign=_LONG_STR),
-    "threshold-kind": lambda obj: obj["threshold"].update(kind=_LONG_STR),
-    "piv_threshold": lambda obj: obj.update(piv_threshold=_LONG_LIST),
-    "grid-nt": lambda obj: obj.update(grid={"nt": _LONG_LIST, "nc": 5}),
-    "duplicate-name": lambda obj: obj["beliefs"].extend(
-        [{"name": _LONG_STR, "point": {"y_t_un": 0, "y_c_un": 0}}] * 2),
-    "unknown-belief": lambda obj: obj["beliefs"][0].update(name=_LONG_STR),
+    "observed-y_t_ob": (lambda obj: obj["observed"].update(y_t_ob=_LONG_LIST), _COMPUTE),
+    "observed-n_ob": (lambda obj: obj["observed"].update(n_ob=_LONG_LIST), _COMPUTE),
+    "observed-unknown-keys": (lambda obj: obj["observed"].update(
+        {f"key{i:06d}": 0 for i in range(50_000)}), _COMPUTE),
+    "region-bound": (lambda obj: obj["beliefs"][3]["region"].update(t=[_LONG_LIST, 45.78]),
+                     _COMPUTE),
+    "sign": (lambda obj: obj.update(sign=_LONG_STR), _COMPUTE),
+    "threshold-kind": (lambda obj: obj["threshold"].update(kind=_LONG_STR), _COMPUTE),
+    "piv_threshold": (lambda obj: obj.update(piv_threshold=_LONG_LIST), _COMPUTE),
+    "grid-nt": (lambda obj: obj.update(grid={"nt": _LONG_LIST, "nc": 5}), _COMPUTE),
+    "duplicate-name": (lambda obj: obj["beliefs"].extend(
+        [{"name": _LONG_STR, "point": {"y_t_un": 0, "y_c_un": 0}}] * 2), _COMPUTE),
+    "unknown-belief": (lambda obj: obj["beliefs"][0].update(name=_LONG_STR), _COMPUTE),
+    # a point named where a region is needed, and a --grid that is not NTxNC
+    "belief-kind": (lambda obj: obj["beliefs"][0].update(name=_LONG_STR),
+                    ["bound", "--belief", _LONG_STR]),
+    "grid-flag": (lambda obj: None, ["contour", "--belief", "box", "--grid", _LONG_STR]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(OVERSIZED_VALUES))
 def test_oversized_value_makes_one_short_error_line(case, tmp_path, capsys):
+    edit, argv = OVERSIZED_VALUES[case]
     obj = base_config_object()
-    OVERSIZED_VALUES[case](obj)
+    edit(obj)
     path = write_config(tmp_path, obj)
-    assert main(["compute", "--config", path, "--belief", "corner"]) == EXIT_CONFIG
+    assert main([argv[0], "--config", path, *argv[1:]]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert err.count("\n") == 1 and err.endswith("\n")
@@ -737,17 +760,24 @@ def test_grid_and_oracle_commands_import_numpy(command, tmp_path):
     assert [loaded for _, loaded in steps] == [False, False, True]
 
 
-def test_json_row_writer_loads_only_for_a_json_grid(tmp_path):
+def test_grid_writers_load_only_where_they_are_used(tmp_path):
     path = write_config(tmp_path, config_to_json_object(case_study_config()))
     argvs = [["compute", "--config", path, "--belief", "belief-1-corner", "--format", "json"],
              ["power", "--config", path, "--belief", "belief-1-corner", "--format", "json"],
-             ["bound", "--config", path, "--belief", "belief-1", "--format", "json"]]
-    # a grid under _BLOCK_CELLS cells is written without the module
+             ["bound", "--config", path, "--belief", "belief-1", "--format", "json"],
+             ["compute", "--config", path, "--dump-config"]]
+    # every block of these grids is under min_cells (at 80x80 a block is
+    # one row of 80), so their rows go through "%"; a 300x300 block is two rows
     argvs += [["contour", "--config", path, "--belief", "plausible-region", "--grid", grid,
                "--format", fmt, "--out", str(tmp_path / f"grid.{fmt}")]
-              for grid, fmt in (("80x80", "csv"), ("20x20", "json"), ("80x80", "json"))]
-    steps = _loaded_after(argvs, "piv._json_rows")
-    assert [loaded for _, loaded in steps] == [False] * 7 + [True]
+              for grid, fmt in (("20x20", "csv"), ("20x20", "json"), ("50x50", "csv"),
+                                ("50x50", "json"), ("80x80", "json"), ("300x300", "json"))]
+    cold, small = [False] * (2 + 4), [True] * 5
+    for module, loaded_after in (("numpy", cold + small + [True]),
+                                 ("piv._grid_text", cold + small + [True]),
+                                 ("piv._json_digits", cold + [False] * 5 + [True])):
+        steps = _loaded_after(argvs, module)
+        assert [loaded for _, loaded in steps] == loaded_after, module
 
 
 # Help and parse errors.  main builds only the subparser of the command it is

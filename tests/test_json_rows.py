@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from piv import _json_rows
+from piv import _grid_text, _json_digits
 from piv.cli import render_json
 
 
@@ -16,10 +16,10 @@ def cell_texts(values) -> list:
     """Each value's text from the block pass, or None where the pass leaves
     it to the "%" template."""
     cells = np.asarray(values, float).reshape(-1, 1)
-    text, ends, exact = _json_rows._block_text(cells)
+    text, ends, exact = _json_digits._block_text(cells)
     texts, begin = [], 0
     for end, ok in zip(ends, exact):
-        texts.append(text[begin:end - len(_json_rows._SEP)] if ok else None)
+        texts.append(text[begin:end - len(_grid_text._JSON.sep)] if ok else None)
         begin = end
     return texts
 
@@ -34,9 +34,16 @@ def near_tie(v: float) -> bool:
     return abs(scaled - math.floor(scaled) - Fraction(1, 2)) <= Fraction(2, 10 ** 6)
 
 
+def rows_chunks(cells) -> list:
+    """The piv rows as the JSON export writes them, one chunk a row."""
+    chunks = list(_grid_text._rows(np.asarray(cells, float), _grid_text._JSON))
+    chunks[0] = chunks[0][len(",\n"):]  # the first row has no separator before it
+    return chunks
+
+
 def rows_text(cells) -> str:
-    """The rows as rows_json writes them, joined."""
-    return "".join(_json_rows.rows_json(np.asarray(cells, float)))
+    """The piv rows as the JSON export writes them, joined."""
+    return "".join(rows_chunks(cells))
 
 
 def percent_text(cells) -> str:
@@ -105,7 +112,7 @@ class TestCellText:
         assert "0.10000228881835938" in rows_text(cells)
 
     def test_power_table_is_exact_to_a_double_double(self):
-        tables = _json_rows._tables()
+        tables = _json_digits._tables()
         for n in range(16, 342):
             exact = Fraction(10 ** n, 2 ** 600)
             error = Fraction(tables.hi[n]) + Fraction(tables.lo[n]) - exact
@@ -119,14 +126,14 @@ class TestRows:
         rng = np.random.default_rng(3)
         cells = rng.random((12, 300))
         cells[7, 123] = value
-        percent = _json_rows._percent
+        percent = _grid_text._percent
         calls = []
 
         def spy(template, row):
             calls.append(row.tobytes())
             return percent(template, row)
 
-        monkeypatch.setattr(_json_rows, "_percent", spy)
+        monkeypatch.setattr(_grid_text, "_percent", spy)
         assert rows_text(cells) == percent_text(cells)
         assert calls == [cells[7].tobytes()]
 
@@ -136,7 +143,7 @@ class TestRows:
         cells[:, :40] = 1.0
         cells[3, 50:90] = 0.0
         cells[5, 7] = 5e-324
-        monkeypatch.setattr(_json_rows, "_percent", None)
+        monkeypatch.setattr(_grid_text, "_percent", None)
         assert rows_text(cells) == percent_text(cells)
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 4097), (4097, 1), (3, 4097), (5000, 3),
@@ -154,6 +161,6 @@ class TestRows:
 
     def test_equal_rows_share_one_text(self):
         cells = np.repeat(np.random.default_rng(5).random((3, 300)), [1, 4, 2], axis=0)
-        chunks = list(_json_rows.rows_json(cells))
+        chunks = rows_chunks(cells)
         assert len({id(chunk) for chunk in chunks[1:]}) == 2
         assert "".join(chunks) == percent_text(cells)

@@ -398,3 +398,64 @@ class TestMonteCarlo:
                               var_t=0.0, var_c=0.0)
         assert monte_carlo_piv(split, split.observed_stats(0.0), POS, C196, reps=1000) == 1.0
         assert monte_carlo_piv(split, split.observed_stats(0.0), NEG, C196, reps=1000) == 0.0
+
+
+# n_ob -> how far below the Monte Carlo rate the closed form may read in
+# TestNormalApproximationGap: the gap measured there with 10**6 reps (0.0374,
+# 0.0186, 0.0115, 0.0028), plus three binomial sd at the test's 10**5 reps
+_SMALL_SAMPLE_GAP_CEILING = {32: 0.042, 64: 0.024, 100: 0.017, 400: 0.008}
+
+
+class TestNormalApproximationGap:
+    """The closed form against the Monte Carlo oracle, by sample size.
+
+    pi = 0.5, var_t = var_c = 4, a statistical 1.96 cut and a positive sign.
+    The effect is carried by the treated counterfactual cell: y_t_un = s and
+    every other mean is 0, with s set so that the closed form at
+    R**2 = r**2 reads 0.2, 0.5, 0.8 or 0.95.  The closed form Phi(T - C) is
+    a normal approximation, so it drifts from the rejection rate of the
+    test it models as n_ob falls.
+    """
+
+    REPS = 100_000
+    TARGETS = (0.2, 0.5, 0.8, 0.95)
+
+    def _gaps(self, n_ob: int) -> list[tuple[float, float]]:
+        """(closed form, closed form - Monte Carlo rate) at each target."""
+        from statistics import NormalDist
+
+        pi, var = 0.5, 4.0
+        d = 0.5 * pi * (1.0 - pi)
+        a = 1.0 - pi  # the gap L = a * s
+        gaps = []
+        for target in self.TARGETS:
+            z = 1.96 + NormalDist().inv_cdf(target)
+            r = z / math.sqrt(2.0 * n_ob + z * z)  # T - C = z at R**2 = r**2
+            # r = L / (2 sqrt(V + D s**2 + L**2 / 4)), solved for s
+            s = 2.0 * r * math.sqrt(var / (a * a * (1.0 - r * r) - 4.0 * r * r * d))
+            spec = SyntheticSpec(n_ob=n_ob, pi=pi, y_t_ob=0.0, y_c_ob=0.0, y_t_un=s, y_c_un=0.0,
+                                 var_t=var, var_c=var)
+            belief, stats = _spec_belief_stats(spec)
+            r = ideal_correlation(belief, stats)
+            closed = piv_from_correlation(r, spec.observed_stats(r * r), POS, C196).piv
+            assert closed == pytest.approx(target, abs=1e-9)
+            rate = monte_carlo_piv(spec, stats, POS, C196, reps=self.REPS, seed=n_ob)
+            gaps.append((closed, closed - rate))
+        return gaps
+
+    @pytest.mark.parametrize("n_ob", sorted(_SMALL_SAMPLE_GAP_CEILING))
+    def test_closed_form_reads_low_below_n_ob_2000(self, n_ob):
+        # At n_ob 400 each gap (-0.0015 to -0.0028 at 10**6 reps) is inside its
+        # own three-sd band at 10**5 reps, so the sign is pinned on the mean of
+        # the four, whose sd is about 0.0006: no point reads above its band
+        # and the mean gap is below zero.
+        gaps = self._gaps(n_ob)
+        for closed, gap in gaps:
+            band = 3.0 * math.sqrt(closed * (1.0 - closed) / self.REPS)
+            assert -_SMALL_SAMPLE_GAP_CEILING[n_ob] <= gap <= band, (closed, gap)
+        assert sum(gap for _, gap in gaps) < 0.0
+
+    @pytest.mark.parametrize("n_ob", [2000, 8000])
+    def test_closed_form_within_three_sd_from_n_ob_2000(self, n_ob):
+        for closed, gap in self._gaps(n_ob):
+            assert abs(gap) <= 3.0 * math.sqrt(closed * (1.0 - closed) / self.REPS), (closed, gap)
