@@ -8,12 +8,13 @@ row the formatter flags as inexact, and every row of a block under the
 format's min_cells, goes through one "%" on a template of the row's layout,
 so every row reads byte for byte as that template prints it.  The "%.17g"
 digits of JSON blocks come from piv._json_digits, imported on first need.
+A ContourGrid has at least one row and one column on finite axes, so the
+writers need no case for an empty grid or a non-finite axis value.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
@@ -140,7 +141,7 @@ def _new_rows(piv):
     nt, nc = piv.shape
     words = np.ascontiguousarray(piv).view(np.int64)
     new = np.empty(nt, bool)
-    new[:1] = True
+    new[0] = True
     step = max(1, _BLOCK_CELLS // nc)
     for start in range(1, nt, step):
         stop = min(start + step, nt)
@@ -177,12 +178,9 @@ def csv_chunks(grid: ContourGrid) -> Iterator[str]:
 
 
 def _axis_json(values: tuple[float, ...]) -> str:
-    """render_json(list(values), 1) for an axis of floats, as one % on a
-    template of that layout: %.17g formats a float as format(v, ".17g")."""
-    if not values or not all(map(math.isfinite, values)):
-        from .cli import render_json
-
-        return render_json(list(values), 1)  # "[]", or the non-finite error
+    """render_json(list(values), 1) for a ContourGrid axis, which is finite and
+    not empty, as one % on a template of that layout: %.17g formats a float
+    as format(v, ".17g")."""
     return ("[\n    " + ",\n    ".join(["%.17g"] * len(values)) + "\n  ]") % tuple(values)
 
 
@@ -193,6 +191,6 @@ def json_chunks(grid: ContourGrid) -> Iterator[str]:
            + ',\n  "c_values": ' + _axis_json(grid.c_values)
            + ',\n  "piv": [\n')
     rows = _rows(grid.piv, _JSON)
-    yield next(rows, "")[len(",\n"):]
+    yield next(rows)[len(",\n"):]
     yield from rows
     yield "\n  ]\n}\n"

@@ -14,7 +14,8 @@ unbounded side is reported alongside.
 Grids are evaluated in blocks of whole rows, each one numpy pass of the
 kernel piv() uses, broadcast over the block.  Only grid evaluation uses
 numpy, and it imports it on first call, so bounding and verdicts run
-without loading numpy.  piv._grid_text writes grids as CSV and JSON.
+without loading numpy.  piv._grid_text writes grids as CSV and JSON; a
+ContourGrid refuses a piv array that does not fill its axes.
 """
 
 from __future__ import annotations
@@ -102,12 +103,22 @@ class BeliefRegion:
 class ContourGrid:
     """PIV evaluated on a rectangular grid: one row per t value, one column per c value.
 
-    piv is a read-only float64 array of shape (len(t_values), len(c_values)).
+    piv is a read-only float64 array of shape (len(t_values), len(c_values)),
+    on finite, non-empty axes, which construction checks; cells are not checked.
     """
 
     t_values: tuple[float, ...]
     c_values: tuple[float, ...]
     piv: np.ndarray
+
+    def __post_init__(self) -> None:
+        shape = (len(self.t_values), len(self.c_values))
+        if not all(shape) or getattr(self.piv, "shape", None) != shape:
+            raise InputValidationError(
+                f"ContourGrid needs non-empty axes and a piv of their shape, got axes of "
+                f"{shape} and piv of {getattr(self.piv, 'shape', type(self.piv).__name__)}")
+        if not all(map(math.isfinite, (*self.t_values, *self.c_values))):
+            raise InputValidationError("ContourGrid axis values must be finite")
 
     def min(self) -> float:
         return float(self.piv.min())

@@ -375,77 +375,77 @@ def case_study_config() -> AnalysisConfig:
     })
 
 
+def _describe(interval: tuple[float, float]) -> str:
+    lo, hi = interval
+    if lo == hi:
+        return f"= {lo}"
+    if lo == -math.inf:
+        return f"<= {hi}"
+    if hi == math.inf:
+        return f">= {lo}"
+    return f"in [{lo}, {hi}]"
+
+
 def replicate_report() -> tuple[list[str], dict]:
     """Six-step case-study analysis; returns the report lines and the raw numbers."""
     config = case_study_config()
-    stats = config.observed
-    sign = config.sign
-    threshold = config.threshold
+    stats, sign, threshold = config.observed, config.sign, config.threshold
+    critical = threshold.signed(sign)
 
     lines = ["Kindergarten retention case study (Hong and Raudenbush 2005)", ""]
     lines.append("step 1  observed statistics: "
                  f"r_squared={stats.r_squared} n_ob={stats.n_ob} y_t_ob={stats.y_t_ob} "
                  f"y_c_ob={stats.y_c_ob} var_t={stats.var_t} var_c={stats.var_c} pi={stats.pi}")
-    lines.append(f"step 2  critical value: C = {threshold.signed(sign)} "
-                 "(significant negative estimate)")
-    se = se_ideal(stats)
+    lines.append(f"step 2  critical value: C = {critical} (significant negative estimate)")
     scale = math.sqrt(2.0 * stats.n_ob) / math.sqrt(1.0 - stats.r_squared)
-    lines.append(f"step 3  probit(PIV) = C - T with T = correlation/se, se = {_fmt(se)}, "
-                 f"scale sqrt(2*n_ob)/sqrt(1-R^2) = {scale:.2f}")
-    def describe(interval: tuple[float, float]) -> str:
-        lo, hi = interval
-        if lo == hi:
-            return f"= {lo}"
-        if lo == -math.inf:
-            return f"<= {hi}"
-        if hi == math.inf:
-            return f">= {lo}"
-        return f"in [{lo}, {hi}]"
+    lines.append("step 3  probit(PIV) = C - T with T = correlation/se, "
+                 f"se = {_fmt(se_ideal(stats))}, scale sqrt(2*n_ob)/sqrt(1-R^2) = {scale:.2f}")
 
-    lines.append("step 4  beliefs about the mean counterfactual outcomes:")
-    bound_names = ["belief-1", "belief-1-relaxed", "belief-2", "retained-effect-minus-7"]
-    for name in bound_names:
-        region = _belief(config, name, "region")
-        lines.append(f"        {name}: y_t_un {describe(region.t_interval)}, "
-                     f"y_c_un {describe(region.c_interval)}")
-
+    # steps 4, 5 and 6 each give one line per belief, built in one pass
     data: dict = {"scale_coefficient": scale, "bounds": {}, "verdicts": {}}
-    lines.append("step 5  PIV bounds:")
-    for name in bound_names:
-        bound = bound_piv(_belief(config, name, "region"), stats, sign, threshold)
+    steps = (["step 4  beliefs about the mean counterfactual outcomes:"],
+             ["step 5  PIV bounds:"],
+             [f"step 6  verdicts at PIV threshold {config.piv_threshold}:"])
+    for name in ("belief-1", "belief-1-relaxed", "belief-2", "retained-effect-minus-7"):
+        region = _belief(config, name, "region")
+        bound = bound_piv(region, stats, sign, threshold)
         verdict = robustness_verdict(bound, config.piv_threshold)
-        data["bounds"][name] = bound
-        data["verdicts"][name] = verdict
+        data["bounds"][name], data["verdicts"][name] = bound, verdict
         where = ("approached at infinity" if bound.argmin is None else
                  f"at (y_t_un={_fmt(bound.argmin.y_t_un)}, y_c_un={_fmt(bound.argmin.y_c_un)})")
-        lines.append(f"        {name}: lower bound {_fmt(bound.piv_min)} {where}")
-    lines.append(f"step 6  verdicts at PIV threshold {config.piv_threshold}:")
-    for name in bound_names:
-        lines.append(f"        {name}: {data['verdicts'][name].value}")
+        for step, text in zip(steps, (
+                f"y_t_un {_describe(region.t_interval)}, y_c_un {_describe(region.c_interval)}",
+                f"lower bound {_fmt(bound.piv_min)} {where}",
+                verdict.value)):
+            step.append(f"        {name}: {text}")
+    lines += [line for step in steps for line in step]
 
     # Scale-factor cross-check: the sqrt(2*n_ob) form reproduces the published
     # bounds; a sqrt(n_ob) variant of the coefficient would not.
-    corner = _belief(config, "belief-1-corner", "point")
-    r = ideal_correlation(corner, stats)
+    r = ideal_correlation(_belief(config, "belief-1-corner", "point"), stats)
     corner_piv = piv_from_correlation(r, stats, sign, threshold).piv
     alt_scale = math.sqrt(stats.n_ob) / math.sqrt(1.0 - stats.r_squared)
-    alt_probit = threshold.signed(sign) - alt_scale * r
-    alt_piv = std_normal_cdf(alt_probit)
-    data["corner_piv"] = corner_piv
-    data["alt_scale_coefficient"] = alt_scale
-    data["alt_scale_piv"] = alt_piv
-    lines.append("")
-    lines.append(
-        f"note    scale coefficient {scale:.2f} gives PIV {_fmt(corner_piv)} at the belief-1 "
-        f"corner, matching the published 0.92; the sqrt(n_ob) variant {alt_scale:.2f} "
-        f"would give {_fmt(alt_piv)} instead and does not reproduce the published bounds"
-    )
+    alt_piv = std_normal_cdf(critical - alt_scale * r)
+    data.update(corner_piv=corner_piv, alt_scale_coefficient=alt_scale, alt_scale_piv=alt_piv)
+    lines += ["", f"note    scale coefficient {scale:.2f} gives PIV {_fmt(corner_piv)} at the "
+              f"belief-1 corner, matching the published 0.92; the sqrt(n_ob) variant "
+              f"{alt_scale:.2f} would give {_fmt(alt_piv)} instead and does not reproduce the "
+              "published bounds"]
     return lines, data
 
 
 # =============================================================================
 # Oracle verification report
 # =============================================================================
+
+
+# check -> (report label, tolerance on its worst error over the seeded datasets)
+_ORACLE_CHECKS = {
+    "closed_form": ("closed-form correlation vs standardized fit", 1e-10),
+    "moments": ("coefficient via moments vs direct solve", 1e-10),
+    "block": ("block-assembled inverse vs direct inverse", 1e-9),
+    "bayes": ("half-sample combination vs stacked fit", 1e-10),
+}
 
 
 def verify_report(seeds: int, reps: int, seed: int = 0) -> tuple[list[str], bool]:
@@ -461,7 +461,7 @@ def verify_report(seeds: int, reps: int, seed: int = 0) -> tuple[list[str], bool
         y_t_un=12.0, y_c_un=10.0, var_t=20.0, var_c=25.0, seed=seed,
     )
     oracle._require_reps(reps)
-    worst = {"closed_form": 0.0, "moments": 0.0, "block": 0.0, "bayes": 0.0}
+    worst = dict.fromkeys(_ORACLE_CHECKS, 0.0)
     for i in range(seeds):
         spec = oracle.random_spec(i)
         dataset = oracle.build_exact_dataset(spec)
@@ -476,21 +476,14 @@ def verify_report(seeds: int, reps: int, seed: int = 0) -> tuple[list[str], bool
         worst["block"] = max(worst["block"], oracle.block_inverse_check(dataset))
         worst["bayes"] = max(worst["bayes"], oracle.bayes_combination_check(dataset))
 
-    tolerances = {"closed_form": 1e-10, "moments": 1e-10, "block": 1e-9, "bayes": 1e-10}
-    labels = {
-        "closed_form": "closed-form correlation vs standardized fit",
-        "moments": "coefficient via moments vs direct solve",
-        "block": "block-assembled inverse vs direct inverse",
-        "bayes": "half-sample combination vs stacked fit",
-    }
     ok = True
     lines = [f"oracle checks over {seeds} seeded exact-moment datasets:"]
-    for key in ("closed_form", "moments", "block", "bayes"):
-        passed = worst[key] <= tolerances[key]
+    for key, (label, tolerance) in _ORACLE_CHECKS.items():
+        passed = worst[key] <= tolerance
         ok &= passed
         lines.append(
-            f"  [{'PASS' if passed else 'FAIL'}] {labels[key]}: max error "
-            f"{worst[key]:.3e} (tolerance {tolerances[key]:.0e})"
+            f"  [{'PASS' if passed else 'FAIL'}] {label}: max error "
+            f"{worst[key]:.3e} (tolerance {tolerance:.0e})"
         )
 
     # Monte Carlo size: a null-consistent belief must reject at the one-sided rate.
@@ -537,20 +530,12 @@ def _print(lines) -> None:
 def cmd_compute(args, config: AnalysisConfig) -> int:
     point = _belief(config, args.belief, "point")
     result = piv(point, config.observed, config.sign, config.threshold)
+    payload = {"piv": result.piv, "probit_piv": result.probit_piv, "t_ratio": result.t_ratio,
+               "threshold_value": result.threshold_value}
     if args.format == "json":
-        _print([render_json({
-            "piv": result.piv,
-            "probit_piv": result.probit_piv,
-            "t_ratio": result.t_ratio,
-            "threshold_value": result.threshold_value,
-        })])
-    else:
-        _print([
-            f"piv        {_fmt(result.piv)}",
-            f"probit_piv {_fmt(result.probit_piv)}",
-            f"t_ratio    {_fmt(result.t_ratio)}",
-            f"threshold  {_fmt(result.threshold_value)}",
-        ])
+        _print([render_json(payload)])
+    else:  # the text labels are the keys, threshold_value shortened to threshold
+        _print([f"{key.removesuffix('_value'):<11}{_fmt(value)}" for key, value in payload.items()])
     return EXIT_OK
 
 
@@ -614,8 +599,9 @@ def cmd_contour(args, config: AnalysisConfig) -> int:
 
 def cmd_power(args, config: AnalysisConfig) -> int:
     point = _belief(config, args.belief, "point")
-    result = piv(point, config.observed, config.sign, config.threshold)
     effect = ideal_correlation(point, config.observed)
+    # the same value piv() gives: both are _probit of this one correlation
+    result = piv_from_correlation(effect, config.observed, config.sign, config.threshold)
     se = se_ideal(config.observed)
     critical_z = result.threshold_value / se
     payload = {

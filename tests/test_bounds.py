@@ -431,6 +431,55 @@ class TestCsvWriterExact:
         assert all(_grid_text._csv_block(cells)[2])
 
 
+class TestContourGridCheck:
+    """A ContourGrid refuses, when it is constructed, a piv that does not fill
+    its two finite, non-empty axes; its cells are not checked."""
+
+    @pytest.mark.parametrize("nt, nc, shape", [(3, 0, (3, 0)), (0, 3, (0, 3)), (0, 0, (0, 0)),
+                                               (2, 3, (2, 2)), (2, 3, (3, 2)), (2, 3, (6,))])
+    def test_piv_that_does_not_fill_its_axes_refused(self, nt, nc, shape):
+        # before the check, (3, 0) and (0, 3) raised ZeroDivisionError on export,
+        # and (2, 2) on 3 c values wrote a CSV whose header and rows disagree
+        t_values, c_values = tuple(map(float, range(nt))), tuple(map(float, range(nc)))
+        with pytest.raises(InputValidationError, match="ContourGrid"):
+            bounds.ContourGrid(t_values, c_values, np.full(shape, 0.5))
+
+    def test_piv_that_is_not_an_array_refused(self):
+        with pytest.raises(InputValidationError, match="ContourGrid"):
+            bounds.ContourGrid((0.0,), (0.0, 1.0), [[0.5, 0.5]])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("axis", ["t_values", "c_values"])
+    def test_non_finite_axis_value_refused(self, axis, value):
+        axes = {"t_values": (0.0, 1.0), "c_values": (0.0, 1.0, 2.0)}
+        axes[axis] = (value,) + axes[axis][1:]
+        with pytest.raises(InputValidationError, match="finite"):
+            bounds.ContourGrid(piv=np.full((2, 3), 0.5), **axes)
+
+    @pytest.mark.parametrize("value", [math.nan, -0.0, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("shape", [(3, 4), (300, 2)])
+    def test_any_cell_value_constructs_and_exports(self, value, shape):
+        cells = np.full(shape, 0.5)
+        cells[1, 1] = value
+        grid = _hand_grid(cells)
+        rows = grid.piv.tolist()
+        assert grid.to_csv_text() == cellwise_csv(grid.t_values, grid.c_values, rows)
+        assert ("".join(_grid_text.json_chunks(grid))
+                == _cellwise_json(grid.t_values, grid.c_values, rows) + "\n")
+
+    @pytest.mark.parametrize("n", [5, 300, 5000])
+    @pytest.mark.parametrize("axis", ["t", "c"])
+    def test_zero_width_grids_construct_and_export(self, axis, n):
+        # a zero-width axis gives a 1xN or Nx1 grid; 5000 cells is wider than a block
+        region = dataclasses.replace(PLAUSIBLE, **{f"{axis}_interval": (45.2, 45.2)})
+        grid = evaluate_grid(region, (n, n), CASE_STUDY, NEG, C196)
+        assert grid.piv.shape == ((1, n) if axis == "t" else (n, 1))
+        rows = grid.piv.tolist()
+        assert grid.to_csv_text() == cellwise_csv(grid.t_values, grid.c_values, rows)
+        assert ("".join(_grid_text.json_chunks(grid))
+                == _cellwise_json(grid.t_values, grid.c_values, rows) + "\n")
+
+
 class TestBoundPiv:
     def test_belief_1(self):
         region = BeliefRegion(t_interval=(-math.inf, 45.78), c_interval=(45.2, 45.2))

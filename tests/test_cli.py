@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import math
@@ -34,8 +35,11 @@ from piv.core import FixedThreshold, InputValidationError, SignMismatchError, St
 from helpers import cellwise_csv
 
 
-# sha256 of the contour CSV that `piv replicate` writes by default
+# sha256 of the contour CSV that `piv replicate` writes by default, of its
+# report lines joined with newlines, and of what `piv replicate --out contour.csv` prints
 REPLICATE_CONTOUR_SHA256 = "1ad2c71cd78ea103e5bea94a13be92586b47a749fa5d4390449e09869cbde26b"
+REPLICATE_REPORT_SHA256 = "51087f225e3c98ca4b3b442b9e2e4274b90845c7347082f9116edfbfa84f6885"
+REPLICATE_STDOUT_SHA256 = "5e1320fd48c691c1ef1c4798fd2d3ad5f87390a19b94fda3a499a9709f483bbc"
 # sha256 of large case-study plausible-region exports, pinned byte for byte
 CONTOUR_EXPORT_SHA256 = {
     ("1000x250", "csv"): "6e612283eeb5d717c39bbe719f83f80595628fe29fa758d53b2d101607208ebf",
@@ -498,6 +502,11 @@ class TestReplicateCommand:
         assert data["verdicts"]["belief-2"].value == "robust"
         assert "154.51" in text and "109.25" in text
 
+    def test_report_pinned(self):
+        lines, _ = replicate_report()
+        text = "\n".join(lines) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == REPLICATE_REPORT_SHA256
+
     def test_command_writes_grid(self, tmp_path, capsys):
         out_path = tmp_path / "contour.csv"
         code = main(["replicate", "--out", str(out_path), "--grid", "40x40"])
@@ -508,10 +517,13 @@ class TestReplicateCommand:
         lines = out_path.read_text(encoding="utf-8").strip().split("\n")
         assert len(lines) == 41
 
-    def test_contour_file_pinned(self, tmp_path):
-        out_path = tmp_path / "contour.csv"
-        assert main(["replicate", "--out", str(out_path)]) == EXIT_OK
-        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == REPLICATE_CONTOUR_SHA256
+    def test_contour_file_pinned(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # stdout names the --out path as given
+        assert main(["replicate", "--out", "contour.csv"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == REPLICATE_STDOUT_SHA256
+        data = (tmp_path / "contour.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == REPLICATE_CONTOUR_SHA256
 
     def test_dump_config(self, capsys):
         assert main(["replicate", "--dump-config"]) == EXIT_OK
@@ -778,6 +790,63 @@ def test_grid_writers_load_only_where_they_are_used(tmp_path):
                                  ("piv._json_digits", cold + [False] * 5 + [True])):
         steps = _loaded_after(argvs, module)
         assert [loaded for _, loaded in steps] == loaded_after, module
+
+
+# =============================================================================
+# Public surface and the direction of imports: nothing in the library needs the CLI
+# =============================================================================
+
+PUBLIC_NAMES = {
+    "PivError", "InputValidationError", "DegenerateSpreadError", "SignMismatchError",
+    "ObservedStats", "CounterfactualBelief", "EstimateSign", "StatisticalThreshold",
+    "FixedThreshold", "Threshold", "PivResult", "std_normal_cdf", "ideal_correlation",
+    "se_ideal", "saturation_limits", "piv_from_correlation", "piv",
+    "BeliefRegion", "ContourGrid", "BoundResult", "Verdict", "evaluate_grid", "bound_piv",
+    "robustness_verdict", "__version__",
+}
+_SRC_PIV = Path(__file__).resolve().parents[1] / "src" / "piv"
+
+
+def test_public_names_are_pinned_and_resolve():
+    import piv
+
+    assert len(piv.__all__) == len(PUBLIC_NAMES) == 25
+    assert set(piv.__all__) == PUBLIC_NAMES
+    for name in piv.__all__:
+        assert getattr(piv, name) is not None, name
+
+
+def _imported(source: str) -> set[str]:
+    """Every module an import in source names, at any depth, as an absolute
+    name: `from . import cli` and `from .cli import x` in piv both give piv.cli."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["piv" if node.level else "", node.module]))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_import_scan_sees_imports_inside_functions():
+    assert "piv.cli" in _imported("def f():\n    from .cli import render_json\n")
+    assert "piv.cli" in _imported("def f():\n    from . import cli\n")
+    assert "piv.cli" in _imported("def f():\n    import piv.cli\n")
+
+
+def test_only_the_cli_imports_the_cli():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in _SRC_PIV.glob("*.py")}
+    assert {"__init__.py", "bounds.py", "core.py", "_grid_text.py", "cli.py"} <= set(sources)
+    importers = sorted(name for name, source in sources.items() if name != "cli.py"
+                       and any(module == "piv.cli" or module.startswith("piv.cli.")
+                               for module in _imported(source)))
+    assert importers == []
+
+
+def test_import_piv_leaves_the_cli_unloaded():
+    assert _loaded_after([], "piv.cli") == [["import piv", False], ["import piv.cli", True]]
 
 
 # Help and parse errors.  main builds only the subparser of the command it is
