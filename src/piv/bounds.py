@@ -11,11 +11,14 @@ to infinity, so a bound approached only at infinity is reported as that
 limit, with no belief attaining it; the exact asymptotic PIV for each
 unbounded side is reported alongside.
 
-Grids are evaluated in blocks of whole rows, each one numpy pass of the
-kernel piv() uses, broadcast over the block.  Only grid evaluation uses
-numpy, and it imports it on first call, so bounding and verdicts run
-without loading numpy.  piv._grid_text writes grids as CSV and JSON; a
-ContourGrid refuses a piv array that does not fill its axes.
+Grids are evaluated in blocks of whole rows, at most 1/64 of the grid each,
+each one numpy pass of the kernel piv() uses, broadcast over the block.  The
+kernel gets read-only axis arrays and works in place on its own temporaries;
+the axis tuples are built from the arrays after the last block.  Only grid
+evaluation uses numpy, and it imports it on first call, so bounding and
+verdicts run without loading numpy.  piv._grid_text writes grids as CSV and
+JSON, in blocks of at most 1/128 of the grid; a ContourGrid refuses a piv
+array that does not fill its axes.
 """
 
 from __future__ import annotations
@@ -50,14 +53,22 @@ __all__ = [
 
 _CELL_CAP = 10_000_000
 # Grids are evaluated and written in blocks of whole rows: about 4096 cells,
-# enough to amortize numpy's per-call cost, and at most 1/128 of the grid, so
-# that a block's temporaries stay a small fraction of the grid array.
+# enough to amortize numpy's per-call cost, and at most a share of the grid,
+# so that a block's temporaries stay small beside the grid array.  The writer
+# takes 1/128 of the grid.  Evaluation takes 1/64: the kernel updates its own
+# temporaries in place rather than allocating one per step, and the axis
+# tuples are built only after the last block.
 _BLOCK_CELLS = 4096
 _BLOCK_SHARE = 128
+_EVAL_BLOCK_SHARE = 64
 
 
 def _block_rows(nt: int, nc: int) -> int:
     return max(1, min(_BLOCK_CELLS, nt * nc // _BLOCK_SHARE) // nc)
+
+
+def _eval_block_rows(nt: int, nc: int) -> int:
+    return max(1, min(_BLOCK_CELLS, nt * nc // _EVAL_BLOCK_SHARE) // nc)
 
 
 def _check_bound(value: float, name: str) -> float:
@@ -207,17 +218,22 @@ def _erfc(x):
     both.  A cell at or below lo is set to 2.0 and one at or above hi to 0.0,
     which are the values math.erfc gives there, so every element is
     bit-identical to math.erfc.  The kernel passes a temporary, so it is
-    written over; besides it, only one mask and two arrays of the cells
-    between the cuts (their copy and their erfc) are alive at once.
+    written over.  Each mask is built once, the two saturation masks are
+    dropped before the map, and math.erfc is not mapped at all when no cell
+    lies between the cuts.
     """
     import numpy as np
 
     lo, hi = _erfc_cuts()
-    between = ~((x <= lo) | (x >= hi))
+    low = x <= lo
+    high = x >= hi
+    between = ~(low | high)
+    x[low] = 2.0
+    x[high] = 0.0
+    del low, high
     cells = x[between]
-    x[x <= lo] = 2.0
-    x[x >= hi] = 0.0
-    x[between] = np.fromiter(map(math.erfc, memoryview(cells)), float, cells.size)
+    if cells.size:
+        x[between] = np.fromiter(map(math.erfc, memoryview(cells)), float, cells.size)
     return x
 
 
@@ -254,21 +270,23 @@ def evaluate_grid(
         raise InputValidationError(f"grid of {nt}x{nc} cells exceeds cap {_CELL_CAP}")
     import numpy as np
 
-    t_values = _axis_points(t_lo, t_hi, nt)
-    c_values = _axis_points(c_lo, c_hi, nc)
-    t = np.array(t_values)[:, None]
-    c = np.array(c_values)
+    # read-only, so that a kernel step writing over an input raises at once
+    t = np.array(_axis_points(t_lo, t_hi, nt))
+    c = np.array(_axis_points(c_lo, c_hi, nc))
+    t.flags.writeable = c.flags.writeable = False
     values = np.empty((nt, nc))
-    step = _block_rows(nt, nc)
+    step = _eval_block_rows(nt, nc)
     # an overflowing variance raises from the kernel; keep numpy from warning first
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, nt, step):
             values[start:start + step] = _completed_piv(
-                t[start:start + step], c, stats, sign, threshold,
-                sqrt=np.sqrt, erfc=_erfc, every=np.all,
-            )[0]
+                t[start:start + step, None], c, stats, sign, threshold,
+                sqrt=np.sqrt, erfc=_erfc, every=np.ndarray.all,
+            )
     values.flags.writeable = False
-    return ContourGrid(t_values=t_values, c_values=c_values, piv=values)
+    # the axes as Python floats, built after the blocks so that they are not
+    # alive beside the kernel's temporaries; tolist gives back the same floats
+    return ContourGrid(t_values=tuple(t.tolist()), c_values=tuple(c.tolist()), piv=values)
 
 
 def bound_piv(

@@ -244,7 +244,10 @@ def std_normal_cdf(x: float) -> float:
 
 
 def _cdf(x, erfc=math.erfc):
-    return 0.5 * erfc(-x / _SQRT2)
+    # x / -sqrt2 is -x / sqrt2 bit for bit; erfc may write over that temporary
+    p = erfc(x / -_SQRT2)
+    p *= 0.5
+    return p
 
 
 # =============================================================================
@@ -255,7 +258,12 @@ def _cdf(x, erfc=math.erfc):
 # The kernel below takes a float belief or numpy arrays of beliefs and uses
 # only + - * / on them, so both give bit-identical results.  Squares are
 # written as products: float ** 2 calls libm pow, which can differ in the
-# last bit from the exact product that numpy computes.
+# last bit from the exact product that numpy computes.  Sums and products
+# are built as augmented assignments, such as variance *= coef, on a
+# temporary the step before created: a float rebinds and an array is updated
+# in place, and IEEE + and * commute exactly, so the bits are those of the
+# written-out expression.  No such step is ever applied to an argument, so a
+# caller's arrays are never written.
 
 
 def _arm_means(y_t_un, y_c_un, stats: ObservedStats):
@@ -280,17 +288,19 @@ def _gap_and_variance(y_t_un, y_c_un, stats: ObservedStats):
     gap.  The variance is 0.0 only when both variances are zero and all four
     means are equal, and inf when it overflows; _correlation raises on both.
     """
-    y_t_id, y_c_id = _arm_means(y_t_un, y_c_un, stats)
-    gap = y_t_id - y_c_id
     pi = stats.pi
     d_t = y_t_un - stats.y_t_ob
     d_c = y_c_un - stats.y_c_ob
-    variance = (
-        0.5 * stats.var_t
-        + 0.5 * pi * (1.0 - pi) * (d_t * d_t + d_c * d_c)
-        + 0.5 * stats.var_c
-        + 0.25 * (gap * gap)
-    )
+    # 0.5*var_t + 0.5*pi*(1-pi)*(d_t^2 + d_c^2) + 0.5*var_c + 0.25*gap^2, summed left to right
+    variance = d_t * d_t + d_c * d_c
+    variance *= 0.5 * pi * (1.0 - pi)
+    variance += 0.5 * stats.var_t
+    variance += 0.5 * stats.var_c
+    y_t_id, y_c_id = _arm_means(y_t_un, y_c_un, stats)
+    gap = y_t_id - y_c_id
+    square = gap * gap
+    square *= 0.25
+    variance += square
     return gap, variance
 
 
@@ -301,7 +311,7 @@ _VARIANCE_OVERFLOW = (
 
 
 def _correlation(y_t_un, y_c_un, stats: ObservedStats, sqrt=math.sqrt, every=bool):
-    """0.5*gap/sd; arrays take sqrt=np.sqrt and every=np.all."""
+    """0.5*gap/sd; arrays take sqrt=np.sqrt and every=np.ndarray.all."""
     gap, variance = _gap_and_variance(y_t_un, y_c_un, stats)
     if not every(variance < math.inf):
         raise InputValidationError(_VARIANCE_OVERFLOW)
@@ -309,24 +319,25 @@ def _correlation(y_t_un, y_c_un, stats: ObservedStats, sqrt=math.sqrt, every=boo
         raise DegenerateSpreadError(
             "completed sample has zero outcome spread; correlation undefined"
         )
-    return 0.5 * gap / sqrt(variance)
+    gap *= 0.5
+    gap /= sqrt(variance)
+    return gap
 
 
 def _completed_piv(
     y_t_un, y_c_un, stats: ObservedStats, sign: EstimateSign, threshold: Threshold,
-    sqrt=math.sqrt, erfc=math.erfc, every=bool,
+    sqrt, erfc, every,
 ):
-    """(piv, probit, threshold value, T) at one belief, or elementwise over arrays.
+    """The PIV elementwise over arrays of beliefs, by the steps piv() takes at one.
 
-    Floats take the math defaults; arrays take np.sqrt, an elementwise erfc
-    and np.all.  Raises InputValidationError where the completed-sample
-    variance overflows and DegenerateSpreadError where it is zero.
+    The caller passes np.sqrt, an elementwise erfc that may write over its
+    argument, and np.ndarray.all, so that this module loads no numpy.  Raises
+    InputValidationError where the completed-sample variance overflows and
+    DegenerateSpreadError where it is zero.
     """
     # r is not kept past _probit, so that an array kernel does not hold it through _cdf
-    probit, threshold_value, t_ratio = _probit(
-        _correlation(y_t_un, y_c_un, stats, sqrt, every), stats, sign, threshold
-    )
-    return _cdf(probit, erfc), probit, threshold_value, t_ratio
+    probit = _probit(_correlation(y_t_un, y_c_un, stats, sqrt, every), stats, sign, threshold)[0]
+    return _cdf(probit, erfc)
 
 
 def ideal_correlation(belief: CounterfactualBelief, stats: ObservedStats) -> float:
@@ -371,22 +382,37 @@ def saturation_limits(stats: ObservedStats) -> tuple[float, float]:
 
 
 def _probit(r, stats: ObservedStats, sign: EstimateSign, threshold: Threshold):
-    """(probit, threshold value, T) for a float correlation or an array of them.
+    """(probit, threshold value, se) for a float correlation or an array of them.
 
-    A statistical cut is in standard errors, so it is compared with T and
-    scaled by se for the threshold value; a fixed cut is compared with r.
+    A statistical cut is in standard errors, so it is compared with T = r/se
+    and scaled by se for the threshold value; a fixed cut is compared with r.
+    The probit is a new value, so r is left as it was.
     """
-    if not isinstance(threshold, Threshold):
-        raise InputValidationError(f"unknown threshold type: {threshold!r}")
-    cut = threshold.signed(sign)
     se = se_ideal(stats)
-    t_ratio = r / se
-    positive = sign is EstimateSign.POSITIVE
+    if isinstance(threshold, StatisticalThreshold):
+        cut = threshold.signed(sign)
+        if sign is EstimateSign.POSITIVE:
+            probit = r / se
+            probit -= cut
+        else:
+            # C - T as -T + C: r/-se is -(r/se), and IEEE subtraction adds the negation
+            probit = r / -se
+            probit += cut
+        return probit, cut * se, se
     if isinstance(threshold, FixedThreshold):
-        probit = ((r - cut) / se) if positive else ((cut - r) / se)
-        return probit, cut, t_ratio
-    probit = (t_ratio - cut) if positive else (cut - t_ratio)
-    return probit, cut * se, t_ratio
+        cut = threshold.signed(sign)
+        probit = (r - cut) if sign is EstimateSign.POSITIVE else (cut - r)
+        probit /= se
+        return probit, cut, se
+    raise InputValidationError(f"unknown threshold type: {threshold!r}")
+
+
+def _piv_result(
+    r: float, stats: ObservedStats, sign: EstimateSign, threshold: Threshold
+) -> PivResult:
+    """The result at correlation r, with T = r/se, which only a PivResult carries."""
+    probit, threshold_value, se = _probit(r, stats, sign, threshold)
+    return PivResult(_cdf(probit), probit, threshold_value, r / se)
 
 
 def piv_from_correlation(
@@ -398,10 +424,7 @@ def piv_from_correlation(
     estimate) or C - T (negative), C signed; fixed thresholds give
     probit = (r - beta_sharp)/se or (beta_sharp - r)/se.
     """
-    probit, threshold_value, t_ratio = _probit(
-        _require_finite(r, "correlation"), stats, sign, threshold
-    )
-    return PivResult(_cdf(probit), probit, threshold_value, t_ratio)
+    return _piv_result(_require_finite(r, "correlation"), stats, sign, threshold)
 
 
 def piv(
@@ -411,4 +434,4 @@ def piv(
     threshold: Threshold,
 ) -> PivResult:
     """PIV at one belief point: probability of rejecting the null again in the completed sample."""
-    return PivResult(*_completed_piv(belief.y_t_un, belief.y_c_un, stats, sign, threshold))
+    return _piv_result(_correlation(belief.y_t_un, belief.y_c_un, stats), stats, sign, threshold)

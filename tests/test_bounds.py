@@ -26,6 +26,7 @@ from piv.core import (
     InputValidationError,
     ObservedStats,
     StatisticalThreshold,
+    _completed_piv,
     ideal_correlation,
     piv,
     piv_from_correlation,
@@ -175,6 +176,19 @@ class TestGridMatchesPiv:
         assert bounds._block_rows(3, 4097) == 1
         assert bounds._block_rows(2, 2) == 1
 
+    def test_eval_block_rows(self):
+        # evaluation: about 4096 cells per block, at most 1/64 of the grid, never less than a row
+        assert bounds._eval_block_rows(300, 300) == 4
+        assert bounds._eval_block_rows(500, 500) == 7
+        assert bounds._eval_block_rows(250, 1000) == 3
+        assert bounds._eval_block_rows(1000, 250) == 15
+        assert bounds._eval_block_rows(1000, 7) == 15
+        assert bounds._eval_block_rows(3, 4097) == 1
+        assert bounds._eval_block_rows(2, 2) == 1
+        # so 250k-cell grids take 67 to 84 kernel calls, against 143 to 250 at the writer's rule
+        assert -(-1000 // bounds._eval_block_rows(1000, 250)) == 67
+        assert -(-250 // bounds._eval_block_rows(250, 1000)) == 84
+
     @pytest.mark.parametrize("shape", [(3, 4097), (5, 4095), (1000, 7)])
     @pytest.mark.parametrize("sign", [EstimateSign.POSITIVE, NEG])
     @pytest.mark.parametrize("kind", ["statistical", "fixed"])
@@ -191,7 +205,8 @@ class TestGridMatchesPiv:
         assert np.array_equal(grid.piv, expected)
         # again with blocks of up to 4096 cells whatever the grid size: 1000x7
         # then takes 585 rows a block, the last block partial
-        monkeypatch.setattr(bounds, "_BLOCK_SHARE", 1)
+        monkeypatch.setattr(bounds, "_EVAL_BLOCK_SHARE", 1)
+        assert bounds._eval_block_rows(1000, 7) == 585
         assert np.array_equal(evaluate_grid(PLAUSIBLE, shape, CASE_STUDY, sign, threshold).piv, expected)
 
     def test_cells_are_read_only(self):
@@ -212,6 +227,43 @@ class TestGridMatchesPiv:
             evaluate_grid(region, (3, 3), CASE_STUDY, NEG, C196)
         with pytest.raises(InputValidationError, match="variance overflows"):
             bound_piv(region, CASE_STUDY, NEG, C196)
+
+
+class TestArrayKernel:
+    """The kernel's in-place steps write only over temporaries it made itself."""
+
+    def test_grid_hands_the_kernel_read_only_axes_a_block_at_a_time(self, monkeypatch):
+        seen = []
+
+        def spy(y_t_un, y_c_un, *args, **kwargs):
+            seen.append((len(y_t_un), y_t_un.flags.writeable, y_c_un.flags.writeable))
+            return _completed_piv(y_t_un, y_c_un, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "_completed_piv", spy)
+        evaluate_grid(PLAUSIBLE, (1000, 250), CASE_STUDY, NEG, C196)
+        # 15 rows a block, the last block partial
+        assert [rows for rows, _, _ in seen] == [15] * 66 + [10]
+        assert not any(t or c for _, t, c in seen)
+
+    @pytest.mark.parametrize("sign", [EstimateSign.POSITIVE, NEG])
+    @pytest.mark.parametrize("kind", ["statistical", "fixed"])
+    def test_read_only_inputs_left_unchanged(self, sign, kind):
+        if kind == "statistical":
+            threshold = C196
+        else:
+            threshold = FixedThreshold(0.05 if sign is EstimateSign.POSITIVE else -0.05)
+        # cells past both erfc cuts and between them, so every step runs
+        region = BeliefRegion(t_interval=(0.0, 100.0), c_interval=(0.0, 100.0))
+        grid = evaluate_grid(region, (60, 41), CASE_STUDY, sign, threshold)
+        t = np.array(grid.t_values)[:, None]
+        c = np.array(grid.c_values)
+        t.flags.writeable = c.flags.writeable = False
+        t_bytes, c_bytes = t.tobytes(), c.tobytes()
+        cells = _completed_piv(t, c, CASE_STUDY, sign, threshold,
+                               sqrt=np.sqrt, erfc=bounds._erfc, every=np.ndarray.all)
+        assert t.tobytes() == t_bytes and c.tobytes() == c_bytes
+        assert cells.shape == grid.piv.shape
+        assert cells.tobytes() == grid.piv.tobytes()
 
 
 def _floats_from(start: float, step: int, n: int) -> np.ndarray:
@@ -284,7 +336,7 @@ class TestErfcSkip:
         else:
             threshold = FixedThreshold(0.05 if sign is EstimateSign.POSITIVE else -0.05)
         region = BeliefRegion(t_interval=(0.0, 100.0), c_interval=(0.0, 100.0))
-        assert bounds._block_rows(60, 41) == 1
+        assert bounds._eval_block_rows(60, 41) == 1
         grid = evaluate_grid(region, (60, 41), CASE_STUDY, sign, threshold)
         assert (grid.piv == 1.0).any() and (grid.piv == 0.0).any()
         assert ((grid.piv > 0.0) & (grid.piv < 1.0)).any()

@@ -52,6 +52,30 @@ TIPPING_BAND_SHA256 = {
     "csv": (820_885, "a379672e84934e9cbcf8bb3e8995455e95c4a53dd3b5ad5bcfeda9c19ff9c083"),
     "json": (2_278_712, "eee9b433e39a759e831062f03e8e45a354fdf5c5eecbffa6357d7f88aab833bc"),
 }
+# the tipping band under a fixed threshold, and mirrored for a positive estimate
+# (observed means negated, the band negated with them): the size and sha256 of
+# their 300x300 JSON exports, where 88% and 83% of cells lie in (0, 1)
+FIXED_BAND = {"name": "tipping-band", "region": {"t": [44.0, 48.0], "c": [44.0, 47.0]}}
+POSITIVE_BAND = {"name": "tipping-band", "region": {"t": [-48.0, -44.0], "c": [-47.0, -44.0]}}
+MORE_BAND_SHA256 = {
+    "fixed": (2_366_437, "320352d949833e86e5dafe3d49627e5adbdc5803a6185f2a961fd873eb91e713"),
+    "positive": (2_279_305, "b711313c33ffad1d8bc445856c7f897df7344b6af496d30526a50653d350f18c"),
+}
+
+
+def band_config_object(variant: str) -> dict:
+    """The case study's dumped config with a tipping band under a fixed
+    threshold of -0.02, or mirrored for a positive estimate."""
+    obj = config_to_json_object(case_study_config())
+    if variant == "fixed":
+        obj["threshold"] = {"kind": "fixed", "beta_sharp": -0.02}
+        obj["beliefs"].append(FIXED_BAND)
+    else:
+        obj["sign"] = "positive"
+        obj["observed"]["y_t_ob"] = -obj["observed"]["y_t_ob"]
+        obj["observed"]["y_c_ob"] = -obj["observed"]["y_c_ob"]
+        obj["beliefs"].append(POSITIVE_BAND)
+    return obj
 
 # the environment of a child process that imports this checkout's piv
 _SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -370,7 +394,9 @@ class TestContourCommand:
 
     def test_csv_export_peak_memory_below_file_size(self, tmp_path):
         # a CSV cell is 9 bytes against the grid array's 8, so the blocks the grid
-        # is evaluated and written in must stay small beside the grid
+        # is evaluated and written in must stay small beside the grid: evaluation
+        # takes 1/64 of it a block, updates its temporaries in place and builds
+        # the axis tuples after the last block; the writer takes 1/128
         path = write_config(tmp_path, config_to_json_object(case_study_config()))
         out_path = tmp_path / "grid.csv"
         argv = ["contour", "--config", path, "--belief", "plausible-region",
@@ -427,6 +453,20 @@ class TestContourCommand:
             data = out_path.read_bytes()
             assert len(data) == size
             assert hashlib.sha256(data).hexdigest() == sha256
+
+    @pytest.mark.parametrize("variant", list(MORE_BAND_SHA256))
+    def test_fixed_and_positive_exports_pinned(self, variant, tmp_path):
+        path = write_config(tmp_path, band_config_object(variant))
+        out_path = tmp_path / "grid.json"
+        argv = ["contour", "--config", path, "--belief", "tipping-band",
+                "--grid", "300x300", "--format", "json", "--out", str(out_path)]
+        assert main(argv) == EXIT_OK
+        data = out_path.read_bytes()
+        size, sha256 = MORE_BAND_SHA256[variant]
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == sha256
+        cells = np.array(json.loads(data)["piv"])
+        assert ((cells > 0.0) & (cells < 1.0)).mean() > 0.8
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_grid_refused_before_file_is_opened(self, fmt, tmp_path, capsys,

@@ -12,6 +12,7 @@ import json
 import math
 import re
 from decimal import Decimal, getcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,6 +375,68 @@ class TestProbitPiv:
             resolved = StatisticalThreshold(mag).signed(sign) * se_ideal(stats)
             via_fixed = piv(belief, stats, sign, FixedThreshold(resolved)).probit_piv
             assert via_statistical == pytest.approx(via_fixed, abs=1e-12)
+
+
+# 48 seeded cases (both signs x both threshold kinds x 12 random stats, beliefs
+# and correlations, drawn from random.Random(20261019)) with float.hex of what
+# piv(), ideal_correlation() and piv_from_correlation() returned for them when
+# every kernel step was still written out as one expression per quantity
+SCALAR_PINS = json.loads((Path(__file__).parent / "scalar_pins.json").read_text())
+RESULT_FIELDS = ("piv", "probit_piv", "threshold_value", "t_ratio")
+
+
+def _pinned_case(case: dict):
+    kind, cut = case["threshold"]
+    stats = case["stats"]
+    observed = ObservedStats(
+        float.fromhex(stats[0]), stats[1], *(float.fromhex(v) for v in stats[2:]))
+    belief = CounterfactualBelief(*(float.fromhex(v) for v in case["belief"]))
+    threshold = (StatisticalThreshold if kind == "statistical" else FixedThreshold)(
+        float.fromhex(cut))
+    return belief, observed, EstimateSign(case["sign"]), threshold
+
+
+class TestScalarBitPins:
+    """The scalar path is pinned bit for bit, not to a tolerance."""
+
+    def test_pins_cover_both_signs_and_threshold_kinds(self):
+        kinds = [(case["sign"], case["threshold"][0]) for case in SCALAR_PINS]
+        assert len(SCALAR_PINS) == 48
+        assert {kind: kinds.count(kind) for kind in kinds} == {
+            (sign, kind): 12 for sign in ("positive", "negative")
+            for kind in ("statistical", "fixed")}
+        # most cases are unsaturated, so the pins see erfc's bits and not just 0 or 1
+        assert sum(0.0 < float.fromhex(case["piv"][0]) < 1.0 for case in SCALAR_PINS) >= 30
+
+    def test_piv_fields(self):
+        for i, case in enumerate(SCALAR_PINS):
+            result = piv(*_pinned_case(case))
+            assert [getattr(result, f).hex() for f in RESULT_FIELDS] == case["piv"], i
+
+    def test_ideal_correlation(self):
+        for i, case in enumerate(SCALAR_PINS):
+            belief, stats, _, _ = _pinned_case(case)
+            assert ideal_correlation(belief, stats).hex() == case["ideal_correlation"], i
+
+    @pytest.mark.parametrize("sign", [POS, NEG])
+    def test_probit_is_positive_zero_at_the_cut(self, sign):
+        # T - C and C - T are +0.0 when T == C, so the probit must not be
+        # computed as a negated difference, which would give -0.0
+        se = se_ideal(CASE_STUDY)
+        cut = 1.96 if sign is POS else -1.96
+        r = cut * se
+        while r / se != cut:
+            r = math.nextafter(r, math.inf if r / se < cut else -math.inf)
+        for r, threshold in ((r, C196), (cut / 40.0, FixedThreshold(cut / 40.0))):
+            result = piv_from_correlation(r, CASE_STUDY, sign, threshold)
+            assert math.copysign(1.0, result.probit_piv) == 1.0 and result.probit_piv == 0.0
+            assert result.piv == 0.5
+
+    def test_piv_from_correlation_fields(self):
+        for i, case in enumerate(SCALAR_PINS):
+            _, stats, sign, threshold = _pinned_case(case)
+            result = piv_from_correlation(float.fromhex(case["r"]), stats, sign, threshold)
+            assert [getattr(result, f).hex() for f in RESULT_FIELDS] == case["piv_from_correlation"], i
 
 
 class TestPiv:
