@@ -20,7 +20,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import _BLOCK_CELLS, ContourGrid, _block_rows
+from .bounds import _BLOCK_CELLS, ContourGrid
+
+# Rows are written in blocks of whole rows: about _BLOCK_CELLS cells, and at
+# most 1/128 of the grid, so that a block's text and temporaries stay small
+# beside the grid array (a CSV cell is 9 bytes against the array's 8).
+_BLOCK_SHARE = 128
+
+
+def _block_rows(nt: int, nc: int) -> int:
+    return max(1, min(_BLOCK_CELLS, nt * nc // _BLOCK_SHARE) // nc)
 
 
 class _Format(NamedTuple):

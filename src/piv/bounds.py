@@ -16,9 +16,8 @@ each one numpy pass of the kernel piv() uses, broadcast over the block.  The
 kernel gets read-only axis arrays and works in place on its own temporaries;
 the axis tuples are built from the arrays after the last block.  Only grid
 evaluation uses numpy, and it imports it on first call, so bounding and
-verdicts run without loading numpy.  piv._grid_text writes grids as CSV and
-JSON, in blocks of at most 1/128 of the grid; a ContourGrid refuses a piv
-array that does not fill its axes.
+verdicts run without loading numpy.  A ContourGrid refuses a piv array that
+does not fill its axes; piv._grid_text writes it as CSV or JSON.
 """
 
 from __future__ import annotations
@@ -52,19 +51,13 @@ __all__ = [
 ]
 
 _CELL_CAP = 10_000_000
-# Grids are evaluated and written in blocks of whole rows: about 4096 cells,
-# enough to amortize numpy's per-call cost, and at most a share of the grid,
-# so that a block's temporaries stay small beside the grid array.  The writer
-# takes 1/128 of the grid.  Evaluation takes 1/64: the kernel updates its own
-# temporaries in place rather than allocating one per step, and the axis
-# tuples are built only after the last block.
+# Grids are evaluated in blocks of whole rows: about 4096 cells, enough to
+# amortize numpy's per-call cost, and at most 1/64 of the grid, so that a
+# block's temporaries stay small beside the grid array.  The kernel updates
+# its own temporaries in place rather than allocating one per step, and the
+# axis tuples are built only after the last block.
 _BLOCK_CELLS = 4096
-_BLOCK_SHARE = 128
 _EVAL_BLOCK_SHARE = 64
-
-
-def _block_rows(nt: int, nc: int) -> int:
-    return max(1, min(_BLOCK_CELLS, nt * nc // _BLOCK_SHARE) // nc)
 
 
 def _eval_block_rows(nt: int, nc: int) -> int:
@@ -281,7 +274,7 @@ def evaluate_grid(
         for start in range(0, nt, step):
             values[start:start + step] = _completed_piv(
                 t[start:start + step, None], c, stats, sign, threshold,
-                sqrt=np.sqrt, erfc=_erfc, every=np.ndarray.all,
+                sqrt=np.sqrt, erfc=_erfc,
             )
     values.flags.writeable = False
     # the axes as Python floats, built after the blocks so that they are not

@@ -310,12 +310,14 @@ _VARIANCE_OVERFLOW = (
 )
 
 
-def _correlation(y_t_un, y_c_un, stats: ObservedStats, sqrt=math.sqrt, every=bool):
-    """0.5*gap/sd; arrays take sqrt=np.sqrt and every=np.ndarray.all."""
+def _correlation(y_t_un, y_c_un, stats: ObservedStats, sqrt=math.sqrt, extremes=lambda v: (v, v)):
+    """0.5*gap/sd; arrays take sqrt=np.sqrt and extremes=_min_max.  A NaN
+    variance, or an array holding one, fails the overflow check."""
     gap, variance = _gap_and_variance(y_t_un, y_c_un, stats)
-    if not every(variance < math.inf):
+    low, high = extremes(variance)
+    if not high < math.inf:
         raise InputValidationError(_VARIANCE_OVERFLOW)
-    if not every(variance > 0.0):
+    if not low > 0.0:
         raise DegenerateSpreadError(
             "completed sample has zero outcome spread; correlation undefined"
         )
@@ -324,19 +326,25 @@ def _correlation(y_t_un, y_c_un, stats: ObservedStats, sqrt=math.sqrt, every=boo
     return gap
 
 
+def _min_max(values):
+    """(min, max) of an array, with no bool temporary; numpy gives NaN for both
+    where an element is NaN."""
+    return values.min(), values.max()
+
+
 def _completed_piv(
     y_t_un, y_c_un, stats: ObservedStats, sign: EstimateSign, threshold: Threshold,
-    sqrt, erfc, every,
+    sqrt, erfc,
 ):
     """The PIV elementwise over arrays of beliefs, by the steps piv() takes at one.
 
-    The caller passes np.sqrt, an elementwise erfc that may write over its
-    argument, and np.ndarray.all, so that this module loads no numpy.  Raises
-    InputValidationError where the completed-sample variance overflows and
+    The caller passes np.sqrt and an elementwise erfc that may write over its
+    argument, so that this module loads no numpy.  Raises InputValidationError
+    where the completed-sample variance overflows or is NaN, and
     DegenerateSpreadError where it is zero.
     """
     # r is not kept past _probit, so that an array kernel does not hold it through _cdf
-    probit = _probit(_correlation(y_t_un, y_c_un, stats, sqrt, every), stats, sign, threshold)[0]
+    probit = _probit(_correlation(y_t_un, y_c_un, stats, sqrt, _min_max), stats, sign, threshold)[0]
     return _cdf(probit, erfc)
 
 

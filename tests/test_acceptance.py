@@ -33,7 +33,7 @@ from piv.oracle import (
     random_spec,
     standardized_w_coefficient,
 )
-from piv.cli import replicate_report
+from piv.cli import case_study_config, replicate_report
 
 from helpers import (
     CASE_STUDY,
@@ -213,7 +213,7 @@ def test_criterion_8_saturation_limits():
 
 
 def test_criterion_9_scale_factor_resolution():
-    lines, data = replicate_report()
+    lines, data = replicate_report(case_study_config())
     text = "\n".join(lines)
     corner = data["corner_piv"]
     alternative = data["alt_scale_piv"]

@@ -17,7 +17,8 @@ from piv.bounds import (
     evaluate_grid,
     robustness_verdict,
 )
-from piv.cli import AnalysisConfig, NamedBelief, config_to_json_object, main, render_json
+from piv.cli import main, render_json
+from piv.config import AnalysisConfig, NamedBelief, config_to_json_object
 from piv.core import (
     CounterfactualBelief,
     DegenerateSpreadError,
@@ -169,12 +170,12 @@ class TestGridMatchesPiv:
 
     def test_block_rows(self):
         # about 4096 cells per block, at most 1/128 of the grid, never less than a row
-        assert bounds._block_rows(1000, 1000) == 4
-        assert bounds._block_rows(500, 500) == 3
-        assert bounds._block_rows(300, 300) == 2
-        assert bounds._block_rows(1000, 7) == 7
-        assert bounds._block_rows(3, 4097) == 1
-        assert bounds._block_rows(2, 2) == 1
+        assert _grid_text._block_rows(1000, 1000) == 4
+        assert _grid_text._block_rows(500, 500) == 3
+        assert _grid_text._block_rows(300, 300) == 2
+        assert _grid_text._block_rows(1000, 7) == 7
+        assert _grid_text._block_rows(3, 4097) == 1
+        assert _grid_text._block_rows(2, 2) == 1
 
     def test_eval_block_rows(self):
         # evaluation: about 4096 cells per block, at most 1/64 of the grid, never less than a row
@@ -260,7 +261,7 @@ class TestArrayKernel:
         t.flags.writeable = c.flags.writeable = False
         t_bytes, c_bytes = t.tobytes(), c.tobytes()
         cells = _completed_piv(t, c, CASE_STUDY, sign, threshold,
-                               sqrt=np.sqrt, erfc=bounds._erfc, every=np.ndarray.all)
+                               sqrt=np.sqrt, erfc=bounds._erfc)
         assert t.tobytes() == t_bytes and c.tobytes() == c_bytes
         assert cells.shape == grid.piv.shape
         assert cells.tobytes() == grid.piv.tobytes()

@@ -45,6 +45,46 @@ CONTOUR_EXPORT_SHA256 = {
     ("1000x250", "csv"): "6e612283eeb5d717c39bbe719f83f80595628fe29fa758d53b2d101607208ebf",
     ("250x1000", "json"): "28ee940373cea538495a84265224ebb13409e3d199d55cb42f257280d51bea23",
 }
+# what `piv bound` prints for the case study's belief-1-relaxed
+BOUND_OUTPUT = {
+    "json": (
+        '{\n'
+        '  "piv_min": 0.82028272770608257,\n'
+        '  "argmin": {\n'
+        '    "y_t_un": 45.780000000000001,\n'
+        '    "y_c_un": 44\n'
+        '  },\n'
+        '  "piv_max": 1,\n'
+        '  "argmax": {\n'
+        '    "y_t_un": 45.780000000000001,\n'
+        '    "y_c_un": 595.58917385563609\n'
+        '  },\n'
+        '  "asymptotic_piv": {\n'
+        '    "t_lo": 1,\n'
+        '    "c_hi": 1\n'
+        '  },\n'
+        '  "piv_threshold": 0.80000000000000004,\n'
+        '  "verdict": "robust"\n'
+        '}\n'
+    ),
+    "text": (
+        "piv_min   0.820283  at y_t_un=45.780000 y_c_un=44.000000\n"
+        "piv_max   1.000000  at y_t_un=45.780000 y_c_un=595.589174\n"
+        "asymptotic[t_lo] 1.000000\n"
+        "asymptotic[c_hi] 1.000000\n"
+        "verdict   robust (piv_threshold 0.800000)\n"
+    ),
+}
+# what `piv power --format text` prints for the case study's belief-1-corner
+POWER_TEXT = (
+    "effect          -0.021712\n"
+    "se              0.006472\n"
+    "null_mean       0.000000\n"
+    "alt_mean        -3.354610\n"
+    "critical_z      -1.960000\n"
+    "threshold_value -0.012686\n"
+    "power           0.918433\n"
+)
 # a belief over the case study's tipping band, where 83% of a grid's cells lie
 # in (0, 1) and few rows repeat, and the size and sha256 of its 300x300 exports
 TIPPING_BAND = {"name": "tipping-band", "region": {"t": [44.0, 48.0], "c": [44.0, 47.0]}}
@@ -193,6 +233,17 @@ class TestRenderJson:
             with pytest.raises(InputValidationError, match="non-finite"):
                 render_json(value)
 
+    def test_bool_and_empty_list(self):
+        # bool is an int subclass, so its branch must come first
+        assert render_json(True) == "true" and render_json(False) == "false"
+        assert render_json([]) == "[]"
+        assert render_json({"a": []}) == '{\n  "a": []\n}'
+
+    def test_unsupported_type_rejected(self):
+        for value in ({1, 2}, [b"bytes"], {"k": object()}):
+            with pytest.raises(InputValidationError, match="cannot serialize (set|bytes|object)$"):
+                render_json(value)
+
 
 class TestComputeCommand:
     def test_case_study_corner(self, tmp_path, capsys):
@@ -300,6 +351,14 @@ class TestBoundCommand:
         assert [line.split()[0] for line in lines[2:6]] == [
             "asymptotic[t_lo]", "asymptotic[t_hi]", "asymptotic[c_lo]", "asymptotic[c_hi]"]
         assert lines[6].startswith("verdict   ") and len(lines) == 7
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_case_study_output_pinned(self, fmt, tmp_path, capsys):
+        # the JSON keys are BoundResult's fields in order, then piv_threshold and verdict
+        path = write_config(tmp_path, config_to_json_object(case_study_config()))
+        assert main(["bound", "--config", path, "--belief", "belief-1-relaxed",
+                     "--format", fmt]) == EXIT_OK
+        assert capsys.readouterr().out == BOUND_OUTPUT[fmt]
 
     def test_point_belief_rejected(self, tmp_path):
         path = write_config(tmp_path, base_config_object())
@@ -509,6 +568,12 @@ class TestPowerCommand:
         assert power_out["null_mean"] == 0.0
         assert power_out["critical_z"] == pytest.approx(-1.96, abs=1e-12)
 
+    def test_text_output_pinned(self, tmp_path, capsys):
+        path = write_config(tmp_path, config_to_json_object(case_study_config()))
+        assert main(["power", "--config", path, "--belief", "belief-1-corner",
+                     "--format", "text"]) == EXIT_OK
+        assert capsys.readouterr().out == POWER_TEXT
+
     def test_power_rises_as_treated_counterfactual_falls(self, tmp_path, capsys):
         powers = []
         for y_t_un in (45.78, 45.0, 44.0):
@@ -532,7 +597,7 @@ class TestPowerCommand:
 
 class TestReplicateCommand:
     def test_report_values(self):
-        lines, data = replicate_report()
+        lines, data = replicate_report(case_study_config())
         text = "\n".join(lines)
         assert data["bounds"]["belief-1"].piv_min == pytest.approx(0.92, abs=5e-3)
         assert data["bounds"]["belief-2"].piv_min == pytest.approx(0.936, abs=5e-3)
@@ -543,7 +608,7 @@ class TestReplicateCommand:
         assert "154.51" in text and "109.25" in text
 
     def test_report_pinned(self):
-        lines, _ = replicate_report()
+        lines, _ = replicate_report(case_study_config())
         text = "\n".join(lines) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == REPLICATE_REPORT_SHA256
 
@@ -615,9 +680,33 @@ _MALFORMED_BELIEFS = [
 _CONFIG_ERROR = (EXIT_CONFIG, "config error: ")
 _HUGE = 10**400  # a JSON integer that float() cannot convert
 _DEGENERATE = (EXIT_DEGENERATE, "degenerate inputs: ")
+# in place of a config edit: the command is run without --config
+_NO_CONFIG = "no --config"
+# the commands that take no --config
+_CONFIGLESS = ("replicate", "verify")
+_CORNER = ["compute", "--belief", "corner"]
 
-# (config edit, argv after the command's --config, expected exit code, stderr prefix)
+# (config edit or _NO_CONFIG, argv, expected exit code, stderr prefix); the
+# config's --config goes in after the command, if the command takes one
 MALFORMED_INPUTS = {
+    "compute-no-belief": (None, ["compute"], EXIT_CONFIG, "config error: --belief is required\n"),
+    "compute-no-config": (_NO_CONFIG, _CORNER, EXIT_CONFIG, "config error: --config is required\n"),
+    "observed-not-an-object": (lambda obj: obj.update(observed=[1.0]), _CORNER, EXIT_CONFIG,
+                               "config error: observed: expected an object, got list\n"),
+    "observed-missing-keys": (lambda obj: obj["observed"].pop("pi"), _CORNER, EXIT_CONFIG,
+                              "config error: observed: missing keys ['pi']\n"),
+    "region-side-not-a-pair": (lambda obj: obj["beliefs"][3]["region"].update(t=[36.77]),
+                               ["bound", "--belief", "box"], EXIT_CONFIG,
+                               "config error: beliefs[3].region.t: expected [lo, hi]"),
+    "beliefs-empty": (lambda obj: obj.update(beliefs=[]), _CORNER, EXIT_CONFIG,
+                      "config error: beliefs: expected a non-empty list\n"),
+    "belief-name-empty": (lambda obj: obj["beliefs"][0].update(name=""), _CORNER, EXIT_CONFIG,
+                          "config error: beliefs[0].name: expected a non-empty string\n"),
+    "verify-zero-seeds": (None, ["verify", "--seeds", "0"], EXIT_CONFIG,
+                          "config error: seeds must be >= 1, got 0\n"),
+    "replicate-unwritable-out": (None, ["replicate", "--grid", "3x3",
+                                        "--out", "{tmp}/no_dir/contour.csv"], EXIT_IO,
+                                 "cannot write "),
     "compute-huge-belief": (None, ["compute", "--belief", "huge"], *_CONFIG_ERROR),
     "power-huge-belief": (None, ["power", "--belief", "huge"], *_CONFIG_ERROR),
     "bound-huge-region": (None, ["bound", "--belief", "far"], *_CONFIG_ERROR),
@@ -660,11 +749,11 @@ def test_malformed_input_exit_code(case, tmp_path, capsys):
     edit, argv, code, prefix = MALFORMED_INPUTS[case]
     obj = base_config_object()
     obj["beliefs"] += _MALFORMED_BELIEFS
-    if edit is not None:
+    if callable(edit):
         edit(obj)
     path = write_config(tmp_path, obj)
     argv = [arg.format(out=tmp_path / "grid.csv", tmp=tmp_path) for arg in argv]
-    if argv[0] != "verify":
+    if edit is not _NO_CONFIG and argv[0] not in _CONFIGLESS:
         argv[1:1] = ["--config", path]
     assert main(argv) == code
     err = capsys.readouterr().err
@@ -878,7 +967,8 @@ def test_import_scan_sees_imports_inside_functions():
 
 def test_only_the_cli_imports_the_cli():
     sources = {path.name: path.read_text(encoding="utf-8") for path in _SRC_PIV.glob("*.py")}
-    assert {"__init__.py", "bounds.py", "core.py", "_grid_text.py", "cli.py"} <= set(sources)
+    assert {"__init__.py", "bounds.py", "core.py", "_grid_text.py", "cli.py",
+            "config.py", "report.py"} <= set(sources)
     importers = sorted(name for name, source in sources.items() if name != "cli.py"
                        and any(module == "piv.cli" or module.startswith("piv.cli.")
                                for module in _imported(source)))
@@ -887,6 +977,32 @@ def test_only_the_cli_imports_the_cli():
 
 def test_import_piv_leaves_the_cli_unloaded():
     assert _loaded_after([], "piv.cli") == [["import piv", False], ["import piv.cli", True]]
+
+
+def test_the_config_layer_loads_without_the_cli():
+    probe = ("import json, sys, piv.config\n"
+             "print(json.dumps(sorted({'numpy', 'argparse', 'piv.cli'} & set(sys.modules))))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=_SRC_ENV, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+# the names perfbench/ reads from piv.cli, as attributes or through a from-import
+PERFBENCH_CLI_NAMES = ["main", "load_config", "parse_config", "config_to_json_object",
+                       "case_study_config", "verify_report", "render_json",
+                       "bound_piv", "evaluate_grid", "robustness_verdict", "piv"]
+
+
+def test_the_cli_keeps_the_names_perfbench_reads():
+    from piv import config, report
+
+    for name in PERFBENCH_CLI_NAMES:
+        assert callable(getattr(cli, name)), name
+    # the config layer and the reports are the same objects, not copies
+    for name in ("load_config", "parse_config", "config_to_json_object", "case_study_config"):
+        assert getattr(cli, name) is getattr(config, name)
+    assert cli.verify_report is report.verify_report
 
 
 # Help and parse errors.  main builds only the subparser of the command it is

@@ -30,7 +30,9 @@ from piv.core import (
     SignMismatchError,
     StatisticalThreshold,
     _arm_means,
+    _correlation,
     _gap_and_variance,
+    _min_max,
     ideal_correlation,
     piv,
     piv_from_correlation,
@@ -189,6 +191,18 @@ class TestIdealSd:
                      lambda: piv(belief, CASE_STUDY, NEG, C196)):
             with pytest.raises(InputValidationError, match="variance overflows"):
                 call()
+
+    def test_nan_variance_raises_the_overflow_error(self):
+        # a NaN variance fails the overflow check as a scalar and anywhere in an
+        # array, also beside a zero variance, which would be degenerate on its own
+        with pytest.raises(InputValidationError, match="variance overflows"):
+            _correlation(math.nan, 45.2, CASE_STUDY)
+        flat = ObservedStats(0.0, 10, 5.0, 5.0, 0.0, 0.0, 0.5)
+        for y_t_un in ([[40.0], [math.nan]], [[5.0], [math.nan]], [[math.nan], [5.0]]):
+            with pytest.raises(InputValidationError, match="variance overflows"):
+                _correlation(np.array(y_t_un), np.array([5.0]), flat, np.sqrt, _min_max)
+        with pytest.raises(DegenerateSpreadError):
+            _correlation(np.array([[5.0], [6.0]]), np.array([5.0]), flat, np.sqrt, _min_max)
 
 
 class TestIdealCorrelation:
