@@ -4,9 +4,9 @@ Commands operate on a JSON analysis config (piv.config) holding the observed
 summary statistics, the estimate sign, the rejection threshold and a list of
 named beliefs (points or rectangles).  `piv replicate` runs the built-in
 kindergarten-retention case study end to end and `piv verify` drives the
-brute-force oracle checks; their reports are built in piv.report.  This
-module parses argv, runs the command and renders its result as text (6
-decimals) or JSON (17 significant digits).
+brute-force oracle checks; their reports are built in piv.report, which
+only those two commands load.  This module parses argv, runs the command and
+renders its result as text (6 decimals) or JSON (17 significant digits).
 
 Exit codes: 0 success, 2 config error (any other invalid input), 3 degenerate
 math, 4 I/O error, 5 verification failure.
@@ -40,13 +40,24 @@ from .core import (
     piv_from_correlation,
     se_ideal,
 )
-from .report import replicate_report, verify_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_IO = 4
 EXIT_VERIFY = 5
+
+
+def __getattr__(name: str):
+    """replicate_report and verify_report, re-exported from piv.report, which
+    is imported on first access; each is then stored in the module's globals,
+    so this runs once per name."""
+    if name in ("replicate_report", "verify_report"):
+        from . import report
+
+        value = globals()[name] = getattr(report, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # =============================================================================
@@ -114,12 +125,7 @@ def _belief(config: AnalysisConfig, name: str | None, kind: str):
     """The point or region (kind) of the named belief; name None means --belief was not given."""
     if name is None:
         raise InputValidationError("--belief is required")
-    value = getattr(config.belief(name), kind)
-    if value is None:
-        other = "region" if kind == "point" else "point"
-        raise InputValidationError(
-            f"belief {reprlib.repr(name)} is a {other}; this command needs a {kind}")
-    return value
+    return config.belief_as(name, kind)
 
 
 def _print(lines) -> None:
@@ -215,14 +221,18 @@ def cmd_power(args, config: AnalysisConfig) -> int:
 
 
 def cmd_replicate(args, config: AnalysisConfig) -> int:
+    from .report import replicate_report  # on first use, as numpy is
+
     lines, _ = replicate_report(config)
     _print(lines)
-    region = config.belief("plausible-region").region
+    region = config.belief_as("plausible-region", "region")
     return _export_grid(args, config, region, "csv", lambda grid: [
         f"wrote contour grid to {args.out} ({len(grid.t_values)}x{len(grid.c_values)} cells)"])
 
 
 def cmd_verify(args, _config) -> int:
+    from .report import verify_report
+
     lines, ok = verify_report(seeds=args.seeds, reps=args.reps, seed=args.seed)
     _print(lines)
     return EXIT_OK if ok else EXIT_VERIFY

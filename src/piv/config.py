@@ -51,6 +51,16 @@ class AnalysisConfig:
         raise InputValidationError(
             f"unknown belief {reprlib.repr(name)}; config defines: {known}")
 
+    def belief_as(self, name: str, kind: str):
+        """The point or the region (kind) of the named belief; a belief of the
+        other kind is an InputValidationError naming it."""
+        value = getattr(self.belief(name), kind)
+        if value is None:
+            other = "region" if kind == "point" else "point"
+            raise InputValidationError(
+                f"belief {reprlib.repr(name)} is a {other}; this command needs a {kind}")
+        return value
+
 
 # threshold kind -> (domain type, JSON key of its one value)
 _THRESHOLDS = {"statistical": (StatisticalThreshold, "critical"),

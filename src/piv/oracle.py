@@ -8,6 +8,14 @@ normal equations with np.linalg under a 1e10 condition bound, and checks
 the closed forms against those fits.  It also estimates the PIV by Monte
 Carlo as a rejection rate over simulated completed samples.
 
+Each matrix a dataset's checks need is solved once, through _solve, which
+refuses a non-finite matrix and one whose singular values span more than
+the bound: X'X against [X'y | I] gives the fit and the direct inverse, and
+S_zz against [s_zw, s_zy | I] gives the moment route and the block
+assembly.  The half-sample combination solves its own summed Gram matrix.
+No check compares a quantity with itself: the block assembly, built from
+S_zz, is set against the direct inverse of X'X.
+
 Conventions that the checks depend on:
 
   * all sample variances and covariances use the 1/n divisor;
@@ -57,12 +65,20 @@ class SingularDesignError(PivError):
 
 
 def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """np.linalg.solve that refuses a numerically rank-deficient matrix.
+    """np.linalg.solve that refuses a non-finite or numerically rank-deficient matrix.
 
-    rhs may have several columns; a 0x0 matrix (no covariates) passes through.
+    The 2-norm condition number is s_max / s_min over the singular values;
+    s_max <= 1e10 * s_min tests the bound without dividing, and a zero s_min
+    fails it.  rhs may have several columns; a 0x0 matrix (no covariates)
+    passes through.
     """
-    if matrix.size and (condition := np.linalg.cond(matrix)) > _MAX_CONDITION:
-        raise SingularDesignError(f"condition number {condition:.3e} above {_MAX_CONDITION:.0e}")
+    if matrix.size:
+        if not np.isfinite(matrix).all():
+            raise SingularDesignError("matrix has a non-finite entry")
+        s = np.linalg.svd(matrix, compute_uv=False)
+        if not (s[-1] > 0.0 and s[0] <= _MAX_CONDITION * s[-1]):
+            condition = s[0] / s[-1] if s[-1] > 0.0 else math.inf
+            raise SingularDesignError(f"condition number {condition:.3e} above {_MAX_CONDITION:.0e}")
     return np.linalg.solve(matrix, rhs)
 
 
@@ -151,8 +167,9 @@ class IdealDataset:
     flipped, covariates identical).
 
     The four arrays are made read-only in place on construction, so the
-    design matrix, normal equations, moment blocks and least-squares fit,
-    each formed on first use and then shared by every check, cannot go stale.
+    design matrix, normal equations, moment blocks and the two checked
+    solves (of X'X and of S_zz), each formed on first use and then shared by
+    every check, cannot go stale.
     """
 
     outcome: np.ndarray
@@ -192,18 +209,17 @@ class IdealDataset:
     @cached_property
     def _moments(self) -> dict:
         """Sample means and 1/n covariance blocks of (Z, W, Y)."""
-        y = self.outcome
-        w = self.w
-        z = self.z
-        y_c = y - y.mean()
-        w_c = w - w.mean()
-        z_c = z - z.mean(axis=0)
+        y, w, z = self.outcome, self.w, self.z
+        y_mean, w_mean, z_mean = y.mean(), w.mean(), z.mean(axis=0)
+        y_c = y - y_mean
+        w_c = w - w_mean
+        z_c = z - z_mean
         n = y.shape[0]
         return {
             "n": n,
-            "y_mean": y.mean(),
-            "w_mean": w.mean(),
-            "z_mean": z.mean(axis=0),
+            "y_mean": y_mean,
+            "w_mean": w_mean,
+            "z_mean": z_mean,
             "s_zz": (z_c.T @ z_c) / n,
             "s_zw": (z_c.T @ w_c) / n,
             "s_zy": (z_c.T @ y_c) / n,
@@ -213,25 +229,35 @@ class IdealDataset:
         }
 
     @cached_property
+    def _szz_solution(self) -> np.ndarray:
+        """S_zz solved once against [s_zw, s_zy, I]: S_zz^-1 s_zw, S_zz^-1 s_zy, S_zz^-1."""
+        m = self._moments
+        rhs = np.column_stack([m["s_zw"], m["s_zy"], np.eye(self.p)])
+        solution = _solve(m["s_zz"], rhs)
+        solution.flags.writeable = False
+        return solution
+
+    @cached_property
+    def _gram_solution(self) -> np.ndarray:
+        """X'X solved once against [X'y | I]: the fit, then (X'X)^-1."""
+        gram, moment = self._normal_equations
+        solution = _solve(gram, np.column_stack([moment, np.eye(moment.shape[0])]))
+        solution.flags.writeable = False
+        return solution
+
+    @cached_property
     def _fit(self) -> np.ndarray:
         """Coefficients solving the normal equations, residual-checked."""
         gram, moment = self._normal_equations
-        coefficients = _solve(gram, moment)
+        coefficients = self._gram_solution[:, 0]
         residual = np.max(np.abs(gram @ coefficients - moment))
         scale = max(np.max(np.abs(moment)), 1.0)
-        if residual > 1e-9 * scale:
+        # written so that a NaN residual or scale fails too
+        if not residual <= 1e-9 * scale:
             raise SingularDesignError(
                 f"normal-equation residual {residual:.3e} exceeds 1e-9 relative"
             )
-        coefficients.flags.writeable = False
         return coefficients
-
-
-def _two_point_cell(mean: float, sd: float, count: int) -> np.ndarray:
-    # count is even; half the points at mean + sd, half at mean - sd matches
-    # the target mean and 1/n variance exactly.
-    half = count // 2
-    return np.concatenate([np.full(half, mean + sd), np.full(half, mean - sd)])
 
 
 def build_exact_dataset(spec: SyntheticSpec) -> IdealDataset:
@@ -254,25 +280,20 @@ def build_exact_dataset(spec: SyntheticSpec) -> IdealDataset:
     rng = np.random.default_rng(spec.seed)
     z_subject = rng.standard_normal((n, spec.p))
 
-    observed_outcomes = np.concatenate(
-        [
-            _two_point_cell(spec.y_t_ob, sd_t, n_t),
-            _two_point_cell(spec.y_c_ob, sd_c, n_c),
-        ]
-    )
-    counterfactual_outcomes = np.concatenate(
-        [
-            _two_point_cell(spec.y_c_un, sd_c, n_t),  # treated subjects, control arm
-            _two_point_cell(spec.y_t_un, sd_t, n_c),  # control subjects, treated arm
-        ]
-    )
-    observed_w = np.concatenate([np.ones(n_t), np.zeros(n_c)])
-
+    # Each cell is even: half its rows at mean + sd and half at mean - sd
+    # match the target mean and 1/n variance exactly.  Rows run observed
+    # treated, observed control, then the treated subjects' control rows and
+    # the control subjects' treated rows.
+    half_t, half_c = n_t // 2, n_c // 2
     dataset = IdealDataset(
-        outcome=np.concatenate([observed_outcomes, counterfactual_outcomes]),
-        w=np.concatenate([observed_w, 1.0 - observed_w]),
-        z=np.vstack([z_subject, z_subject]),
-        observed=np.concatenate([np.ones(n, dtype=bool), np.zeros(n, dtype=bool)]),
+        outcome=np.repeat(
+            [spec.y_t_ob + sd_t, spec.y_t_ob - sd_t, spec.y_c_ob + sd_c, spec.y_c_ob - sd_c,
+             spec.y_c_un + sd_c, spec.y_c_un - sd_c, spec.y_t_un + sd_t, spec.y_t_un - sd_t],
+            [half_t, half_t, half_c, half_c, half_t, half_t, half_c, half_c],
+        ),
+        w=np.repeat([1.0, 0.0, 0.0, 1.0], [n_t, n_c, n_t, n_c]),
+        z=np.concatenate([z_subject, z_subject]),
+        observed=np.repeat([True, False], n),
     )
     # Balanced arms are structural: each subject appears once per arm.
     w = dataset.w
@@ -300,7 +321,7 @@ def w_coefficient_via_moments(dataset: IdealDataset) -> float:
     route to the same number ols_fit produces from the full normal equations.
     """
     m = dataset._moments
-    szz_inv_szw, szz_inv_szy = _solve(m["s_zz"], np.column_stack([m["s_zw"], m["s_zy"]])).T
+    szz_inv_szw, szz_inv_szy = dataset._szz_solution[:, :2].T
     numerator = m["s_wy"] - float(m["s_zw"] @ szz_inv_szy)
     denominator = m["s_ww"] - float(m["s_zw"] @ szz_inv_szw)
     return numerator / denominator
@@ -324,20 +345,21 @@ def block_inverse_check(dataset: IdealDataset) -> float:
 
     and S_VV itself inverts through the Schur complement of its covariate
     block.  Returns the maximum entrywise discrepancy against the direct
-    inverse, scaled by the largest entry magnitude.
+    inverse, scaled by the largest entry magnitude.  The S_zz solves are the
+    ones the moment route uses, and the direct inverse comes from the same
+    solve of X'X as the fit.
     """
     m = dataset._moments
     n = m["n"]
     p = dataset.p
 
-    szz_inv = _solve(m["s_zz"], np.eye(p))
-    schur = m["s_ww"] - float(m["s_zw"] @ (szz_inv @ m["s_zw"]))
+    szz_inv_szw, szz_inv = dataset._szz_solution[:, 0], dataset._szz_solution[:, 2:]
+    schur = m["s_ww"] - float(m["s_zw"] @ szz_inv_szw)
     if schur <= 0.0:
         raise SingularDesignError("nonpositive Schur complement of the covariate block")
     schur_inv = 1.0 / schur
 
     s_vv_inv = np.empty((p + 1, p + 1))
-    szz_inv_szw = szz_inv @ m["s_zw"]
     s_vv_inv[:p, :p] = szz_inv + schur_inv * np.outer(szz_inv_szw, szz_inv_szw)
     s_vv_inv[:p, p] = -schur_inv * szz_inv_szw
     s_vv_inv[p, :p] = -schur_inv * szz_inv_szw
@@ -356,7 +378,7 @@ def block_inverse_check(dataset: IdealDataset) -> float:
     last_row[1 : p + 1] = -(schur_inv * (m["s_zw"] @ szz_inv)) / n
     last_row[p + 1] = schur_inv / n
 
-    direct = _solve(dataset._normal_equations[0], np.eye(p + 2))
+    direct = dataset._gram_solution[:, 1:]
     scale = float(np.max(np.abs(direct)))
     error = float(np.max(np.abs(assembled - direct)))
     error = max(error, float(np.max(np.abs(last_row - direct[-1]))))
@@ -460,6 +482,9 @@ def monte_carlo_piv(
 # =============================================================================
 
 
+_SPEC_SIZES = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
+
+
 def random_spec(seed: int, p: int | None = None, n_ob: int | None = None) -> SyntheticSpec:
     """A reproducible, well-conditioned spec for batch checks.
 
@@ -471,7 +496,8 @@ def random_spec(seed: int, p: int | None = None, n_ob: int | None = None) -> Syn
     if p is None:
         p = int(seed) % 7
     if n_ob is None:
-        n_ob = int(rng.choice([8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512]))
+        # the draw rng.choice(_SPEC_SIZES) makes, without its array conversion
+        n_ob = _SPEC_SIZES[rng.integers(len(_SPEC_SIZES))]
     half_pairs = n_ob // 2
     n_t = 2 * int(rng.integers(1, half_pairs))  # even, in [2, n_ob - 2]
     y_c_ob = float(rng.uniform(-20.0, 20.0))

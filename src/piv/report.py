@@ -36,7 +36,12 @@ def _describe(interval: tuple[float, float]) -> str:
 
 def replicate_report(config: AnalysisConfig) -> tuple[list[str], dict]:
     """Six-step analysis of the case-study config (case_study_config());
-    returns the report lines and the raw numbers."""
+    returns the report lines and the raw numbers.
+
+    The config's sign sets step 2's wording.  Its beliefs must include the
+    case study's four regions and the point belief-1-corner: a missing one,
+    or one of the other kind, is an InputValidationError naming it.
+    """
     stats, sign, threshold = config.observed, config.sign, config.threshold
     critical = threshold.signed(sign)
 
@@ -44,7 +49,7 @@ def replicate_report(config: AnalysisConfig) -> tuple[list[str], dict]:
     lines.append("step 1  observed statistics: "
                  f"r_squared={stats.r_squared} n_ob={stats.n_ob} y_t_ob={stats.y_t_ob} "
                  f"y_c_ob={stats.y_c_ob} var_t={stats.var_t} var_c={stats.var_c} pi={stats.pi}")
-    lines.append(f"step 2  critical value: C = {critical} (significant negative estimate)")
+    lines.append(f"step 2  critical value: C = {critical} (significant {sign.value} estimate)")
     scale = math.sqrt(2.0 * stats.n_ob) / math.sqrt(1.0 - stats.r_squared)
     lines.append("step 3  probit(PIV) = C - T with T = correlation/se, "
                  f"se = {se_ideal(stats):.6f}, scale sqrt(2*n_ob)/sqrt(1-R^2) = {scale:.2f}")
@@ -55,7 +60,7 @@ def replicate_report(config: AnalysisConfig) -> tuple[list[str], dict]:
              ["step 5  PIV bounds:"],
              [f"step 6  verdicts at PIV threshold {config.piv_threshold}:"])
     for name in ("belief-1", "belief-1-relaxed", "belief-2", "retained-effect-minus-7"):
-        region = config.belief(name).region
+        region = config.belief_as(name, "region")
         bound = bound_piv(region, stats, sign, threshold)
         verdict = robustness_verdict(bound, config.piv_threshold)
         data["bounds"][name], data["verdicts"][name] = bound, verdict
@@ -70,7 +75,7 @@ def replicate_report(config: AnalysisConfig) -> tuple[list[str], dict]:
 
     # Scale-factor cross-check: the sqrt(2*n_ob) form reproduces the published
     # bounds; a sqrt(n_ob) variant of the coefficient would not.
-    r = ideal_correlation(config.belief("belief-1-corner").point, stats)
+    r = ideal_correlation(config.belief_as("belief-1-corner", "point"), stats)
     corner_piv = piv_from_correlation(r, stats, sign, threshold).piv
     alt_scale = math.sqrt(stats.n_ob) / math.sqrt(1.0 - stats.r_squared)
     alt_piv = std_normal_cdf(critical - alt_scale * r)

@@ -21,6 +21,7 @@ from piv.cli import (
     EXIT_DEGENERATE,
     EXIT_IO,
     EXIT_OK,
+    EXIT_VERIFY,
     case_study_config,
     config_to_json_object,
     load_config,
@@ -612,6 +613,44 @@ class TestReplicateCommand:
         text = "\n".join(lines) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == REPLICATE_REPORT_SHA256
 
+    def test_report_follows_the_sign_of_its_config(self):
+        # the case study mirrored through zero: a significant positive estimate
+        obj = config_to_json_object(case_study_config())
+        obj["sign"] = "positive"
+        for key in ("y_t_ob", "y_c_ob"):
+            obj["observed"][key] = -obj["observed"][key]
+        for belief in obj["beliefs"]:
+            if "point" in belief:
+                belief["point"] = {k: -v for k, v in belief["point"].items()}
+            else:
+                belief["region"] = {axis: [None if v is None else -v for v in reversed(interval)]
+                                    for axis, interval in belief["region"].items()}
+        lines, data = replicate_report(parse_config(obj))
+        _, expected = replicate_report(case_study_config())
+        assert lines[3] == "step 2  critical value: C = 1.96 (significant positive estimate)"
+        for name, bound in expected["bounds"].items():
+            assert data["bounds"][name].piv_min == pytest.approx(bound.piv_min, abs=1e-12), name
+        assert data["corner_piv"] == pytest.approx(expected["corner_piv"], abs=1e-12)
+
+    @pytest.mark.parametrize("name, kind", [("belief-1", "region"),
+                                            ("belief-1-corner", "point")])
+    def test_belief_of_the_wrong_kind_is_named(self, name, kind):
+        obj = config_to_json_object(case_study_config())
+        for belief in obj["beliefs"]:
+            if belief["name"] == name:
+                belief.pop(kind)
+                belief["point" if kind == "region" else "region"] = (
+                    {"y_t_un": 45.0, "y_c_un": 45.0} if kind == "region"
+                    else {"t": [40.0, 45.0], "c": [40.0, 45.0]})
+        with pytest.raises(InputValidationError, match=f"belief '{name}' is a .*needs a {kind}"):
+            replicate_report(parse_config(obj))
+
+    def test_missing_belief_is_named(self):
+        obj = config_to_json_object(case_study_config())
+        obj["beliefs"] = [b for b in obj["beliefs"] if b["name"] != "belief-2"]
+        with pytest.raises(InputValidationError, match="unknown belief 'belief-2'"):
+            replicate_report(parse_config(obj))
+
     def test_command_writes_grid(self, tmp_path, capsys):
         out_path = tmp_path / "contour.csv"
         code = main(["replicate", "--out", str(out_path), "--grid", "40x40"])
@@ -643,6 +682,16 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
         assert "expected failure" in out
+
+    def test_failed_tolerance_exits_5(self, capsys, monkeypatch):
+        from piv import oracle
+
+        monkeypatch.setattr(oracle, "bayes_combination_check", lambda dataset: 1e-9)
+        assert main(["verify", "--seeds", "2", "--reps", "1000"]) == EXIT_VERIFY
+        out = capsys.readouterr().out
+        assert ("  [FAIL] half-sample combination vs stacked fit: max error 1.000e-09 "
+                "(tolerance 1e-10)\n") in out
+        assert out.count("[FAIL]") == 1 and out.endswith("SOME CHECKS FAILED\n")
 
     def test_negative_seed_exits_2(self, capsys):
         assert main(["verify", "--seeds", "1", "--reps", "1000", "--seed", "-1"]) == EXIT_CONFIG
@@ -884,9 +933,20 @@ def test_point_bound_and_dump_config_do_not_import_numpy(tmp_path):
                                      ("bound", "belief-1"), ("bound", "belief-2"))
              for fmt in ("text", "json")]
     argvs.append(["compute", "--config", path, "--dump-config"])
-    steps = _loaded_after(argvs)
-    assert len(steps) == 2 + len(argvs)
-    assert [name for name, loaded in steps if loaded] == []
+    # nor piv.report, which only replicate and verify use
+    for module in ("numpy", "piv.report"):
+        steps = _loaded_after(argvs, module)
+        assert len(steps) == 2 + len(argvs)
+        assert [name for name, loaded in steps if loaded] == [], module
+
+
+def test_only_the_report_commands_load_the_report(tmp_path):
+    path = write_config(tmp_path, config_to_json_object(case_study_config()))
+    argvs = [["contour", "--config", path, "--belief", "plausible-region", "--grid", "3x3",
+              "--out", str(tmp_path / "grid.csv")],
+             ["verify", "--seeds", "1"]]
+    steps = _loaded_after(argvs, "piv.report")
+    assert [loaded for _, loaded in steps] == [False, False, False, True]
 
 
 @pytest.mark.parametrize("command", ["contour", "verify"])
