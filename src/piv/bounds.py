@@ -11,13 +11,16 @@ to infinity, so a bound approached only at infinity is reported as that
 limit, with no belief attaining it; the exact asymptotic PIV for each
 unbounded side is reported alongside.
 
-Grids are evaluated in blocks of whole rows, at most 1/64 of the grid each,
-each one numpy pass of the kernel piv() uses, broadcast over the block.  The
-kernel gets read-only axis arrays and works in place on its own temporaries;
-the axis tuples are built from the arrays after the last block.  Only grid
-evaluation uses numpy, and it imports it on first call, so bounding and
-verdicts run without loading numpy.  A ContourGrid refuses a piv array that
-does not fill its axes; piv._grid_text writes it as CSV or JSON.
+A grid row whose PIV is exactly 1.0 or 0.0 in every cell, as three
+candidates per row show with a margin for rounding, is filled without the
+kernel.  The other rows are evaluated in blocks of whole rows, at most 1/64
+of the grid each, each one numpy pass of the kernel piv() uses, broadcast
+over the block.  The kernel gets read-only axis arrays and works in place on
+its own temporaries; the axis tuples are built from the arrays after the
+last block.  Only grid evaluation uses numpy, and it imports it on first
+call, so bounding and verdicts run without loading numpy.  A ContourGrid
+refuses a piv array that does not fill its axes; piv._grid_text writes it as
+CSV or JSON.
 """
 
 from __future__ import annotations
@@ -25,19 +28,26 @@ from __future__ import annotations
 import functools
 import math
 import reprlib
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 from .core import (
+    _SQRT2,
     CounterfactualBelief,
     EstimateSign,
     InputValidationError,
     ObservedStats,
+    PivError,
     Threshold,
     _completed_piv,
+    _correlation,
+    _min_max,
+    _probit,
     piv,
     piv_from_correlation,
     saturation_limits,
+    se_ideal,
 )
 
 __all__ = [
@@ -230,6 +240,120 @@ def _erfc(x):
     return x
 
 
+def _edge_stationary(offset, g_fixed, g_free, stats: ObservedStats):
+    """Where r is stationary along a line on which one counterfactual mean is fixed.
+
+    With the notation of bound_piv, the fixed coordinate sits offset from its
+    observed mean, g_fixed and g_free are the entries of g for the fixed and
+    the free coordinate, and the result is the free coordinate's offset from
+    its observed mean: g_free*(V + D*offset^2) / (D*(g_fixed*offset + L0)).
+    It uses only + - * /, so a float and a numpy array of offsets give the
+    same bits.  A zero denominator raises ZeroDivisionError for a float and
+    gives inf or NaN in an array; so can an overflow.
+    """
+    pi = stats.pi
+    d = 0.5 * pi * (1.0 - pi)
+    v = 0.5 * (stats.var_t + stats.var_c)
+    return g_free * (v + d * (offset * offset)) / (d * (g_fixed * offset + (stats.y_t_ob - stats.y_c_ob)))
+
+
+# Saturated rows.  Take the kernel's formula with its own float constants
+# and exact arithmetic.  Along a row, where t is fixed, r is then a linear
+# function of c over the square root of a positive quadratic in c.  So r has
+# at most one stationary point on the row, the edge point c* of bound_piv,
+# and over [c_lo, c_hi] its extremes lie among c_lo, c_hi and c* clipped into
+# the interval.  The erfc argument x = probit/-sqrt(2) is affine in r, and
+# math.erfc is exactly 2.0 at or below _erfc_cuts()[0] and exactly 0.0 at or
+# above [1].  So when the computed x of the three candidates lies past a cut
+# by more than the rounding error between computed and exact x, every cell's
+# computed x lies past it too, and the kernel and piv() give the cell exactly
+# 1.0 or 0.0.  With u = 2**-53, one cell or candidate is off by at most:
+#
+# * in r, 7u from relative roundings, plus 3u*M/sqrt(B) from cancellation in
+#   the gap y_t_id - y_c_id.  M = |(1-pi)t| + |pi*y_t_ob| + pi*max|c| +
+#   |(1-pi)*y_c_ob| bounds the gap's terms, and B = V + D*dt^2 bounds the
+#   variance from below.  r lies in [-1, 1], so a bound above 2 holds trivially.
+# * in x, that over se, plus 2u/se + 6u|x| from the probit steps.
+# * in the third candidate, delta = 2**-48*(|c*| + |c* - y_c_ob|*(1 + N/|A|))
+#   from computing c*.  A = (1-pi)dt + L0 is the sum in its denominator, and
+#   N = (1-pi)|dt| + |y_t_ob| + |y_c_ob| + |A| bounds that sum's terms.  The
+#   bound needs |A| > 2**-48*N.  r is stationary at the exact c*, so r at a
+#   point within delta of it is within 2*delta^2*D/B of the extreme.
+#
+# The margin adds the first two bounds for one candidate and for one cell
+# (whose |x| is at most the cut's) and the third once, with 2**-48 = 32u in
+# place of each u; the 2u/se terms fold into the first bound's constant.
+# That leaves a factor of at least 3 over the sum.  A row is
+# evaluated, never filled, when c* is not finite or |A| is within 2**-48*N of
+# zero.  It is also evaluated when a float upper bound on its variance, built
+# in the kernel's order of operations from the row's largest |dc| and gap,
+# overflows: rounding is monotone, so no cell of a filled row can overflow.
+# No row is filled when the kernel's constant term 0.5*var_t + 0.5*var_c is
+# below the least normal float.  It can then be zero, so that a cell can
+# have zero spread, which the kernel must see and raise on; and underflow
+# can break the bounds above.
+_ROW_ERROR = 2.0 ** -48
+
+
+def _saturated_rows(t, c_lo: float, c_hi: float, stats: ObservedStats,
+                    sign: EstimateSign, threshold: Threshold):
+    """Per row of the t axis: 1.0 or 0.0 where every cell of the row takes that
+    PIV, else NaN.
+
+    See the comment above.  The candidates go through the kernel piv() runs.
+    If that raises, no row is filled, so that the blocks raise what they
+    would, in their order.  The caller ignores numpy's float warnings.
+    """
+    import numpy as np
+
+    rows = np.full(len(t), math.nan)
+    pi = stats.pi
+    a = 1.0 - pi
+    y_t, y_c = stats.y_t_ob, stats.y_c_ob
+    d = 0.5 * pi * a
+    h = 0.5 * stats.var_t + 0.5 * stats.var_c
+    if not h >= sys.float_info.min:
+        return rows
+    dt = t - y_t
+    offset = _edge_stationary(dt, a, -pi, stats)
+    c_star = y_c + offset
+    candidates = np.empty((len(t), 3))
+    candidates[:, 0] = c_lo
+    candidates[:, 1] = c_hi
+    # a non-finite c* is not evaluated: its row is not filled
+    candidates[:, 2] = np.where(np.isfinite(c_star), np.clip(c_star, c_lo, c_hi), c_lo)
+    try:
+        probit = _probit(_correlation(t[:, None], candidates, stats, np.sqrt, _min_max),
+                         stats, sign, threshold)[0]
+    except PivError:
+        return rows
+    x = probit / -_SQRT2
+    x_min, x_max = x.min(axis=1), x.max(axis=1)
+
+    b = 0.5 * (stats.var_t + stats.var_c) + d * (dt * dt)
+    c_abs = max(abs(c_lo), abs(c_hi))
+    m = (np.abs(a * t) + abs(pi * y_t)) + (pi * c_abs + abs(a * y_c))
+    r_error = _ROW_ERROR * (1.0 + m / np.sqrt(b))
+    a_sum = a * dt + (y_t - y_c)
+    n = a * np.abs(dt) + (abs(y_t) + abs(y_c)) + np.abs(a_sum)
+    delta = _ROW_ERROR * (np.abs(c_star) + np.abs(offset) * (1.0 + n / np.abs(a_sum)))
+    delta[~(np.abs(a_sum) > _ROW_ERROR * n)] = math.inf
+    margin = (2.0 * r_error + 2.0 * (delta * delta) * d / b) / se_ideal(stats)
+
+    dc = max(abs(c_lo - y_c), abs(c_hi - y_c))
+    variance = (dt * dt + dc * dc) * d
+    variance += 0.5 * stats.var_t
+    variance += 0.5 * stats.var_c
+    variance += m * m * 0.25
+    lo, hi = _erfc_cuts()
+    ones = x_max + (margin + _ROW_ERROR * (np.abs(x_max) + abs(lo))) <= lo
+    zeros = x_min - (margin + _ROW_ERROR * (np.abs(x_min) + hi)) >= hi
+    rows[ones] = 1.0
+    rows[zeros] = 0.0
+    rows[~(variance < math.inf)] = math.nan
+    return rows
+
+
 def evaluate_grid(
     region: BeliefRegion,
     resolution: tuple[int, int],
@@ -241,14 +365,20 @@ def evaluate_grid(
 
     Both endpoints of each axis are included; a zero-width axis yields a
     single coordinate.  A grid of more than 10**7 cells is refused before any
-    coordinate is built.  Each block of t rows is evaluated at once, the t
-    column broadcast against the c row, by the kernel piv() uses.  The
-    kernel's arithmetic is + - * / and sqrt, which numpy rounds as floats do,
-    and erfc is math.erfc, so every cell equals piv() at that belief.  Cells
-    far from the tipping band, whose erfc argument lies at or beyond a cut
-    of _erfc_cuts, skip the math.erfc call and take the exact 2.0 or 0.0 it
-    would return: the cells whose PIV is exactly 1.0, and all but a sliver
-    of those whose PIV is 0.0.
+    coordinate is built.  First, three candidates per row (c_lo, c_hi and the
+    stationary point of r between them) bound the row's erfc argument; a
+    row whose bound lies past a cut of _erfc_cuts, with a margin for
+    rounding, is filled with the exact 1.0 or 0.0 that every cell of it takes
+    (see the comment above _saturated_rows).  When both variances are zero,
+    or so small that the kernel's constant term 0.5*var_t + 0.5*var_c is
+    below the least normal float, no row is filled, since a cell may then
+    have zero spread.  Each maximal run of the remaining rows is evaluated in
+    blocks of at most _eval_block_rows rows, the t column broadcast against
+    the c row, by the kernel piv() uses.  The kernel's arithmetic is + - * / and
+    sqrt, which numpy rounds as floats do, and erfc is math.erfc, so every
+    cell equals piv() at that belief.  Evaluated cells whose erfc argument
+    lies at or beyond a cut skip the math.erfc call and take the exact 2.0
+    or 0.0 it would return.
     """
     if not region.is_finite:
         raise InputValidationError("evaluate_grid requires a finite region")
@@ -269,17 +399,32 @@ def evaluate_grid(
     t.flags.writeable = c.flags.writeable = False
     values = np.empty((nt, nc))
     step = _eval_block_rows(nt, nc)
-    # an overflowing variance raises from the kernel; keep numpy from warning first
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, nt, step):
-            values[start:start + step] = _completed_piv(
-                t[start:start + step, None], c, stats, sign, threshold,
-                sqrt=np.sqrt, erfc=_erfc,
-            )
+    # an overflowing variance raises from the kernel, and a zero denominator
+    # gives a non-finite c*; keep numpy from warning first
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rows = _saturated_rows(t, c_lo, c_hi, stats, sign, threshold)
+        evaluate = np.isnan(rows)
+        values[~evaluate] = rows[~evaluate, None]
+        # the maximal runs of rows left to evaluate, as [start, stop) pairs
+        edges = np.flatnonzero(np.diff(evaluate, prepend=False, append=False)).tolist()
+        for run_start, run_stop in zip(edges[::2], edges[1::2]):
+            for start in range(run_start, run_stop, step):
+                stop = min(start + step, run_stop)
+                values[start:stop] = _completed_piv(
+                    t[start:stop, None], c, stats, sign, threshold, sqrt=np.sqrt, erfc=_erfc,
+                )
     values.flags.writeable = False
     # the axes as Python floats, built after the blocks so that they are not
     # alive beside the kernel's temporaries; tolist gives back the same floats
     return ContourGrid(t_values=tuple(t.tolist()), c_values=tuple(c.tolist()), piv=values)
+
+
+def _edge_coordinate(value: float, edge: str, at: float) -> float:
+    """An edge's stationary coordinate that lies in the region, refused where it overflowed."""
+    if math.isinf(value):
+        raise InputValidationError(
+            f"the region's stationary point on its edge {edge} = {at!r} lies beyond float range")
+    return value
 
 
 def bound_piv(
@@ -318,19 +463,19 @@ def bound_piv(
 
     points = [(t, c) for t in ts for c in cs]
     for t in ts:
-        dt = t - y_t
-        denominator = d * ((1.0 - pi) * dt + l0)
-        if denominator != 0.0:
-            c = y_c - pi * (v + d * (dt * dt)) / denominator
-            if c_lo <= c <= c_hi:
-                points.append((t, c))
+        try:
+            c = y_c + _edge_stationary(t - y_t, 1.0 - pi, -pi, stats)
+        except ZeroDivisionError:  # r has no stationary point on this edge
+            continue
+        if c_lo <= c <= c_hi:
+            points.append((t, _edge_coordinate(c, "y_t_un", t)))
     for c in cs:
-        dc = c - y_c
-        denominator = d * (l0 - pi * dc)
-        if denominator != 0.0:
-            t = y_t + (1.0 - pi) * (v + d * (dc * dc)) / denominator
-            if t_lo <= t <= t_hi:
-                points.append((t, c))
+        try:
+            t = y_t + _edge_stationary(c - y_c, -pi, 1.0 - pi, stats)
+        except ZeroDivisionError:
+            continue
+        if t_lo <= t <= t_hi:
+            points.append((_edge_coordinate(t, "y_c_un", c), c))
     if l0 != 0.0:
         scale = v / (d * l0)
         t, c = y_t + (1.0 - pi) * scale, y_c - pi * scale

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from piv import _grid_text, bounds
+from piv import _grid_text, bounds, core
 from piv.bounds import (
     BeliefRegion,
     BoundResult,
@@ -26,15 +28,19 @@ from piv.core import (
     FixedThreshold,
     InputValidationError,
     ObservedStats,
+    SignMismatchError,
     StatisticalThreshold,
     _completed_piv,
+    _correlation,
+    _min_max,
+    _probit,
     ideal_correlation,
     piv,
     piv_from_correlation,
     saturation_limits,
 )
 
-from helpers import CASE_STUDY, cellwise_csv, random_observed_stats, random_sign
+from helpers import CASE_STUDY, cellwise_csv, negate_stats, random_observed_stats, random_sign
 
 NEG = EstimateSign.NEGATIVE
 C196 = StatisticalThreshold(1.96)
@@ -139,10 +145,13 @@ class TestEvaluateGrid:
 
 def _random_grid_case(rng: np.random.Generator):
     """A seeded analysis over both signs and threshold kinds, pi near 0 or 1
-    now and then, and a box around the observed means up to 1e6 sd wide."""
+    now and then, observed means shifted far from zero now and then (so that
+    the gap y_t_id - y_c_id cancels), and a box around the observed means up
+    to 1e6 sd wide."""
     stats = random_observed_stats(rng)
     pi = float(rng.choice([stats.pi, 1e-4, 0.9999]))
-    stats = dataclasses.replace(stats, pi=pi)
+    shift = float(rng.choice([0.0, 0.0, 1e5, -1e9]))
+    stats = dataclasses.replace(stats, pi=pi, y_t_ob=stats.y_t_ob + shift, y_c_ob=stats.y_c_ob + shift)
     sign = random_sign(rng)
     if rng.random() < 0.5:
         threshold = StatisticalThreshold(float(rng.uniform(0.5, 4.0)))
@@ -157,16 +166,45 @@ def _random_grid_case(rng: np.random.Generator):
     return region, stats, sign, threshold
 
 
+def _piv_cells(grid, stats, sign, threshold) -> np.ndarray:
+    """piv() at every cell of a grid."""
+    return np.array([
+        [piv(CounterfactualBelief(t, c), stats, sign, threshold).piv for c in grid.c_values]
+        for t in grid.t_values
+    ])
+
+
+def _saturated(grid, stats, sign, threshold) -> np.ndarray:
+    """Per row, whether every cell's erfc argument lies past one cut of
+    _erfc_cuts; the arguments come from the kernel's steps on the whole grid."""
+    t = np.array(grid.t_values)[:, None]
+    r = _correlation(t, np.array(grid.c_values), stats, np.sqrt, _min_max)
+    x = _probit(r, stats, sign, threshold)[0] / -core._SQRT2
+    lo, hi = bounds._erfc_cuts()
+    return (x <= lo).all(axis=1) | (x >= hi).all(axis=1)
+
+
 class TestGridMatchesPiv:
-    def test_every_cell_equals_piv_exactly(self):
+    def test_every_cell_equals_piv_exactly(self, monkeypatch):
+        # 240 seeded grids over both signs and threshold kinds, with rows that
+        # the kernel evaluates and rows filled without it
+        evaluated = []
+
+        def spy(y_t_un, *args, **kwargs):
+            evaluated.append(len(y_t_un))
+            return _completed_piv(y_t_un, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "_completed_piv", spy)
         rng = np.random.default_rng(20260418)
-        for _ in range(60):
+        kinds = set()
+        for _ in range(240):
             region, stats, sign, threshold = _random_grid_case(rng)
             grid = evaluate_grid(region, (9, 11), stats, sign, threshold)
             assert grid.piv.dtype == np.float64 and grid.piv.shape == (9, 11)
-            for i, t in enumerate(grid.t_values):
-                for j, c in enumerate(grid.c_values):
-                    assert grid.piv[i, j] == piv(CounterfactualBelief(t, c), stats, sign, threshold).piv
+            assert grid.piv.tobytes() == _piv_cells(grid, stats, sign, threshold).tobytes()
+            kinds.add((sign, type(threshold)))
+        assert len(kinds) == 4
+        assert 500 < sum(evaluated) < 240 * 9 - 500
 
     def test_block_rows(self):
         # about 4096 cells per block, at most 1/128 of the grid, never less than a row
@@ -237,13 +275,22 @@ class TestArrayKernel:
         seen = []
 
         def spy(y_t_un, y_c_un, *args, **kwargs):
-            seen.append((len(y_t_un), y_t_un.flags.writeable, y_c_un.flags.writeable))
+            seen.append((y_t_un[:, 0].tolist(), y_t_un.flags.writeable, y_c_un.flags.writeable))
             return _completed_piv(y_t_un, y_c_un, *args, **kwargs)
 
         monkeypatch.setattr(bounds, "_completed_piv", spy)
-        evaluate_grid(PLAUSIBLE, (1000, 250), CASE_STUDY, NEG, C196)
-        # 15 rows a block, the last block partial
-        assert [rows for rows, _, _ in seen] == [15] * 66 + [10]
+        grid = evaluate_grid(PLAUSIBLE, (1000, 250), CASE_STUDY, NEG, C196)
+        # the rows skipped are those whose every erfc argument lies past one cut;
+        # each maximal run of the others goes in blocks of 15 rows, the last partial
+        skipped = _saturated(grid, CASE_STUDY, NEG, C196)
+        assert 0 < skipped.sum() < 1000
+        expected = []
+        for saturated, run in itertools.groupby(skipped.tolist()):
+            length = len(list(run))
+            if not saturated:
+                expected += [15] * (length // 15) + [length % 15] * (length % 15 > 0)
+        assert [len(rows) for rows, _, _ in seen] == expected
+        assert sum((rows for rows, _, _ in seen), []) == np.array(grid.t_values)[~skipped].tolist()
         assert not any(t or c for _, t, c in seen)
 
     @pytest.mark.parametrize("sign", [EstimateSign.POSITIVE, NEG])
@@ -346,6 +393,134 @@ class TestErfcSkip:
             for t in grid.t_values
         ])
         assert grid.piv.tobytes() == expected.tobytes()
+
+
+class TestSaturatedRows:
+    """Rows whose every cell saturates are filled without the kernel, and
+    equal piv() bit for bit; rows that may not are evaluated as before."""
+
+    @pytest.mark.parametrize("variance", [0.0, 5e-324])
+    def test_zero_spread_fills_no_row(self, variance):
+        # the cell (1, 1) has zero spread, and no candidate of its row does; a
+        # subnormal variance halves to zero in the kernel, so it is zero there too
+        stats = ObservedStats(0.0, 10**6, 1.0, 1.0, variance, variance, 0.3)
+        region = BeliefRegion(t_interval=(0.0, 2.0), c_interval=(0.0, 2.0))
+        with pytest.raises(DegenerateSpreadError):
+            evaluate_grid(region, (5, 5), stats, EstimateSign.POSITIVE, FixedThreshold(0.9))
+
+    @pytest.mark.parametrize("t_interval, threshold, error", [
+        # the overflowing cell is in the last row; the grid raises as the kernel does
+        ((0.0, 1.0), C196, InputValidationError),
+        # a threshold across zero from the sign is refused by the first block,
+        # unless that block overflows first
+        ((0.0, 1.0), FixedThreshold(0.05), SignMismatchError),
+        ((-1.0, 0.0), FixedThreshold(0.05), InputValidationError),
+    ])
+    def test_overflowing_corner_raises_as_unfilled(self, t_interval, threshold, error):
+        # dt^2 + dc^2 overflows at one corner only, and every other cell saturates
+        big = math.sqrt(0.6 * sys.float_info.max)
+        region = BeliefRegion(t_interval=(t_interval[0] * big, t_interval[1] * big),
+                              c_interval=(0.0, big))
+        corner = CounterfactualBelief(big if t_interval[1] else -big, big)
+        with pytest.raises(InputValidationError) as scalar:
+            piv(corner, CASE_STUDY, NEG, C196)
+        with pytest.raises(error) as raised:
+            evaluate_grid(region, (3, 3), CASE_STUDY, NEG, threshold)
+        if error is InputValidationError:
+            assert str(raised.value) == str(scalar.value) == core._VARIANCE_OVERFLOW
+        for t in (region.t_interval[0], sum(region.t_interval) / 2, region.t_interval[1]):
+            for c in (0.0, big / 2, big):
+                if (t, c) != (corner.y_t_un, corner.y_c_un):
+                    assert piv(CounterfactualBelief(t, c), CASE_STUDY, NEG, C196).piv in (0.0, 1.0)
+
+    @pytest.mark.parametrize("cut", ["lo", "hi"])
+    @pytest.mark.parametrize("sign", [EstimateSign.POSITIVE, NEG])
+    def test_row_extremes_within_ulps_of_each_cut(self, cut, sign):
+        # One row under fixed thresholds that put the row's extreme erfc
+        # argument at each of the nine floats around the cut, give or take the
+        # threshold's own ulp.  r is greatest at the row's stationary point
+        # c* = -3 and least at its end c = -1, which give the least and the
+        # greatest argument for a positive estimate.  A negative estimate
+        # mirrors the means, the row and the threshold.
+        stats = ObservedStats(0.0, 100, 1.0, 0.0, 1.0, 1.0, 0.5)
+        region = BeliefRegion(t_interval=(2.0, 2.0), c_interval=(-6.0, -1.0))
+        assert bounds._edge_stationary(2.0 - 1.0, 0.5, -0.5, stats) == -3.0  # y_c_ob is 0
+        cells = [CounterfactualBelief(2.0, c) for c in evaluate_grid(
+            region, (2, 41), stats, EstimateSign.POSITIVE, C196).c_values]
+        r = [ideal_correlation(belief, stats) for belief in cells]
+        assert int(np.argmax(r)) == 24 and int(np.argmin(r)) == 40
+        x_cut = bounds._erfc_cuts()[cut == "hi"]
+
+        def extreme(beta: float) -> float:
+            x = [piv(belief, stats, EstimateSign.POSITIVE, FixedThreshold(beta)).probit_piv
+                 / -core._SQRT2 for belief in cells]
+            return max(x) if cut == "lo" else min(x)
+
+        def beta_at(target: float) -> float:
+            # x = (r - beta)/se/-sqrt(2): Newton steps on beta, whose ulp moves
+            # x by at most about 1.3 ulps here
+            beta = min(r) if cut == "lo" else max(r)
+            for _ in range(4):
+                beta += (target - extreme(beta)) * core.se_ideal(stats) * core._SQRT2
+            return beta
+
+        betas = np.array([beta_at(x_cut + k * math.ulp(x_cut)) for k in range(-4, 5)])
+        if sign is NEG:
+            stats = negate_stats(stats)
+            region = BeliefRegion(t_interval=(-2.0, -2.0), c_interval=(1.0, 6.0))
+            betas = -betas
+        sides = set()
+        for beta in betas.tolist():
+            threshold = FixedThreshold(beta)
+            grid = evaluate_grid(region, (2, 41), stats, sign, threshold)
+            assert grid.piv.tobytes() == _piv_cells(grid, stats, sign, threshold).tobytes()
+            x = [piv(CounterfactualBelief(grid.t_values[0], c), stats, sign, threshold).probit_piv
+                 / -core._SQRT2 for c in grid.c_values]
+            extreme_x = max(x) if cut == "lo" else min(x)
+            assert abs(extreme_x - x_cut) <= 8 * math.ulp(x_cut)
+            sides.add(extreme_x < x_cut)
+        assert sides == {True, False}
+
+    def test_rows_whose_gap_cancels_equal_piv(self):
+        # Observed means near 1e9 with unit spread: the gap y_t_id - y_c_id
+        # cancels, so each cell's r carries rounding noise of about 1e-8, more
+        # than r changes over this row 1e-3 wide around its stationary point.
+        # A cell of the noise, not a candidate, holds the row's greatest erfc
+        # argument, about 7e-8 above the candidates'.  Thresholds step it
+        # across the lower cut 1e-8 at a time.  (Just below the upper cut
+        # erfc is the least subnormal, which halves to a PIV of 0.0 anyway.)
+        shift = 1e9
+        stats = ObservedStats(0.0, 100, shift + 1.0, shift, 1.0, 1.0, 0.5)
+        t, c_star = shift + 2.0, shift - 3.0
+        region = BeliefRegion(t_interval=(t, t), c_interval=(c_star - 5e-4, c_star + 5e-4))
+        pos = EstimateSign.POSITIVE
+        cells = [CounterfactualBelief(t, c) for c in evaluate_grid(region, (2, 41), stats, pos, C196).c_values]
+        r = np.array([ideal_correlation(belief, stats) for belief in cells])
+        assert int(np.argmin(r)) not in (0, 20, 40)
+        lo = bounds._erfc_cuts()[0]
+        for step in range(-20, 21):
+            threshold = FixedThreshold(float(r.min() + (lo + step * 1e-8) * core.se_ideal(stats) * core._SQRT2))
+            grid = evaluate_grid(region, (2, 41), stats, pos, threshold)
+            assert grid.piv.tobytes() == _piv_cells(grid, stats, pos, threshold).tobytes()
+
+    def test_kernel_sees_no_row_of_a_saturated_grid(self, monkeypatch):
+        seen = []
+
+        def spy(y_t_un, *args, **kwargs):
+            seen.append(len(y_t_un))
+            return _completed_piv(y_t_un, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "_completed_piv", spy)
+        for region, value in ((BeliefRegion((10.0, 30.0), (40.0, 60.0)), 1.0),
+                              (BeliefRegion((60.0, 80.0), (20.0, 40.0)), 0.0)):
+            grid = evaluate_grid(region, (300, 300), CASE_STUDY, NEG, C196)
+            assert seen == [] and (grid.piv == value).all()
+        # and every row of a grid with no saturated row, in blocks of 4
+        band = BeliefRegion((45.0, 46.5), (44.0, 47.0))
+        grid = evaluate_grid(band, (300, 300), CASE_STUDY, NEG, C196)
+        assert not _saturated(grid, CASE_STUDY, NEG, C196).any()
+        assert seen == [4] * 75
+        assert grid.piv.tobytes() == _piv_cells(grid, CASE_STUDY, NEG, C196).tobytes()
 
 
 def _cellwise_json(t_values, c_values, rows) -> str:
@@ -620,6 +795,22 @@ class TestBoundPiv:
         assert bound.argmin is None
         assert bound.piv_min == bound.asymptotic_piv["t_lo"]
         assert robustness_verdict(bound, 0.8) is Verdict.INDETERMINATE
+
+
+    @pytest.mark.parametrize("stats, region, message", [
+        # the stationary point on the edge y_c_un = 0 lies near y_t_un = 2e310
+        (ObservedStats(0.0, 100, 1e-10, 0.0, 1.0, 1.0, 1e-300),
+         BeliefRegion(t_interval=(-math.inf, math.inf), c_interval=(0.0, 0.0)),
+         "the region's stationary point on its edge y_c_un = 0.0 lies beyond float range"),
+        # and the one on the edge y_t_un = 1e-310 near y_c_un = -4e310
+        (ObservedStats(0.0, 100, 1e-310, 0.0, 1.0, 1.0, 0.5),
+         BeliefRegion(t_interval=(1e-310, 1e-310), c_interval=(-math.inf, math.inf)),
+         "the region's stationary point on its edge y_t_un = 1e-310 lies beyond float range"),
+    ])
+    def test_edge_point_beyond_float_range_refused(self, stats, region, message):
+        with pytest.raises(InputValidationError) as raised:
+            bound_piv(region, stats, EstimateSign.POSITIVE, C196)
+        assert str(raised.value) == message
 
 
 def _cut(lo: float, hi: float, centre: float, width: float) -> tuple[float, float]:

@@ -104,6 +104,17 @@ MORE_BAND_SHA256 = {
 }
 
 
+# regions far from the case study's tipping band, where every row is filled
+# without the kernel (PIV 1.0 in the first, 0.0 in the second): the belief, and
+# the size and sha256 of its 300x300 export in one format
+SATURATED_EXPORT = {
+    "csv": ({"name": "far", "region": {"t": [10.0, 30.0], "c": [40.0, 60.0]}},
+            821_031, "bca485996481006ce2c69d571e1cb091f522fad17f07fc3c86d932bb5920b239"),
+    "json": ({"name": "far", "region": {"t": [60.0, 80.0], "c": [20.0, 40.0]}},
+             827_929, "ae8ec526b7d0200e88740bdea83f1205b58afc5b159746cdc64a0ca6de6ef493"),
+}
+
+
 def band_config_object(variant: str) -> dict:
     """The case study's dumped config with a tipping band under a fixed
     threshold of -0.02, or mirrored for a positive estimate."""
@@ -514,6 +525,19 @@ class TestContourCommand:
             assert len(data) == size
             assert hashlib.sha256(data).hexdigest() == sha256
 
+    @pytest.mark.parametrize("fmt", list(SATURATED_EXPORT))
+    def test_saturated_export_pinned(self, fmt, tmp_path):
+        belief, size, sha256 = SATURATED_EXPORT[fmt]
+        obj = config_to_json_object(case_study_config())
+        obj["beliefs"].append(belief)
+        out_path = tmp_path / f"grid.{fmt}"
+        argv = ["contour", "--config", write_config(tmp_path, obj), "--belief", "far",
+                "--grid", "300x300", "--format", fmt, "--out", str(out_path)]
+        assert main(argv) == EXIT_OK
+        data = out_path.read_bytes()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == sha256
+
     @pytest.mark.parametrize("variant", list(MORE_BAND_SHA256))
     def test_fixed_and_positive_exports_pinned(self, variant, tmp_path):
         path = write_config(tmp_path, band_config_object(variant))
@@ -725,6 +749,7 @@ _MALFORMED_BELIEFS = [
     {"name": "flat", "point": {"y_t_un": 5.0, "y_c_un": 5.0}},
     {"name": "flat-point-region", "region": {"t": [5.0, 5.0], "c": [5.0, 5.0]}},
     {"name": "flat-box", "region": {"t": [4.0, 6.0], "c": [4.0, 6.0]}},
+    {"name": "line", "region": {"t": [None, None], "c": [0.0, 0.0]}},
 ]
 _CONFIG_ERROR = (EXIT_CONFIG, "config error: ")
 _HUGE = 10**400  # a JSON integer that float() cannot convert
@@ -790,6 +815,12 @@ MALFORMED_INPUTS = {
     "bound-n-ob-zero-se": (lambda obj: obj["observed"].update(n_ob=10**308),
                            ["bound", "--belief", "box"],
                            EXIT_CONFIG, "config error: observed: n_ob "),
+    "bound-edge-point-beyond-float-range": (
+        lambda obj: obj.update(sign="positive", observed={
+            "r_squared": 0.0, "n_ob": 100, "y_t_ob": 1e-10, "y_c_ob": 0.0,
+            "var_t": 1.0, "var_c": 1.0, "pi": 1e-300}),
+        ["bound", "--belief", "line"], EXIT_CONFIG,
+        "config error: the region's stationary point on its edge y_c_un = 0.0 lies beyond float range\n"),
 }
 
 
