@@ -34,6 +34,7 @@ from enum import Enum
 
 from .core import (
     _SQRT2,
+    _VARIANCE_OVERFLOW,
     CounterfactualBelief,
     EstimateSign,
     InputValidationError,
@@ -420,7 +421,14 @@ def evaluate_grid(
 
 
 def _edge_coordinate(value: float, edge: str, at: float) -> float:
-    """An edge's stationary coordinate that lies in the region, refused where it overflowed."""
+    """An edge's stationary coordinate that lies in the region, refused where it overflowed.
+
+    NaN is inf/inf: its denominator overflows only where the edge, or the
+    observed means, lie so far out that the completed-sample variance
+    overflows at every belief on the edge, which is what piv() reports there.
+    """
+    if math.isnan(value):
+        raise InputValidationError(_VARIANCE_OVERFLOW)
     if math.isinf(value):
         raise InputValidationError(
             f"the region's stationary point on its edge {edge} = {at!r} lies beyond float range")
@@ -467,14 +475,14 @@ def bound_piv(
             c = y_c + _edge_stationary(t - y_t, 1.0 - pi, -pi, stats)
         except ZeroDivisionError:  # r has no stationary point on this edge
             continue
-        if c_lo <= c <= c_hi:
+        if not (c < c_lo or c > c_hi):  # NaN too, which _edge_coordinate refuses
             points.append((t, _edge_coordinate(c, "y_t_un", t)))
     for c in cs:
         try:
             t = y_t + _edge_stationary(c - y_c, -pi, 1.0 - pi, stats)
         except ZeroDivisionError:
             continue
-        if t_lo <= t <= t_hi:
+        if not (t < t_lo or t > t_hi):
             points.append((_edge_coordinate(t, "y_c_un", c), c))
     if l0 != 0.0:
         scale = v / (d * l0)

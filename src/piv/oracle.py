@@ -8,13 +8,16 @@ normal equations with np.linalg under a 1e10 condition bound, and checks
 the closed forms against those fits.  It also estimates the PIV by Monte
 Carlo as a rejection rate over simulated completed samples.
 
-Each matrix a dataset's checks need is solved once, through _solve, which
-refuses a non-finite matrix and one whose singular values span more than
-the bound: X'X against [X'y | I] gives the fit and the direct inverse, and
-S_zz against [s_zw, s_zy | I] gives the moment route and the block
-assembly.  The half-sample combination solves its own summed Gram matrix.
-No check compares a quantity with itself: the block assembly, built from
-S_zz, is set against the direct inverse of X'X.
+The checks run on stacks of datasets that share a covariate count p
+(DatasetStack).  Each dataset is reduced once to its small matrices, and
+its rows are not kept.  Each matrix kind is then solved once for the whole
+stack, through _solve, which refuses a non-finite matrix and one whose
+singular values span more than the bound: X'X against [X'y | I] gives the
+fits and the direct inverses, S_zz against [s_zw, s_zy | I] gives the
+moment route and the block assembly, and the summed half-sample Gram
+matrix gives the half-sample fits.  The per-dataset functions run the same
+code on a stack of one.  No check compares a quantity with itself: the
+block assembly, built from S_zz, is set against the direct inverse of X'X.
 
 Conventions that the checks depend on:
 
@@ -28,6 +31,7 @@ Conventions that the checks depend on:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,6 +51,7 @@ __all__ = [
     "SingularDesignError",
     "SyntheticSpec",
     "IdealDataset",
+    "DatasetStack",
     "build_exact_dataset",
     "ols_fit",
     "w_coefficient_via_moments",
@@ -67,19 +72,42 @@ class SingularDesignError(PivError):
 def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """np.linalg.solve that refuses a non-finite or numerically rank-deficient matrix.
 
-    The 2-norm condition number is s_max / s_min over the singular values;
+    matrix is one (m, m) matrix or a stack of k of them, (k, m, m), each
+    solved against its own rhs; rhs may have several columns.  The 2-norm
+    condition number is s_max / s_min over the singular values;
     s_max <= 1e10 * s_min tests the bound without dividing, and a zero s_min
-    fails it.  rhs may have several columns; a 0x0 matrix (no covariates)
-    passes through.
+    fails it.  In a stack the lowest-indexed matrix that fails is named, with
+    the message it would raise alone.  A 0x0 matrix (no covariates) passes
+    through.
     """
     if matrix.size:
-        if not np.isfinite(matrix).all():
-            raise SingularDesignError("matrix has a non-finite entry")
-        s = np.linalg.svd(matrix, compute_uv=False)
-        if not (s[-1] > 0.0 and s[0] <= _MAX_CONDITION * s[-1]):
-            condition = s[0] / s[-1] if s[-1] > 0.0 else math.inf
+        stack = matrix.reshape((-1,) + matrix.shape[-2:])
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        # a non-finite matrix is zeroed for the SVD, and refused below
+        s = np.linalg.svd(np.where(finite[:, None, None], stack, 0.0), compute_uv=False)
+        passed = finite & (s[:, -1] > 0.0) & (s[:, 0] <= _MAX_CONDITION * s[:, -1])
+        if not passed.all():
+            first = int(np.argmin(passed))
+            if not finite[first]:
+                raise SingularDesignError("matrix has a non-finite entry")
+            s_max, s_min = s[first, 0], s[first, -1]
+            condition = s_max / s_min if s_min > 0.0 else math.inf
             raise SingularDesignError(f"condition number {condition:.3e} above {_MAX_CONDITION:.0e}")
     return np.linalg.solve(matrix, rhs)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (k, q) stacks.
+
+    Each is the (1, q) @ (q, 1) product that a one-dimensional a @ b makes,
+    so a stack of k gives the bits of k separate products.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _require_seed(seed) -> None:
@@ -167,9 +195,8 @@ class IdealDataset:
     flipped, covariates identical).
 
     The four arrays are made read-only in place on construction, so the
-    design matrix, normal equations, moment blocks and the two checked
-    solves (of X'X and of S_zz), each formed on first use and then shared by
-    every check, cannot go stale.
+    design matrix and the dataset's stack of one (DatasetStack), each formed
+    on first use and then shared by every per-dataset check, cannot go stale.
     """
 
     outcome: np.ndarray
@@ -200,64 +227,48 @@ class IdealDataset:
         x.flags.writeable = False
         return x
 
-    @cached_property
-    def _normal_equations(self) -> tuple[np.ndarray, np.ndarray]:
-        """(X'X, X'y)."""
-        x = self._design
-        return x.T @ x, x.T @ self.outcome
+    def _reduce(self) -> dict:
+        """The small matrices every check reads, formed from the rows once.
 
-    @cached_property
-    def _moments(self) -> dict:
-        """Sample means and 1/n covariance blocks of (Z, W, Y)."""
-        y, w, z = self.outcome, self.w, self.z
+        X'X and X'y; the half-sample sums Xo'Xo + Xu'Xu and Xo'yo + Xu'yu
+        over the observed and counterfactual rows; and the sample means and
+        1/n covariance blocks of (Z, W, Y).
+        """
+        x, y, observed = self._design, self.outcome, self.observed
+        xo, yo = x[observed], y[observed]
+        xu, yu = x[~observed], y[~observed]
+        w, z = self.w, self.z
         y_mean, w_mean, z_mean = y.mean(), w.mean(), z.mean(axis=0)
         y_c = y - y_mean
         w_c = w - w_mean
         z_c = z - z_mean
         n = y.shape[0]
         return {
+            "gram": x.T @ x,
+            "moment": x.T @ y,
+            "half_gram": xo.T @ xo + xu.T @ xu,
+            "half_moment": xo.T @ yo + xu.T @ yu,
+            "both_halves": bool(observed.any() and not observed.all()),
             "n": n,
-            "y_mean": y_mean,
             "w_mean": w_mean,
             "z_mean": z_mean,
             "s_zz": (z_c.T @ z_c) / n,
             "s_zw": (z_c.T @ w_c) / n,
             "s_zy": (z_c.T @ y_c) / n,
             "s_ww": float(w_c @ w_c) / n,
-            "s_wy": float(w_c @ y_c) / n,
             "s_yy": float(y_c @ y_c) / n,
+            "s_wy": float(w_c @ y_c) / n,
         }
 
     @cached_property
-    def _szz_solution(self) -> np.ndarray:
-        """S_zz solved once against [s_zw, s_zy, I]: S_zz^-1 s_zw, S_zz^-1 s_zy, S_zz^-1."""
-        m = self._moments
-        rhs = np.column_stack([m["s_zw"], m["s_zy"], np.eye(self.p)])
-        solution = _solve(m["s_zz"], rhs)
-        solution.flags.writeable = False
-        return solution
-
-    @cached_property
-    def _gram_solution(self) -> np.ndarray:
-        """X'X solved once against [X'y | I]: the fit, then (X'X)^-1."""
-        gram, moment = self._normal_equations
-        solution = _solve(gram, np.column_stack([moment, np.eye(moment.shape[0])]))
-        solution.flags.writeable = False
-        return solution
+    def _stack(self) -> DatasetStack:
+        """This dataset as a stack of one, read by every per-dataset check."""
+        return DatasetStack([self])
 
     @cached_property
     def _fit(self) -> np.ndarray:
-        """Coefficients solving the normal equations, residual-checked."""
-        gram, moment = self._normal_equations
-        coefficients = self._gram_solution[:, 0]
-        residual = np.max(np.abs(gram @ coefficients - moment))
-        scale = max(np.max(np.abs(moment)), 1.0)
-        # written so that a NaN residual or scale fails too
-        if not residual <= 1e-9 * scale:
-            raise SingularDesignError(
-                f"normal-equation residual {residual:.3e} exceeds 1e-9 relative"
-            )
-        return coefficients
+        """The stack's fit row, kept so that ols_fit returns one array per dataset."""
+        return self._stack.fit[0]
 
 
 def build_exact_dataset(spec: SyntheticSpec) -> IdealDataset:
@@ -302,8 +313,139 @@ def build_exact_dataset(spec: SyntheticSpec) -> IdealDataset:
 
 
 # =============================================================================
-# Least squares through the normal equations
+# Least squares through the normal equations, on stacks of datasets
 # =============================================================================
+
+
+class DatasetStack:
+    """Datasets with one covariate count p, reduced to their small matrices and
+    stacked on a leading axis of length k.
+
+    Each dataset's rows are read once, here, and not kept.  Each matrix kind
+    is solved once for the whole stack, on first use, through _solve (see
+    the module docstring).  Every check returns one value per dataset, in
+    the order the datasets were given; a dataset that fails a check raises
+    for the whole stack, naming the first that fails.
+    """
+
+    def __init__(self, datasets: Iterable[IdealDataset]) -> None:
+        reduced = [dataset._reduce() for dataset in datasets]
+        if not reduced:
+            raise InputValidationError("a dataset stack needs at least one dataset")
+        if len({r["z_mean"].shape for r in reduced}) > 1:
+            raise InputValidationError("the datasets of a stack must have one covariate count")
+        self._m = {key: _read_only(np.array([r[key] for r in reduced])) for key in reduced[0]}
+        self.p = reduced[0]["z_mean"].shape[0]
+
+    def __len__(self) -> int:
+        return self._m["n"].shape[0]
+
+    @cached_property
+    def _gram_solution(self) -> np.ndarray:
+        """X'X solved against [X'y | I]: the fits, then (X'X)^-1, (k, p+2, p+3)."""
+        gram, moment = self._m["gram"], self._m["moment"]
+        rhs = np.concatenate([moment[:, :, None], np.broadcast_to(np.eye(self.p + 2), gram.shape)],
+                             axis=2)
+        return _read_only(_solve(gram, rhs))
+
+    @cached_property
+    def _szz_solution(self) -> np.ndarray:
+        """S_zz solved against [s_zw, s_zy, I]: S_zz^-1 s_zw, S_zz^-1 s_zy, S_zz^-1."""
+        m = self._m
+        rhs = np.concatenate([m["s_zw"][:, :, None], m["s_zy"][:, :, None],
+                              np.broadcast_to(np.eye(self.p), m["s_zz"].shape)], axis=2)
+        return _read_only(_solve(m["s_zz"], rhs))
+
+    @cached_property
+    def fit(self) -> np.ndarray:
+        """Coefficients of [1, Z, W] solving each dataset's normal equations,
+        residual-checked: (k, p+2), read-only."""
+        gram, moment = self._m["gram"], self._m["moment"]
+        coefficients = self._gram_solution[:, :, 0]
+        residual = np.abs(gram @ coefficients[:, :, None] - moment[:, :, None]).max(axis=(1, 2))
+        scale = np.maximum(np.abs(moment).max(axis=1), 1.0)
+        # written so that a NaN residual or scale fails too
+        failed = ~(residual <= 1e-9 * scale)
+        if failed.any():
+            raise SingularDesignError(
+                f"normal-equation residual {residual[np.argmax(failed)]:.3e} exceeds 1e-9 relative"
+            )
+        return coefficients
+
+    @property
+    def direct_inverse(self) -> np.ndarray:
+        """(X'X)^-1 of each dataset, from the same solve as the fit: (k, p+2, p+2)."""
+        return self._gram_solution[:, :, 1:]
+
+    @cached_property
+    def half_sample_fit(self) -> np.ndarray:
+        """The b solving (Xo'Xo + Xu'Xu) b = Xo'Yo + Xu'Yu: (k, p+2), read-only."""
+        m = self._m
+        if not m["both_halves"].all():
+            raise InputValidationError("dataset must contain both observed and counterfactual rows")
+        return _read_only(_solve(m["half_gram"], m["half_moment"][:, :, None])[:, :, 0])
+
+    def w_coefficient_via_moments(self) -> np.ndarray:
+        """Treatment coefficients from sample covariances alone: (k,).
+
+        (s_wy - s_wz s_zz^-1 s_zy) / (s_ww - s_wz s_zz^-1 s_zw); an independent
+        route to the number fit gives from the full normal equations.
+        """
+        m = self._m
+        szz_inv_szw, szz_inv_szy = self._szz_solution[:, :, 0], self._szz_solution[:, :, 1]
+        numerator = m["s_wy"] - _dot(m["s_zw"], szz_inv_szy)
+        denominator = m["s_ww"] - _dot(m["s_zw"], szz_inv_szw)
+        return numerator / denominator
+
+    def standardized_w_coefficient(self) -> np.ndarray:
+        """Treatment coefficients after scaling outcome and treatment to unit variance: (k,)."""
+        m = self._m
+        return self.fit[:, -1] * np.sqrt(m["s_ww"]) / np.sqrt(m["s_yy"])
+
+    def block_inverse_errors(self) -> np.ndarray:
+        """Each dataset's (X'X)^-1 assembled from block formulas, against the
+        direct inverse: (k,) errors, as block_inverse_check describes."""
+        m = self._m
+        n, p, k = m["n"], self.p, len(self)
+
+        szz_inv_szw, szz_inv = self._szz_solution[:, :, 0], self._szz_solution[:, :, 2:]
+        schur = m["s_ww"] - _dot(m["s_zw"], szz_inv_szw)
+        if (schur <= 0.0).any():
+            raise SingularDesignError("nonpositive Schur complement of the covariate block")
+        schur_inv = 1.0 / schur
+
+        s_vv_inv = np.empty((k, p + 1, p + 1))
+        s_vv_inv[:, :p, :p] = szz_inv + schur_inv[:, None, None] * (
+            szz_inv_szw[:, :, None] * szz_inv_szw[:, None, :])
+        s_vv_inv[:, :p, p] = -schur_inv[:, None] * szz_inv_szw
+        s_vv_inv[:, p, :p] = -schur_inv[:, None] * szz_inv_szw
+        s_vv_inv[:, p, p] = schur_inv
+
+        v_mean = np.concatenate([m["z_mean"], m["w_mean"][:, None]], axis=1)
+        v_s = (v_mean[:, None, :] @ s_vv_inv)[:, 0]
+        assembled = np.empty((k, p + 2, p + 2))
+        assembled[:, 0, 0] = 1.0 / n + _dot(v_s, v_mean) / n
+        assembled[:, 0, 1:] = -v_s / n[:, None]
+        assembled[:, 1:, 0] = assembled[:, 0, 1:]
+        assembled[:, 1:, 1:] = s_vv_inv / n[:, None, None]
+
+        # Closed forms for the last row, assembled independently of the blocks above.
+        last_row = np.empty((k, p + 2))
+        szz_inv_zmean = (szz_inv @ m["z_mean"][:, :, None])[:, :, 0]
+        last_row[:, 0] = (_dot(m["s_zw"], szz_inv_zmean) * schur_inv - m["w_mean"] * schur_inv) / n
+        last_row[:, 1 : p + 1] = -(schur_inv[:, None] * (m["s_zw"][:, None, :] @ szz_inv)[:, 0]) / n[:, None]
+        last_row[:, p + 1] = schur_inv / n
+
+        direct = self.direct_inverse
+        scale = np.abs(direct).max(axis=(1, 2))
+        error = np.maximum(np.abs(assembled - direct).max(axis=(1, 2)),
+                           np.abs(last_row - direct[:, -1]).max(axis=1))
+        return error / scale
+
+    def bayes_combination_errors(self) -> np.ndarray:
+        """Each half-sample fit against the fit on the stacked rows: (k,)
+        maximum coefficient discrepancies, as bayes_combination_check describes."""
+        return np.abs(self.half_sample_fit - self.fit).max(axis=1)
 
 
 def ols_fit(dataset: IdealDataset) -> np.ndarray:
@@ -320,17 +462,12 @@ def w_coefficient_via_moments(dataset: IdealDataset) -> float:
     (s_wy - s_wz s_zz^-1 s_zy) / (s_ww - s_wz s_zz^-1 s_zw); an independent
     route to the same number ols_fit produces from the full normal equations.
     """
-    m = dataset._moments
-    szz_inv_szw, szz_inv_szy = dataset._szz_solution[:, :2].T
-    numerator = m["s_wy"] - float(m["s_zw"] @ szz_inv_szy)
-    denominator = m["s_ww"] - float(m["s_zw"] @ szz_inv_szw)
-    return numerator / denominator
+    return float(dataset._stack.w_coefficient_via_moments()[0])
 
 
 def standardized_w_coefficient(dataset: IdealDataset) -> float:
     """Treatment coefficient after scaling outcome and treatment to unit variance."""
-    m = dataset._moments
-    return float(ols_fit(dataset)[-1]) * math.sqrt(m["s_ww"]) / math.sqrt(m["s_yy"])
+    return float(dataset._stack.standardized_w_coefficient()[0])
 
 
 def block_inverse_check(dataset: IdealDataset) -> float:
@@ -349,40 +486,7 @@ def block_inverse_check(dataset: IdealDataset) -> float:
     ones the moment route uses, and the direct inverse comes from the same
     solve of X'X as the fit.
     """
-    m = dataset._moments
-    n = m["n"]
-    p = dataset.p
-
-    szz_inv_szw, szz_inv = dataset._szz_solution[:, 0], dataset._szz_solution[:, 2:]
-    schur = m["s_ww"] - float(m["s_zw"] @ szz_inv_szw)
-    if schur <= 0.0:
-        raise SingularDesignError("nonpositive Schur complement of the covariate block")
-    schur_inv = 1.0 / schur
-
-    s_vv_inv = np.empty((p + 1, p + 1))
-    s_vv_inv[:p, :p] = szz_inv + schur_inv * np.outer(szz_inv_szw, szz_inv_szw)
-    s_vv_inv[:p, p] = -schur_inv * szz_inv_szw
-    s_vv_inv[p, :p] = -schur_inv * szz_inv_szw
-    s_vv_inv[p, p] = schur_inv
-
-    v_mean = np.concatenate([m["z_mean"], [m["w_mean"]]])
-    assembled = np.empty((p + 2, p + 2))
-    assembled[0, 0] = 1.0 / n + float(v_mean @ s_vv_inv @ v_mean) / n
-    assembled[0, 1:] = -(v_mean @ s_vv_inv) / n
-    assembled[1:, 0] = assembled[0, 1:]
-    assembled[1:, 1:] = s_vv_inv / n
-
-    # Closed forms for the last row, assembled independently of the blocks above.
-    last_row = np.empty(p + 2)
-    last_row[0] = (float(m["s_zw"] @ (szz_inv @ m["z_mean"])) * schur_inv - m["w_mean"] * schur_inv) / n
-    last_row[1 : p + 1] = -(schur_inv * (m["s_zw"] @ szz_inv)) / n
-    last_row[p + 1] = schur_inv / n
-
-    direct = dataset._gram_solution[:, 1:]
-    scale = float(np.max(np.abs(direct)))
-    error = float(np.max(np.abs(assembled - direct)))
-    error = max(error, float(np.max(np.abs(last_row - direct[-1]))))
-    return error / scale
+    return float(dataset._stack.block_inverse_errors()[0])
 
 
 def bayes_combination_check(dataset: IdealDataset) -> float:
@@ -397,16 +501,7 @@ def bayes_combination_check(dataset: IdealDataset) -> float:
     stacked Gram matrix and moment vector are exactly those sums.  Returns
     the maximum coefficient discrepancy.
     """
-    observed = dataset.observed
-    if not observed.any() or observed.all():
-        raise InputValidationError("dataset must contain both observed and counterfactual rows")
-    x = dataset.design_matrix()
-    y = dataset.outcome
-    xo, yo = x[observed], y[observed]
-    xu, yu = x[~observed], y[~observed]
-    combined = _solve(xo.T @ xo + xu.T @ xu, xo.T @ yo + xu.T @ yu)
-    stacked = ols_fit(dataset)
-    return float(np.max(np.abs(combined - stacked)))
+    return float(dataset._stack.bayes_combination_errors()[0])
 
 
 # =============================================================================

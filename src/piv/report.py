@@ -96,8 +96,33 @@ _ORACLE_CHECKS = {
 }
 
 
+# Seeds per chunk: the datasets of one chunk are reduced and checked in
+# stacks, one per covariate count, so memory stays bounded in --seeds.
+_CHUNK_SEEDS = 128
+
+
+def _seeded_stacks(seeds: int):
+    """(specs, stack) for the seeded datasets 0..seeds-1: consecutive chunks of
+    _CHUNK_SEEDS seeds, each split into one stack per covariate count."""
+    from . import oracle
+
+    for start in range(0, seeds, _CHUNK_SEEDS):
+        by_p: dict[int, list] = {}
+        for i in range(start, min(start + _CHUNK_SEEDS, seeds)):
+            spec = oracle.random_spec(i)
+            by_p.setdefault(spec.p, []).append(spec)
+        for specs in by_p.values():
+            yield specs, oracle.DatasetStack(map(oracle.build_exact_dataset, specs))
+
+
 def verify_report(seeds: int, reps: int, seed: int = 0) -> tuple[list[str], bool]:
-    """Run every oracle check; returns the report lines and an overall pass flag."""
+    """Run every oracle check; returns the report lines and an overall pass flag.
+
+    A NaN error in any dataset is kept as the check's worst error, so the
+    check fails.
+    """
+    import numpy as np
+
     from . import oracle
 
     if seeds < 1:
@@ -110,19 +135,20 @@ def verify_report(seeds: int, reps: int, seed: int = 0) -> tuple[list[str], bool
     )
     oracle._require_reps(reps)
     worst = dict.fromkeys(_ORACLE_CHECKS, 0.0)
-    for i in range(seeds):
-        spec = oracle.random_spec(i)
-        dataset = oracle.build_exact_dataset(spec)
-        stats = spec.observed_stats(0.0)
-        belief = CounterfactualBelief(spec.y_t_un, spec.y_c_un)
-        r = ideal_correlation(belief, stats)
-        std_w = oracle.standardized_w_coefficient(dataset)
-        worst["closed_form"] = max(worst["closed_form"], abs(std_w - r) / abs(r))
-        direct = float(oracle.ols_fit(dataset)[-1])
-        via_moments = oracle.w_coefficient_via_moments(dataset)
-        worst["moments"] = max(worst["moments"], abs(via_moments - direct) / max(abs(direct), 1e-30))
-        worst["block"] = max(worst["block"], oracle.block_inverse_check(dataset))
-        worst["bayes"] = max(worst["bayes"], oracle.bayes_combination_check(dataset))
+    for specs, stack in _seeded_stacks(seeds):
+        r = np.array([ideal_correlation(CounterfactualBelief(spec.y_t_un, spec.y_c_un),
+                                        spec.observed_stats(0.0)) for spec in specs])
+        direct = stack.fit[:, -1]
+        errors = {
+            "closed_form": np.abs(stack.standardized_w_coefficient() - r) / np.abs(r),
+            "moments": np.abs(stack.w_coefficient_via_moments() - direct)
+            / np.maximum(np.abs(direct), 1e-30),
+            "block": stack.block_inverse_errors(),
+            "bayes": stack.bayes_combination_errors(),
+        }
+        for key, values in errors.items():
+            # np.maximum and .max() keep a NaN, where max(0.0, nan) would drop it
+            worst[key] = float(np.maximum(worst[key], values.max()))
 
     ok = True
     lines = [f"oracle checks over {seeds} seeded exact-moment datasets:"]

@@ -812,6 +812,25 @@ class TestBoundPiv:
             bound_piv(region, stats, EstimateSign.POSITIVE, C196)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("sign", list(EstimateSign))
+    @pytest.mark.parametrize("stats, region, belief", [
+        # the edge y_t_un = 1e308 lies 2e308 (inf) from y_t_ob, so its edge
+        # point is inf/inf = NaN; no corner is finite
+        (ObservedStats(0.0, 100, -1e308, 0.0, 1.0, 1.0, 0.5),
+         BeliefRegion(t_interval=(1e308, 1e308), c_interval=(-math.inf, math.inf)),
+         CounterfactualBelief(1e308, 0.0)),
+        (ObservedStats(0.0, 100, 0.0, 1e308, 1.0, 1.0, 0.5),
+         BeliefRegion(t_interval=(-math.inf, math.inf), c_interval=(-1e308, -1e308)),
+         CounterfactualBelief(0.0, -1e308)),
+    ], ids=["t-edge", "c-edge"])
+    def test_region_whose_every_belief_overflows_refused(self, stats, region, belief, sign):
+        with pytest.raises(InputValidationError) as at_point:
+            piv(belief, stats, sign, C196)
+        with pytest.raises(InputValidationError) as bounded:
+            bound_piv(region, stats, sign, C196)
+        assert str(bounded.value) == str(at_point.value)
+        assert str(bounded.value).startswith("completed-sample variance overflows float64")
+
 
 def _cut(lo: float, hi: float, centre: float, width: float) -> tuple[float, float]:
     """Replace the infinite ends of [lo, hi] by finite ones `width` away."""

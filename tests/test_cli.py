@@ -710,11 +710,37 @@ class TestVerifyCommand:
     def test_failed_tolerance_exits_5(self, capsys, monkeypatch):
         from piv import oracle
 
-        monkeypatch.setattr(oracle, "bayes_combination_check", lambda dataset: 1e-9)
+        monkeypatch.setattr(oracle.DatasetStack, "bayes_combination_errors",
+                            lambda stack: np.full(len(stack), 1e-9))
         assert main(["verify", "--seeds", "2", "--reps", "1000"]) == EXIT_VERIFY
         out = capsys.readouterr().out
         assert ("  [FAIL] half-sample combination vs stacked fit: max error 1.000e-09 "
                 "(tolerance 1e-10)\n") in out
+        assert out.count("[FAIL]") == 1 and out.endswith("SOME CHECKS FAILED\n")
+
+    @pytest.mark.parametrize("check, label", [
+        ("standardized_w_coefficient", "closed-form correlation vs standardized fit"),
+        ("w_coefficient_via_moments", "coefficient via moments vs direct solve"),
+        ("block_inverse_errors", "block-assembled inverse vs direct inverse"),
+        ("bayes_combination_errors", "half-sample combination vs stacked fit"),
+    ])
+    def test_nan_error_in_one_dataset_fails(self, check, label, capsys, monkeypatch):
+        # one NaN in the middle of a stack, in a chunk whose other stacks are
+        # checked after it: a running max(worst, nan) would drop it
+        from piv import oracle
+
+        original = getattr(oracle.DatasetStack, check)
+
+        def with_nan(stack):
+            values = original(stack).copy()
+            if stack.p == 1:
+                values[len(stack) // 2] = math.nan
+            return values
+
+        monkeypatch.setattr(oracle.DatasetStack, check, with_nan)
+        assert main(["verify", "--seeds", "30", "--reps", "1000"]) == EXIT_VERIFY
+        out = capsys.readouterr().out
+        assert f"  [FAIL] {label}: max error nan " in out
         assert out.count("[FAIL]") == 1 and out.endswith("SOME CHECKS FAILED\n")
 
     def test_negative_seed_exits_2(self, capsys):
@@ -750,6 +776,7 @@ _MALFORMED_BELIEFS = [
     {"name": "flat-point-region", "region": {"t": [5.0, 5.0], "c": [5.0, 5.0]}},
     {"name": "flat-box", "region": {"t": [4.0, 6.0], "c": [4.0, 6.0]}},
     {"name": "line", "region": {"t": [None, None], "c": [0.0, 0.0]}},
+    {"name": "overflowing-edge", "region": {"t": [1e308, 1e308], "c": [None, None]}},
 ]
 _CONFIG_ERROR = (EXIT_CONFIG, "config error: ")
 _HUGE = 10**400  # a JSON integer that float() cannot convert
@@ -821,6 +848,14 @@ MALFORMED_INPUTS = {
             "var_t": 1.0, "var_c": 1.0, "pi": 1e-300}),
         ["bound", "--belief", "line"], EXIT_CONFIG,
         "config error: the region's stationary point on its edge y_c_un = 0.0 lies beyond float range\n"),
+    # every belief in the region overflows the variance, and its edge point is inf/inf
+    "bound-edge-point-nan": (
+        lambda obj: obj.update(observed={
+            "r_squared": 0.0, "n_ob": 100, "y_t_ob": -1e308, "y_c_ob": 0.0,
+            "var_t": 1.0, "var_c": 1.0, "pi": 0.5}),
+        ["bound", "--belief", "overflowing-edge"], EXIT_CONFIG,
+        "config error: completed-sample variance overflows float64; the counterfactual means "
+        "lie too far from the observed ones\n"),
 }
 
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from piv import cli, oracle
+from piv import cli, oracle, report
 from piv.core import (
     CounterfactualBelief,
     EstimateSign,
@@ -30,6 +31,7 @@ from piv.core import (
     std_normal_cdf,
 )
 from piv.oracle import (
+    DatasetStack,
     IdealDataset,
     SingularDesignError,
     SyntheticSpec,
@@ -173,6 +175,169 @@ class TestSeededInputPins:
         assert digest.hexdigest() == self.DATASETS_SHA256
 
 
+class TestVerifyReportPins:
+    """verify_report's lines pinned by sha256, as the checks computed them one
+    dataset at a time (Python 3.11.7, numpy 2.4.6).  A digest that differs
+    elsewhere points at LAPACK's last bits or at the seeded draws first."""
+
+    LINES_SHA256 = {
+        (100, 2000, 0): "369c89c6dec864f6f948da9e515244c7fc72987c3ec90e465547423edda1de3f",
+        (100, 2000, 1): "0ffb8fc04f066f7d7c5b388c920a5e0925139848768bb868d049c4e4ebe7a78b",
+        (100, 2000, 2): "2442e82c15496e498f6d801b2b572cd92096ee18931636ae8b41d23664a97dfe",
+        (100, 2000, 3): "8603a2aa6fbe501aa40da1d0cdf48c4a9c2c5a20f017e442e389b539e61fd558",
+        (100, 2000, 4): "a3595ce782aaa0239ad723753bc00f07e016f3198a567244fb4c0f607c0f2079",
+        (100, 2000, 5): "8603a2aa6fbe501aa40da1d0cdf48c4a9c2c5a20f017e442e389b539e61fd558",
+        (300, 2000, 7): "a049dab306163c4dfa3dd56ea39cc61605501fff85e19ed59458fb3c9c3ebeb5",
+    }
+
+    @pytest.mark.parametrize("args", sorted(LINES_SHA256))
+    def test_report_lines_pinned(self, args):
+        lines, ok = report.verify_report(*args)
+        assert ok
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.LINES_SHA256[args]
+
+
+def _broken(seed: int, kind: str) -> IdealDataset:
+    """A p = 2 dataset with a duplicated covariate, a NaN covariate or a NaN outcome."""
+    base = build_exact_dataset(random_spec(seed, p=2))
+    z, outcome = base.z.copy(), base.outcome.copy()
+    if kind == "duplicate":
+        z[:, 1] = z[:, 0]
+    elif kind == "nan-covariate":
+        z[5, 1] = math.nan
+    else:
+        outcome[3] = math.nan
+    return IdealDataset(outcome=outcome, w=base.w, z=z, observed=base.observed)
+
+
+_STACK_CHECKS = {
+    "fit": lambda stack: stack.fit,
+    "direct_inverse": lambda stack: stack.direct_inverse,
+    "half_sample_fit": lambda stack: stack.half_sample_fit,
+    "moments": DatasetStack.w_coefficient_via_moments,
+    "standardized": DatasetStack.standardized_w_coefficient,
+    "block": DatasetStack.block_inverse_errors,
+    "bayes": DatasetStack.bayes_combination_errors,
+}
+
+
+class TestDatasetStacks:
+    def test_stacked_values_match_per_dataset_solves(self):
+        seen_p = set()
+        for specs, stack in report._seeded_stacks(50):
+            seen_p.add(stack.p)
+            for row, spec in enumerate(specs):
+                ds = build_exact_dataset(spec)
+                x = np.column_stack([np.ones(2 * ds.n_ob), ds.z, ds.w])
+                y, obs = ds.outcome, ds.observed
+                gram = x.T @ x
+                expected = {
+                    "fit": np.linalg.solve(gram, x.T @ y),
+                    "direct_inverse": np.linalg.solve(gram, np.eye(gram.shape[0])),
+                    "half_sample_fit": np.linalg.solve(
+                        x[obs].T @ x[obs] + x[~obs].T @ x[~obs], x[obs].T @ y[obs] + x[~obs].T @ y[~obs]),
+                }
+                n = y.shape[0]
+                w_c, z_c, y_c = ds.w - ds.w.mean(), ds.z - ds.z.mean(axis=0), y - y.mean()
+                s_zz, s_zw, s_zy = z_c.T @ z_c / n, z_c.T @ w_c / n, z_c.T @ y_c / n
+                expected["moments"] = np.array(
+                    (w_c @ y_c / n - s_zw @ np.linalg.solve(s_zz, s_zy))
+                    / (w_c @ w_c / n - s_zw @ np.linalg.solve(s_zz, s_zw)))
+                for name, value in expected.items():
+                    got = _STACK_CHECKS[name](stack)[row]
+                    assert np.max(np.abs(got - value)) <= 1e-12 * np.max(np.abs(value)), (spec, name)
+        assert seen_p == set(range(7))
+
+    @pytest.mark.parametrize("seeds", [1, 7, report._CHUNK_SEEDS])
+    def test_stack_size_does_not_change_values(self, seeds):
+        # a stack of one, the stacks of a partial chunk and those of a full one
+        seen = []
+        for specs, stack in report._seeded_stacks(seeds):
+            assert {spec.p for spec in specs} == {stack.p} and len(stack) == len(specs)
+            seen += specs
+            for row, spec in enumerate(specs):
+                alone = DatasetStack([build_exact_dataset(spec)])
+                for name, check in _STACK_CHECKS.items():
+                    assert check(stack)[row].tobytes() == check(alone)[0].tobytes(), (spec, name)
+        assert sorted(spec.seed for spec in seen) == sorted(random_spec(i).seed for i in range(seeds))
+
+    @pytest.mark.parametrize("kind, message", [
+        ("duplicate", r"^condition number \S+ above 1e\+10$"),
+        ("nan-covariate", r"^matrix has a non-finite entry$"),
+        ("nan-outcome", r"^normal-equation residual nan exceeds 1e-9 relative$"),
+    ])
+    @pytest.mark.parametrize("where", [0, 3, 5])
+    def test_broken_dataset_inside_a_stack(self, kind, message, where):
+        broken = _broken(19, kind)
+        datasets = [build_exact_dataset(random_spec(seed, p=2)) for seed in range(6)]
+        datasets[where] = broken
+        with pytest.raises(SingularDesignError, match=message) as alone:
+            ols_fit(broken)
+        with pytest.raises(SingularDesignError) as stacked:
+            DatasetStack(datasets).fit
+        assert str(stacked.value) == str(alone.value)
+
+    @pytest.mark.parametrize("first, second", [("duplicate", "nan-covariate"),
+                                               ("nan-covariate", "duplicate")])
+    @pytest.mark.parametrize("solve", [
+        lambda stack: stack.fit, DatasetStack.w_coefficient_via_moments,
+        lambda stack: stack.half_sample_fit,
+    ], ids=["gram", "s_zz", "half-sample"])
+    def test_lowest_failing_index_is_named(self, first, second, solve):
+        messages = []
+        for kind in (first, second):
+            with pytest.raises(SingularDesignError) as alone:
+                solve(DatasetStack([_broken(4, kind)]))
+            messages.append(str(alone.value))
+        assert messages[0] != messages[1]
+        datasets = [build_exact_dataset(random_spec(seed, p=2)) for seed in range(6)]
+        datasets[1], datasets[4] = _broken(4, first), _broken(4, second)
+        with pytest.raises(SingularDesignError) as stacked:
+            solve(DatasetStack(datasets))
+        assert str(stacked.value) == messages[0]
+
+    def test_stack_refuses_mixed_covariate_counts_and_no_datasets(self):
+        with pytest.raises(InputValidationError, match="one covariate count"):
+            DatasetStack([build_exact_dataset(random_spec(1, p=1)),
+                          build_exact_dataset(random_spec(2, p=2))])
+        with pytest.raises(InputValidationError, match="at least one dataset"):
+            DatasetStack([])
+
+    def test_verify_makes_at_most_three_solves_per_stack(self, monkeypatch):
+        calls = []
+        solve = oracle._solve
+
+        def counting_solve(matrix, rhs):
+            calls.append(matrix.shape)
+            return solve(matrix, rhs)
+
+        monkeypatch.setattr(oracle, "_solve", counting_solve)
+        counts = []
+        for seeds in (50, 100):
+            calls.clear()
+            lines, ok = report.verify_report(seeds, 1000)
+            assert ok, lines
+            stacks = {(i // report._CHUNK_SEEDS, random_spec(i).p) for i in range(seeds)}
+            # X'X, S_zz and the half-sample Gram matrix per stack, plus the
+            # duplicated-covariate check
+            assert len(calls) <= 3 * len(stacks) + 1
+            counts.append(len(calls))
+        assert counts[1] == counts[0]
+
+    def test_memory_stays_bounded_in_seeds(self):
+        report.verify_report(1, 1000)  # imports and first-use set-up are not counted
+        peaks = []
+        for seeds in (report._CHUNK_SEEDS, 4 * report._CHUNK_SEEDS):
+            tracemalloc.start()
+            try:
+                lines, ok = report.verify_report(seeds, 1000)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert ok, lines
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
 class TestOlsFit:
     def test_two_group_coefficient_is_mean_difference(self):
         spec = random_spec(11, p=0)
@@ -303,9 +468,10 @@ class TestBlockInverse:
         # the assembly shares the S_zz solve with the moment route, but is
         # still compared with the direct inverse of X'X, not with itself
         ds = build_exact_dataset(random_spec(33, p=3))
-        solution = ds._gram_solution.copy()
-        solution[2, 3] *= 1.001
-        ds.__dict__["_gram_solution"] = solution
+        stack = ds._stack
+        solution = stack._gram_solution.copy()
+        solution[0, 2, 3] *= 1.001
+        stack.__dict__["_gram_solution"] = solution
         assert block_inverse_check(ds) > 1e-6
 
 
