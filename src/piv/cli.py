@@ -35,6 +35,7 @@ from .core import (
     DegenerateSpreadError,
     InputValidationError,
     PivError,
+    StatisticalThreshold,
     ideal_correlation,
     piv,
     piv_from_correlation,
@@ -207,7 +208,10 @@ def cmd_power(args, config: AnalysisConfig) -> int:
     # the same value piv() gives: both are _probit of this one correlation
     result = piv_from_correlation(effect, config.observed, config.sign, config.threshold)
     se = se_ideal(config.observed)
-    critical_z = result.threshold_value / se
+    # a statistical cut is C itself; dividing C*se by se again may move its last bit
+    critical_z = (config.threshold.signed(config.sign)
+                  if isinstance(config.threshold, StatisticalThreshold)
+                  else result.threshold_value / se)
     payload = {
         "effect": effect,
         "se": se,

@@ -8,16 +8,16 @@ normal equations with np.linalg under a 1e10 condition bound, and checks
 the closed forms against those fits.  It also estimates the PIV by Monte
 Carlo as a rejection rate over simulated completed samples.
 
-The checks run on stacks of datasets that share a covariate count p
-(DatasetStack).  Each dataset is reduced once to its small matrices, and
-its rows are not kept.  Each matrix kind is then solved once for the whole
-stack, through _solve, which refuses a non-finite matrix and one whose
-singular values span more than the bound: X'X against [X'y | I] gives the
-fits and the direct inverses, S_zz against [s_zw, s_zy | I] gives the
-moment route and the block assembly, and the summed half-sample Gram
-matrix gives the half-sample fits.  The per-dataset functions run the same
-code on a stack of one.  No check compares a quantity with itself: the
-block assembly, built from S_zz, is set against the direct inverse of X'X.
+Every check runs on a stack of datasets that share a covariate count p
+(DatasetStack); one dataset is checked as a stack of one.  Each dataset is
+reduced once to its small matrices, and its rows are not kept.  Each
+matrix kind is then solved once for the whole stack, through _solve, which
+refuses a non-finite matrix and one whose singular values span more than
+the bound: X'X against [X'y | I] gives the fits and the direct inverses,
+S_zz against [s_zw, s_zy | I] gives the moment route and the block
+assembly, and the summed half-sample Gram matrix gives the half-sample
+fits.  No check compares a quantity with itself: the block assembly, built
+from S_zz, is set against the direct inverse of X'X.
 
 Conventions that the checks depend on:
 
@@ -53,11 +53,6 @@ __all__ = [
     "IdealDataset",
     "DatasetStack",
     "build_exact_dataset",
-    "ols_fit",
-    "w_coefficient_via_moments",
-    "standardized_w_coefficient",
-    "block_inverse_check",
-    "bayes_combination_check",
     "monte_carlo_piv",
     "random_spec",
 ]
@@ -194,9 +189,9 @@ class IdealDataset:
     n_ob..2*n_ob-1 are the same subjects' counterfactual rows (treatment
     flipped, covariates identical).
 
-    The four arrays are made read-only in place on construction, so the
-    design matrix and the dataset's stack of one (DatasetStack), each formed
-    on first use and then shared by every per-dataset check, cannot go stale.
+    The four arrays are made read-only in place on construction, so a
+    dataset cannot be changed after it is built; a variant is a new dataset
+    built from copies.
     """
 
     outcome: np.ndarray
@@ -216,17 +211,6 @@ class IdealDataset:
     def p(self) -> int:
         return self.z.shape[1]
 
-    def design_matrix(self) -> np.ndarray:
-        """[1, Z, W] with the treatment column last (read-only, shared)."""
-        return self._design
-
-    @cached_property
-    def _design(self) -> np.ndarray:
-        n_rows = self.outcome.shape[0]
-        x = np.column_stack([np.ones(n_rows), self.z, self.w])
-        x.flags.writeable = False
-        return x
-
     def _reduce(self) -> dict:
         """The small matrices every check reads, formed from the rows once.
 
@@ -234,10 +218,10 @@ class IdealDataset:
         over the observed and counterfactual rows; and the sample means and
         1/n covariance blocks of (Z, W, Y).
         """
-        x, y, observed = self._design, self.outcome, self.observed
+        y, observed, w, z = self.outcome, self.observed, self.w, self.z
+        x = np.column_stack([np.ones(y.shape[0]), z, w])
         xo, yo = x[observed], y[observed]
         xu, yu = x[~observed], y[~observed]
-        w, z = self.w, self.z
         y_mean, w_mean, z_mean = y.mean(), w.mean(), z.mean(axis=0)
         y_c = y - y_mean
         w_c = w - w_mean
@@ -259,16 +243,6 @@ class IdealDataset:
             "s_yy": float(y_c @ y_c) / n,
             "s_wy": float(w_c @ y_c) / n,
         }
-
-    @cached_property
-    def _stack(self) -> DatasetStack:
-        """This dataset as a stack of one, read by every per-dataset check."""
-        return DatasetStack([self])
-
-    @cached_property
-    def _fit(self) -> np.ndarray:
-        """The stack's fit row, kept so that ols_fit returns one array per dataset."""
-        return self._stack.fit[0]
 
 
 def build_exact_dataset(spec: SyntheticSpec) -> IdealDataset:
@@ -404,7 +378,21 @@ class DatasetStack:
 
     def block_inverse_errors(self) -> np.ndarray:
         """Each dataset's (X'X)^-1 assembled from block formulas, against the
-        direct inverse: (k,) errors, as block_inverse_check describes."""
+        direct inverse: (k,) errors.
+
+        The Gram matrix of [1, V] with V = [Z, W] inverts blockwise through
+        the predictor covariance S_VV: with N rows and mean vector v,
+
+            top-left      1/N + v (1/N) S_VV^-1 v'
+            top edge      -(1/N) v S_VV^-1
+            body          (1/N) S_VV^-1
+
+        and S_VV itself inverts through the Schur complement of its
+        covariate block.  Each error is the maximum entrywise discrepancy
+        against the direct inverse, scaled by its largest entry magnitude.
+        The S_zz solves are the ones the moment route uses, and the direct
+        inverse comes from the same solve of X'X as the fit.
+        """
         m = self._m
         n, p, k = m["n"], self.p, len(self)
 
@@ -444,64 +432,17 @@ class DatasetStack:
 
     def bayes_combination_errors(self) -> np.ndarray:
         """Each half-sample fit against the fit on the stacked rows: (k,)
-        maximum coefficient discrepancies, as bayes_combination_check describes."""
+        maximum coefficient discrepancies.
+
+        Splitting the rows into observed and counterfactual halves, the
+        coefficient vector solving
+
+            (Xo'Xo + Xu'Xu) b = Xo'Yo + Xu'Yu
+
+        must match the least-squares fit on the stacked dataset, because the
+        stacked Gram matrix and moment vector are exactly those sums.
+        """
         return np.abs(self.half_sample_fit - self.fit).max(axis=1)
-
-
-def ols_fit(dataset: IdealDataset) -> np.ndarray:
-    """Coefficients of [1, Z, W] from solving the normal equations directly.
-
-    The fit is formed once per dataset and returned read-only.
-    """
-    return dataset._fit
-
-
-def w_coefficient_via_moments(dataset: IdealDataset) -> float:
-    """Treatment coefficient from sample covariances alone.
-
-    (s_wy - s_wz s_zz^-1 s_zy) / (s_ww - s_wz s_zz^-1 s_zw); an independent
-    route to the same number ols_fit produces from the full normal equations.
-    """
-    return float(dataset._stack.w_coefficient_via_moments()[0])
-
-
-def standardized_w_coefficient(dataset: IdealDataset) -> float:
-    """Treatment coefficient after scaling outcome and treatment to unit variance."""
-    return float(dataset._stack.standardized_w_coefficient()[0])
-
-
-def block_inverse_check(dataset: IdealDataset) -> float:
-    """Assemble (X'X)^-1 from block formulas and compare to direct inversion.
-
-    The Gram matrix of [1, V] with V = [Z, W] inverts blockwise through the
-    predictor covariance S_VV: with N rows and mean vector v,
-
-        top-left      1/N + v (1/N) S_VV^-1 v'
-        top edge      -(1/N) v S_VV^-1
-        body          (1/N) S_VV^-1
-
-    and S_VV itself inverts through the Schur complement of its covariate
-    block.  Returns the maximum entrywise discrepancy against the direct
-    inverse, scaled by the largest entry magnitude.  The S_zz solves are the
-    ones the moment route uses, and the direct inverse comes from the same
-    solve of X'X as the fit.
-    """
-    return float(dataset._stack.block_inverse_errors()[0])
-
-
-def bayes_combination_check(dataset: IdealDataset) -> float:
-    """Verify that combining the two half-samples reproduces the full fit.
-
-    Splitting the rows into observed and counterfactual halves, the
-    coefficient vector solving
-
-        (Xo'Xo + Xu'Xu) b = Xo'Yo + Xu'Yu
-
-    must match the least-squares fit on the stacked dataset, because the
-    stacked Gram matrix and moment vector are exactly those sums.  Returns
-    the maximum coefficient discrepancy.
-    """
-    return float(dataset._stack.bayes_combination_errors()[0])
 
 
 # =============================================================================

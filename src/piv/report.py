@@ -181,7 +181,7 @@ def verify_report(seeds: int, reps: int, seed: int = 0) -> tuple[list[str], bool
     z[:, 1] = z[:, 0]
     degenerate = oracle.IdealDataset(outcome=base.outcome, w=base.w, z=z, observed=base.observed)
     try:
-        oracle.ols_fit(degenerate)
+        oracle.DatasetStack([degenerate]).fit
     except oracle.SingularDesignError:
         lines.append("  [PASS] duplicated covariate rejected as singular (expected failure)")
     else:

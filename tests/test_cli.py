@@ -591,7 +591,18 @@ class TestPowerCommand:
             "threshold_value", "power",
         }
         assert power_out["null_mean"] == 0.0
-        assert power_out["critical_z"] == pytest.approx(-1.96, abs=1e-12)
+        assert power_out["critical_z"] == -1.96
+
+    @pytest.mark.parametrize("n_ob, critical", [(123, 1.96), (100, 1.645)])
+    def test_critical_z_is_the_signed_critical_value(self, tmp_path, capsys, n_ob, critical):
+        # at these sizes (C * se) / se is one ulp away from C
+        obj = config_to_json_object(case_study_config())
+        obj["observed"]["n_ob"] = n_ob
+        obj["threshold"] = {"kind": "statistical", "critical": critical}
+        path = write_config(tmp_path, obj)
+        assert main(["power", "--config", path, "--belief", "belief-1-corner",
+                     "--format", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["critical_z"] == -critical
 
     def test_text_output_pinned(self, tmp_path, capsys):
         path = write_config(tmp_path, config_to_json_object(case_study_config()))
