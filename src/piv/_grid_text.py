@@ -20,16 +20,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import _BLOCK_CELLS, ContourGrid
+from .bounds import _BLOCK_CELLS, ContourGrid, _block_rows
 
 # Rows are written in blocks of whole rows: about _BLOCK_CELLS cells, and at
 # most 1/128 of the grid, so that a block's text and temporaries stay small
 # beside the grid array (a CSV cell is 9 bytes against the array's 8).
 _BLOCK_SHARE = 128
-
-
-def _block_rows(nt: int, nc: int) -> int:
-    return max(1, min(_BLOCK_CELLS, nt * nc // _BLOCK_SHARE) // nc)
 
 
 class _Format(NamedTuple):
@@ -166,7 +162,7 @@ def _rows(piv, fmt: _Format) -> Iterator[str]:
     """
     nt, nc = piv.shape
     template = fmt.head + fmt.sep.join([fmt.cell] * nc) + fmt.tail
-    step = _block_rows(nt, nc)
+    step = _block_rows(nt, nc, _BLOCK_SHARE)
     new = _new_rows(piv)
     distinct = np.flatnonzero(new)
     texts = (text for start in range(0, len(distinct), step)

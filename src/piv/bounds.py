@@ -62,17 +62,16 @@ __all__ = [
 ]
 
 _CELL_CAP = 10_000_000
-# Grids are evaluated in blocks of whole rows: about 4096 cells, enough to
-# amortize numpy's per-call cost, and at most 1/64 of the grid, so that a
-# block's temporaries stay small beside the grid array.  The kernel updates
-# its own temporaries in place rather than allocating one per step, and the
-# axis tuples are built only after the last block.
+# Grids are evaluated, and written by piv._grid_text, in blocks of whole rows:
+# about 4096 cells, enough to amortize numpy's per-call cost, and at most
+# 1/share of the grid (1/64 here), so that a block's temporaries stay small
+# beside the grid array.
 _BLOCK_CELLS = 4096
 _EVAL_BLOCK_SHARE = 64
 
 
-def _eval_block_rows(nt: int, nc: int) -> int:
-    return max(1, min(_BLOCK_CELLS, nt * nc // _EVAL_BLOCK_SHARE) // nc)
+def _block_rows(nt: int, nc: int, share: int) -> int:
+    return max(1, min(_BLOCK_CELLS, nt * nc // share) // nc)
 
 
 def _check_bound(value: float, name: str) -> float:
@@ -241,29 +240,40 @@ def _erfc(x):
     return x
 
 
-def _edge_stationary(offset, g_fixed, g_free, stats: ObservedStats):
-    """Where r is stationary along a line on which one counterfactual mean is fixed.
+def _plane(stats: ObservedStats) -> tuple[float, float, float, float, float]:
+    """(pi, a, l0, v, d), the terms of r over the plane of counterfactual means.
 
-    With the notation of bound_piv, the fixed coordinate sits offset from its
-    observed mean, g_fixed and g_free are the entries of g for the fixed and
-    the free coordinate, and the result is the free coordinate's offset from
-    its observed mean: g_free*(V + D*offset^2) / (D*(g_fixed*offset + L0)).
-    It uses only + - * /, so a float and a numpy array of offsets give the
-    same bits.  A zero denominator raises ZeroDivisionError for a float and
-    gives inf or NaN in an array; so can an overflow.
+    With x = (y_t_un - y_t_ob, y_c_un - y_c_ob), g = (a, -pi) where a = 1-pi,
+    l0 = y_t_ob - y_c_ob, v = (var_t + var_c)/2 and d = pi*(1-pi)/2, the
+    completed-sample correlation is r = L / (2*sqrt(Q)) with L = g.x + l0 and
+    Q = v + d*|x|^2 + L^2/4.  piv.core's kernel keeps its own float order.
     """
     pi = stats.pi
-    d = 0.5 * pi * (1.0 - pi)
-    v = 0.5 * (stats.var_t + stats.var_c)
-    return g_free * (v + d * (offset * offset)) / (d * (g_fixed * offset + (stats.y_t_ob - stats.y_c_ob)))
+    a = 1.0 - pi
+    return pi, a, stats.y_t_ob - stats.y_c_ob, 0.5 * (stats.var_t + stats.var_c), 0.5 * pi * a
 
 
-# Saturated rows.  Take the kernel's formula with its own float constants
-# and exact arithmetic.  Along a row, where t is fixed, r is then a linear
-# function of c over the square root of a positive quadratic in c.  So r has
-# at most one stationary point on the row, the edge point c* of bound_piv,
-# and over [c_lo, c_hi] its extremes lie among c_lo, c_hi and c* clipped into
-# the interval.  The erfc argument x = probit/-sqrt(2) is affine in r, and
+def _edge_stationary(offset, g_fixed, g_free, plane):
+    """Where r is stationary along a line on which one counterfactual mean is fixed.
+
+    In the notation of _plane, with plane its values, the fixed coordinate
+    sits offset from its observed mean, g_fixed and g_free are g's entries for
+    the fixed and the free coordinate, and the result is the free coordinate's
+    offset: g_free*(v + d*offset^2) / (d*(g_fixed*offset + l0)).  It uses
+    only + - * /, so a float and a numpy array of offsets give the same bits.
+    A zero denominator raises ZeroDivisionError for a float and gives inf or
+    NaN in an array; so can an overflow.
+    """
+    _, _, l0, v, d = plane
+    return g_free * (v + d * (offset * offset)) / (d * (g_fixed * offset + l0))
+
+
+# Saturated rows, in the notation of _plane.  Take the kernel's formula with
+# its own float constants and exact arithmetic.  Along a row, where t is
+# fixed, r is then a linear function of c over the square root of a positive
+# quadratic in c.  So r has at most one stationary point on the row, the edge
+# point c* of bound_piv, and over [c_lo, c_hi] its extremes lie among c_lo,
+# c_hi and c* clipped into the interval.  The erfc argument x = probit/-sqrt(2) is affine in r, and
 # math.erfc is exactly 2.0 at or below _erfc_cuts()[0] and exactly 0.0 at or
 # above [1].  So when the computed x of the three candidates lies past a cut
 # by more than the rounding error between computed and exact x, every cell's
@@ -271,15 +281,15 @@ def _edge_stationary(offset, g_fixed, g_free, stats: ObservedStats):
 # 1.0 or 0.0.  With u = 2**-53, one cell or candidate is off by at most:
 #
 # * in r, 7u from relative roundings, plus 3u*M/sqrt(B) from cancellation in
-#   the gap y_t_id - y_c_id.  M = |(1-pi)t| + |pi*y_t_ob| + pi*max|c| +
-#   |(1-pi)*y_c_ob| bounds the gap's terms, and B = V + D*dt^2 bounds the
+#   the gap y_t_id - y_c_id.  M = |a*t| + |pi*y_t_ob| + pi*max|c| +
+#   |a*y_c_ob| bounds the gap's terms, and B = v + d*dt^2 bounds the
 #   variance from below.  r lies in [-1, 1], so a bound above 2 holds trivially.
 # * in x, that over se, plus 2u/se + 6u|x| from the probit steps.
 # * in the third candidate, delta = 2**-48*(|c*| + |c* - y_c_ob|*(1 + N/|A|))
-#   from computing c*.  A = (1-pi)dt + L0 is the sum in its denominator, and
-#   N = (1-pi)|dt| + |y_t_ob| + |y_c_ob| + |A| bounds that sum's terms.  The
+#   from computing c*.  A = a*dt + l0 is the sum in its denominator, and
+#   N = a*|dt| + |y_t_ob| + |y_c_ob| + |A| bounds that sum's terms.  The
 #   bound needs |A| > 2**-48*N.  r is stationary at the exact c*, so r at a
-#   point within delta of it is within 2*delta^2*D/B of the extreme.
+#   point within delta of it is within 2*delta^2*d/B of the extreme.
 #
 # The margin adds the first two bounds for one candidate and for one cell
 # (whose |x| is at most the cut's) and the third once, with 2**-48 = 32u in
@@ -308,15 +318,13 @@ def _saturated_rows(t, c_lo: float, c_hi: float, stats: ObservedStats,
     import numpy as np
 
     rows = np.full(len(t), math.nan)
-    pi = stats.pi
-    a = 1.0 - pi
+    plane = pi, a, l0, v, d = _plane(stats)
     y_t, y_c = stats.y_t_ob, stats.y_c_ob
-    d = 0.5 * pi * a
-    h = 0.5 * stats.var_t + 0.5 * stats.var_c
-    if not h >= sys.float_info.min:
+    # the kernel's constant term, in the kernel's order of operations
+    if not 0.5 * stats.var_t + 0.5 * stats.var_c >= sys.float_info.min:
         return rows
     dt = t - y_t
-    offset = _edge_stationary(dt, a, -pi, stats)
+    offset = _edge_stationary(dt, a, -pi, plane)
     c_star = y_c + offset
     candidates = np.empty((len(t), 3))
     candidates[:, 0] = c_lo
@@ -331,16 +339,17 @@ def _saturated_rows(t, c_lo: float, c_hi: float, stats: ObservedStats,
     x = probit / -_SQRT2
     x_min, x_max = x.min(axis=1), x.max(axis=1)
 
-    b = 0.5 * (stats.var_t + stats.var_c) + d * (dt * dt)
+    b = v + d * (dt * dt)
     c_abs = max(abs(c_lo), abs(c_hi))
     m = (np.abs(a * t) + abs(pi * y_t)) + (pi * c_abs + abs(a * y_c))
     r_error = _ROW_ERROR * (1.0 + m / np.sqrt(b))
-    a_sum = a * dt + (y_t - y_c)
+    a_sum = a * dt + l0
     n = a * np.abs(dt) + (abs(y_t) + abs(y_c)) + np.abs(a_sum)
     delta = _ROW_ERROR * (np.abs(c_star) + np.abs(offset) * (1.0 + n / np.abs(a_sum)))
     delta[~(np.abs(a_sum) > _ROW_ERROR * n)] = math.inf
     margin = (2.0 * r_error + 2.0 * (delta * delta) * d / b) / se_ideal(stats)
 
+    # the row's variance bound, in the kernel's order of operations
     dc = max(abs(c_lo - y_c), abs(c_hi - y_c))
     variance = (dt * dt + dc * dc) * d
     variance += 0.5 * stats.var_t
@@ -367,14 +376,14 @@ def evaluate_grid(
     Both endpoints of each axis are included; a zero-width axis yields a
     single coordinate.  A grid of more than 10**7 cells is refused before any
     coordinate is built.  First, three candidates per row (c_lo, c_hi and the
-    stationary point of r between them) bound the row's erfc argument; a
-    row whose bound lies past a cut of _erfc_cuts, with a margin for
-    rounding, is filled with the exact 1.0 or 0.0 that every cell of it takes
-    (see the comment above _saturated_rows).  When both variances are zero,
-    or so small that the kernel's constant term 0.5*var_t + 0.5*var_c is
-    below the least normal float, no row is filled, since a cell may then
-    have zero spread.  Each maximal run of the remaining rows is evaluated in
-    blocks of at most _eval_block_rows rows, the t column broadcast against
+    stationary point of r, as _plane writes it, between them) bound the row's
+    erfc argument; a row whose bound lies past a cut of _erfc_cuts, with a
+    margin for rounding, is filled with the exact 1.0 or 0.0 that every cell
+    of it takes (see the comment above _saturated_rows).  When both variances
+    are zero, or so small that the kernel's constant term 0.5*var_t +
+    0.5*var_c is below the least normal float, no row is filled, since a cell
+    may then have zero spread.  Each maximal run of the remaining rows is evaluated in
+    blocks of at most _block_rows rows, the t column broadcast against
     the c row, by the kernel piv() uses.  The kernel's arithmetic is + - * / and
     sqrt, which numpy rounds as floats do, and erfc is math.erfc, so every
     cell equals piv() at that belief.  Evaluated cells whose erfc argument
@@ -399,7 +408,7 @@ def evaluate_grid(
     c = np.array(_axis_points(c_lo, c_hi, nc))
     t.flags.writeable = c.flags.writeable = False
     values = np.empty((nt, nc))
-    step = _eval_block_rows(nt, nc)
+    step = _block_rows(nt, nc, _EVAL_BLOCK_SHARE)
     # an overflowing variance raises from the kernel, and a zero denominator
     # gives a non-finite c*; keep numpy from warning first
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -443,16 +452,13 @@ def bound_piv(
 ) -> BoundResult:
     """Exact extremal PIV over a belief region.
 
-    With x = (y_t_un - y_t_ob, y_c_un - y_c_ob), g = (1-pi, -pi),
-    L0 = y_t_ob - y_c_ob, V = (var_t + var_c)/2 and D = pi*(1-pi)/2, the
-    completed-sample correlation is r = L / (2*sqrt(Q)) with L = g.x + L0 and
-    Q = V + D*|x|^2 + L^2/4.  PIV is monotone in r, so each extreme over the
+    PIV is monotone in r, written as in _plane, so each extreme over the
     rectangle is one of these candidates:
 
     * a finite corner;
     * the stationary point of r on a finite edge (the quadratic terms cancel
       in the derivative, leaving a linear equation);
-    * the interior stationary point x* = (V/(D*L0))*g;
+    * the interior stationary point x* = (v/(d*l0))*g;
     * a limit at infinity: the saturation limit along each unbounded axis
       direction, and +/-|g| = +/-sqrt(1 - 2*pi*(1-pi)) along +/-g when both
       sides the direction needs are unbounded.
@@ -460,11 +466,8 @@ def bound_piv(
     Ties go to an attained candidate, then in the order corner, edge,
     interior, limit.
     """
-    pi = stats.pi
+    plane = pi, a, l0, v, d = _plane(stats)
     y_t, y_c = stats.y_t_ob, stats.y_c_ob
-    l0 = y_t - y_c
-    v = 0.5 * (stats.var_t + stats.var_c)
-    d = 0.5 * pi * (1.0 - pi)
     (t_lo, t_hi), (c_lo, c_hi) = region.t_interval, region.c_interval
     ts = [t for t in region.t_interval if math.isfinite(t)]
     cs = [c for c in region.c_interval if math.isfinite(c)]
@@ -472,21 +475,21 @@ def bound_piv(
     points = [(t, c) for t in ts for c in cs]
     for t in ts:
         try:
-            c = y_c + _edge_stationary(t - y_t, 1.0 - pi, -pi, stats)
+            c = y_c + _edge_stationary(t - y_t, a, -pi, plane)
         except ZeroDivisionError:  # r has no stationary point on this edge
             continue
         if not (c < c_lo or c > c_hi):  # NaN too, which _edge_coordinate refuses
             points.append((t, _edge_coordinate(c, "y_t_un", t)))
     for c in cs:
         try:
-            t = y_t + _edge_stationary(c - y_c, -pi, 1.0 - pi, stats)
+            t = y_t + _edge_stationary(c - y_c, -pi, a, plane)
         except ZeroDivisionError:
             continue
         if not (t < t_lo or t > t_hi):
             points.append((_edge_coordinate(t, "y_c_un", c), c))
     if l0 != 0.0:
         scale = v / (d * l0)
-        t, c = y_t + (1.0 - pi) * scale, y_c - pi * scale
+        t, c = y_t + a * scale, y_c - pi * scale
         if t_lo <= t <= t_hi and c_lo <= c <= c_hi:
             points.append((t, c))
     candidates: list[tuple[float, CounterfactualBelief | None]] = []
@@ -502,7 +505,7 @@ def bound_piv(
              "c_lo": (c_lo, c_limit), "c_hi": (c_hi, -c_limit)}
     asymptotic = {side: limit_piv(r) for side, (end, r) in sides.items() if math.isinf(end)}
     limits = list(asymptotic.values())
-    g_norm = math.sqrt(1.0 - 2.0 * pi * (1.0 - pi))
+    g_norm = math.sqrt(1.0 - 2.0 * pi * a)
     if "t_hi" in asymptotic and "c_lo" in asymptotic:
         limits.append(limit_piv(g_norm))
     if "t_lo" in asymptotic and "c_hi" in asymptotic:

@@ -44,6 +44,7 @@ def replicate_report(config: AnalysisConfig) -> tuple[list[str], dict]:
     """
     stats, sign, threshold = config.observed, config.sign, config.threshold
     critical = threshold.signed(sign)
+    positive = sign is EstimateSign.POSITIVE
 
     lines = ["Kindergarten retention case study (Hong and Raudenbush 2005)", ""]
     lines.append("step 1  observed statistics: "
@@ -51,7 +52,7 @@ def replicate_report(config: AnalysisConfig) -> tuple[list[str], dict]:
                  f"y_c_ob={stats.y_c_ob} var_t={stats.var_t} var_c={stats.var_c} pi={stats.pi}")
     lines.append(f"step 2  critical value: C = {critical} (significant {sign.value} estimate)")
     scale = math.sqrt(2.0 * stats.n_ob) / math.sqrt(1.0 - stats.r_squared)
-    lines.append("step 3  probit(PIV) = C - T with T = correlation/se, "
+    lines.append(f"step 3  probit(PIV) = {'T - C' if positive else 'C - T'} with T = correlation/se, "
                  f"se = {se_ideal(stats):.6f}, scale sqrt(2*n_ob)/sqrt(1-R^2) = {scale:.2f}")
 
     # steps 4, 5 and 6 each give one line per belief, built in one pass
@@ -78,7 +79,7 @@ def replicate_report(config: AnalysisConfig) -> tuple[list[str], dict]:
     r = ideal_correlation(config.belief_as("belief-1-corner", "point"), stats)
     corner_piv = piv_from_correlation(r, stats, sign, threshold).piv
     alt_scale = math.sqrt(stats.n_ob) / math.sqrt(1.0 - stats.r_squared)
-    alt_piv = std_normal_cdf(critical - alt_scale * r)
+    alt_piv = std_normal_cdf(alt_scale * r - critical if positive else critical - alt_scale * r)
     data.update(corner_piv=corner_piv, alt_scale_coefficient=alt_scale, alt_scale_piv=alt_piv)
     lines += ["", f"note    scale coefficient {scale:.2f} gives PIV {corner_piv:.6f} at the "
               f"belief-1 corner, matching the published 0.92; the sqrt(n_ob) variant "

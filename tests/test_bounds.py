@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import math
+import random
 import sys
 
 import numpy as np
@@ -28,6 +30,7 @@ from piv.core import (
     FixedThreshold,
     InputValidationError,
     ObservedStats,
+    PivError,
     SignMismatchError,
     StatisticalThreshold,
     _completed_piv,
@@ -207,26 +210,30 @@ class TestGridMatchesPiv:
         assert 500 < sum(evaluated) < 240 * 9 - 500
 
     def test_block_rows(self):
-        # about 4096 cells per block, at most 1/128 of the grid, never less than a row
-        assert _grid_text._block_rows(1000, 1000) == 4
-        assert _grid_text._block_rows(500, 500) == 3
-        assert _grid_text._block_rows(300, 300) == 2
-        assert _grid_text._block_rows(1000, 7) == 7
-        assert _grid_text._block_rows(3, 4097) == 1
-        assert _grid_text._block_rows(2, 2) == 1
+        # writing: about 4096 cells per block, at most 1/128 of the grid, never less than a row
+        share = _grid_text._BLOCK_SHARE
+        assert share == 128
+        assert bounds._block_rows(1000, 1000, share) == 4
+        assert bounds._block_rows(500, 500, share) == 3
+        assert bounds._block_rows(300, 300, share) == 2
+        assert bounds._block_rows(1000, 7, share) == 7
+        assert bounds._block_rows(3, 4097, share) == 1
+        assert bounds._block_rows(2, 2, share) == 1
 
     def test_eval_block_rows(self):
         # evaluation: about 4096 cells per block, at most 1/64 of the grid, never less than a row
-        assert bounds._eval_block_rows(300, 300) == 4
-        assert bounds._eval_block_rows(500, 500) == 7
-        assert bounds._eval_block_rows(250, 1000) == 3
-        assert bounds._eval_block_rows(1000, 250) == 15
-        assert bounds._eval_block_rows(1000, 7) == 15
-        assert bounds._eval_block_rows(3, 4097) == 1
-        assert bounds._eval_block_rows(2, 2) == 1
+        share = bounds._EVAL_BLOCK_SHARE
+        assert share == 64
+        assert bounds._block_rows(300, 300, share) == 4
+        assert bounds._block_rows(500, 500, share) == 7
+        assert bounds._block_rows(250, 1000, share) == 3
+        assert bounds._block_rows(1000, 250, share) == 15
+        assert bounds._block_rows(1000, 7, share) == 15
+        assert bounds._block_rows(3, 4097, share) == 1
+        assert bounds._block_rows(2, 2, share) == 1
         # so 250k-cell grids take 67 to 84 kernel calls, against 143 to 250 at the writer's rule
-        assert -(-1000 // bounds._eval_block_rows(1000, 250)) == 67
-        assert -(-250 // bounds._eval_block_rows(250, 1000)) == 84
+        assert -(-1000 // bounds._block_rows(1000, 250, share)) == 67
+        assert -(-250 // bounds._block_rows(250, 1000, share)) == 84
 
     @pytest.mark.parametrize("shape", [(3, 4097), (5, 4095), (1000, 7)])
     @pytest.mark.parametrize("sign", [EstimateSign.POSITIVE, NEG])
@@ -245,7 +252,7 @@ class TestGridMatchesPiv:
         # again with blocks of up to 4096 cells whatever the grid size: 1000x7
         # then takes 585 rows a block, the last block partial
         monkeypatch.setattr(bounds, "_EVAL_BLOCK_SHARE", 1)
-        assert bounds._eval_block_rows(1000, 7) == 585
+        assert bounds._block_rows(1000, 7, bounds._EVAL_BLOCK_SHARE) == 585
         assert np.array_equal(evaluate_grid(PLAUSIBLE, shape, CASE_STUDY, sign, threshold).piv, expected)
 
     def test_cells_are_read_only(self):
@@ -384,7 +391,7 @@ class TestErfcSkip:
         else:
             threshold = FixedThreshold(0.05 if sign is EstimateSign.POSITIVE else -0.05)
         region = BeliefRegion(t_interval=(0.0, 100.0), c_interval=(0.0, 100.0))
-        assert bounds._eval_block_rows(60, 41) == 1
+        assert bounds._block_rows(60, 41, bounds._EVAL_BLOCK_SHARE) == 1
         grid = evaluate_grid(region, (60, 41), CASE_STUDY, sign, threshold)
         assert (grid.piv == 1.0).any() and (grid.piv == 0.0).any()
         assert ((grid.piv > 0.0) & (grid.piv < 1.0)).any()
@@ -444,7 +451,7 @@ class TestSaturatedRows:
         # mirrors the means, the row and the threshold.
         stats = ObservedStats(0.0, 100, 1.0, 0.0, 1.0, 1.0, 0.5)
         region = BeliefRegion(t_interval=(2.0, 2.0), c_interval=(-6.0, -1.0))
-        assert bounds._edge_stationary(2.0 - 1.0, 0.5, -0.5, stats) == -3.0  # y_c_ob is 0
+        assert bounds._edge_stationary(2.0 - 1.0, 0.5, -0.5, bounds._plane(stats)) == -3.0  # y_c_ob is 0
         cells = [CounterfactualBelief(2.0, c) for c in evaluate_grid(
             region, (2, 41), stats, EstimateSign.POSITIVE, C196).c_values]
         r = [ideal_correlation(belief, stats) for belief in cells]
@@ -831,6 +838,32 @@ class TestBoundPiv:
         assert str(bounded.value) == str(at_point.value)
         assert str(bounded.value).startswith("completed-sample variance overflows float64")
 
+    def test_edge_point_has_one_float_order(self):
+        # _edge_stationary on an array of offsets gives, element by element, the
+        # bits of the scalar call with the same plane; where the scalar call
+        # divides by zero, the array holds inf or NaN
+        rng = np.random.default_rng(20261019)
+        zero_divisions = 0
+        for case in range(200):
+            stats = random_observed_stats(rng)
+            if case % 4 == 0:
+                stats = dataclasses.replace(stats, y_c_ob=stats.y_t_ob)  # l0 = 0
+            plane = pi, a, _, _, _ = bounds._plane(stats)
+            offsets = np.concatenate([rng.uniform(-300.0, 300.0, 40),
+                                      10.0 ** rng.uniform(-8.0, 160.0, 8), [0.0]])
+            for g_fixed, g_free in ((a, -pi), (-pi, a)):
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    array = bounds._edge_stationary(offsets, g_fixed, g_free, plane)
+                for offset, value in zip(offsets.tolist(), array.tolist()):
+                    try:
+                        scalar = bounds._edge_stationary(offset, g_fixed, g_free, plane)
+                    except ZeroDivisionError:
+                        zero_divisions += 1
+                        assert not math.isfinite(value)
+                        continue
+                    assert scalar.hex() == value.hex()
+        assert zero_divisions == 100  # offset 0.0 on both edges when l0 = 0
+
 
 def _cut(lo: float, hi: float, centre: float, width: float) -> tuple[float, float]:
     """Replace the infinite ends of [lo, hi] by finite ones `width` away."""
@@ -932,6 +965,87 @@ class TestExactBoundProperty:
                 far = CounterfactualBelief(start.t_interval[0] + 1e8 * sd * dt,
                                            start.c_interval[0] + 1e8 * sd * dc)
                 assert ideal_correlation(far, stats) == pytest.approx(r, abs=1e-6)
+
+
+def _sweep_case(rng: random.Random, i: int):
+    """Draw i of the seeded sweep: (region, stats, sign, threshold, scale).
+
+    Draw i has infinite sides by the bits of i % 16 (t_lo, t_hi, c_lo, c_hi),
+    sign by (i // 16) % 2 and threshold kind by (i // 32) % 2.  Every 7th draw
+    has l0 = 0, every 11th zero variances, every 5th n_ob up to 10**5 (else
+    below 60), and every 17th a region 1e160 wide, where the variance
+    overflows.  On every 23rd draw a fixed threshold lies across zero from
+    the sign.  Every 13th has pi = 1/2 and integer means, and puts t_lo at
+    y_t_ob - 2*l0 and c_hi at y_c_ob + 2*l0, edges on which r has no
+    stationary point.  Every 19th has a zero-width t side.
+    """
+    y_t, y_c = rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0)
+    var_t, var_c = rng.uniform(0.05, 200.0), rng.uniform(0.05, 200.0)
+    pi = rng.uniform(0.01, 0.99)
+    if i % 13 == 0:
+        pi, y_t, y_c = 0.5, float(round(y_t)), float(round(y_c))
+    if i % 7 == 0:
+        y_c = y_t
+    if i % 11 == 0:
+        var_t = var_c = 0.0
+    # mostly small samples, where the PIV seldom saturates and so shows each bit
+    n_ob = rng.randrange(2, 100_000) if i % 5 == 0 else rng.randrange(2, 60)
+    stats = ObservedStats(rng.uniform(0.0, 0.95), n_ob, y_t, y_c, var_t, var_c, pi)
+    sign = (EstimateSign.POSITIVE, NEG)[(i // 16) % 2]
+    if (i // 32) % 2:
+        magnitude = rng.uniform(0.0, 0.3)
+        across = (sign is EstimateSign.POSITIVE) == (i % 23 == 0)
+        threshold = FixedThreshold(-magnitude if across else magnitude)
+    else:
+        threshold = StatisticalThreshold(rng.uniform(0.5, 3.0))
+    scale = 1e160 if i % 17 == 0 else 10.0 ** rng.uniform(-1.0, 3.0)
+    t_lo, c_lo = y_t + rng.uniform(-scale, scale), y_c + rng.uniform(-scale, scale)
+    t_hi, c_hi = t_lo + rng.uniform(0.0, 2.0 * scale), c_lo + rng.uniform(0.0, 2.0 * scale)
+    if i % 19 == 0:
+        t_hi = t_lo
+    if i % 13 == 0:
+        t_lo, c_hi = y_t - 2.0 * (y_t - y_c), y_c + 2.0 * (y_t - y_c)
+        t_hi, c_lo = max(t_lo, t_hi), min(c_lo, c_hi)
+    ends = [t_lo, t_hi, c_lo, c_hi]
+    for bit, infinity in enumerate((-math.inf, math.inf, -math.inf, math.inf)):
+        if i >> bit & 1:
+            ends[bit] = infinity
+    region = BeliefRegion((ends[0], ends[1]), (ends[2], ends[3]))
+    return region, stats, sign, threshold, scale
+
+
+def _sweep_line(call) -> str:
+    """What call() returns, as text, or the type and text of the PivError it raises."""
+    try:
+        result = call()
+    except PivError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(result, bounds.ContourGrid):
+        return result.piv.tobytes().hex()
+    beliefs = ["-" if b is None else f"{b.y_t_un.hex()},{b.y_c_un.hex()}"
+               for b in (result.argmin, result.argmax)]
+    limits = [f"{side}={value.hex()}" for side, value in sorted(result.asymptotic_piv.items())]
+    return " ".join([result.piv_min.hex(), result.piv_max.hex(), *beliefs, *limits])
+
+
+class TestSeededSweep:
+    # sha256 of _sweep_line over the 2400 draws of _sweep_case, with a 40x30
+    # grid on every 10th draw's region, its infinite sides cut to finite ones
+    SWEEP_SHA256 = "06c400fd03f3de45fcf20b9b1438abf045f84a8c39cead2d4f04e08a46b609d0"
+
+    def test_bounds_and_grids_pinned(self):
+        rng = random.Random(20260419)
+        digest = hashlib.sha256()
+        for i in range(2400):
+            region, stats, sign, threshold, scale = _sweep_case(rng, i)
+            line = _sweep_line(lambda: bound_piv(region, stats, sign, threshold))
+            digest.update(line.encode() + b"\n")
+            if i % 10 == 0:
+                box = BeliefRegion(_cut(*region.t_interval, stats.y_t_ob, scale),
+                                   _cut(*region.c_interval, stats.y_c_ob, scale))
+                line = _sweep_line(lambda: evaluate_grid(box, (40, 30), stats, sign, threshold))
+                digest.update(line.encode() + b"\n")
+        assert digest.hexdigest() == self.SWEEP_SHA256
 
 
 class TestVerdict:

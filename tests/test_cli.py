@@ -663,9 +663,13 @@ class TestReplicateCommand:
         lines, data = replicate_report(parse_config(obj))
         _, expected = replicate_report(case_study_config())
         assert lines[3] == "step 2  critical value: C = 1.96 (significant positive estimate)"
+        assert lines[4] == ("step 3  probit(PIV) = T - C with T = correlation/se, se = 0.006472, "
+                            "scale sqrt(2*n_ob)/sqrt(1-R^2) = 154.51")
         for name, bound in expected["bounds"].items():
             assert data["bounds"][name].piv_min == pytest.approx(bound.piv_min, abs=1e-12), name
         assert data["corner_piv"] == pytest.approx(expected["corner_piv"], abs=1e-12)
+        # the sqrt(n_ob) cross-check follows the sign too
+        assert data["alt_scale_piv"] == pytest.approx(expected["alt_scale_piv"], abs=1e-12)
 
     @pytest.mark.parametrize("name, kind", [("belief-1", "region"),
                                             ("belief-1-corner", "point")])
