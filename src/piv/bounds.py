@@ -29,7 +29,6 @@ import functools
 import math
 import reprlib
 import sys
-from dataclasses import dataclass
 from enum import Enum
 
 from .core import (
@@ -45,6 +44,7 @@ from .core import (
     _correlation,
     _min_max,
     _probit,
+    _Record,
     piv,
     piv_from_correlation,
     saturation_limits,
@@ -89,15 +89,13 @@ def _check_bound(value: float, name: str) -> float:
     return x
 
 
-@dataclass(frozen=True)
-class BeliefRegion:
+class BeliefRegion(_Record):
     """Rectangle of plausible (y_t_un, y_c_un) values; either side may be infinite."""
 
-    t_interval: tuple[float, float]
-    c_interval: tuple[float, float]
+    __slots__ = ("t_interval", "c_interval")
 
-    def __post_init__(self) -> None:
-        for axis, interval in (("t", self.t_interval), ("c", self.c_interval)):
+    def __init__(self, t_interval: tuple[float, float], c_interval: tuple[float, float]) -> None:
+        for axis, interval in (("t", t_interval), ("c", c_interval)):
             lo = _check_bound(interval[0], f"{axis}_interval lower bound")
             hi = _check_bound(interval[1], f"{axis}_interval upper bound")
             if lo > hi:
@@ -113,26 +111,30 @@ class BeliefRegion:
         return all(math.isfinite(v) for v in (*self.t_interval, *self.c_interval))
 
 
-@dataclass(frozen=True, eq=False)
-class ContourGrid:
+class ContourGrid(_Record):
     """PIV evaluated on a rectangular grid: one row per t value, one column per c value.
 
     piv is a read-only float64 array of shape (len(t_values), len(c_values)),
     on finite, non-empty axes, which construction checks; cells are not checked.
+    A grid equals and hashes only as itself.
     """
 
-    t_values: tuple[float, ...]
-    c_values: tuple[float, ...]
-    piv: np.ndarray
+    __slots__ = ("t_values", "c_values", "piv")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        shape = (len(self.t_values), len(self.c_values))
-        if not all(shape) or getattr(self.piv, "shape", None) != shape:
+    def __init__(self, t_values: tuple[float, ...], c_values: tuple[float, ...],
+                 piv: np.ndarray) -> None:
+        shape = (len(t_values), len(c_values))
+        if not all(shape) or getattr(piv, "shape", None) != shape:
             raise InputValidationError(
                 f"ContourGrid needs non-empty axes and a piv of their shape, got axes of "
-                f"{shape} and piv of {getattr(self.piv, 'shape', type(self.piv).__name__)}")
-        if not all(map(math.isfinite, (*self.t_values, *self.c_values))):
+                f"{shape} and piv of {getattr(piv, 'shape', type(piv).__name__)}")
+        if not all(map(math.isfinite, (*t_values, *c_values))):
             raise InputValidationError("ContourGrid axis values must be finite")
+        object.__setattr__(self, "t_values", t_values)
+        object.__setattr__(self, "c_values", c_values)
+        object.__setattr__(self, "piv", piv)
 
     def min(self) -> float:
         return float(self.piv.min())
@@ -154,8 +156,7 @@ class ContourGrid:
         }
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(_Record):
     """Extremal PIV over a belief region.
 
     argmin and argmax are the beliefs attaining the bounds, or None where the
@@ -163,11 +164,15 @@ class BoundResult:
     the exact limit PIV for each unbounded side (keys t_lo, t_hi, c_lo, c_hi).
     """
 
-    piv_min: float
-    argmin: CounterfactualBelief | None
-    piv_max: float
-    argmax: CounterfactualBelief | None
-    asymptotic_piv: dict[str, float]
+    __slots__ = ("piv_min", "argmin", "piv_max", "argmax", "asymptotic_piv")
+
+    def __init__(self, piv_min: float, argmin: CounterfactualBelief | None, piv_max: float,
+                 argmax: CounterfactualBelief | None, asymptotic_piv: dict[str, float]) -> None:
+        object.__setattr__(self, "piv_min", piv_min)
+        object.__setattr__(self, "argmin", argmin)
+        object.__setattr__(self, "piv_max", piv_max)
+        object.__setattr__(self, "argmax", argmax)
+        object.__setattr__(self, "asymptotic_piv", asymptotic_piv)
 
 
 class Verdict(Enum):

@@ -19,7 +19,6 @@ import json
 import math
 import reprlib
 import sys
-from dataclasses import asdict
 
 from .bounds import (
     BeliefRegion,
@@ -153,7 +152,12 @@ def cmd_bound(args, config: AnalysisConfig) -> int:
     region = _belief(config, args.belief, "region")
     bound = bound_piv(region, config.observed, config.sign, config.threshold)
     verdict = robustness_verdict(bound, config.piv_threshold)
-    payload = {**asdict(bound), "piv_threshold": config.piv_threshold, "verdict": verdict.value}
+    payload = bound._asdict()
+    for key in ("argmin", "argmax"):  # an attained bound's belief nests as its own object
+        if payload[key] is not None:
+            payload[key] = payload[key]._asdict()
+    payload.update(asymptotic_piv=dict(bound.asymptotic_piv),
+                   piv_threshold=config.piv_threshold, verdict=verdict.value)
     return _emit(args, payload, _bound_text(bound, verdict, config.piv_threshold))
 
 

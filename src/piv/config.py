@@ -12,7 +12,6 @@ import json
 import math
 import reprlib
 from contextlib import contextmanager
-from dataclasses import asdict, astuple, dataclass, fields
 
 from .bounds import BeliefRegion
 from .core import (
@@ -24,24 +23,32 @@ from .core import (
     PivError,
     StatisticalThreshold,
     Threshold,
+    _Record,
 )
 
 
-@dataclass(frozen=True)
-class NamedBelief:
-    name: str
-    point: CounterfactualBelief | None = None
-    region: BeliefRegion | None = None
+class NamedBelief(_Record):
+    __slots__ = ("name", "point", "region")
+
+    def __init__(self, name: str, point: CounterfactualBelief | None = None,
+                 region: BeliefRegion | None = None) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "region", region)
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
-    observed: ObservedStats
-    sign: EstimateSign
-    threshold: Threshold
-    beliefs: tuple[NamedBelief, ...]
-    piv_threshold: float = 0.8
-    grid: tuple[int, int] | None = None
+class AnalysisConfig(_Record):
+    __slots__ = ("observed", "sign", "threshold", "beliefs", "piv_threshold", "grid")
+
+    def __init__(self, observed: ObservedStats, sign: EstimateSign, threshold: Threshold,
+                 beliefs: tuple[NamedBelief, ...], piv_threshold: float = 0.8,
+                 grid: tuple[int, int] | None = None) -> None:
+        object.__setattr__(self, "observed", observed)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "beliefs", beliefs)
+        object.__setattr__(self, "piv_threshold", piv_threshold)
+        object.__setattr__(self, "grid", grid)
 
     def belief(self, name: str) -> NamedBelief:
         for belief in self.beliefs:
@@ -111,7 +118,7 @@ def parse_config(obj) -> AnalysisConfig:
                        ("piv_threshold", "grid"))
 
     observed_obj = _check_keys(root["observed"], "observed",
-                               tuple(f.name for f in fields(ObservedStats)))
+                               ObservedStats.__slots__)
     with _at("observed"):
         observed = ObservedStats(**observed_obj)
 
@@ -200,17 +207,17 @@ def config_to_json_object(config: AnalysisConfig) -> dict:
     """Inverse of parse_config: an object that re-parses to an identical analysis."""
     kind, key = next((kind, key) for kind, (threshold_type, key) in _THRESHOLDS.items()
                      if isinstance(config.threshold, threshold_type))
-    (threshold_value,) = astuple(config.threshold)
+    (threshold_value,) = config.threshold._values()
     beliefs = []
     for belief in config.beliefs:
         if belief.point is not None:
-            beliefs.append({"name": belief.name, "point": asdict(belief.point)})
+            beliefs.append({"name": belief.name, "point": belief.point._asdict()})
         else:  # only an unbounded side is infinite; JSON writes it as null
             beliefs.append({"name": belief.name, "region": {
                 axis: [None if math.isinf(v) else v for v in interval]
-                for axis, interval in zip(("t", "c"), astuple(belief.region))}})
+                for axis, interval in zip(("t", "c"), belief.region._values())}})
     obj = {
-        "observed": asdict(config.observed),
+        "observed": config.observed._asdict(),
         "sign": config.sign.value,
         "threshold": {"kind": kind, key: threshold_value},
         "beliefs": beliefs,

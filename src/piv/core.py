@@ -40,13 +40,15 @@ Counterfactual within-group variances are taken equal to the corresponding
 observed within-group variances; the observed R-square is reused for the
 completed-sample standard error.  The normal approximation reads low at small
 n_ob: below Monte Carlo by up to 0.037 at n_ob = 32 and 0.003 at 400 (README).
+
+The package's record types are frozen __slots__ values on one base, _Record,
+so that a cold CLI start neither generates nor compiles class code.
 """
 
 from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass
 from enum import Enum
 
 __all__ = [
@@ -106,59 +108,92 @@ def _require_finite(value: float, name: str) -> float:
 # =============================================================================
 
 
-@dataclass(frozen=True)
-class ObservedStats:
+class _Record:
+    """A frozen value: its fields are its __slots__, in order.
+
+    Each subclass sets them once, in __init__, through object.__setattr__.  A
+    record equals only a record of its own class with equal fields, hashes its
+    field tuple and refuses assignment and deletion; pickle and copy rebuild
+    it through the constructor, so validation runs again.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def _asdict(self) -> dict:
+        """The fields by name, shallow: a nested record stays a record."""
+        return dict(zip(self.__slots__, self._values()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class ObservedStats(_Record):
     """The seven observed summary statistics, validated on construction.
 
     r_squared in [0, 1); n_ob integer >= 2 and small enough that se_ideal > 0;
     var_t, var_c >= 0; pi in (0, 1).
     """
 
-    r_squared: float
-    n_ob: int
-    y_t_ob: float
-    y_c_ob: float
-    var_t: float
-    var_c: float
-    pi: float
+    __slots__ = ("r_squared", "n_ob", "y_t_ob", "y_c_ob", "var_t", "var_c", "pi")
 
-    def __post_init__(self) -> None:
-        r2 = _require_finite(self.r_squared, "r_squared")
+    def __init__(self, r_squared: float, n_ob: int, y_t_ob: float, y_c_ob: float,
+                 var_t: float, var_c: float, pi: float) -> None:
+        r2 = _require_finite(r_squared, "r_squared")
         if not 0.0 <= r2 < 1.0:
             raise InputValidationError(f"r_squared must be in [0, 1), got {r2}")
-        if isinstance(self.n_ob, bool) or not isinstance(self.n_ob, int):
-            raise InputValidationError(f"n_ob must be an integer, got {reprlib.repr(self.n_ob)}")
+        if isinstance(n_ob, bool) or not isinstance(n_ob, int):
+            raise InputValidationError(f"n_ob must be an integer, got {reprlib.repr(n_ob)}")
         # n_ob enters float arithmetic, so it must convert to a float
-        n = _require_finite(self.n_ob, "n_ob")
+        n = _require_finite(n_ob, "n_ob")
         if n < 2:
-            raise InputValidationError(f"n_ob must be >= 2, got {self.n_ob}")
+            raise InputValidationError(f"n_ob must be >= 2, got {n_ob}")
         object.__setattr__(self, "r_squared", r2)
+        object.__setattr__(self, "n_ob", n_ob)
         # the probit divides by se; near the float limit 2*n_ob is inf and se rounds to 0
         if not se_ideal(self) > 0.0:
             raise InputValidationError(f"n_ob is too large for a positive standard error, got {n:g}")
-        for name in ("y_t_ob", "y_c_ob"):
-            object.__setattr__(self, name, _require_finite(getattr(self, name), name))
-        for name in ("var_t", "var_c"):
-            v = _require_finite(getattr(self, name), name)
+        for name, value in (("y_t_ob", y_t_ob), ("y_c_ob", y_c_ob)):
+            object.__setattr__(self, name, _require_finite(value, name))
+        for name, value in (("var_t", var_t), ("var_c", var_c)):
+            v = _require_finite(value, name)
             if v < 0.0:
                 raise InputValidationError(f"{name} must be >= 0, got {v}")
             object.__setattr__(self, name, v)
-        p = _require_finite(self.pi, "pi")
+        p = _require_finite(pi, "pi")
         if not 0.0 < p < 1.0:
             raise InputValidationError(f"pi must be strictly inside (0, 1), got {p}")
         object.__setattr__(self, "pi", p)
 
 
-@dataclass(frozen=True)
-class CounterfactualBelief:
+class CounterfactualBelief(_Record):
     """A single point belief about the two mean counterfactual outcomes."""
 
-    y_t_un: float
-    y_c_un: float
+    __slots__ = ("y_t_un", "y_c_un")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "y_t_un", _require_finite(self.y_t_un, "y_t_un"))
-        object.__setattr__(self, "y_c_un", _require_finite(self.y_c_un, "y_c_un"))
+    def __init__(self, y_t_un: float, y_c_un: float) -> None:
+        object.__setattr__(self, "y_t_un", _require_finite(y_t_un, "y_t_un"))
+        object.__setattr__(self, "y_c_un", _require_finite(y_c_un, "y_c_un"))
 
 
 class EstimateSign(Enum):
@@ -168,8 +203,7 @@ class EstimateSign(Enum):
     NEGATIVE = "negative"
 
 
-@dataclass(frozen=True)
-class StatisticalThreshold:
+class StatisticalThreshold(_Record):
     """Threshold set as critical value times completed-sample standard error.
 
     Only the magnitude is stored; the sign is derived from the estimate sign
@@ -177,10 +211,10 @@ class StatisticalThreshold:
     negative ones below -critical_magnitude).
     """
 
-    critical_magnitude: float
+    __slots__ = ("critical_magnitude",)
 
-    def __post_init__(self) -> None:
-        c = _require_finite(self.critical_magnitude, "critical_magnitude")
+    def __init__(self, critical_magnitude: float) -> None:
+        c = _require_finite(critical_magnitude, "critical_magnitude")
         if c <= 0.0:
             raise InputValidationError(f"critical_magnitude must be > 0, got {c}")
         object.__setattr__(self, "critical_magnitude", c)
@@ -191,14 +225,13 @@ class StatisticalThreshold:
         return c if sign is EstimateSign.POSITIVE else -c
 
 
-@dataclass(frozen=True)
-class FixedThreshold:
+class FixedThreshold(_Record):
     """A pragmatically chosen effect-size threshold, in standardized units."""
 
-    beta_sharp: float
+    __slots__ = ("beta_sharp",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "beta_sharp", _require_finite(self.beta_sharp, "beta_sharp"))
+    def __init__(self, beta_sharp: float) -> None:
+        object.__setattr__(self, "beta_sharp", _require_finite(beta_sharp, "beta_sharp"))
 
     def signed(self, sign: EstimateSign) -> float:
         """The cut beta_sharp; SignMismatchError when it lies across zero from the estimate."""
@@ -217,14 +250,17 @@ class FixedThreshold:
 Threshold = StatisticalThreshold | FixedThreshold
 
 
-@dataclass(frozen=True)
-class PivResult:
+class PivResult(_Record):
     """PIV at one belief point, with the probit, resolved threshold and T-ratio."""
 
-    piv: float
-    probit_piv: float
-    threshold_value: float
-    t_ratio: float
+    __slots__ = ("piv", "probit_piv", "threshold_value", "t_ratio")
+
+    def __init__(self, piv: float, probit_piv: float, threshold_value: float,
+                 t_ratio: float) -> None:
+        object.__setattr__(self, "piv", piv)
+        object.__setattr__(self, "probit_piv", probit_piv)
+        object.__setattr__(self, "threshold_value", threshold_value)
+        object.__setattr__(self, "t_ratio", t_ratio)
 
 
 # =============================================================================

@@ -38,9 +38,10 @@ def replicate_report(config: AnalysisConfig) -> tuple[list[str], dict]:
     """Six-step analysis of the case-study config (case_study_config());
     returns the report lines and the raw numbers.
 
-    The config's sign sets step 2's wording.  Its beliefs must include the
-    case study's four regions and the point belief-1-corner: a missing one,
-    or one of the other kind, is an InputValidationError naming it.
+    The config's sign and threshold kind set the wording of steps 2 and 3.
+    Its beliefs must include the case study's four regions and the point
+    belief-1-corner: a missing one, or one of the other kind, is an
+    InputValidationError naming it.
     """
     stats, sign, threshold = config.observed, config.sign, config.threshold
     critical = threshold.signed(sign)
@@ -52,7 +53,13 @@ def replicate_report(config: AnalysisConfig) -> tuple[list[str], dict]:
                  f"y_c_ob={stats.y_c_ob} var_t={stats.var_t} var_c={stats.var_c} pi={stats.pi}")
     lines.append(f"step 2  critical value: C = {critical} (significant {sign.value} estimate)")
     scale = math.sqrt(2.0 * stats.n_ob) / math.sqrt(1.0 - stats.r_squared)
-    lines.append(f"step 3  probit(PIV) = {'T - C' if positive else 'C - T'} with T = correlation/se, "
+    # a statistical C is in standard errors, so it meets T = r/se; a fixed C is a correlation
+    statistical = isinstance(threshold, StatisticalThreshold)
+    if statistical:
+        probit = f"{'T - C' if positive else 'C - T'} with T = correlation/se"
+    else:
+        probit = f"{'(r - C)/se' if positive else '(C - r)/se'} with r = correlation"
+    lines.append(f"step 3  probit(PIV) = {probit}, "
                  f"se = {se_ideal(stats):.6f}, scale sqrt(2*n_ob)/sqrt(1-R^2) = {scale:.2f}")
 
     # steps 4, 5 and 6 each give one line per belief, built in one pass
@@ -79,7 +86,11 @@ def replicate_report(config: AnalysisConfig) -> tuple[list[str], dict]:
     r = ideal_correlation(config.belief_as("belief-1-corner", "point"), stats)
     corner_piv = piv_from_correlation(r, stats, sign, threshold).piv
     alt_scale = math.sqrt(stats.n_ob) / math.sqrt(1.0 - stats.r_squared)
-    alt_piv = std_normal_cdf(alt_scale * r - critical if positive else critical - alt_scale * r)
+    if statistical:
+        alt_probit = alt_scale * r - critical if positive else critical - alt_scale * r
+    else:
+        alt_probit = alt_scale * (r - critical) if positive else alt_scale * (critical - r)
+    alt_piv = std_normal_cdf(alt_probit)
     data.update(corner_piv=corner_piv, alt_scale_coefficient=alt_scale, alt_scale_piv=alt_piv)
     lines += ["", f"note    scale coefficient {scale:.2f} gives PIV {corner_piv:.6f} at the "
               f"belief-1 corner, matching the published 0.92; the sqrt(n_ob) variant "

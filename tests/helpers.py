@@ -60,6 +60,12 @@ def negate_stats(stats: ObservedStats) -> ObservedStats:
     )
 
 
+def replace(record, **changes):
+    """record with the named fields changed, rebuilt through its constructor,
+    so that the new values are validated."""
+    return type(record)(**{**record._asdict(), **changes})
+
+
 def negate_belief(belief: CounterfactualBelief) -> CounterfactualBelief:
     return CounterfactualBelief(y_t_un=-belief.y_t_un, y_c_un=-belief.y_c_un)
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -43,7 +42,14 @@ from piv.core import (
     saturation_limits,
 )
 
-from helpers import CASE_STUDY, cellwise_csv, negate_stats, random_observed_stats, random_sign
+from helpers import (
+    CASE_STUDY,
+    cellwise_csv,
+    negate_stats,
+    random_observed_stats,
+    random_sign,
+    replace,
+)
 
 NEG = EstimateSign.NEGATIVE
 C196 = StatisticalThreshold(1.96)
@@ -154,7 +160,7 @@ def _random_grid_case(rng: np.random.Generator):
     stats = random_observed_stats(rng)
     pi = float(rng.choice([stats.pi, 1e-4, 0.9999]))
     shift = float(rng.choice([0.0, 0.0, 1e5, -1e9]))
-    stats = dataclasses.replace(stats, pi=pi, y_t_ob=stats.y_t_ob + shift, y_c_ob=stats.y_c_ob + shift)
+    stats = replace(stats, pi=pi, y_t_ob=stats.y_t_ob + shift, y_c_ob=stats.y_c_ob + shift)
     sign = random_sign(rng)
     if rng.random() < 0.5:
         threshold = StatisticalThreshold(float(rng.uniform(0.5, 4.0)))
@@ -547,9 +553,9 @@ def _cellwise_json(t_values, c_values, rows) -> str:
 def _shaped(region: BeliefRegion, shape: str) -> tuple[BeliefRegion, tuple[int, int]]:
     """The region and resolution for a shape; a zero-width axis keeps its lower bound."""
     if shape == "1x5":
-        return dataclasses.replace(region, t_interval=(region.t_interval[0],) * 2), (7, 5)
+        return replace(region, t_interval=(region.t_interval[0],) * 2), (7, 5)
     if shape == "7x1":
-        return dataclasses.replace(region, c_interval=(region.c_interval[0],) * 2), (7, 5)
+        return replace(region, c_interval=(region.c_interval[0],) * 2), (7, 5)
     nt, nc = map(int, shape.split("x"))
     return region, (nt, nc)
 
@@ -706,7 +712,7 @@ class TestContourGridCheck:
     @pytest.mark.parametrize("axis", ["t", "c"])
     def test_zero_width_grids_construct_and_export(self, axis, n):
         # a zero-width axis gives a 1xN or Nx1 grid; 5000 cells is wider than a block
-        region = dataclasses.replace(PLAUSIBLE, **{f"{axis}_interval": (45.2, 45.2)})
+        region = replace(PLAUSIBLE, **{f"{axis}_interval": (45.2, 45.2)})
         grid = evaluate_grid(region, (n, n), CASE_STUDY, NEG, C196)
         assert grid.piv.shape == ((1, n) if axis == "t" else (n, 1))
         rows = grid.piv.tolist()
@@ -847,7 +853,7 @@ class TestBoundPiv:
         for case in range(200):
             stats = random_observed_stats(rng)
             if case % 4 == 0:
-                stats = dataclasses.replace(stats, y_c_ob=stats.y_t_ob)  # l0 = 0
+                stats = replace(stats, y_c_ob=stats.y_t_ob)  # l0 = 0
             plane = pi, a, _, _, _ = bounds._plane(stats)
             offsets = np.concatenate([rng.uniform(-300.0, 300.0, 40),
                                       10.0 ** rng.uniform(-8.0, 160.0, 8), [0.0]])
@@ -922,7 +928,7 @@ class TestExactBoundProperty:
         for case in range(160):
             # small samples keep the PIV away from 0 and 1, where float64
             # would hide a missed extreme
-            stats = dataclasses.replace(random_observed_stats(rng), n_ob=int(rng.integers(2, 60)))
+            stats = replace(random_observed_stats(rng), n_ob=int(rng.integers(2, 60)))
             sign = random_sign(rng)
             if rng.random() < 0.5:
                 threshold = StatisticalThreshold(float(rng.uniform(1.0, 3.0)))

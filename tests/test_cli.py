@@ -31,7 +31,15 @@ from piv.cli import (
     replicate_report,
 )
 from piv import _grid_text, cli
-from piv.core import FixedThreshold, InputValidationError, SignMismatchError, StatisticalThreshold
+from piv.core import (
+    FixedThreshold,
+    InputValidationError,
+    SignMismatchError,
+    StatisticalThreshold,
+    ideal_correlation,
+    piv_from_correlation,
+    std_normal_cdf,
+)
 
 from helpers import cellwise_csv
 
@@ -648,9 +656,9 @@ class TestReplicateCommand:
         text = "\n".join(lines) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == REPLICATE_REPORT_SHA256
 
-    def test_report_follows_the_sign_of_its_config(self):
-        # the case study mirrored through zero: a significant positive estimate
-        obj = config_to_json_object(case_study_config())
+    @staticmethod
+    def _mirrored(obj: dict) -> dict:
+        """The config object mirrored through zero: a significant positive estimate."""
         obj["sign"] = "positive"
         for key in ("y_t_ob", "y_c_ob"):
             obj["observed"][key] = -obj["observed"][key]
@@ -660,7 +668,11 @@ class TestReplicateCommand:
             else:
                 belief["region"] = {axis: [None if v is None else -v for v in reversed(interval)]
                                     for axis, interval in belief["region"].items()}
-        lines, data = replicate_report(parse_config(obj))
+        return obj
+
+    def test_report_follows_the_sign_of_its_config(self):
+        lines, data = replicate_report(parse_config(self._mirrored(
+            config_to_json_object(case_study_config()))))
         _, expected = replicate_report(case_study_config())
         assert lines[3] == "step 2  critical value: C = 1.96 (significant positive estimate)"
         assert lines[4] == ("step 3  probit(PIV) = T - C with T = correlation/se, se = 0.006472, "
@@ -670,6 +682,28 @@ class TestReplicateCommand:
         assert data["corner_piv"] == pytest.approx(expected["corner_piv"], abs=1e-12)
         # the sqrt(n_ob) cross-check follows the sign too
         assert data["alt_scale_piv"] == pytest.approx(expected["alt_scale_piv"], abs=1e-12)
+
+    @pytest.mark.parametrize("positive", [False, True], ids=["negative", "positive"])
+    def test_fixed_threshold_report_stays_in_correlation_units(self, positive):
+        # a fixed C is a correlation: step 3 and the sqrt(n_ob) cross-check compare it with r
+        obj = config_to_json_object(case_study_config())
+        obj["threshold"] = {"kind": "fixed", "beta_sharp": -0.02}
+        if positive:
+            obj = self._mirrored(obj)
+            obj["threshold"]["beta_sharp"] = 0.02
+        config = parse_config(obj)
+        lines, data = replicate_report(config)
+        difference = "(r - C)/se" if positive else "(C - r)/se"
+        assert lines[4] == (f"step 3  probit(PIV) = {difference} with r = correlation, "
+                            "se = 0.006472, scale sqrt(2*n_ob)/sqrt(1-R^2) = 154.51")
+        # the sqrt(n_ob) variant divides the PIV's own probit by sqrt(2)
+        r = ideal_correlation(config.belief_as("belief-1-corner", "point"), config.observed)
+        result = piv_from_correlation(r, config.observed, config.sign, config.threshold)
+        assert data["corner_piv"] == result.piv
+        assert data["alt_scale_piv"] == pytest.approx(
+            std_normal_cdf(result.probit_piv / math.sqrt(2.0)), abs=1e-12)
+        assert f"{data['alt_scale_piv']:.6f}" == "0.574183"
+        assert "would give 0.574183 instead" in lines[-1]
 
     @pytest.mark.parametrize("name, kind", [("belief-1", "region"),
                                             ("belief-1-corner", "point")])
@@ -1014,8 +1048,9 @@ def test_point_bound_and_dump_config_do_not_import_numpy(tmp_path):
                                      ("bound", "belief-1"), ("bound", "belief-2"))
              for fmt in ("text", "json")]
     argvs.append(["compute", "--config", path, "--dump-config"])
-    # nor piv.report, which only replicate and verify use
-    for module in ("numpy", "piv.report"):
+    # nor piv.report, which only replicate and verify use, nor dataclasses and the
+    # inspect it pulls in, whose import and class building would double a cold start
+    for module in ("numpy", "piv.report", "dataclasses", "inspect"):
         steps = _loaded_after(argvs, module)
         assert len(steps) == 2 + len(argvs)
         assert [name for name, loaded in steps if loaded] == [], module

@@ -7,9 +7,10 @@ is checked against an 80-digit Decimal power-series oracle implemented here.
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import json
 import math
+import pickle
 import re
 from decimal import Decimal, getcontext
 from pathlib import Path
@@ -17,8 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from piv.bounds import BeliefRegion, bound_piv, evaluate_grid
+from piv.bounds import BeliefRegion, BoundResult, ContourGrid, bound_piv, evaluate_grid
 from piv.cli import EXIT_CONFIG, main, parse_config
+from piv.config import AnalysisConfig, NamedBelief, case_study_config
 from piv.core import (
     CounterfactualBelief,
     DegenerateSpreadError,
@@ -50,6 +52,7 @@ from helpers import (
     random_belief,
     random_observed_stats,
     random_sign,
+    replace,
 )
 
 NEG = EstimateSign.NEGATIVE
@@ -117,6 +120,96 @@ class TestObservedStats:
             StatisticalThreshold(-1.96)
         with pytest.raises(InputValidationError):
             FixedThreshold(math.nan)
+
+
+def _records() -> dict:
+    """One value of each record type, by type: the case study's."""
+    config = case_study_config()
+    region = config.belief_as("plausible-region", "region")
+    return {
+        ObservedStats: CASE_STUDY,
+        CounterfactualBelief: BELIEF_1_CORNER,
+        StatisticalThreshold: C196,
+        FixedThreshold: FixedThreshold(-0.02),
+        PivResult: piv(BELIEF_1_CORNER, CASE_STUDY, NEG, C196),
+        BeliefRegion: config.belief_as("belief-1", "region"),
+        ContourGrid: evaluate_grid(region, (4, 3), CASE_STUDY, NEG, C196),
+        BoundResult: bound_piv(region, CASE_STUDY, NEG, C196),
+        NamedBelief: config.belief("belief-1"),
+        AnalysisConfig: config,
+    }
+
+
+_RECORD_TYPES = list(_records())
+
+
+class TestRecordContract:
+    """Every record is a frozen value; a ContourGrid equals only itself."""
+
+    @pytest.mark.parametrize("kind", _RECORD_TYPES, ids=lambda kind: kind.__name__)
+    @pytest.mark.parametrize("clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.copy,
+                                       copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+    def test_copies_are_rebuilt_through_the_constructor(self, kind, clone, monkeypatch):
+        record = _records()[kind]
+        calls = []
+        init = kind.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(kind)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(kind, "__init__", counted)
+        copied = clone(record)
+        assert calls == [kind]
+        assert type(copied) is kind
+        if kind is ContourGrid:
+            assert (copied.t_values, copied.c_values) == (record.t_values, record.c_values)
+            assert np.array_equal(copied.piv, record.piv)
+        else:
+            assert copied == record
+
+    @pytest.mark.parametrize("kind", _RECORD_TYPES, ids=lambda kind: kind.__name__)
+    def test_fields_cannot_be_assigned_or_deleted(self, kind):
+        record = _records()[kind]
+        for name in (*kind.__slots__, "not_a_field"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.5)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert not hasattr(record, "__dict__")
+
+    def test_repr_names_every_field(self):
+        assert repr(CASE_STUDY) == (
+            "ObservedStats(r_squared=0.36, n_ob=7639, y_t_ob=36.77, y_c_ob=45.78, "
+            "var_t=143.26, var_c=138.83, pi=0.0617)")
+        assert repr(BELIEF_1_CORNER) == "CounterfactualBelief(y_t_un=45.78, y_c_un=45.2)"
+
+    @pytest.mark.parametrize("kind", [kind for kind in _RECORD_TYPES if kind is not ContourGrid],
+                             ids=lambda kind: kind.__name__)
+    def test_equal_values_are_equal_and_hash_equally(self, kind):
+        a = _records()[kind]
+        b = replace(a)
+        assert a is not b
+        assert a == b and not a != b
+        if kind is BoundResult:  # its asymptotic_piv is a dict
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(a)
+        else:
+            assert hash(a) == hash(b)
+
+    def test_records_of_different_classes_are_unequal(self):
+        class Belief(CounterfactualBelief):
+            __slots__ = ()
+
+        assert StatisticalThreshold(0.5) != FixedThreshold(0.5)
+        assert Belief(1.0, 2.0) != CounterfactualBelief(1.0, 2.0)
+        assert CounterfactualBelief(1.0, 2.0) != (1.0, 2.0)
+
+    def test_grids_equal_only_themselves(self):
+        a = _records()[ContourGrid]
+        b = ContourGrid(a.t_values, a.c_values, a.piv)
+        assert a == a and a != b
+        assert hash(a) == object.__hash__(a)
 
 
 # =============================================================================
@@ -247,7 +340,7 @@ class TestIdealCorrelation:
         # sqrt(1 - 2*pi*(1-pi)), beyond both single-axis limits
         rng = np.random.default_rng(13)
         for pi in rng.uniform(0.01, 0.99, 200):
-            stats = dataclasses.replace(CASE_STUDY, pi=float(pi))
+            stats = replace(CASE_STUDY, pi=float(pi))
             far = CounterfactualBelief(stats.y_t_ob + 1e8 * (1.0 - pi), stats.y_c_ob - 1e8 * pi)
             r = ideal_correlation(far, stats)
             assert r == pytest.approx(math.sqrt(1.0 - 2.0 * pi * (1.0 - pi)), abs=1e-6)
@@ -339,10 +432,10 @@ class TestThresholdRefusals:
                         call(not_a_threshold)
             # a config with the wrong-side threshold is a config error
             obj = {
-                "observed": dataclasses.asdict(stats),
+                "observed": stats._asdict(),
                 "sign": sign.value,
                 "threshold": {"kind": "fixed", "beta_sharp": wrong_side.beta_sharp},
-                "beliefs": [{"name": "b", "point": dataclasses.asdict(belief)}],
+                "beliefs": [{"name": "b", "point": belief._asdict()}],
             }
             with pytest.raises(InputValidationError, match="^threshold: fixed threshold") as info:
                 parse_config(obj)
