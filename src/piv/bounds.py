@@ -19,8 +19,8 @@ over the block.  The kernel gets read-only axis arrays and works in place on
 its own temporaries; the axis tuples are built from the arrays after the
 last block.  Only grid evaluation uses numpy, and it imports it on first
 call, so bounding and verdicts run without loading numpy.  A ContourGrid
-refuses a piv array that does not fill its axes; piv._grid_text writes it as
-CSV or JSON.
+refuses a piv array that does not fill its axes and makes it read-only;
+piv._grid_text writes it as CSV or JSON.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .core import (
     _correlation,
     _min_max,
     _probit,
+    _read_only,
     _Record,
     piv,
     piv_from_correlation,
@@ -114,9 +115,9 @@ class BeliefRegion(_Record):
 class ContourGrid(_Record):
     """PIV evaluated on a rectangular grid: one row per t value, one column per c value.
 
-    piv is a read-only float64 array of shape (len(t_values), len(c_values)),
-    on finite, non-empty axes, which construction checks; cells are not checked.
-    A grid equals and hashes only as itself.
+    piv is a float64 array of shape (len(t_values), len(c_values)), on finite,
+    non-empty axes; construction checks both and makes piv read-only, in every
+    copy too.  Cells are not checked.  A grid equals and hashes only as itself.
     """
 
     __slots__ = ("t_values", "c_values", "piv")
@@ -134,7 +135,7 @@ class ContourGrid(_Record):
             raise InputValidationError("ContourGrid axis values must be finite")
         object.__setattr__(self, "t_values", t_values)
         object.__setattr__(self, "c_values", c_values)
-        object.__setattr__(self, "piv", piv)
+        object.__setattr__(self, "piv", _read_only(piv))
 
     def min(self) -> float:
         return float(self.piv.min())
@@ -409,9 +410,8 @@ def evaluate_grid(
     import numpy as np
 
     # read-only, so that a kernel step writing over an input raises at once
-    t = np.array(_axis_points(t_lo, t_hi, nt))
-    c = np.array(_axis_points(c_lo, c_hi, nc))
-    t.flags.writeable = c.flags.writeable = False
+    t = _read_only(np.array(_axis_points(t_lo, t_hi, nt)))
+    c = _read_only(np.array(_axis_points(c_lo, c_hi, nc)))
     values = np.empty((nt, nc))
     step = _block_rows(nt, nc, _EVAL_BLOCK_SHARE)
     # an overflowing variance raises from the kernel, and a zero denominator
@@ -428,7 +428,6 @@ def evaluate_grid(
                 values[start:stop] = _completed_piv(
                     t[start:stop, None], c, stats, sign, threshold, sqrt=np.sqrt, erfc=_erfc,
                 )
-    values.flags.writeable = False
     # the axes as Python floats, built after the blocks so that they are not
     # alive beside the kernel's temporaries; tolist gives back the same floats
     return ContourGrid(t_values=tuple(t.tolist()), c_values=tuple(c.tolist()), piv=values)

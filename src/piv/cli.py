@@ -171,7 +171,7 @@ def _parse_grid_flag(text: str) -> tuple[int, int]:
 
 def _export_grid(args, config: AnalysisConfig, region: BeliefRegion, fmt: str, summary) -> int:
     """Evaluate the grid over region, stream it to --out row by row or block by
-    block, and print the lines summary(grid) returns.
+    block, and print the lines summary(grid, piv_min, piv_max) returns.
 
     Returns EXIT_IO when the file cannot be written.
     """
@@ -181,7 +181,8 @@ def _export_grid(args, config: AnalysisConfig, region: BeliefRegion, fmt: str, s
     grid = evaluate_grid(region, resolution, config.observed, config.sign, config.threshold)
     # refuse before the file is opened, so a refused grid leaves no partial file;
     # min and max propagate NaN, and take no grid-sized temporary as isfinite would
-    if not (math.isfinite(grid.min()) and math.isfinite(grid.max())):
+    piv_min, piv_max = grid.min(), grid.max()
+    if not (math.isfinite(piv_min) and math.isfinite(piv_max)):
         raise InputValidationError("cannot serialize a grid with a non-finite PIV")
     from ._grid_text import csv_chunks, json_chunks  # on first use, as numpy is
 
@@ -191,7 +192,7 @@ def _export_grid(args, config: AnalysisConfig, region: BeliefRegion, fmt: str, s
     except OSError as exc:
         sys.stderr.write(f"cannot write {args.out}: {exc}\n")
         return EXIT_IO
-    _print(summary(grid))
+    _print(summary(grid, piv_min, piv_max))
     return EXIT_OK
 
 
@@ -199,10 +200,10 @@ def cmd_contour(args, config: AnalysisConfig) -> int:
     region = _belief(config, args.belief, "region")
     if not region.is_finite:
         raise InputValidationError("contour requires a finite region")
-    return _export_grid(args, config, region, args.format, lambda grid: [
+    return _export_grid(args, config, region, args.format, lambda grid, piv_min, piv_max: [
         f"wrote {args.out} ({len(grid.t_values)}x{len(grid.c_values)} cells, format {args.format})",
-        f"piv_min   {_fmt(grid.min())}",
-        f"piv_max   {_fmt(grid.max())}",
+        f"piv_min   {_fmt(piv_min)}",
+        f"piv_max   {_fmt(piv_max)}",
     ])
 
 
@@ -234,7 +235,7 @@ def cmd_replicate(args, config: AnalysisConfig) -> int:
     lines, _ = replicate_report(config)
     _print(lines)
     region = config.belief_as("plausible-region", "region")
-    return _export_grid(args, config, region, "csv", lambda grid: [
+    return _export_grid(args, config, region, "csv", lambda grid, *_: [
         f"wrote contour grid to {args.out} ({len(grid.t_values)}x{len(grid.c_values)} cells)"])
 
 

@@ -148,6 +148,12 @@ class _Record:
         return type(self), self._values()
 
 
+def _read_only(array):
+    """array, made read-only in place; records that hold arrays store each through this."""
+    array.flags.writeable = False
+    return array
+
+
 class ObservedStats(_Record):
     """The seven observed summary statistics, validated on construction.
 

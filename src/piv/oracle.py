@@ -19,6 +19,9 @@ assembly, and the summed half-sample Gram matrix gives the half-sample
 fits.  No check compares a quantity with itself: the block assembly, built
 from S_zz, is set against the direct inverse of X'X.
 
+SyntheticSpec and IdealDataset are core._Record values, copied through their
+constructors; a dataset's arrays are read-only in every copy.
+
 Conventions that the checks depend on:
 
   * all sample variances and covariances use the 1/n divisor;
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -44,6 +46,8 @@ from .core import (
     ObservedStats,
     PivError,
     Threshold,
+    _read_only,
+    _Record,
     _require_finite,
 )
 
@@ -91,11 +95,6 @@ def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(matrix, rhs)
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (k, q) stacks.
 
@@ -120,8 +119,7 @@ def _require_reps(reps) -> None:
 # =============================================================================
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(_Record):
     """Targets for an exact-moment completed dataset.
 
     pi * n_ob and (1 - pi) * n_ob must be positive even integers so that
@@ -129,36 +127,31 @@ class SyntheticSpec:
     two-point placement.
     """
 
-    n_ob: int
-    pi: float
-    y_t_ob: float
-    y_c_ob: float
-    y_t_un: float
-    y_c_un: float
-    var_t: float
-    var_c: float
-    p: int = 0
-    seed: int = 0
+    __slots__ = ("n_ob", "pi", "y_t_ob", "y_c_ob", "y_t_un", "y_c_un", "var_t", "var_c", "p",
+                 "seed")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n_ob, int) or self.n_ob <= 0 or self.n_ob % 2:
-            raise InputValidationError(f"n_ob must be a positive even integer, got {self.n_ob!r}")
-        for name in ("pi", "y_t_ob", "y_c_ob", "y_t_un", "y_c_un", "var_t", "var_c"):
-            object.__setattr__(self, name, _require_finite(getattr(self, name), name))
-        n_t = self.pi * self.n_ob
+    def __init__(self, n_ob: int, pi: float, y_t_ob: float, y_c_ob: float, y_t_un: float,
+                 y_c_un: float, var_t: float, var_c: float, p: int = 0, seed: int = 0) -> None:
+        if not isinstance(n_ob, int) or n_ob <= 0 or n_ob % 2:
+            raise InputValidationError(f"n_ob must be a positive even integer, got {n_ob!r}")
+        object.__setattr__(self, "n_ob", n_ob)
+        for name, value in (("pi", pi), ("y_t_ob", y_t_ob), ("y_c_ob", y_c_ob), ("y_t_un", y_t_un),
+                            ("y_c_un", y_c_un), ("var_t", var_t), ("var_c", var_c)):
+            object.__setattr__(self, name, _require_finite(value, name))
+        n_t = self.pi * n_ob
         if abs(n_t - round(n_t)) > 1e-9:
             raise InputValidationError(f"pi * n_ob must be integral, got {n_t}")
-        n_t = round(n_t)
-        n_c = self.n_ob - n_t
-        for name, count in (("pi * n_ob", n_t), ("(1 - pi) * n_ob", n_c)):
+        for name, count in (("pi * n_ob", self.n_treated), ("(1 - pi) * n_ob", self.n_control)):
             if count <= 0 or count % 2:
                 raise InputValidationError(f"{name} must be a positive even integer, got {count}")
         for name in ("var_t", "var_c"):
             if getattr(self, name) < 0.0:
                 raise InputValidationError(f"{name} must be >= 0")
-        if not isinstance(self.p, int) or self.p < 0:
-            raise InputValidationError(f"p must be a nonnegative integer, got {self.p!r}")
-        _require_seed(self.seed)
+        if not isinstance(p, int) or p < 0:
+            raise InputValidationError(f"p must be a nonnegative integer, got {p!r}")
+        _require_seed(seed)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "seed", seed)
 
     @property
     def n_treated(self) -> int:
@@ -181,35 +174,26 @@ class SyntheticSpec:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class IdealDataset:
+class IdealDataset(_Record):
     """An explicit completed sample: 2*n_ob rows of (outcome, treatment, covariates).
 
     Rows 0..n_ob-1 are the observed sample in subject order; rows
     n_ob..2*n_ob-1 are the same subjects' counterfactual rows (treatment
     flipped, covariates identical).
 
-    The four arrays are made read-only in place on construction, so a
-    dataset cannot be changed after it is built; a variant is a new dataset
-    built from copies.
+    The constructor makes the four arrays read-only in place, so neither a
+    dataset nor any copy of it can be changed; a variant is a new dataset
+    built from copies.  A dataset equals and hashes only as itself.
     """
 
-    outcome: np.ndarray
-    w: np.ndarray
-    z: np.ndarray
-    observed: np.ndarray
+    __slots__ = ("outcome", "w", "z", "observed")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        for array in (self.outcome, self.w, self.z, self.observed):
-            array.flags.writeable = False
-
-    @property
-    def n_ob(self) -> int:
-        return self.outcome.shape[0] // 2
-
-    @property
-    def p(self) -> int:
-        return self.z.shape[1]
+    def __init__(self, outcome: np.ndarray, w: np.ndarray, z: np.ndarray,
+                 observed: np.ndarray) -> None:
+        for name, array in (("outcome", outcome), ("w", w), ("z", z), ("observed", observed)):
+            object.__setattr__(self, name, _read_only(array))
 
     def _reduce(self) -> dict:
         """The small matrices every check reads, formed from the rows once.
@@ -388,8 +372,9 @@ class DatasetStack:
             body          (1/N) S_VV^-1
 
         and S_VV itself inverts through the Schur complement of its
-        covariate block.  Each error is the maximum entrywise discrepancy
-        against the direct inverse, scaled by its largest entry magnitude.
+        covariate block; the last row is also set against _closed_form_last_row.
+        Each error is the maximum entrywise discrepancy of either, scaled by
+        the direct inverse's largest entry magnitude.
         The S_zz solves are the ones the moment route uses, and the direct
         inverse comes from the same solve of X'X as the fit.
         """
@@ -417,18 +402,23 @@ class DatasetStack:
         assembled[:, 1:, 0] = assembled[:, 0, 1:]
         assembled[:, 1:, 1:] = s_vv_inv / n[:, None, None]
 
-        # Closed forms for the last row, assembled independently of the blocks above.
-        last_row = np.empty((k, p + 2))
-        szz_inv_zmean = (szz_inv @ m["z_mean"][:, :, None])[:, :, 0]
-        last_row[:, 0] = (_dot(m["s_zw"], szz_inv_zmean) * schur_inv - m["w_mean"] * schur_inv) / n
-        last_row[:, 1 : p + 1] = -(schur_inv[:, None] * (m["s_zw"][:, None, :] @ szz_inv)[:, 0]) / n[:, None]
-        last_row[:, p + 1] = schur_inv / n
-
+        last_row = self._closed_form_last_row(szz_inv, schur_inv)
         direct = self.direct_inverse
         scale = np.abs(direct).max(axis=(1, 2))
         error = np.maximum(np.abs(assembled - direct).max(axis=(1, 2)),
                            np.abs(last_row - direct[:, -1]).max(axis=1))
         return error / scale
+
+    def _closed_form_last_row(self, szz_inv: np.ndarray, schur_inv: np.ndarray) -> np.ndarray:
+        """Each (X'X)^-1's last row by closed forms, apart from the assembled blocks: (k, p+2)."""
+        m, p = self._m, self.p
+        n = m["n"]
+        last_row = np.empty((len(self), p + 2))
+        szz_inv_zmean = (szz_inv @ m["z_mean"][:, :, None])[:, :, 0]
+        last_row[:, 0] = (_dot(m["s_zw"], szz_inv_zmean) * schur_inv - m["w_mean"] * schur_inv) / n
+        last_row[:, 1 : p + 1] = -(schur_inv[:, None] * (m["s_zw"][:, None, :] @ szz_inv)[:, 0]) / n[:, None]
+        last_row[:, p + 1] = schur_inv / n
+        return last_row
 
     def bayes_combination_errors(self) -> np.ndarray:
         """Each half-sample fit against the fit on the stacked rows: (k,)

@@ -430,6 +430,20 @@ class TestContourCommand:
         bound = json.loads(capsys.readouterr().out)
         assert abs(grid_min - bound["piv_min"]) <= 1e-3
 
+    def test_grid_min_and_max_taken_once(self, tmp_path, capsys, monkeypatch):
+        # the finiteness check and the summary share one pass each for min and max
+        calls = []
+        for name in ("min", "max"):
+            method = getattr(ContourGrid, name)
+            monkeypatch.setattr(ContourGrid, name, lambda grid, name=name, method=method:
+                                calls.append(name) or method(grid))
+        path = write_config(tmp_path, base_config_object())
+        assert main(["contour", "--config", path, "--belief", "box",
+                     "--out", str(tmp_path / "grid.csv"), "--grid", "20x20"]) == EXIT_OK
+        assert calls == ["min", "max"]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[1:]] == ["piv_min", "piv_max"]
+
     def test_unwritable_out_exits_4(self, tmp_path):
         path = write_config(tmp_path, base_config_object())
         assert main(["contour", "--config", path, "--belief", "box",
@@ -704,6 +718,22 @@ class TestReplicateCommand:
             std_normal_cdf(result.probit_piv / math.sqrt(2.0)), abs=1e-12)
         assert f"{data['alt_scale_piv']:.6f}" == "0.574183"
         assert "would give 0.574183 instead" in lines[-1]
+
+    @pytest.mark.parametrize("beta_sharp", [None, -0.02], ids=["case-study", "fixed"])
+    def test_note_claims_the_published_figures_only_where_they_hold(self, beta_sharp):
+        obj = config_to_json_object(case_study_config())
+        if beta_sharp is not None:
+            obj["threshold"] = {"kind": "fixed", "beta_sharp": beta_sharp}
+        lines, data = replicate_report(parse_config(obj))
+        matches = abs(data["corner_piv"] - 0.92) <= 5e-3
+        assert matches is (beta_sharp is None)
+        assert ("matching the published 0.92" in lines[-1]) is matches
+        assert ("does not reproduce the published bounds" in lines[-1]) is matches
+        if not matches:
+            assert lines[-1] == (
+                "note    scale coefficient 154.51 gives PIV 0.604305 at the belief-1 corner, "
+                "not the published 0.92; the sqrt(n_ob) variant 109.25 would give 0.574183 "
+                "instead")
 
     @pytest.mark.parametrize("name, kind", [("belief-1", "region"),
                                             ("belief-1-corner", "point")])
@@ -1063,6 +1093,13 @@ def test_only_the_report_commands_load_the_report(tmp_path):
              ["verify", "--seeds", "1"]]
     steps = _loaded_after(argvs, "piv.report")
     assert [loaded for _, loaded in steps] == [False, False, False, True]
+
+
+def test_verify_loads_no_dataclasses():
+    # the oracle's records are _Record values too; numpy itself loads inspect,
+    # so only dataclasses is pinned on this path
+    steps = _loaded_after([["verify", "--seeds", "1"]], "dataclasses")
+    assert [loaded for _, loaded in steps] == [False, False, False]
 
 
 @pytest.mark.parametrize("command", ["contour", "verify"])

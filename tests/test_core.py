@@ -42,7 +42,7 @@ from piv.core import (
     se_ideal,
     std_normal_cdf,
 )
-from piv.oracle import monte_carlo_piv, random_spec
+from piv.oracle import IdealDataset, SyntheticSpec, build_exact_dataset, monte_carlo_piv, random_spec
 
 from helpers import (
     BELIEF_1_CORNER,
@@ -123,7 +123,8 @@ class TestObservedStats:
 
 
 def _records() -> dict:
-    """One value of each record type, by type: the case study's."""
+    """One value of each record type, by type: the case study's, and a seeded
+    oracle spec and its dataset."""
     config = case_study_config()
     region = config.belief_as("plausible-region", "region")
     return {
@@ -137,14 +138,22 @@ def _records() -> dict:
         BoundResult: bound_piv(region, CASE_STUDY, NEG, C196),
         NamedBelief: config.belief("belief-1"),
         AnalysisConfig: config,
+        SyntheticSpec: random_spec(3, p=2),
+        IdealDataset: build_exact_dataset(random_spec(3, p=2)),
     }
 
 
 _RECORD_TYPES = list(_records())
+_IDENTITY_TYPES = (ContourGrid, IdealDataset)
+
+
+def _arrays(record) -> list:
+    return [value for value in record._values() if isinstance(value, np.ndarray)]
 
 
 class TestRecordContract:
-    """Every record is a frozen value; a ContourGrid equals only itself."""
+    """Every record is a frozen value; a ContourGrid or an IdealDataset, which
+    hold arrays, equals only itself."""
 
     @pytest.mark.parametrize("kind", _RECORD_TYPES, ids=lambda kind: kind.__name__)
     @pytest.mark.parametrize("clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.copy,
@@ -162,11 +171,23 @@ class TestRecordContract:
         copied = clone(record)
         assert calls == [kind]
         assert type(copied) is kind
-        if kind is ContourGrid:
-            assert (copied.t_values, copied.c_values) == (record.t_values, record.c_values)
-            assert np.array_equal(copied.piv, record.piv)
+        if kind in _IDENTITY_TYPES:
+            for a, b in zip(copied._values(), record._values(), strict=True):
+                assert np.array_equal(a, b)
         else:
             assert copied == record
+
+    @pytest.mark.parametrize("kind", _IDENTITY_TYPES, ids=lambda kind: kind.__name__)
+    @pytest.mark.parametrize("clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.copy,
+                                       copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+    def test_copies_hold_read_only_arrays(self, kind, clone):
+        record = _records()[kind]
+        arrays = _arrays(clone(record))
+        assert len(arrays) == len(_arrays(record)) > 0
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
 
     @pytest.mark.parametrize("kind", _RECORD_TYPES, ids=lambda kind: kind.__name__)
     def test_fields_cannot_be_assigned_or_deleted(self, kind):
@@ -183,8 +204,11 @@ class TestRecordContract:
             "ObservedStats(r_squared=0.36, n_ob=7639, y_t_ob=36.77, y_c_ob=45.78, "
             "var_t=143.26, var_c=138.83, pi=0.0617)")
         assert repr(BELIEF_1_CORNER) == "CounterfactualBelief(y_t_un=45.78, y_c_un=45.2)"
+        assert repr(SyntheticSpec(8, 0.5, 0, 1, 2.5, 3, 1, 1, seed=7)) == (
+            "SyntheticSpec(n_ob=8, pi=0.5, y_t_ob=0.0, y_c_ob=1.0, y_t_un=2.5, y_c_un=3.0, "
+            "var_t=1.0, var_c=1.0, p=0, seed=7)")
 
-    @pytest.mark.parametrize("kind", [kind for kind in _RECORD_TYPES if kind is not ContourGrid],
+    @pytest.mark.parametrize("kind", [kind for kind in _RECORD_TYPES if kind not in _IDENTITY_TYPES],
                              ids=lambda kind: kind.__name__)
     def test_equal_values_are_equal_and_hash_equally(self, kind):
         a = _records()[kind]
@@ -205,9 +229,10 @@ class TestRecordContract:
         assert Belief(1.0, 2.0) != CounterfactualBelief(1.0, 2.0)
         assert CounterfactualBelief(1.0, 2.0) != (1.0, 2.0)
 
-    def test_grids_equal_only_themselves(self):
-        a = _records()[ContourGrid]
-        b = ContourGrid(a.t_values, a.c_values, a.piv)
+    @pytest.mark.parametrize("kind", _IDENTITY_TYPES, ids=lambda kind: kind.__name__)
+    def test_array_records_equal_only_themselves(self, kind):
+        a = _records()[kind]
+        b = kind(*a._values())
         assert a == a and a != b
         assert hash(a) == object.__hash__(a)
 

@@ -9,7 +9,6 @@ is checked against a reference sampler that draws every row.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -130,16 +129,18 @@ class TestBuildExactDataset:
 
     def test_balanced_arms(self):
         for seed in range(5):
-            ds = build_exact_dataset(random_spec(seed))
+            spec = random_spec(seed)
+            ds = build_exact_dataset(spec)
             assert ds.w.mean() == 0.5
             assert float(np.var(ds.w)) == 0.25
-            assert int(ds.w.sum()) == ds.n_ob
+            assert int(ds.w.sum()) == spec.n_ob
 
     def test_provenance_split(self):
-        ds = build_exact_dataset(random_spec(1))
-        assert int(ds.observed.sum()) == ds.n_ob
+        spec = random_spec(1)
+        ds = build_exact_dataset(spec)
+        assert int(ds.observed.sum()) == spec.n_ob
         # counterfactual rows flip the treatment of the same subject
-        n = ds.n_ob
+        n = spec.n_ob
         assert np.array_equal(ds.w[n:], 1.0 - ds.w[:n])
 
 
@@ -157,8 +158,8 @@ class TestSeededInputPins:
         digest = hashlib.sha256()
         for seed in range(1000):
             spec = random_spec(seed)
-            for field in dataclasses.fields(spec):
-                digest.update(repr(getattr(spec, field.name)).encode())
+            for value in spec._values():
+                digest.update(repr(value).encode())
         assert digest.hexdigest() == self.SPECS_SHA256
 
     def test_exact_datasets_pinned(self):
@@ -223,7 +224,7 @@ class TestDatasetStacks:
             seen_p.add(stack.p)
             for row, spec in enumerate(specs):
                 ds = build_exact_dataset(spec)
-                x = np.column_stack([np.ones(2 * ds.n_ob), ds.z, ds.w])
+                x = np.column_stack([np.ones(2 * spec.n_ob), ds.z, ds.w])
                 y, obs = ds.outcome, ds.observed
                 gram = x.T @ x
                 expected = {
@@ -369,8 +370,9 @@ class TestOlsFit:
 
 class TestSharedFit:
     def test_fit_matches_explicit_normal_equations_once(self):
-        ds = build_exact_dataset(random_spec(23, p=3))
-        x = np.column_stack([np.ones(2 * ds.n_ob), ds.z, ds.w])
+        spec = random_spec(23, p=3)
+        ds = build_exact_dataset(spec)
+        x = np.column_stack([np.ones(2 * spec.n_ob), ds.z, ds.w])
         expected = np.linalg.solve(x.T @ x, x.T @ ds.outcome)
         stack = DatasetStack([ds])
         fit = stack.fit
@@ -420,16 +422,17 @@ class TestNonFiniteInput:
 
 class TestBlockInverse:
     def test_p_zero_reduces_to_classical_two_by_two(self):
-        ds = build_exact_dataset(random_spec(29, p=0))
+        spec = random_spec(29, p=0)
+        ds = build_exact_dataset(spec)
         assert DatasetStack([ds]).block_inverse_errors()[0] <= 1e-9
         # cross-check the direct inverse against the hand 2x2 formula
-        x = np.column_stack([np.ones(2 * ds.n_ob), ds.z, ds.w])
+        x = np.column_stack([np.ones(2 * spec.n_ob), ds.z, ds.w])
         gram = x.T @ x
         n = gram[0, 0]
         det = gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0]
         expected = np.array([[gram[1, 1], -gram[0, 1]], [-gram[1, 0], gram[0, 0]]]) / det
         assert np.max(np.abs(np.linalg.inv(gram) - expected)) < 1e-12
-        assert n == 2 * ds.n_ob
+        assert n == 2 * spec.n_ob
 
     def test_seeded_specs_within_tolerance(self):
         for seed in range(10):
@@ -454,14 +457,27 @@ class TestBlockInverse:
         stack.__dict__["_gram_solution"] = solution
         assert stack.block_inverse_errors()[0] > 1e-6
 
+    @pytest.mark.parametrize("p", [0, 3])
+    def test_wrong_closed_form_last_row_is_seen(self, p, monkeypatch):
+        # the last row's closed forms are compared with the direct inverse, not with
+        # themselves; every input they read also feeds the assembled blocks, so only
+        # a wrong closed form, not a wrong input, shows that comparison alone
+        stack = DatasetStack([build_exact_dataset(random_spec(33, p=p))])
+        assert stack.block_inverse_errors()[0] <= 1e-9
+        closed_form = DatasetStack._closed_form_last_row
+        monkeypatch.setattr(DatasetStack, "_closed_form_last_row",
+                            lambda self, *args: closed_form(self, *args) * 1.001)
+        assert stack.block_inverse_errors()[0] > 1e-6
+
 
 class TestVarianceFactorization:
     def test_unit_variance_entry_matches_schur_form(self):
         # per unit residual variance, the w entry of the inverse Gram matrix is
         # 1 / (N * (s_ww - s_wz s_zz^-1 s_zw)); scaling by any sigma^2 is linear
         for seed in (2, 7, 12):
-            ds = build_exact_dataset(random_spec(seed, p=3))
-            x = np.column_stack([np.ones(2 * ds.n_ob), ds.z, ds.w])
+            spec = random_spec(seed, p=3)
+            ds = build_exact_dataset(spec)
+            x = np.column_stack([np.ones(2 * spec.n_ob), ds.z, ds.w])
             variance_w = float(np.linalg.inv(x.T @ x)[-1, -1])
             y, w, z = ds.outcome, ds.w, ds.z
             n = y.shape[0]
@@ -486,8 +502,9 @@ class TestBayesCombination:
             assert DatasetStack([ds]).bayes_combination_errors()[0] <= 1e-10
 
     def test_p_zero_combined_coefficient_is_mean_difference(self):
-        ds = build_exact_dataset(random_spec(37, p=0))
-        x = np.column_stack([np.ones(2 * ds.n_ob), ds.z, ds.w])
+        spec = random_spec(37, p=0)
+        ds = build_exact_dataset(spec)
+        x = np.column_stack([np.ones(2 * spec.n_ob), ds.z, ds.w])
         y = ds.outcome
         xo, yo = x[ds.observed], y[ds.observed]
         xu, yu = x[~ds.observed], y[~ds.observed]
