@@ -1,21 +1,24 @@
-"""The text of a contour grid, as CSV or as JSON, in chunks.
+"""The text of a contour grid, as CSV or as JSON, in chunks of ASCII bytes,
+and write_chunks, which hands them to os.writev in batches.
 
 The contour export imports this module on first use, as it does numpy.  Both
 formats go through one row loop, _rows: a row whose bytes equal the previous
-row's yields that row's text again, and the other rows are built
-_block_rows at a time in numpy passes by the format's block formatter.  A
-row the formatter flags as inexact, and every row of a block under the
-format's min_cells, goes through one "%" on a template of the row's layout,
-so every row reads byte for byte as that template prints it.  The "%.17g"
-digits of JSON blocks come from piv._json_digits, imported on first need.
-A ContourGrid has at least one row and one column on finite axes, so the
-writers need no case for an empty grid or a non-finite axis value.
+row's yields the same bytes object again, which goes out by reference, and
+the other rows are built _block_rows at a time in numpy passes by the
+format's block formatter.  A row the formatter flags as inexact, and every
+row of a block under the format's min_cells, goes through one "%" on a
+template of the row's layout, so every row reads byte for byte as that
+template prints it.  The "%.17g" digits of JSON blocks come from
+piv._json_digits, imported on first need.  A ContourGrid has at least one
+row and one column on finite axes, so the writers need no case for an empty
+grid or a non-finite axis value.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Iterator
+import os
+from collections.abc import Callable, Iterable, Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -35,10 +38,10 @@ class _Format(NamedTuple):
     each row's text is exact.  A block of fewer than min_cells cells goes
     through "%", which is faster there than block's fixed numpy cost."""
 
-    head: str
-    sep: str
-    tail: str
-    cell: str
+    head: bytes
+    sep: bytes
+    tail: bytes
+    cell: bytes
     block: Callable
     min_cells: int
 
@@ -91,7 +94,7 @@ def _csv_block(block):
     del text
     cells["end"] = ord(",")
     rows, nc = block.shape
-    return (str(cells.reshape(-1).view(np.uint8), "ascii"),
+    return (cells.tobytes(),
             list(range(9 * nc, 9 * nc * rows + 1, 9 * nc)), exact.all(axis=1).tolist())
 
 
@@ -103,18 +106,18 @@ def _json_block(cells):
 
 # min_cells is a little above where "%" and the block pass cost the same, which
 # measured about 100 cells for CSV and 150 to 200 for JSON
-_CSV = _Format(",", ",", "\n", "%.6f", _csv_block, 128)
+_CSV = _Format(b",", b",", b"\n", b"%.6f", _csv_block, 128)
 # the rows of render_json at indent 1, each with the ",\n" that separates it
 # from the row before
-_JSON = _Format(",\n    [\n      ", ",\n      ", "\n    ]", "%.17g", _json_block, 256)
+_JSON = _Format(b",\n    [\n      ", b",\n      ", b"\n    ]", b"%.17g", _json_block, 256)
 
 
-def _percent(template: str, row) -> str:
+def _percent(template: bytes, row) -> bytes:
     """A row through the "%" template, for rows the block pass does not cover."""
     return template % tuple(row.tolist())
 
 
-def _row_texts(piv, index, fmt: _Format, template: str) -> Iterator[str]:
+def _row_texts(piv, index, fmt: _Format, template: bytes) -> Iterator[bytes]:
     """The text of each row of piv that index, an ascending array, names."""
     nc = piv.shape[1]
     if len(index) * nc < fmt.min_cells:
@@ -123,15 +126,15 @@ def _row_texts(piv, index, fmt: _Format, template: str) -> Iterator[str]:
         return
     if nc > _BLOCK_CELLS:  # a block is one row, whose cells go a block at a time
         pieces = [fmt.block(piv[index, i:i + _BLOCK_CELLS]) for i in range(0, nc, _BLOCK_CELLS)]
-        text = "".join(text for text, _, _ in pieces)
+        text = b"".join(text for text, _, _ in pieces)
         ends, exact = [len(text)], [all(exact for _, _, (exact,) in pieces)]
         del pieces
     else:  # a run of consecutive rows goes as a view: a copy would add to the peak
         run = index[-1] - index[0] == len(index) - 1
         text, ends, exact = fmt.block(piv[index[0]:index[-1] + 1] if run else piv[index])
-    begin = 0
+    begin, view = 0, memoryview(text)
     for j, end, ok in zip(index, ends, exact):
-        yield (f"{fmt.head}{text[begin:end - len(fmt.sep)]}{fmt.tail}" if ok
+        yield (b"".join((fmt.head, view[begin:end - len(fmt.sep)], fmt.tail)) if ok
                else _percent(template, piv[j]))
         begin = end
 
@@ -154,7 +157,7 @@ def _new_rows(piv):
     return new
 
 
-def _rows(piv, fmt: _Format) -> Iterator[str]:
+def _rows(piv, fmt: _Format) -> Iterator[bytes]:
     """The text of each row of a 2-D float64 array in fmt, one chunk a row.
 
     Equal bytes are equal floats that format alike, and bytes keep -0.0
@@ -173,29 +176,63 @@ def _rows(piv, fmt: _Format) -> Iterator[str]:
         yield text
 
 
-def csv_chunks(grid: ContourGrid) -> Iterator[str]:
+def csv_chunks(grid: ContourGrid) -> Iterator[bytes]:
     """The CSV export: a header row of c values, then each t value and its
     PIV row to 6 decimals."""
-    yield ("y_t_un" + ",%r" * len(grid.c_values) + "\n") % grid.c_values
+    yield (b"y_t_un" + b",%r" * len(grid.c_values) + b"\n") % grid.c_values
     for t, text in zip(grid.t_values, _rows(grid.piv, _CSV)):
-        yield repr(t)
+        yield b"%r" % (t,)
         yield text
 
 
-def _axis_json(values: tuple[float, ...]) -> str:
-    """render_json(list(values), 1) for a ContourGrid axis, which is finite and
-    not empty, as one % on a template of that layout: %.17g formats a float
-    as format(v, ".17g")."""
-    return ("[\n    " + ",\n    ".join(["%.17g"] * len(values)) + "\n  ]") % tuple(values)
+def _axis_json(n: int) -> bytes:
+    """The "%" template of render_json(list(values), 1) for a ContourGrid axis
+    of n values, which are finite: %.17g formats a float as format(v, ".17g")."""
+    return b"[\n    " + b",\n    ".join([b"%.17g"] * n) + b"\n  ]"
 
 
-def json_chunks(grid: ContourGrid) -> Iterator[str]:
+def json_chunks(grid: ContourGrid) -> Iterator[bytes]:
     """The JSON export, render_json(grid.to_json_object()) + "\\n", one piv
     row per chunk."""
-    yield ('{\n  "t_values": ' + _axis_json(grid.t_values)
-           + ',\n  "c_values": ' + _axis_json(grid.c_values)
-           + ',\n  "piv": [\n')
     rows = _rows(grid.piv, _JSON)
-    yield next(rows)[len(",\n"):]
+    # the first row's block is made before the header, which is not held while it is
+    first = next(rows)[len(b",\n"):]
+    yield ((b'{\n  "t_values": ' + _axis_json(len(grid.t_values))
+            + b',\n  "c_values": ' + _axis_json(len(grid.c_values)) + b',\n  "piv": [\n')
+           % (*grid.t_values, *grid.c_values))
+    yield first
     yield from rows
-    yield "\n  ]\n}\n"
+    yield b"\n  ]\n}\n"
+
+
+# os.writev takes at most SC_IOV_MAX buffers a call (1024 on Linux); os.write,
+# where os.writev is missing (Windows), takes one.  A batch is written once what
+# it holds reaches 8 KiB, a text file's buffer: the bytes new to it, and for
+# each buffer its list slot and the iovec and Py_buffer os.writev allocates.
+_IOV_MAX = os.sysconf("SC_IOV_MAX") if hasattr(os, "writev") else 1
+_BATCH_BYTES, _BUFFER_BYTES = 8192, 8 + 16 + 80
+
+
+def write_chunks(fd: int, chunks: Iterable[bytes]) -> None:
+    """Write chunks to the file descriptor fd in batches.  A chunk that is
+    one of the two before it, as a repeated row is (a CSV row follows its t
+    value), goes out by reference and adds no bytes."""
+    batch, size, recent = [], 0, (None, None)
+    for chunk in chunks:
+        size += _BUFFER_BYTES + (0 if chunk is recent[0] or chunk is recent[1] else len(chunk))
+        recent = recent[1], chunk
+        batch.append(chunk)
+        if size >= _BATCH_BYTES or len(batch) == _IOV_MAX:
+            _write_all(fd, batch)
+            batch, size = [], 0
+    _write_all(fd, batch)
+
+
+def _write_all(fd: int, buffers: list) -> None:
+    """Write buffers, resuming a short write past the bytes written."""
+    while buffers:
+        written = os.writev(fd, buffers) if hasattr(os, "writev") else os.write(fd, buffers[0])
+        while buffers and written >= len(buffers[0]):
+            written -= len(buffers.pop(0))
+        if written:
+            buffers[0] = memoryview(buffers[0])[written:]

@@ -87,7 +87,7 @@ def _tables() -> SimpleNamespace:
         quads=(q // place % 10 + ord("0")).astype(np.uint8).view("<u4").ravel(),
         kept=4 - (q % (10 * place) == 0).sum(axis=1),
         exponent=_ascii_words([f"e-{e:02d}" for e in range(326)], 8),
-        sep=_ascii_words([_JSON.sep], 8)[0],
+        sep=_ascii_words([_JSON.sep.decode()], 8)[0],
         layout17=layout * 17, keep=(keep * np.uint8(0xFF)).view("<u8"),
         length=keep.sum(axis=1))
 
@@ -199,7 +199,7 @@ def _slots(d, x, core, one):
 
 def _block_text(cells):
     """The cells of an (R, m) array, each followed by the JSON separator,
-    as one string, with each row's end offset in it and whether the row's
+    as one bytes text, with each row's end offset in it and whether the row's
     text is exact.
 
     A cell prints exactly if it is 0.0, 1.0, or in (0, 1) with a product
@@ -219,5 +219,5 @@ def _block_text(cells):
     del d, x
     ends = np.cumsum(tables.length.take(index).reshape(rows, m).sum(axis=1)).tolist()
     words &= tables.keep.take(index, axis=0)
-    text = words.tobytes().translate(None, b"\0").decode("ascii")
+    text = words.tobytes().translate(None, b"\0")
     return text, ends, exact.reshape(rows, m).all(axis=1).tolist()

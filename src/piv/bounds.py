@@ -147,7 +147,7 @@ class ContourGrid(_Record):
         """The CSV export as one string: see _grid_text.csv_chunks."""
         from ._grid_text import csv_chunks
 
-        return "".join(csv_chunks(self))
+        return b"".join(csv_chunks(self)).decode("ascii")
 
     def to_json_object(self) -> dict:
         return {

@@ -170,8 +170,8 @@ def _parse_grid_flag(text: str) -> tuple[int, int]:
 
 
 def _export_grid(args, config: AnalysisConfig, region: BeliefRegion, fmt: str, summary) -> int:
-    """Evaluate the grid over region, stream it to --out row by row or block by
-    block, and print the lines summary(grid, piv_min, piv_max) returns.
+    """Evaluate the grid over region, stream it to --out as bytes in batches of
+    rows, and print the lines summary(grid, piv_min, piv_max) returns.
 
     Returns EXIT_IO when the file cannot be written.
     """
@@ -184,11 +184,11 @@ def _export_grid(args, config: AnalysisConfig, region: BeliefRegion, fmt: str, s
     piv_min, piv_max = grid.min(), grid.max()
     if not (math.isfinite(piv_min) and math.isfinite(piv_max)):
         raise InputValidationError("cannot serialize a grid with a non-finite PIV")
-    from ._grid_text import csv_chunks, json_chunks  # on first use, as numpy is
+    from ._grid_text import csv_chunks, json_chunks, write_chunks  # on first use, as numpy is
 
     try:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.writelines((csv_chunks if fmt == "csv" else json_chunks)(grid))
+        with open(args.out, "wb", buffering=0) as handle:
+            write_chunks(handle.fileno(), (csv_chunks if fmt == "csv" else json_chunks)(grid))
     except OSError as exc:
         sys.stderr.write(f"cannot write {args.out}: {exc}\n")
         return EXIT_IO

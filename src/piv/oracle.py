@@ -181,9 +181,12 @@ class IdealDataset(_Record):
     n_ob..2*n_ob-1 are the same subjects' counterfactual rows (treatment
     flipped, covariates identical).
 
-    The constructor makes the four arrays read-only in place, so neither a
-    dataset nor any copy of it can be changed; a variant is a new dataset
-    built from copies.  A dataset equals and hashes only as itself.
+    The constructor checks that the four are numpy arrays of one row count,
+    z 2-D, the others 1-D and observed boolean (an integer mask would index
+    rows), reading only dtype and shape.  It makes them read-only in place,
+    so neither a dataset nor any copy of it can be changed; a variant is a
+    new dataset built from copies.  A dataset equals and hashes only as
+    itself.
     """
 
     __slots__ = ("outcome", "w", "z", "observed")
@@ -192,7 +195,22 @@ class IdealDataset(_Record):
 
     def __init__(self, outcome: np.ndarray, w: np.ndarray, z: np.ndarray,
                  observed: np.ndarray) -> None:
-        for name, array in (("outcome", outcome), ("w", w), ("z", z), ("observed", observed)):
+        arrays = {"outcome": outcome, "w": w, "z": z, "observed": observed}
+        for name, array in arrays.items():
+            if not isinstance(array, np.ndarray):
+                raise InputValidationError(
+                    f"IdealDataset {name} must be a numpy array, got {type(array).__name__}")
+        if observed.dtype.kind != "b":
+            raise InputValidationError(
+                f"IdealDataset observed must be a boolean mask, got dtype {observed.dtype}")
+        rows = outcome.shape
+        if (len(rows) != 1 or z.ndim != 2 or z.shape[:1] != rows
+                or w.shape != rows or observed.shape != rows):
+            shapes = {name: array.shape for name, array in arrays.items()}
+            raise InputValidationError(
+                "IdealDataset needs 1-D outcome, w and observed and a 2-D z, all of one row "
+                f"count, got shapes {shapes}")
+        for name, array in arrays.items():
             object.__setattr__(self, name, _read_only(array))
 
     def _reduce(self) -> dict:

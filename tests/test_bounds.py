@@ -705,7 +705,7 @@ class TestContourGridCheck:
         grid = _hand_grid(cells)
         rows = grid.piv.tolist()
         assert grid.to_csv_text() == cellwise_csv(grid.t_values, grid.c_values, rows)
-        assert ("".join(_grid_text.json_chunks(grid))
+        assert (b"".join(_grid_text.json_chunks(grid)).decode("ascii")
                 == _cellwise_json(grid.t_values, grid.c_values, rows) + "\n")
 
     @pytest.mark.parametrize("n", [5, 300, 5000])
@@ -717,7 +717,7 @@ class TestContourGridCheck:
         assert grid.piv.shape == ((1, n) if axis == "t" else (n, 1))
         rows = grid.piv.tolist()
         assert grid.to_csv_text() == cellwise_csv(grid.t_values, grid.c_values, rows)
-        assert ("".join(_grid_text.json_chunks(grid))
+        assert (b"".join(_grid_text.json_chunks(grid)).decode("ascii")
                 == _cellwise_json(grid.t_values, grid.c_values, rows) + "\n")
 
 

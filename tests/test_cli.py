@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import errno
 import hashlib
 import json
 import math
@@ -518,10 +519,10 @@ class TestContourCommand:
         grid = ContourGrid(tuple(map(float, range(len(rows)))),
                            tuple(0.5 + i for i in range(3 * copies)), cells)
         if fmt == "csv":
-            text = "".join(_grid_text.csv_chunks(grid))
+            text = b"".join(_grid_text.csv_chunks(grid)).decode("ascii")
             assert text == cellwise_csv(grid.t_values, grid.c_values, cells.tolist())
         else:
-            text = "".join(_grid_text.json_chunks(grid))
+            text = b"".join(_grid_text.json_chunks(grid)).decode("ascii")
             assert text == render_json(grid.to_json_object()) + "\n"
         assert text.count("-0") == 8 * copies
 
@@ -533,6 +534,76 @@ class TestContourCommand:
                 "--grid", grid, "--format", fmt, "--out", str(out_path)]
         assert main(argv) == EXIT_OK
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == CONTOUR_EXPORT_SHA256[grid, fmt]
+
+    @pytest.mark.skipif(not hasattr(os, "writev"), reason="no os.writev on this system")
+    @pytest.mark.parametrize("grid, fmt", list(CONTOUR_EXPORT_SHA256))
+    def test_short_writes_resume(self, grid, fmt, tmp_path, monkeypatch):
+        # a writev that takes at most 1000 bytes a call, mostly ending inside a buffer
+        writev, calls = os.writev, []
+
+        def short_writev(fd, buffers):
+            head, room = [], 1000
+            for buffer in buffers:
+                head.append(memoryview(buffer)[:room])
+                room -= len(head[-1])
+                if not room:
+                    break
+            calls.append(1)
+            return writev(fd, head)
+
+        monkeypatch.setattr(os, "writev", short_writev)
+        self.test_large_export_pinned(grid, fmt, tmp_path)
+        assert len(calls) >= (tmp_path / f"grid.{fmt}").stat().st_size // 1000
+
+    @pytest.mark.parametrize("grid, fmt", list(CONTOUR_EXPORT_SHA256))
+    def test_write_fallback_without_writev(self, grid, fmt, tmp_path, monkeypatch):
+        # where os.writev is missing (Windows), the writer calls os.write once a buffer
+        monkeypatch.delattr(os, "writev", raising=False)
+        self.test_large_export_pinned(grid, fmt, tmp_path)
+
+    @pytest.mark.skipif(not hasattr(os, "writev"), reason="no os.writev on this system")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_write_error_mid_export_exits_4(self, fmt, tmp_path, capsys, monkeypatch):
+        writev, calls = os.writev, []
+
+        def failing_writev(fd, buffers):
+            calls.append(1)
+            if len(calls) == 3:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return writev(fd, buffers)
+
+        monkeypatch.setattr(os, "writev", failing_writev)
+        path = write_config(tmp_path, config_to_json_object(case_study_config()))
+        out_path = tmp_path / f"grid.{fmt}"
+        assert main(["contour", "--config", path, "--belief", "plausible-region",
+                     "--grid", "300x300", "--format", fmt, "--out", str(out_path)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert len(calls) == 3
+        assert captured.out == ""
+        assert captured.err == f"cannot write {out_path}: [Errno 5] {os.strerror(errno.EIO)}\n"
+
+    @pytest.mark.skipif(not hasattr(os, "writev"), reason="no os.writev on this system")
+    @pytest.mark.parametrize("fmt", list(SATURATED_EXPORT))
+    def test_repeated_rows_go_out_by_reference(self, fmt, tmp_path, monkeypatch):
+        # every row of these grids is the same: the writer sends one bytes object
+        # for all of them, so each call writes many times the bytes it holds
+        writev, batches = os.writev, []
+
+        def recording_writev(fd, buffers):
+            batches.append(list(buffers))
+            return writev(fd, buffers)
+
+        monkeypatch.setattr(os, "writev", recording_writev)
+        self.test_saturated_export_pinned(fmt, tmp_path)
+        size = SATURATED_EXPORT[fmt][1]
+        chunks = [chunk for batch in batches for chunk in batch]
+        # a CSV row starts with ","; a JSON row after the first with ",\n"
+        rows = [chunk for chunk in chunks if chunk.startswith(b"," if fmt == "csv" else b",\n")]
+        assert len(rows) == (300 if fmt == "csv" else 299)
+        assert all(row is rows[0] for row in rows)
+        assert all(len(batch) <= _grid_text._IOV_MAX for batch in batches)
+        # a writer that copies rows through an 8 KiB buffer makes about 100 writes here
+        assert len(batches) <= size // (4 * _grid_text._BATCH_BYTES)
 
     def test_unsaturated_export_pinned(self, tmp_path):
         obj = config_to_json_object(case_study_config())

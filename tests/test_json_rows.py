@@ -19,7 +19,7 @@ def cell_texts(values) -> list:
     text, ends, exact = _json_digits._block_text(cells)
     texts, begin = [], 0
     for end, ok in zip(ends, exact):
-        texts.append(text[begin:end - len(_grid_text._JSON.sep)] if ok else None)
+        texts.append(text[begin:end - len(_grid_text._JSON.sep)].decode("ascii") if ok else None)
         begin = end
     return texts
 
@@ -37,13 +37,13 @@ def near_tie(v: float) -> bool:
 def rows_chunks(cells) -> list:
     """The piv rows as the JSON export writes them, one chunk a row."""
     chunks = list(_grid_text._rows(np.asarray(cells, float), _grid_text._JSON))
-    chunks[0] = chunks[0][len(",\n"):]  # the first row has no separator before it
+    chunks[0] = chunks[0][len(b",\n"):]  # the first row has no separator before it
     return chunks
 
 
 def rows_text(cells) -> str:
     """The piv rows as the JSON export writes them, joined."""
-    return "".join(rows_chunks(cells))
+    return b"".join(rows_chunks(cells)).decode("ascii")
 
 
 def percent_text(cells) -> str:
@@ -163,4 +163,4 @@ class TestRows:
         cells = np.repeat(np.random.default_rng(5).random((3, 300)), [1, 4, 2], axis=0)
         chunks = rows_chunks(cells)
         assert len({id(chunk) for chunk in chunks[1:]}) == 2
-        assert "".join(chunks) == percent_text(cells)
+        assert b"".join(chunks).decode("ascii") == percent_text(cells)

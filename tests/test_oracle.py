@@ -144,6 +144,52 @@ class TestBuildExactDataset:
         assert np.array_equal(ds.w[n:], 1.0 - ds.w[:n])
 
 
+def _dataset_arrays(**changes) -> dict:
+    """The arrays of build_exact_dataset(random_spec(41)), writeable copies,
+    with changes applied."""
+    base = build_exact_dataset(random_spec(41))
+    arrays = {name: getattr(base, name).copy() for name in ("outcome", "w", "z", "observed")}
+    arrays.update(changes)
+    return arrays
+
+
+class TestIdealDatasetChecks:
+    def test_integer_observed_refused(self):
+        # used as an index array, [1, ..., 1, 0, ..., 0] would pick rows 0 and 1
+        arrays = _dataset_arrays()
+        arrays["observed"] = arrays["observed"].astype(int)
+        with pytest.raises(InputValidationError, match="boolean mask, got dtype int"):
+            IdealDataset(**arrays)
+
+    @pytest.mark.parametrize("name", ["outcome", "w", "z", "observed"])
+    def test_list_refused(self, name):
+        arrays = _dataset_arrays()
+        arrays[name] = arrays[name].tolist()
+        with pytest.raises(InputValidationError, match=f"{name} must be a numpy array, got list"):
+            IdealDataset(**arrays)
+
+    @pytest.mark.parametrize("name", ["outcome", "w", "z", "observed"])
+    def test_row_count_mismatch_refused(self, name):
+        arrays = _dataset_arrays()
+        arrays[name] = arrays[name][:-1]
+        with pytest.raises(InputValidationError, match="all of one row count"):
+            IdealDataset(**arrays)
+
+    @pytest.mark.parametrize("name, shape", [("z", (-1,)), ("outcome", (-1, 1)), ("w", (1, -1)),
+                                             ("observed", (-1, 1))])
+    def test_wrong_dimensions_refused(self, name, shape):
+        arrays = _dataset_arrays()
+        arrays[name] = arrays[name].reshape(shape)
+        with pytest.raises(InputValidationError, match="2-D z"):
+            IdealDataset(**arrays)
+
+    def test_checks_read_only_dtype_and_shape(self):
+        # a NaN is a dataset the checks must see, not one the constructor refuses
+        arrays = _dataset_arrays()
+        arrays["outcome"][3] = math.nan
+        assert IdealDataset(**arrays).outcome.shape == arrays["w"].shape
+
+
 class TestSeededInputPins:
     """The seeded specs and datasets every oracle check runs on, pinned bit for bit.
 
