@@ -66,8 +66,14 @@ def _tables() -> SimpleNamespace:
         hi[n] = 10 ** n / 2 ** _SCALE
         num, den = hi[n].as_integer_ratio()
         lo[n] = (10 ** n * den - (num << _SCALE)) / (den << _SCALE)
-    q = np.arange(10_000)[:, None]
-    place = np.array([1000, 100, 10, 1])
+    # one column of digits at a time, in int16 and uint8, so that no pass
+    # holds more than 10,000 small integers
+    q = np.arange(10_000, dtype=np.int16)
+    digits = np.empty((q.size, 4), np.uint8)
+    kept = np.full(q.size, 4, np.uint8)
+    for column, place in enumerate((1000, 100, 10, 1)):
+        digits[:, column] = q // place % 10 + ord("0")
+        kept -= q % (10 * place) == 0
     keep = np.zeros((_LAYOUTS, 17, _WIDTH), bool)
     keep[:, :, 5] = True  # d0
     keep[:, :, 32:] = True  # the separator
@@ -84,8 +90,7 @@ def _tables() -> SimpleNamespace:
     return SimpleNamespace(
         hi=hi, lo=lo,
         first=_ascii_words([f"0.000{d}." for d in range(10)], 8),
-        quads=(q // place % 10 + ord("0")).astype(np.uint8).view("<u4").ravel(),
-        kept=4 - (q % (10 * place) == 0).sum(axis=1),
+        quads=digits.view("<u4").ravel(), kept=kept,
         exponent=_ascii_words([f"e-{e:02d}" for e in range(326)], 8),
         sep=_ascii_words([_JSON.sep.decode()], 8)[0],
         layout17=layout * 17, keep=(keep * np.uint8(0xFF)).view("<u8"),

@@ -40,14 +40,15 @@ from .core import (
     ObservedStats,
     PivError,
     Threshold,
+    _cdf,
     _completed_piv,
     _correlation,
     _min_max,
     _probit,
     _read_only,
     _Record,
-    piv,
-    piv_from_correlation,
+    _threshold,
+    piv,  # unused here; perfbench/tracing.py wraps bounds.piv by name
     saturation_limits,
     se_ideal,
 )
@@ -339,7 +340,7 @@ def _saturated_rows(t, c_lo: float, c_hi: float, stats: ObservedStats,
     candidates[:, 2] = np.where(np.isfinite(c_star), np.clip(c_star, c_lo, c_hi), c_lo)
     try:
         probit = _probit(_correlation(t[:, None], candidates, stats, np.sqrt, _min_max),
-                         stats, sign, threshold)[0]
+                         _threshold(stats, sign, threshold))
     except PivError:
         return rows
     x = probit / -_SQRT2
@@ -468,7 +469,12 @@ def bound_piv(
       sides the direction needs are unbounded.
 
     Ties go to an attained candidate, then in the order corner, edge,
-    interior, limit.
+    interior, limit.  Each candidate is weighed as a float, by piv()'s steps
+    on its correlation, with the threshold resolved once, after the first
+    correlation, so that errors come in piv()'s order; only argmin and argmax
+    become beliefs.  There is no interior candidate where d*l0 is zero, l0 or
+    an underflow; one that lies in the region but beyond float range is
+    refused, as an edge's is.
     """
     plane = pi, a, l0, v, d = _plane(stats)
     y_t, y_c = stats.y_t_ob, stats.y_c_ob
@@ -491,40 +497,44 @@ def bound_piv(
             continue
         if not (t < t_lo or t > t_hi):
             points.append((_edge_coordinate(t, "y_c_un", c), c))
-    if l0 != 0.0:
-        scale = v / (d * l0)
+    denominator = d * l0
+    if denominator != 0.0:  # zero where l0 is, or where the product underflows
+        scale = v / denominator
         t, c = y_t + a * scale, y_c - pi * scale
         if t_lo <= t <= t_hi and c_lo <= c <= c_hi:
+            if not (math.isfinite(t) and math.isfinite(c)):
+                raise InputValidationError(
+                    "the region's interior stationary point lies beyond float range")
             points.append((t, c))
-    candidates: list[tuple[float, CounterfactualBelief | None]] = []
-    for t, c in points:
-        belief = CounterfactualBelief(t, c)
-        candidates.append((piv(belief, stats, sign, threshold).piv, belief))
 
-    def limit_piv(r: float) -> float:
-        return piv_from_correlation(r, stats, sign, threshold).piv
-
+    # as in piv(), the first candidate's correlation raises before the threshold does
+    rs = [_correlation(t, c, stats) for t, c in points[:1]]
+    resolved = _threshold(stats, sign, threshold)
+    rs += [_correlation(t, c, stats) for t, c in points[1:]]
     t_limit, c_limit = saturation_limits(stats)
     sides = {"t_lo": (t_lo, -t_limit), "t_hi": (t_hi, t_limit),
              "c_lo": (c_lo, c_limit), "c_hi": (c_hi, -c_limit)}
-    asymptotic = {side: limit_piv(r) for side, (end, r) in sides.items() if math.isinf(end)}
-    limits = list(asymptotic.values())
+    limits = {side: r for side, (end, r) in sides.items() if math.isinf(end)}
+    rs += limits.values()
     g_norm = math.sqrt(1.0 - 2.0 * pi * a)
-    if "t_hi" in asymptotic and "c_lo" in asymptotic:
-        limits.append(limit_piv(g_norm))
-    if "t_lo" in asymptotic and "c_hi" in asymptotic:
-        limits.append(limit_piv(-g_norm))
-    candidates.extend((value, None) for value in limits)
+    if "t_hi" in limits and "c_lo" in limits:
+        rs.append(g_norm)
+    if "t_lo" in limits and "c_hi" in limits:
+        rs.append(-g_norm)
+    values = [_cdf(_probit(r, resolved)) for r in rs]
 
-    # min and max keep the first of equal values, which gives the tie order above.
-    piv_min, argmin = min(candidates, key=lambda item: item[0])
-    piv_max, argmax = max(candidates, key=lambda item: item[0])
+    def attained(value: float) -> CounterfactualBelief | None:
+        # index finds the first of equal values, which gives the tie order above
+        i = values.index(value)
+        return CounterfactualBelief(*points[i]) if i < len(points) else None
+
+    piv_min, piv_max = min(values), max(values)
     return BoundResult(
         piv_min=piv_min,
-        argmin=argmin,
+        argmin=attained(piv_min),
         piv_max=piv_max,
-        argmax=argmax,
-        asymptotic_piv=asymptotic,
+        argmax=attained(piv_max),
+        asymptotic_piv=dict(zip(limits, values[len(points):])),
     )
 
 

@@ -256,6 +256,9 @@ class FixedThreshold(_Record):
 Threshold = StatisticalThreshold | FixedThreshold
 
 
+_setattr = object.__setattr__
+
+
 class PivResult(_Record):
     """PIV at one belief point, with the probit, resolved threshold and T-ratio."""
 
@@ -263,10 +266,11 @@ class PivResult(_Record):
 
     def __init__(self, piv: float, probit_piv: float, threshold_value: float,
                  t_ratio: float) -> None:
-        object.__setattr__(self, "piv", piv)
-        object.__setattr__(self, "probit_piv", probit_piv)
-        object.__setattr__(self, "threshold_value", threshold_value)
-        object.__setattr__(self, "t_ratio", t_ratio)
+        # piv() builds one a call, and a module global is found faster than object.__setattr__
+        _setattr(self, "piv", piv)
+        _setattr(self, "probit_piv", probit_piv)
+        _setattr(self, "threshold_value", threshold_value)
+        _setattr(self, "t_ratio", t_ratio)
 
 
 # =============================================================================
@@ -352,11 +356,14 @@ _VARIANCE_OVERFLOW = (
 )
 
 
-def _correlation(y_t_un, y_c_un, stats: ObservedStats, sqrt=math.sqrt, extremes=lambda v: (v, v)):
+def _correlation(y_t_un, y_c_un, stats: ObservedStats, sqrt=math.sqrt, extremes=None):
     """0.5*gap/sd; arrays take sqrt=np.sqrt and extremes=_min_max.  A NaN
     variance, or an array holding one, fails the overflow check."""
     gap, variance = _gap_and_variance(y_t_un, y_c_un, stats)
-    low, high = extremes(variance)
+    if extremes is None:
+        low = high = variance
+    else:
+        low, high = extremes(variance)
     if not high < math.inf:
         raise InputValidationError(_VARIANCE_OVERFLOW)
     if not low > 0.0:
@@ -386,7 +393,8 @@ def _completed_piv(
     DegenerateSpreadError where it is zero.
     """
     # r is not kept past _probit, so that an array kernel does not hold it through _cdf
-    probit = _probit(_correlation(y_t_un, y_c_un, stats, sqrt, _min_max), stats, sign, threshold)[0]
+    probit = _probit(_correlation(y_t_un, y_c_un, stats, sqrt, _min_max),
+                     _threshold(stats, sign, threshold))
     return _cdf(probit, erfc)
 
 
@@ -431,38 +439,48 @@ def saturation_limits(stats: ObservedStats) -> tuple[float, float]:
     )
 
 
-def _probit(r, stats: ObservedStats, sign: EstimateSign, threshold: Threshold):
-    """(probit, threshold value, se) for a float correlation or an array of them.
+def _threshold(stats: ObservedStats, sign: EstimateSign, threshold: Threshold) -> tuple:
+    """(se, cut, threshold value, statistical, positive): the threshold, resolved
+    once for any number of correlations.
 
-    A statistical cut is in standard errors, so it is compared with T = r/se
-    and scaled by se for the threshold value; a fixed cut is compared with r.
-    The probit is a new value, so r is left as it was.
+    A statistical cut C is in standard errors, so its threshold value is C*se;
+    a fixed cut is the threshold value itself.  Raises SignMismatchError for a
+    fixed cut across zero from the estimate, and InputValidationError for a
+    threshold of neither type.
     """
-    se = se_ideal(stats)
-    if isinstance(threshold, StatisticalThreshold):
-        cut = threshold.signed(sign)
-        if sign is EstimateSign.POSITIVE:
+    statistical = isinstance(threshold, StatisticalThreshold)
+    if not (statistical or isinstance(threshold, FixedThreshold)):
+        raise InputValidationError(f"unknown threshold type: {threshold!r}")
+    se, cut = se_ideal(stats), threshold.signed(sign)
+    return se, cut, cut * se if statistical else cut, statistical, sign is EstimateSign.POSITIVE
+
+
+def _probit(r, resolved: tuple):
+    """The probit of the PIV at a float correlation r or an array of them.
+
+    resolved is _threshold's tuple.  A statistical cut is compared with
+    T = r/se, a fixed one with r, each on the estimate's side.  The probit is a
+    new value, so r is left as it was.
+    """
+    se, cut, _, statistical, positive = resolved
+    if statistical:
+        if positive:
             probit = r / se
             probit -= cut
         else:
             # C - T as -T + C: r/-se is -(r/se), and IEEE subtraction adds the negation
             probit = r / -se
             probit += cut
-        return probit, cut * se, se
-    if isinstance(threshold, FixedThreshold):
-        cut = threshold.signed(sign)
-        probit = (r - cut) if sign is EstimateSign.POSITIVE else (cut - r)
-        probit /= se
-        return probit, cut, se
-    raise InputValidationError(f"unknown threshold type: {threshold!r}")
+        return probit
+    probit = (r - cut) if positive else (cut - r)
+    probit /= se
+    return probit
 
 
-def _piv_result(
-    r: float, stats: ObservedStats, sign: EstimateSign, threshold: Threshold
-) -> PivResult:
+def _piv_result(r: float, resolved: tuple) -> PivResult:
     """The result at correlation r, with T = r/se, which only a PivResult carries."""
-    probit, threshold_value, se = _probit(r, stats, sign, threshold)
-    return PivResult(_cdf(probit), probit, threshold_value, r / se)
+    probit = _probit(r, resolved)
+    return PivResult(_cdf(probit), probit, resolved[2], r / resolved[0])
 
 
 def piv_from_correlation(
@@ -474,7 +492,7 @@ def piv_from_correlation(
     estimate) or C - T (negative), C signed; fixed thresholds give
     probit = (r - beta_sharp)/se or (beta_sharp - r)/se.
     """
-    return _piv_result(_require_finite(r, "correlation"), stats, sign, threshold)
+    return _piv_result(_require_finite(r, "correlation"), _threshold(stats, sign, threshold))
 
 
 def piv(
@@ -484,4 +502,5 @@ def piv(
     threshold: Threshold,
 ) -> PivResult:
     """PIV at one belief point: probability of rejecting the null again in the completed sample."""
-    return _piv_result(_correlation(belief.y_t_un, belief.y_c_un, stats), stats, sign, threshold)
+    r = _correlation(belief.y_t_un, belief.y_c_un, stats)
+    return _piv_result(r, _threshold(stats, sign, threshold))

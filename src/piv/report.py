@@ -16,6 +16,8 @@ from .core import (
     EstimateSign,
     InputValidationError,
     StatisticalThreshold,
+    _probit,
+    _threshold,
     ideal_correlation,
     piv_from_correlation,
     se_ideal,
@@ -86,11 +88,9 @@ def replicate_report(config: AnalysisConfig) -> tuple[list[str], dict]:
     r = ideal_correlation(config.belief_as("belief-1-corner", "point"), stats)
     corner_piv = piv_from_correlation(r, stats, sign, threshold).piv
     alt_scale = math.sqrt(stats.n_ob) / math.sqrt(1.0 - stats.r_squared)
-    if statistical:
-        alt_probit = alt_scale * r - critical if positive else critical - alt_scale * r
-    else:
-        alt_probit = alt_scale * (r - critical) if positive else alt_scale * (critical - r)
-    alt_piv = std_normal_cdf(alt_probit)
+    # the PIV's own probit steps, with the variant's se = 1/alt_scale
+    alt_se = math.sqrt(1.0 - stats.r_squared) / math.sqrt(stats.n_ob)
+    alt_piv = std_normal_cdf(_probit(r, (alt_se, *_threshold(stats, sign, threshold)[1:])))
     data.update(corner_piv=corner_piv, alt_scale_coefficient=alt_scale, alt_scale_piv=alt_piv)
     # the published corner PIV, within the 5e-3 that the acceptance suite allows
     published = abs(corner_piv - 0.92) <= 5e-3

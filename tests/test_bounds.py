@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import math
 import random
 import sys
@@ -36,6 +37,7 @@ from piv.core import (
     _correlation,
     _min_max,
     _probit,
+    _threshold,
     ideal_correlation,
     piv,
     piv_from_correlation,
@@ -188,7 +190,7 @@ def _saturated(grid, stats, sign, threshold) -> np.ndarray:
     _erfc_cuts; the arguments come from the kernel's steps on the whole grid."""
     t = np.array(grid.t_values)[:, None]
     r = _correlation(t, np.array(grid.c_values), stats, np.sqrt, _min_max)
-    x = _probit(r, stats, sign, threshold)[0] / -core._SQRT2
+    x = _probit(r, _threshold(stats, sign, threshold)) / -core._SQRT2
     lo, hi = bounds._erfc_cuts()
     return (x <= lo).all(axis=1) | (x >= hi).all(axis=1)
 
@@ -869,6 +871,92 @@ class TestBoundPiv:
                         continue
                     assert scalar.hex() == value.hex()
         assert zero_divisions == 100  # offset 0.0 on both edges when l0 = 0
+
+    def test_weighs_candidates_without_records(self, monkeypatch):
+        # each candidate is weighed as a float; only argmin and argmax become
+        # beliefs, and no PivResult is built at all
+        built = {"beliefs": 0, "results": 0}
+
+        def counting(cls, key):
+            init = cls.__init__
+
+            def wrapper(self, *args, **kwargs):
+                built[key] += 1
+                init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", wrapper)
+
+        counting(CounterfactualBelief, "beliefs")
+        counting(core.PivResult, "results")
+        rng = random.Random(20261020)
+        bounded = 0
+        for i in range(400):
+            region, stats, sign, threshold, _ = _sweep_case(rng, i)
+            built.update(beliefs=0, results=0)
+            try:
+                bound = bound_piv(region, stats, sign, threshold)
+            except PivError:
+                continue
+            bounded += 1
+            assert built["results"] == 0
+            assert built["beliefs"] == (bound.argmin is not None) + (bound.argmax is not None)
+        assert bounded > 300
+
+    def test_correlation_error_comes_before_threshold_error(self):
+        # as in piv(): the first candidate's correlation is computed before the
+        # threshold is resolved, so zero spread at the first corner wins over a
+        # fixed threshold across zero; with no attained candidate the threshold raises
+        stats = ObservedStats(0.0, 100, 5.0, 5.0, 0.0, 0.0, 0.5)
+        across = FixedThreshold(-0.1)
+        with pytest.raises(DegenerateSpreadError):
+            piv(CounterfactualBelief(5.0, 5.0), stats, EstimateSign.POSITIVE, across)
+        with pytest.raises(DegenerateSpreadError):
+            bound_piv(BeliefRegion((5.0, 6.0), (5.0, 6.0)), stats, EstimateSign.POSITIVE, across)
+        open_region = BeliefRegion((-math.inf, math.inf), (-math.inf, math.inf))
+        with pytest.raises(SignMismatchError):
+            bound_piv(open_region, stats, EstimateSign.POSITIVE, across)
+
+    # d*l0 underflows to 0 here, so r has no interior stationary point in float range
+    TINY_PI = {"r_squared": 0.0, "n_ob": 100, "y_t_ob": 1e-300, "y_c_ob": 0.0,
+               "var_t": 1.0, "var_c": 1.0, "pi": 1e-300}
+    # here d*l0 is a subnormal, and v/(d*l0) overflows to inf
+    TINY_GAP = {"r_squared": 0.0, "n_ob": 100, "y_t_ob": 1e-308, "y_c_ob": 0.0,
+                "var_t": 1.0, "var_c": 1.0, "pi": 0.5}
+
+    @staticmethod
+    def _bound_command(tmp_path, capsys, observed, region):
+        config = AnalysisConfig(ObservedStats(**observed), EstimateSign.POSITIVE,
+                                StatisticalThreshold(1.96), (NamedBelief("box", region=region),))
+        path = tmp_path / "config.json"
+        path.write_text(render_json(config_to_json_object(config)), encoding="utf-8")
+        code = main(["bound", "--config", str(path), "--belief", "box", "--format", "json"])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        return code, out, err
+
+    @pytest.mark.parametrize("sign", list(EstimateSign))
+    def test_interior_denominator_that_underflows_gives_no_candidate(self, sign, tmp_path,
+                                                                     capsys):
+        stats = ObservedStats(**self.TINY_PI)
+        region = BeliefRegion((0.0, 1.0), (0.0, 1.0))
+        bound = bound_piv(region, stats, sign, C196)
+        for value, belief in ((bound.piv_min, bound.argmin), (bound.piv_max, bound.argmax)):
+            assert piv(belief, stats, sign, C196).piv == value
+        grid = evaluate_grid(region, (41, 41), stats, sign, C196)
+        assert bound.piv_min <= grid.min() and grid.max() <= bound.piv_max
+        if sign is EstimateSign.POSITIVE:
+            code, out, _ = self._bound_command(tmp_path, capsys, self.TINY_PI, region)
+            assert code == 0
+            assert json.loads(out)["piv_min"] == bound.piv_min
+
+    def test_interior_point_beyond_float_range_refused(self, tmp_path, capsys):
+        message = "the region's interior stationary point lies beyond float range"
+        stats = ObservedStats(**self.TINY_GAP)
+        open_region = BeliefRegion((-math.inf, math.inf), (-math.inf, math.inf))
+        with pytest.raises(InputValidationError) as raised:
+            bound_piv(open_region, stats, EstimateSign.POSITIVE, C196)
+        assert str(raised.value) == message
+        code, out, err = self._bound_command(tmp_path, capsys, self.TINY_GAP, open_region)
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
 
 
 def _cut(lo: float, hi: float, centre: float, width: float) -> tuple[float, float]:

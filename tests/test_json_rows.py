@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,3 +168,20 @@ class TestRows:
         chunks = rows_chunks(cells)
         assert len({id(chunk) for chunk in chunks[1:]}) == 2
         assert b"".join(chunks).decode("ascii") == percent_text(cells)
+
+
+def test_tables_build_in_little_memory():
+    # the first JSON export of a process builds the tables while its grid is
+    # alive, so their passes must stay small beside what the tables keep;
+    # measured in a fresh process, with numpy and the module already imported
+    probe = ("import tracemalloc\n"
+             "from piv import _json_digits\n"
+             "tracemalloc.start()\n"
+             "_json_digits._tables()\n"
+             "print(*tracemalloc.get_traced_memory())\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    kept, peak = map(int, proc.stdout.split())
+    assert kept < 100_000
+    assert peak < 2.5 * kept
