@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-import reprlib
 import sys
 from enum import Enum
 
@@ -47,10 +46,11 @@ from .core import (
     _probit,
     _read_only,
     _Record,
+    _as_float,
+    _require_int,
     _threshold,
     piv,  # unused here; perfbench/tracing.py wraps bounds.piv by name
     saturation_limits,
-    se_ideal,
 )
 
 __all__ = [
@@ -77,15 +77,7 @@ def _block_rows(nt: int, nc: int, share: int) -> int:
 
 
 def _check_bound(value: float, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputValidationError(
-            f"{name} must be a real number or +/-inf, got {reprlib.repr(value)}")
-    try:
-        x = float(value)
-    except OverflowError as exc:
-        raise InputValidationError(
-            f"{name} must be a real number or +/-inf, got an integer too large for a float"
-        ) from exc
+    x = _as_float(value, name, "a real number or +/-inf")
     if math.isnan(x):
         raise InputValidationError(f"{name} must not be NaN")
     return x
@@ -339,8 +331,8 @@ def _saturated_rows(t, c_lo: float, c_hi: float, stats: ObservedStats,
     # a non-finite c* is not evaluated: its row is not filled
     candidates[:, 2] = np.where(np.isfinite(c_star), np.clip(c_star, c_lo, c_hi), c_lo)
     try:
-        probit = _probit(_correlation(t[:, None], candidates, stats, np.sqrt, _min_max),
-                         _threshold(stats, sign, threshold))
+        resolved = _threshold(stats, sign, threshold)
+        probit = _probit(_correlation(t[:, None], candidates, stats, np.sqrt, _min_max), resolved)
     except PivError:
         return rows
     x = probit / -_SQRT2
@@ -354,7 +346,7 @@ def _saturated_rows(t, c_lo: float, c_hi: float, stats: ObservedStats,
     n = a * np.abs(dt) + (abs(y_t) + abs(y_c)) + np.abs(a_sum)
     delta = _ROW_ERROR * (np.abs(c_star) + np.abs(offset) * (1.0 + n / np.abs(a_sum)))
     delta[~(np.abs(a_sum) > _ROW_ERROR * n)] = math.inf
-    margin = (2.0 * r_error + 2.0 * (delta * delta) * d / b) / se_ideal(stats)
+    margin = (2.0 * r_error + 2.0 * (delta * delta) * d / b) / resolved[0]
 
     # the row's variance bound, in the kernel's order of operations
     dc = max(abs(c_lo - y_c), abs(c_hi - y_c))
@@ -401,9 +393,7 @@ def evaluate_grid(
         raise InputValidationError("evaluate_grid requires a finite region")
     nt, nc = resolution
     for name, n in (("nt", nt), ("nc", nc)):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-            raise InputValidationError(
-                f"resolution {name} must be an integer >= 2, got {reprlib.repr(n)}")
+        _require_int(n, f"resolution {name}", 2)
     (t_lo, t_hi), (c_lo, c_hi) = region.t_interval, region.c_interval
     nt, nc = (1 if t_lo == t_hi else nt), (1 if c_lo == c_hi else nc)
     if nt * nc > _CELL_CAP:

@@ -9,7 +9,7 @@ only those two commands load.  This module parses argv, runs the command and
 renders its result as text (6 decimals) or JSON (17 significant digits).
 
 Exit codes: 0 success, 2 config error (any other invalid input), 3 degenerate
-math, 4 I/O error, 5 verification failure.
+math, 4 I/O error (an output file or standard output), 5 verification failure.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import reprlib
 import sys
 
@@ -34,11 +35,10 @@ from .core import (
     DegenerateSpreadError,
     InputValidationError,
     PivError,
-    StatisticalThreshold,
+    _piv_result,
+    _threshold,
     ideal_correlation,
     piv,
-    piv_from_correlation,
-    se_ideal,
 )
 
 EXIT_OK = 0
@@ -49,14 +49,13 @@ EXIT_VERIFY = 5
 
 
 def __getattr__(name: str):
-    """replicate_report and verify_report, re-exported from piv.report, which
-    is imported on first access; each is then stored in the module's globals,
-    so this runs once per name."""
-    if name in ("replicate_report", "verify_report"):
-        from . import report
+    """verify_report, re-exported from piv.report, which is imported on first
+    access; it is then stored in the module's globals, so this runs once."""
+    if name == "verify_report":
+        from .report import verify_report
 
-        value = globals()[name] = getattr(report, name)
-        return value
+        globals()[name] = verify_report
+        return verify_report
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -128,8 +127,18 @@ def _belief(config: AnalysisConfig, name: str | None, kind: str):
     return config.belief_as(name, kind)
 
 
+class _StdoutError(Exception):
+    """Standard output could not be written; main maps this to EXIT_IO."""
+
+
 def _print(lines) -> None:
-    sys.stdout.write("\n".join(lines) + "\n")
+    """Write lines to standard output and flush them, so that a failed write
+    raises here, as _StdoutError, and not at interpreter exit."""
+    try:
+        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        raise _StdoutError(exc) from exc
 
 
 def _emit(args, payload: dict, lines: list[str]) -> int:
@@ -210,19 +219,17 @@ def cmd_contour(args, config: AnalysisConfig) -> int:
 def cmd_power(args, config: AnalysisConfig) -> int:
     point = _belief(config, args.belief, "point")
     effect = ideal_correlation(point, config.observed)
+    resolved = se, cut, _, statistical, _ = _threshold(config.observed, config.sign,
+                                                        config.threshold)
     # the same value piv() gives: both are _probit of this one correlation
-    result = piv_from_correlation(effect, config.observed, config.sign, config.threshold)
-    se = se_ideal(config.observed)
-    # a statistical cut is C itself; dividing C*se by se again may move its last bit
-    critical_z = (config.threshold.signed(config.sign)
-                  if isinstance(config.threshold, StatisticalThreshold)
-                  else result.threshold_value / se)
+    result = _piv_result(effect, resolved)
     payload = {
         "effect": effect,
         "se": se,
         "null_mean": 0.0,
         "alt_mean": result.t_ratio,
-        "critical_z": critical_z,
+        # a statistical cut is C itself; dividing C*se by se again may move its last bit
+        "critical_z": cut if statistical else cut / se,
         "threshold_value": result.threshold_value,
         "power": result.piv,
     }
@@ -337,6 +344,11 @@ def main(argv=None) -> int:
     except PivError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
+    except _StdoutError as exc:
+        sys.stderr.write(f"cannot write standard output: {exc}\n")
+        # the interpreter flushes stdout again at exit; pointed at devnull, that flush is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
 
 
 def entrypoint() -> None:

@@ -24,6 +24,8 @@ from .core import (
     StatisticalThreshold,
     Threshold,
     _Record,
+    _as_float,
+    _require_int,
 )
 
 
@@ -164,8 +166,7 @@ def parse_config(obj) -> AnalysisConfig:
                 beliefs.append(NamedBelief(name, region=BeliefRegion(t, c)))
 
     piv_threshold = root.get("piv_threshold", 0.8)
-    if (isinstance(piv_threshold, bool) or not isinstance(piv_threshold, (int, float))
-            or not 0.0 < piv_threshold < 1.0):
+    if not 0.0 < _as_float(piv_threshold, "piv_threshold:", "in (0, 1)") < 1.0:
         raise InputValidationError(
             f"piv_threshold: must be in (0, 1), got {reprlib.repr(piv_threshold)}")
 
@@ -174,9 +175,7 @@ def parse_config(obj) -> AnalysisConfig:
         grid_obj = _check_keys(root["grid"], "grid", ("nt", "nc"))
         grid = (grid_obj["nt"], grid_obj["nc"])
         for label, n in zip(("nt", "nc"), grid):
-            if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-                raise InputValidationError(
-                    f"grid.{label}: expected an integer >= 2, got {reprlib.repr(n)}")
+            _require_int(n, f"grid.{label}:", 2)
 
     return AnalysisConfig(
         observed=observed,

@@ -88,19 +88,30 @@ class SignMismatchError(PivError, ValueError):
     """A fixed threshold lies on the wrong side of zero for the declared estimate sign."""
 
 
-def _require_finite(value: float, name: str) -> float:
+def _as_float(value, name: str, what: str) -> float:
+    """value as a float; a bool, a non-number or an int past float range is not what."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputValidationError(
-            f"{name} must be a finite real number, got {reprlib.repr(value)}")
+        raise InputValidationError(f"{name} must be {what}, got {reprlib.repr(value)}")
     try:
-        x = float(value)
+        return float(value)
     except OverflowError as exc:
         raise InputValidationError(
-            f"{name} must be finite, got an integer too large for a float"
-        ) from exc
+            f"{name} must be {what}, got an integer too large for a float") from exc
+
+
+def _require_finite(value: float, name: str) -> float:
+    x = _as_float(value, name, "a finite real number")
     if not math.isfinite(x):
         raise InputValidationError(f"{name} must be finite, got {x}")
     return x
+
+
+def _require_int(value: int, name: str, least: int) -> int:
+    """value, an int that is no bool and is at least least."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise InputValidationError(
+            f"{name} must be an integer >= {least}, got {reprlib.repr(value)}")
+    return value
 
 
 # =============================================================================
@@ -168,12 +179,9 @@ class ObservedStats(_Record):
         r2 = _require_finite(r_squared, "r_squared")
         if not 0.0 <= r2 < 1.0:
             raise InputValidationError(f"r_squared must be in [0, 1), got {r2}")
-        if isinstance(n_ob, bool) or not isinstance(n_ob, int):
-            raise InputValidationError(f"n_ob must be an integer, got {reprlib.repr(n_ob)}")
+        _require_int(n_ob, "n_ob", 2)
         # n_ob enters float arithmetic, so it must convert to a float
         n = _require_finite(n_ob, "n_ob")
-        if n < 2:
-            raise InputValidationError(f"n_ob must be >= 2, got {n_ob}")
         object.__setattr__(self, "r_squared", r2)
         object.__setattr__(self, "n_ob", n_ob)
         # the probit divides by se; near the float limit 2*n_ob is inf and se rounds to 0

@@ -49,6 +49,7 @@ from .core import (
     _read_only,
     _Record,
     _require_finite,
+    _require_int,
 )
 
 __all__ = [
@@ -105,13 +106,12 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _require_seed(seed) -> None:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InputValidationError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def _require_reps(reps) -> None:
-    if not isinstance(reps, int) or reps < 1000:
-        raise InputValidationError(f"reps must be an integer >= 1000, got {reps!r}")
+    _require_int(reps, "reps", 1000)
 
 
 # =============================================================================
@@ -147,10 +147,8 @@ class SyntheticSpec(_Record):
         for name in ("var_t", "var_c"):
             if getattr(self, name) < 0.0:
                 raise InputValidationError(f"{name} must be >= 0")
-        if not isinstance(p, int) or p < 0:
-            raise InputValidationError(f"p must be a nonnegative integer, got {p!r}")
+        object.__setattr__(self, "p", _require_int(p, "p", 0))
         _require_seed(seed)
-        object.__setattr__(self, "p", p)
         object.__setattr__(self, "seed", seed)
 
     @property

@@ -16,11 +16,10 @@ from .core import (
     EstimateSign,
     InputValidationError,
     StatisticalThreshold,
+    _cdf,
     _probit,
     _threshold,
     ideal_correlation,
-    piv_from_correlation,
-    se_ideal,
     std_normal_cdf,
 )
 
@@ -46,8 +45,7 @@ def replicate_report(config: AnalysisConfig) -> tuple[list[str], dict]:
     InputValidationError naming it.
     """
     stats, sign, threshold = config.observed, config.sign, config.threshold
-    critical = threshold.signed(sign)
-    positive = sign is EstimateSign.POSITIVE
+    resolved = se, critical, _, statistical, positive = _threshold(stats, sign, threshold)
 
     lines = ["Kindergarten retention case study (Hong and Raudenbush 2005)", ""]
     lines.append("step 1  observed statistics: "
@@ -56,13 +54,12 @@ def replicate_report(config: AnalysisConfig) -> tuple[list[str], dict]:
     lines.append(f"step 2  critical value: C = {critical} (significant {sign.value} estimate)")
     scale = math.sqrt(2.0 * stats.n_ob) / math.sqrt(1.0 - stats.r_squared)
     # a statistical C is in standard errors, so it meets T = r/se; a fixed C is a correlation
-    statistical = isinstance(threshold, StatisticalThreshold)
     if statistical:
         probit = f"{'T - C' if positive else 'C - T'} with T = correlation/se"
     else:
         probit = f"{'(r - C)/se' if positive else '(C - r)/se'} with r = correlation"
     lines.append(f"step 3  probit(PIV) = {probit}, "
-                 f"se = {se_ideal(stats):.6f}, scale sqrt(2*n_ob)/sqrt(1-R^2) = {scale:.2f}")
+                 f"se = {se:.6f}, scale sqrt(2*n_ob)/sqrt(1-R^2) = {scale:.2f}")
 
     # steps 4, 5 and 6 each give one line per belief, built in one pass
     data: dict = {"scale_coefficient": scale, "bounds": {}, "verdicts": {}}
@@ -86,11 +83,11 @@ def replicate_report(config: AnalysisConfig) -> tuple[list[str], dict]:
     # Scale-factor cross-check: the sqrt(2*n_ob) form reproduces the published
     # bounds; a sqrt(n_ob) variant of the coefficient would not.
     r = ideal_correlation(config.belief_as("belief-1-corner", "point"), stats)
-    corner_piv = piv_from_correlation(r, stats, sign, threshold).piv
+    corner_piv = _cdf(_probit(r, resolved))
     alt_scale = math.sqrt(stats.n_ob) / math.sqrt(1.0 - stats.r_squared)
     # the PIV's own probit steps, with the variant's se = 1/alt_scale
     alt_se = math.sqrt(1.0 - stats.r_squared) / math.sqrt(stats.n_ob)
-    alt_piv = std_normal_cdf(_probit(r, (alt_se, *_threshold(stats, sign, threshold)[1:])))
+    alt_piv = _cdf(_probit(r, (alt_se, *resolved[1:])))
     data.update(corner_piv=corner_piv, alt_scale_coefficient=alt_scale, alt_scale_piv=alt_piv)
     # the published corner PIV, within the 5e-3 that the acceptance suite allows
     published = abs(corner_piv - 0.92) <= 5e-3

@@ -31,7 +31,8 @@ from piv.oracle import (
     monte_carlo_piv,
     random_spec,
 )
-from piv.cli import case_study_config, replicate_report
+from piv.cli import case_study_config
+from piv.report import replicate_report
 
 from helpers import (
     CASE_STUDY,

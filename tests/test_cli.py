@@ -29,9 +29,9 @@ from piv.cli import (
     main,
     parse_config,
     render_json,
-    replicate_report,
 )
 from piv import _grid_text, cli
+from piv.report import replicate_report
 from piv.core import (
     FixedThreshold,
     InputValidationError,
@@ -913,6 +913,37 @@ class TestVerifyCommand:
         monkeypatch.setattr(oracle, "build_exact_dataset", no_dataset)
         assert main(["verify", *argv]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+# A child whose standard output fails: a pipe whose read end is closed before
+# the child starts (EPIPE on the first write), or /dev/full (ENOSPC, which a
+# buffered stdout meets only when it is flushed).
+@pytest.mark.parametrize("target", ["closed-pipe", "/dev/full"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["compute", "replicate"])
+def test_unwritable_stdout_exits_4_with_one_line(command, unbuffered, target, tmp_path):
+    if target == "/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    argv = (["compute", "--config", write_config(tmp_path, base_config_object()),
+             "--belief", "corner"] if command == "compute"
+            else ["replicate", "--grid", "3x3", "--out", str(tmp_path / "contour.csv")])
+    env = {key: value for key, value in _SRC_ENV.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    if target == "closed-pipe":
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    else:
+        stdout = os.open(target, os.O_WRONLY)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "piv.cli", *argv], stdout=stdout,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(stdout)
+    assert proc.returncode == EXIT_IO, proc.stderr
+    assert proc.stderr.startswith("cannot write standard output: [Errno ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def _degenerate(obj: dict) -> None:

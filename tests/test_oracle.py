@@ -64,11 +64,31 @@ class TestSyntheticSpec:
             SyntheticSpec(n_ob=100, pi=0.0617, y_t_ob=0, y_c_ob=0, y_t_un=0, y_c_un=0,
                           var_t=1, var_c=1)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_bad_seed_rejected(self, seed):
-        with pytest.raises(InputValidationError, match="seed"):
+        with pytest.raises(InputValidationError, match="seed must be a nonnegative integer"):
             SyntheticSpec(n_ob=8, pi=0.5, y_t_ob=0, y_c_ob=0, y_t_un=0, y_c_un=0,
                           var_t=1, var_c=1, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        spec = SyntheticSpec(n_ob=8, pi=0.5, y_t_ob=0, y_c_ob=0, y_t_un=0, y_c_un=0,
+                             var_t=1, var_c=1, seed=np.int64(3))
+        assert spec.seed == 3
+
+    @pytest.mark.parametrize("p", [-1, 1.5, True])
+    def test_bad_covariate_count_rejected(self, p):
+        # True is an int to isinstance, but no covariate count
+        with pytest.raises(InputValidationError, match="p must be an integer >= 0"):
+            SyntheticSpec(n_ob=8, pi=0.5, y_t_ob=0, y_c_ob=0, y_t_un=0, y_c_un=0,
+                          var_t=1, var_c=1, p=p)
+
+    @pytest.mark.parametrize("name", ["var_t", "var_c"])
+    def test_negative_variance_rejected(self, name):
+        fields = dict(n_ob=8, pi=0.5, y_t_ob=0.0, y_c_ob=0.0, y_t_un=0.0, y_c_un=0.0,
+                      var_t=1.0, var_c=1.0)
+        fields[name] = -1.0
+        with pytest.raises(InputValidationError, match=f"{name} must be >= 0"):
+            SyntheticSpec(**fields)
 
     @pytest.mark.parametrize("name, value", [
         ("pi", math.nan), ("pi", math.inf), ("y_t_ob", math.nan), ("y_c_ob", -math.inf),
@@ -237,6 +257,23 @@ class TestVerifyReportPins:
         lines, ok = report.verify_report(*args)
         assert ok
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.LINES_SHA256[args]
+
+    def test_unrefused_duplicated_covariate_fails(self, monkeypatch):
+        # a stack that fits the duplicated covariate instead of refusing it
+        fit = DatasetStack.fit.func
+
+        def fit_without_refusal(stack):
+            try:
+                return fit(stack)
+            except SingularDesignError:
+                return None
+
+        monkeypatch.setattr(DatasetStack, "fit", property(fit_without_refusal))
+        lines, ok = report.verify_report(seeds=2, reps=1000)
+        assert not ok
+        assert "  [FAIL] duplicated covariate was not rejected" in lines
+        assert sum("[FAIL]" in line for line in lines) == 1
+        assert lines[-1] == "SOME CHECKS FAILED"
 
 
 def _broken(seed: int, kind: str) -> IdealDataset:
@@ -491,6 +528,19 @@ class TestBlockInverse:
         z[:, 1] = z[:, 0]
         broken = IdealDataset(outcome=base.outcome, w=base.w, z=z, observed=base.observed)
         with pytest.raises(SingularDesignError):
+            DatasetStack([broken]).block_inverse_errors()
+
+    @pytest.mark.parametrize("k", [1.0, 3.0, -2.0])
+    def test_covariate_collinear_with_treatment_rejected(self, k):
+        # with z's second column k*w, S_zz is still well conditioned, so the first
+        # refusal is the Schur complement S_ww - S_wz S_zz^-1 S_zw; for an integer k
+        # it rounds to exactly 0.0, where a fractional k leaves a last-bit residue
+        # whose sign may depend on the platform's BLAS
+        base = build_exact_dataset(random_spec(3, p=2))
+        z = base.z.copy()
+        z[:, 1] = k * base.w
+        broken = IdealDataset(outcome=base.outcome, w=base.w, z=z, observed=base.observed)
+        with pytest.raises(SingularDesignError, match="nonpositive Schur complement"):
             DatasetStack([broken]).block_inverse_errors()
 
     def test_wrong_direct_inverse_is_seen(self):
