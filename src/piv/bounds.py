@@ -40,9 +40,7 @@ from .core import (
     PivError,
     Threshold,
     _cdf,
-    _completed_piv,
     _correlation,
-    _min_max,
     _probit,
     _read_only,
     _Record,
@@ -239,6 +237,25 @@ def _erfc(x):
     return x
 
 
+def _min_max(values):
+    """(min, max) of an array, with no bool temporary; numpy gives NaN for both
+    where an element is NaN."""
+    return values.min(), values.max()
+
+
+def _completed_piv(y_t_un, y_c_un, stats: ObservedStats, sign: EstimateSign,
+                   threshold: Threshold):
+    """The PIV elementwise over arrays of beliefs, by the steps piv() takes at one,
+    with np.sqrt and _erfc.  Raises InputValidationError where the completed-sample
+    variance overflows or is NaN, and DegenerateSpreadError where it is zero."""
+    import numpy as np
+
+    # r is not kept past _probit, so that an array kernel does not hold it through _cdf
+    probit = _probit(_correlation(y_t_un, y_c_un, stats, np.sqrt, _min_max),
+                     _threshold(stats, sign, threshold))
+    return _cdf(probit, _erfc)
+
+
 def _plane(stats: ObservedStats) -> tuple[float, float, float, float, float]:
     """(pi, a, l0, v, d), the terms of r over the plane of counterfactual means.
 
@@ -390,7 +407,7 @@ def evaluate_grid(
     or 0.0 it would return.
     """
     if not region.is_finite:
-        raise InputValidationError("evaluate_grid requires a finite region")
+        raise InputValidationError("a contour grid needs a finite region")
     nt, nc = resolution
     for name, n in (("nt", nt), ("nc", nc)):
         _require_int(n, f"resolution {name}", 2)
@@ -416,9 +433,7 @@ def evaluate_grid(
         for run_start, run_stop in zip(edges[::2], edges[1::2]):
             for start in range(run_start, run_stop, step):
                 stop = min(start + step, run_stop)
-                values[start:stop] = _completed_piv(
-                    t[start:stop, None], c, stats, sign, threshold, sqrt=np.sqrt, erfc=_erfc,
-                )
+                values[start:stop] = _completed_piv(t[start:stop, None], c, stats, sign, threshold)
     # the axes as Python floats, built after the blocks so that they are not
     # alive beside the kernel's temporaries; tolist gives back the same floats
     return ContourGrid(t_values=tuple(t.tolist()), c_values=tuple(c.tolist()), piv=values)

@@ -9,12 +9,14 @@ only those two commands load.  This module parses argv, runs the command and
 renders its result as text (6 decimals) or JSON (17 significant digits).
 
 Exit codes: 0 success, 2 config error (any other invalid input), 3 degenerate
-math, 4 I/O error (an output file or standard output), 5 verification failure.
+math, 4 I/O error (--out, or standard output even when closed), 5 verification
+failure.  Only main writes stderr or picks 2-4: a code holds if stderr fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -127,24 +129,28 @@ def _belief(config: AnalysisConfig, name: str | None, kind: str):
     return config.belief_as(name, kind)
 
 
-class _StdoutError(Exception):
-    """Standard output could not be written; main maps this to EXIT_IO."""
+class _WriteError(Exception):
+    """A failed write; main writes "cannot write " and this text, and returns EXIT_IO."""
 
 
-def _print(lines) -> None:
+def _print(lines) -> int:
     """Write lines to standard output and flush them, so that a failed write
-    raises here, as _StdoutError, and not at interpreter exit."""
+    raises here, as _WriteError, and not at interpreter exit; return EXIT_OK."""
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+        raise _WriteError(f"standard output: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}")
     try:
         sys.stdout.write("\n".join(lines) + "\n")
         sys.stdout.flush()
     except OSError as exc:
-        raise _StdoutError(exc) from exc
+        # the interpreter flushes stdout again at exit; pointed at devnull, that flush is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _WriteError(f"standard output: {exc}") from exc
+    return EXIT_OK
 
 
 def _emit(args, payload: dict, lines: list[str]) -> int:
     """Print payload as JSON under --format json, else the text lines."""
-    _print([render_json(payload)] if args.format == "json" else lines)
-    return EXIT_OK
+    return _print([render_json(payload)] if args.format == "json" else lines)
 
 
 def cmd_compute(args, config: AnalysisConfig) -> int:
@@ -178,12 +184,9 @@ def _parse_grid_flag(text: str) -> tuple[int, int]:
     return nt, nc
 
 
-def _export_grid(args, config: AnalysisConfig, region: BeliefRegion, fmt: str, summary) -> int:
-    """Evaluate the grid over region, stream it to --out as bytes in batches of
-    rows, and print the lines summary(grid, piv_min, piv_max) returns.
-
-    Returns EXIT_IO when the file cannot be written.
-    """
+def _export_grid(args, config: AnalysisConfig, region: BeliefRegion, fmt: str):
+    """Evaluate the grid over region, stream it to --out as bytes in batches of rows,
+    and return (grid, piv_min, piv_max).  A failed write raises _WriteError."""
     resolution = _parse_grid_flag(args.grid) if args.grid is not None else config.grid or (101, 101)
     if args.out is None:
         raise InputValidationError("--out is required")
@@ -199,17 +202,14 @@ def _export_grid(args, config: AnalysisConfig, region: BeliefRegion, fmt: str, s
         with open(args.out, "wb", buffering=0) as handle:
             write_chunks(handle.fileno(), (csv_chunks if fmt == "csv" else json_chunks)(grid))
     except OSError as exc:
-        sys.stderr.write(f"cannot write {args.out}: {exc}\n")
-        return EXIT_IO
-    _print(summary(grid, piv_min, piv_max))
-    return EXIT_OK
+        raise _WriteError(f"{args.out}: {exc}") from exc
+    return grid, piv_min, piv_max
 
 
 def cmd_contour(args, config: AnalysisConfig) -> int:
     region = _belief(config, args.belief, "region")
-    if not region.is_finite:
-        raise InputValidationError("contour requires a finite region")
-    return _export_grid(args, config, region, args.format, lambda grid, piv_min, piv_max: [
+    grid, piv_min, piv_max = _export_grid(args, config, region, args.format)
+    return _print([
         f"wrote {args.out} ({len(grid.t_values)}x{len(grid.c_values)} cells, format {args.format})",
         f"piv_min   {_fmt(piv_min)}",
         f"piv_max   {_fmt(piv_max)}",
@@ -241,8 +241,8 @@ def cmd_replicate(args, config: AnalysisConfig) -> int:
 
     lines, _ = replicate_report(config)
     _print(lines)
-    region = config.belief_as("plausible-region", "region")
-    return _export_grid(args, config, region, "csv", lambda grid, *_: [
+    grid, _, _ = _export_grid(args, config, config.belief_as("plausible-region", "region"), "csv")
+    return _print([
         f"wrote contour grid to {args.out} ({len(grid.t_values)}x{len(grid.c_values)} cells)"])
 
 
@@ -335,20 +335,20 @@ def main(argv=None) -> int:
         else:
             config = load_config(args.config)
         if getattr(args, "dump_config", False):
-            _print([render_json(config_to_json_object(config))])
-            return EXIT_OK
+            return _print([render_json(config_to_json_object(config))])
         return args.func(args, config)
     except DegenerateSpreadError as exc:
-        sys.stderr.write(f"degenerate inputs: {exc}\n")
-        return EXIT_DEGENERATE
+        code, line = EXIT_DEGENERATE, f"degenerate inputs: {exc}"
     except PivError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
-    except _StdoutError as exc:
-        sys.stderr.write(f"cannot write standard output: {exc}\n")
-        # the interpreter flushes stdout again at exit; pointed at devnull, that flush is silent
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_IO
+        code, line = EXIT_CONFIG, f"config error: {exc}"
+    except _WriteError as exc:
+        code, line = EXIT_IO, f"cannot write {exc}"
+    try:  # the one write to standard error; where it fails, the line is lost and the code stands
+        sys.stderr.write(line + "\n")
+        sys.stderr.flush()
+    except (OSError, AttributeError):  # AttributeError: fd 2 was closed at start, so stderr is None
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 2)  # a silent flush at exit, as in _print
+    return code
 
 
 def entrypoint() -> None:

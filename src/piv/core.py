@@ -365,7 +365,7 @@ _VARIANCE_OVERFLOW = (
 
 
 def _correlation(y_t_un, y_c_un, stats: ObservedStats, sqrt=math.sqrt, extremes=None):
-    """0.5*gap/sd; arrays take sqrt=np.sqrt and extremes=_min_max.  A NaN
+    """0.5*gap/sd; arrays take sqrt=np.sqrt and extremes=bounds._min_max.  A NaN
     variance, or an array holding one, fails the overflow check."""
     gap, variance = _gap_and_variance(y_t_un, y_c_un, stats)
     if extremes is None:
@@ -381,29 +381,6 @@ def _correlation(y_t_un, y_c_un, stats: ObservedStats, sqrt=math.sqrt, extremes=
     gap *= 0.5
     gap /= sqrt(variance)
     return gap
-
-
-def _min_max(values):
-    """(min, max) of an array, with no bool temporary; numpy gives NaN for both
-    where an element is NaN."""
-    return values.min(), values.max()
-
-
-def _completed_piv(
-    y_t_un, y_c_un, stats: ObservedStats, sign: EstimateSign, threshold: Threshold,
-    sqrt, erfc,
-):
-    """The PIV elementwise over arrays of beliefs, by the steps piv() takes at one.
-
-    The caller passes np.sqrt and an elementwise erfc that may write over its
-    argument, so that this module loads no numpy.  Raises InputValidationError
-    where the completed-sample variance overflows or is NaN, and
-    DegenerateSpreadError where it is zero.
-    """
-    # r is not kept past _probit, so that an array kernel does not hold it through _cdf
-    probit = _probit(_correlation(y_t_un, y_c_un, stats, sqrt, _min_max),
-                     _threshold(stats, sign, threshold))
-    return _cdf(probit, erfc)
 
 
 def ideal_correlation(belief: CounterfactualBelief, stats: ObservedStats) -> float:

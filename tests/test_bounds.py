@@ -17,6 +17,8 @@ from piv.bounds import (
     BeliefRegion,
     BoundResult,
     Verdict,
+    _completed_piv,
+    _min_max,
     bound_piv,
     evaluate_grid,
     robustness_verdict,
@@ -33,9 +35,7 @@ from piv.core import (
     PivError,
     SignMismatchError,
     StatisticalThreshold,
-    _completed_piv,
     _correlation,
-    _min_max,
     _probit,
     _threshold,
     ideal_correlation,
@@ -322,8 +322,7 @@ class TestArrayKernel:
         c = np.array(grid.c_values)
         t.flags.writeable = c.flags.writeable = False
         t_bytes, c_bytes = t.tobytes(), c.tobytes()
-        cells = _completed_piv(t, c, CASE_STUDY, sign, threshold,
-                               sqrt=np.sqrt, erfc=bounds._erfc)
+        cells = _completed_piv(t, c, CASE_STUDY, sign, threshold)
         assert t.tobytes() == t_bytes and c.tobytes() == c_bytes
         assert cells.shape == grid.piv.shape
         assert cells.tobytes() == grid.piv.tobytes()

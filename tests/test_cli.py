@@ -946,6 +946,65 @@ def test_unwritable_stdout_exits_4_with_one_line(command, unbuffered, target, tm
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
+def _redirected_child(argv, redirects: str, unbuffered: bool):
+    """Run piv with argv in a child whose file descriptors a shell redirects
+    ("2>&-" closes fd 2).  The shell's standard error is captured; it is the
+    child's where redirects leave fd 2 alone."""
+    env = {key: value for key, value in _SRC_ENV.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(["sh", "-c", f'exec "$0" -m piv.cli "$@" {redirects}', sys.executable,
+                           *argv], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
+                          text=True, timeout=120)
+
+
+# A child whose standard error cannot be written, as /dev/full or closed: its
+# one line is lost, but it still exits with the documented code, not with 1
+# (an error raised while reporting one) or 120 (a failed flush at exit).
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("case, redirects, code", [
+    pytest.param("config-error", "2>/dev/full", EXIT_CONFIG, id="config-error"),
+    pytest.param("config-error", "2>&-", EXIT_CONFIG, id="config-error-stderr-closed"),
+    pytest.param("zero-spread", "2>/dev/full", EXIT_DEGENERATE, id="zero-spread"),
+    pytest.param("unwritable-stdout", ">/dev/full 2>/dev/full", EXIT_IO, id="unwritable-stdout"),
+    pytest.param("unwritable-out", "2>/dev/full", EXIT_IO, id="unwritable-out"),
+])
+def test_exit_code_holds_when_stderr_cannot_be_written(case, redirects, code, unbuffered,
+                                                       tmp_path):
+    if "/dev/full" in redirects and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    obj = base_config_object()
+    obj["beliefs"] += _MALFORMED_BELIEFS
+    if case == "zero-spread":
+        _degenerate(obj)
+    config = write_config(tmp_path, obj)
+    argv = {
+        "config-error": ["compute", "--config", str(tmp_path / "missing.json"),
+                         "--belief", "corner"],
+        "zero-spread": ["compute", "--config", config, "--belief", "flat"],
+        "unwritable-stdout": ["compute", "--config", config, "--belief", "corner"],
+        "unwritable-out": ["contour", "--config", config, "--belief", "box", "--grid", "3x3",
+                           "--out", "/dev/full"],
+    }[case]
+    proc = _redirected_child(argv, redirects, unbuffered)
+    assert proc.returncode == code
+    assert proc.stderr == ""  # the child's went to /dev/full or was closed; the shell's is empty
+
+
+# A child started with fd 1 closed, where Python sets sys.stdout to None.
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["compute", "replicate"])
+def test_closed_stdout_exits_4_with_one_line(command, unbuffered, tmp_path):
+    argv = (["compute", "--config", write_config(tmp_path, base_config_object()),
+             "--belief", "corner"] if command == "compute"
+            else ["replicate", "--grid", "3x3", "--out", str(tmp_path / "contour.csv")])
+    proc = _redirected_child(argv, ">&-", unbuffered)
+    assert proc.returncode == EXIT_IO, proc.stderr
+    closed = OSError(errno.EBADF, os.strerror(errno.EBADF))
+    assert proc.stderr == f"cannot write standard output: {closed}\n"
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
 def _degenerate(obj: dict) -> None:
     obj["observed"].update({"var_t": 0.0, "var_c": 0.0, "y_t_ob": 5.0, "y_c_ob": 5.0})
 
@@ -1288,6 +1347,23 @@ def test_only_the_cli_imports_the_cli():
                        and any(module == "piv.cli" or module.startswith("piv.cli.")
                                for module in _imported(source)))
     assert importers == []
+
+
+def test_only_main_writes_stderr_or_picks_a_failure_code():
+    """Every other function raises on failure, so that main alone writes the
+    one stderr line and picks the exit code, which then holds whatever becomes
+    of standard error."""
+    failure_codes = {"EXIT_CONFIG", "EXIT_DEGENERATE", "EXIT_IO"}
+    users = set()
+    for path in _SRC_PIV.glob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Attribute) and node.attr in ("stderr", "__stderr__")
+                        or isinstance(node, ast.Name) and node.id in failure_codes | {"stderr"}):
+                    users.add(f"{path.name}:{func.name}")
+    assert users == {"cli.py:main"}
 
 
 def test_import_piv_leaves_the_cli_unloaded():

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from piv.bounds import BeliefRegion, BoundResult, ContourGrid, bound_piv, evaluate_grid
+from piv.bounds import BeliefRegion, BoundResult, ContourGrid, _min_max, bound_piv, evaluate_grid
 from piv.cli import EXIT_CONFIG, main, parse_config
 from piv.config import AnalysisConfig, NamedBelief, case_study_config
 from piv.core import (
@@ -34,7 +34,6 @@ from piv.core import (
     _arm_means,
     _correlation,
     _gap_and_variance,
-    _min_max,
     ideal_correlation,
     piv,
     piv_from_correlation,
