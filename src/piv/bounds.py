@@ -398,7 +398,7 @@ def evaluate_grid(
     of it takes (see the comment above _saturated_rows).  When both variances
     are zero, or so small that the kernel's constant term 0.5*var_t +
     0.5*var_c is below the least normal float, no row is filled, since a cell
-    may then have zero spread.  Each maximal run of the remaining rows is evaluated in
+    may then have zero spread.  The remaining rows, in order, are evaluated in
     blocks of at most _block_rows rows, the t column broadcast against
     the c row, by the kernel piv() uses.  The kernel's arithmetic is + - * / and
     sqrt, which numpy rounds as floats do, and erfc is math.erfc, so every
@@ -428,12 +428,11 @@ def evaluate_grid(
         rows = _saturated_rows(t, c_lo, c_hi, stats, sign, threshold)
         evaluate = np.isnan(rows)
         values[~evaluate] = rows[~evaluate, None]
-        # the maximal runs of rows left to evaluate, as [start, stop) pairs
-        edges = np.flatnonzero(np.diff(evaluate, prepend=False, append=False)).tolist()
-        for run_start, run_stop in zip(edges[::2], edges[1::2]):
-            for start in range(run_start, run_stop, step):
-                stop = min(start + step, run_stop)
-                values[start:stop] = _completed_piv(t[start:stop, None], c, stats, sign, threshold)
+        # the rows left to evaluate, step at a time; a fancy-index copy is writable, so mark it
+        rows_left = np.flatnonzero(evaluate)
+        for start in range(0, len(rows_left), step):
+            index = rows_left[start:start + step]
+            values[index] = _completed_piv(_read_only(t[index, None]), c, stats, sign, threshold)
     # the axes as Python floats, built after the blocks so that they are not
     # alive beside the kernel's temporaries; tolist gives back the same floats
     return ContourGrid(t_values=tuple(t.tolist()), c_values=tuple(c.tolist()), piv=values)

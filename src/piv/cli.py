@@ -38,6 +38,7 @@ from .core import (
     InputValidationError,
     PivError,
     _piv_result,
+    _Record,
     _threshold,
     ideal_correlation,
     piv,
@@ -85,6 +86,8 @@ def render_json(value, indent: int = 0) -> str:
             return "[]"
         inner = ",\n".join(pad + "  " + render_json(v, indent + 1) for v in value)
         return f"[\n{inner}\n{pad}]"
+    if isinstance(value, _Record):  # a record is its fields, in order
+        value = value._asdict()
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -122,28 +125,30 @@ def _bound_text(bound: BoundResult, verdict, piv_threshold: float) -> list[str]:
 # =============================================================================
 
 
-def _belief(config: AnalysisConfig, name: str | None, kind: str):
-    """The point or region (kind) of the named belief; name None means --belief was not given."""
-    if name is None:
-        raise InputValidationError("--belief is required")
-    return config.belief_as(name, kind)
-
-
 class _WriteError(Exception):
     """A failed write; main writes "cannot write " and this text, and returns EXIT_IO."""
 
 
-def _print(lines) -> int:
-    """Write lines to standard output and flush them, so that a failed write
-    raises here, as _WriteError, and not at interpreter exit; return EXIT_OK."""
-    if sys.stdout is None:  # fd 1 was closed when the interpreter started
-        raise _WriteError(f"standard output: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}")
+def _write(stream, text: str) -> None:
+    """Write text to a standard stream and flush it, so that a failed write
+    raises here, as OSError, and not at interpreter exit."""
+    if stream is None:  # its fd was closed when the interpreter started
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     try:
-        sys.stdout.write("\n".join(lines) + "\n")
-        sys.stdout.flush()
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        # the interpreter flushes the stream again at exit; pointed at devnull, that flush is silent
+        fd = stream.fileno()
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        raise
+
+
+def _print(lines) -> int:
+    """Write lines to standard output; a failed write raises _WriteError.  Return EXIT_OK."""
+    try:
+        _write(sys.stdout, "\n".join(lines) + "\n")
     except OSError as exc:
-        # the interpreter flushes stdout again at exit; pointed at devnull, that flush is silent
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise _WriteError(f"standard output: {exc}") from exc
     return EXIT_OK
 
@@ -153,8 +158,7 @@ def _emit(args, payload: dict, lines: list[str]) -> int:
     return _print([render_json(payload)] if args.format == "json" else lines)
 
 
-def cmd_compute(args, config: AnalysisConfig) -> int:
-    point = _belief(config, args.belief, "point")
+def cmd_compute(args, config: AnalysisConfig, point: CounterfactualBelief) -> int:
     result = piv(point, config.observed, config.sign, config.threshold)
     payload = {"piv": result.piv, "probit_piv": result.probit_piv, "t_ratio": result.t_ratio,
                "threshold_value": result.threshold_value}
@@ -163,16 +167,10 @@ def cmd_compute(args, config: AnalysisConfig) -> int:
                                  for key, value in payload.items()])
 
 
-def cmd_bound(args, config: AnalysisConfig) -> int:
-    region = _belief(config, args.belief, "region")
+def cmd_bound(args, config: AnalysisConfig, region: BeliefRegion) -> int:
     bound = bound_piv(region, config.observed, config.sign, config.threshold)
     verdict = robustness_verdict(bound, config.piv_threshold)
-    payload = bound._asdict()
-    for key in ("argmin", "argmax"):  # an attained bound's belief nests as its own object
-        if payload[key] is not None:
-            payload[key] = payload[key]._asdict()
-    payload.update(asymptotic_piv=dict(bound.asymptotic_piv),
-                   piv_threshold=config.piv_threshold, verdict=verdict.value)
+    payload = {**bound._asdict(), "piv_threshold": config.piv_threshold, "verdict": verdict.value}
     return _emit(args, payload, _bound_text(bound, verdict, config.piv_threshold))
 
 
@@ -206,8 +204,7 @@ def _export_grid(args, config: AnalysisConfig, region: BeliefRegion, fmt: str):
     return grid, piv_min, piv_max
 
 
-def cmd_contour(args, config: AnalysisConfig) -> int:
-    region = _belief(config, args.belief, "region")
+def cmd_contour(args, config: AnalysisConfig, region: BeliefRegion) -> int:
     grid, piv_min, piv_max = _export_grid(args, config, region, args.format)
     return _print([
         f"wrote {args.out} ({len(grid.t_values)}x{len(grid.c_values)} cells, format {args.format})",
@@ -216,8 +213,7 @@ def cmd_contour(args, config: AnalysisConfig) -> int:
     ])
 
 
-def cmd_power(args, config: AnalysisConfig) -> int:
-    point = _belief(config, args.belief, "point")
+def cmd_power(args, config: AnalysisConfig, point: CounterfactualBelief) -> int:
     effect = ideal_correlation(point, config.observed)
     resolved = se, cut, _, statistical, _ = _threshold(config.observed, config.sign,
                                                         config.threshold)
@@ -236,7 +232,7 @@ def cmd_power(args, config: AnalysisConfig) -> int:
     return _emit(args, payload, [f"{key:<16}{_fmt(value)}" for key, value in payload.items()])
 
 
-def cmd_replicate(args, config: AnalysisConfig) -> int:
+def cmd_replicate(args, config: AnalysisConfig, _) -> int:
     from .report import replicate_report  # on first use, as numpy is
 
     lines, _ = replicate_report(config)
@@ -246,7 +242,7 @@ def cmd_replicate(args, config: AnalysisConfig) -> int:
         f"wrote contour grid to {args.out} ({len(grid.t_values)}x{len(grid.c_values)} cells)"])
 
 
-def cmd_verify(args, _config) -> int:
+def cmd_verify(args, _config, _) -> int:
     from .report import verify_report
 
     lines, ok = verify_report(seeds=args.seeds, reps=args.reps, seed=args.seed)
@@ -282,15 +278,17 @@ def _add_verify(p) -> None:
     p.add_argument("--seed", type=int, default=0, help="monte carlo seed")
 
 
-# command -> (help, adds its arguments, runs it)
+# command -> (help, adds its arguments, runs it, the kind of --belief it reads or None);
+# main resolves that belief and passes it to the command, None where it reads none
 _COMMANDS = {
-    "compute": ("PIV at a point belief", _add_common, cmd_compute),
-    "bound": ("extremal PIV over a belief region, with verdict", _add_common, cmd_bound),
-    "contour": ("export a PIV grid over a finite region", _add_contour, cmd_contour),
-    "power": ("retest power quantities at a point belief", _add_common, cmd_power),
+    "compute": ("PIV at a point belief", _add_common, cmd_compute, "point"),
+    "bound": ("extremal PIV over a belief region, with verdict", _add_common, cmd_bound,
+              "region"),
+    "contour": ("export a PIV grid over a finite region", _add_contour, cmd_contour, "region"),
+    "power": ("retest power quantities at a point belief", _add_common, cmd_power, "point"),
     "replicate": ("run the built-in kindergarten-retention case study", _add_replicate,
-                  cmd_replicate),
-    "verify": ("run the brute-force oracle checks", _add_verify, cmd_verify),
+                  cmd_replicate, None),
+    "verify": ("run the brute-force oracle checks", _add_verify, cmd_verify, None),
 }
 
 
@@ -312,12 +310,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     only = command in _COMMANDS
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="{" + ",".join(_COMMANDS) + "}" if only else None)
-    for name, (help_text, add_arguments, func) in _COMMANDS.items():
+    for name, (help_text, add_arguments, *_) in _COMMANDS.items():
         if only and name != command:
             continue
-        p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
-        p.set_defaults(func=func)
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -336,7 +332,11 @@ def main(argv=None) -> int:
             config = load_config(args.config)
         if getattr(args, "dump_config", False):
             return _print([render_json(config_to_json_object(config))])
-        return args.func(args, config)
+        *_, run, kind = _COMMANDS[args.command]
+        if kind is not None and args.belief is None:
+            raise InputValidationError("--belief is required")
+        belief = None if kind is None else config.belief_as(args.belief, kind)
+        return run(args, config, belief)
     except DegenerateSpreadError as exc:
         code, line = EXIT_DEGENERATE, f"degenerate inputs: {exc}"
     except PivError as exc:
@@ -344,10 +344,9 @@ def main(argv=None) -> int:
     except _WriteError as exc:
         code, line = EXIT_IO, f"cannot write {exc}"
     try:  # the one write to standard error; where it fails, the line is lost and the code stands
-        sys.stderr.write(line + "\n")
-        sys.stderr.flush()
-    except (OSError, AttributeError):  # AttributeError: fd 2 was closed at start, so stderr is None
-        os.dup2(os.open(os.devnull, os.O_WRONLY), 2)  # a silent flush at exit, as in _print
+        _write(sys.stderr, line + "\n")
+    except OSError:
+        pass
     return code
 
 

@@ -145,14 +145,16 @@ def parse_config(obj) -> AnalysisConfig:
     if not isinstance(beliefs_obj, list) or not beliefs_obj:
         raise InputValidationError("beliefs: expected a non-empty list")
     beliefs: list[NamedBelief] = []
+    names: set[str] = set()
     for i, entry in enumerate(beliefs_obj):
         path = f"beliefs[{i}]"
         entry = _check_keys(entry, path, ("name",), ("point", "region"))
         name = entry["name"]
         if not isinstance(name, str) or not name:
             raise InputValidationError(f"{path}.name: expected a non-empty string")
-        if any(belief.name == name for belief in beliefs):
+        if name in names:
             raise InputValidationError(f"{path}.name: duplicate belief name {reprlib.repr(name)}")
+        names.add(name)
         if ("point" in entry) == ("region" in entry):
             raise InputValidationError(f"{path}: exactly one of 'point' or 'region' is required")
         if "point" in entry:

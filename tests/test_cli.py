@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -213,6 +214,17 @@ class TestConfigParsing:
         obj["beliefs"].append({"name": "corner", "point": {"y_t_un": 0, "y_c_un": 0}})
         with pytest.raises(InputValidationError, match="duplicate"):
             parse_config(obj)
+
+    def test_many_beliefs_parse_in_linear_time(self):
+        # the duplicate-name check looks each name up in a set; a scan of every
+        # earlier belief would make about 2*10**8 comparisons here
+        obj = base_config_object()
+        obj["beliefs"] = [{"name": f"b{i}", "point": {"y_t_un": 40.0, "y_c_un": 45.0}}
+                          for i in range(20_000)]
+        start = time.perf_counter()
+        config = parse_config(obj)
+        assert time.perf_counter() - start < 2.0
+        assert [belief.name for belief in config.beliefs] == [f"b{i}" for i in range(20_000)]
 
     def test_empty_region_rejected(self):
         obj = base_config_object()
@@ -991,6 +1003,37 @@ def test_exit_code_holds_when_stderr_cannot_be_written(case, redirects, code, un
     assert proc.stderr == ""  # the child's went to /dev/full or was closed; the shell's is empty
 
 
+# An in-process caller whose sys.stderr fails: main drops the line and returns
+# the code, and only that stream's own descriptor, if it has one, is pointed at
+# devnull.  Run in a child, so that no tree under test can repoint this
+# process's fd 2.
+_FAILING_STDERR_CHILD = """
+import io, json, os, sys
+from piv.cli import main
+
+class NoDescriptor(io.TextIOBase):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+before = [os.fstat(fd) for fd in (0, 1, 2)]
+sys.stderr = open("/dev/full", "w") if sys.argv[1] == "dev-full" else NoDescriptor()
+code = main(["compute", "--config", sys.argv[2], "--belief", "corner"])
+sys.stderr = sys.__stderr__
+print(json.dumps([code, [os.path.samestat(a, os.fstat(fd)) for fd, a in enumerate(before)]]))
+"""
+
+
+@pytest.mark.parametrize("stream", ["dev-full", "no-descriptor"])
+def test_a_failing_stderr_leaves_the_process_descriptors_alone(stream, tmp_path):
+    if stream == "dev-full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    proc = subprocess.run([sys.executable, "-c", _FAILING_STDERR_CHILD, stream,
+                           str(tmp_path / "missing.json")], stdin=subprocess.DEVNULL,
+                          capture_output=True, env=_SRC_ENV, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert json.loads(proc.stdout) == [EXIT_CONFIG, [True, True, True]]
+
+
 # A child started with fd 1 closed, where Python sets sys.stdout to None.
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("command", ["compute", "replicate"])
@@ -1114,6 +1157,19 @@ def test_malformed_input_exit_code(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(prefix)
     assert "Traceback" not in err
+
+
+# piv_threshold outside (0, 1), NaN and infinity among them: json.loads accepts
+# both, and a comparison with NaN is false either way round
+@pytest.mark.parametrize("value, shown", [(0, "0"), (1, "1"), (1.5, "1.5"), (-0.25, "-0.25"),
+                                          (math.nan, "nan"), (math.inf, "inf")])
+def test_piv_threshold_outside_the_unit_interval_exits_2(value, shown, tmp_path, capsys):
+    obj = base_config_object()
+    obj["piv_threshold"] = value
+    argv = ["bound", "--config", write_config(tmp_path, obj), "--belief", "box"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: piv_threshold: must be in (0, 1), got {shown}\n"
 
 
 # config file bytes that cannot be decoded into a JSON object
