@@ -87,9 +87,12 @@ class BeliefRegion(_Record):
     __slots__ = ("t_interval", "c_interval")
 
     def __init__(self, t_interval: tuple[float, float], c_interval: tuple[float, float]) -> None:
-        for axis, interval in (("t", t_interval), ("c", c_interval)):
-            lo = _check_bound(interval[0], f"{axis}_interval lower bound")
-            hi = _check_bound(interval[1], f"{axis}_interval upper bound")
+        for axis, interval in (("t", t_interval), ("c", c_interval)):  # shapes before any bound
+            if not isinstance(interval, (tuple, list)) or len(interval) != 2:
+                raise InputValidationError(f"{axis}_interval must be a (lo, hi) pair")
+        for axis, (lo, hi) in (("t", t_interval), ("c", c_interval)):
+            lo = _check_bound(lo, f"{axis}_interval lower bound")
+            hi = _check_bound(hi, f"{axis}_interval upper bound")
             if lo > hi:
                 raise InputValidationError(
                     f"{axis}_interval is empty: lower bound {lo} exceeds upper bound {hi}"
@@ -511,35 +514,32 @@ def bound_piv(
                     "the region's interior stationary point lies beyond float range")
             points.append((t, c))
 
-    # as in piv(), the first candidate's correlation raises before the threshold does
-    rs = [_correlation(t, c, stats) for t, c in points[:1]]
-    resolved = _threshold(stats, sign, threshold)
-    rs += [_correlation(t, c, stats) for t, c in points[1:]]
+    values = []
+    for t, c in points:
+        r = _correlation(t, c, stats)
+        if not values:  # as in piv(), the first correlation raises before the threshold does
+            resolved = _threshold(stats, sign, threshold)
+        values.append(_cdf(_probit(r, resolved)))
+    if not points:
+        resolved = _threshold(stats, sign, threshold)
     t_limit, c_limit = saturation_limits(stats)
-    sides = {"t_lo": (t_lo, -t_limit), "t_hi": (t_hi, t_limit),
-             "c_lo": (c_lo, c_limit), "c_hi": (c_hi, -c_limit)}
-    limits = {side: r for side, (end, r) in sides.items() if math.isinf(end)}
-    rs += limits.values()
+    limits = {}
+    for side, end, r in (("t_lo", t_lo, -t_limit), ("t_hi", t_hi, t_limit),
+                         ("c_lo", c_lo, c_limit), ("c_hi", c_hi, -c_limit)):
+        if math.isinf(end):
+            limits[side] = _cdf(_probit(r, resolved))
+            values.append(limits[side])
     g_norm = math.sqrt(1.0 - 2.0 * pi * a)
     if "t_hi" in limits and "c_lo" in limits:
-        rs.append(g_norm)
+        values.append(_cdf(_probit(g_norm, resolved)))
     if "t_lo" in limits and "c_hi" in limits:
-        rs.append(-g_norm)
-    values = [_cdf(_probit(r, resolved)) for r in rs]
-
-    def attained(value: float) -> CounterfactualBelief | None:
-        # index finds the first of equal values, which gives the tie order above
-        i = values.index(value)
-        return CounterfactualBelief(*points[i]) if i < len(points) else None
-
+        values.append(_cdf(_probit(-g_norm, resolved)))
+    # index finds the first of equal values, which gives the tie order above
     piv_min, piv_max = min(values), max(values)
-    return BoundResult(
-        piv_min=piv_min,
-        argmin=attained(piv_min),
-        piv_max=piv_max,
-        argmax=attained(piv_max),
-        asymptotic_piv=dict(zip(limits, values[len(points):])),
-    )
+    i, j = values.index(piv_min), values.index(piv_max)
+    return BoundResult(piv_min, CounterfactualBelief(*points[i]) if i < len(points) else None,
+                       piv_max, CounterfactualBelief(*points[j]) if j < len(points) else None,
+                       limits)
 
 
 def robustness_verdict(bound: BoundResult, piv_threshold: float = 0.8) -> Verdict:
@@ -548,7 +548,7 @@ def robustness_verdict(bound: BoundResult, piv_threshold: float = 0.8) -> Verdic
     Robust when even the lower bound clears the threshold; not robust when
     even the upper bound misses it; indeterminate otherwise.
     """
-    if not (0.0 < piv_threshold < 1.0):
+    if not 0.0 < _as_float(piv_threshold, "piv_threshold", "in (0, 1)") < 1.0:
         raise InputValidationError(f"piv_threshold must be in (0, 1), got {piv_threshold}")
     if bound.piv_min >= piv_threshold:
         return Verdict.ROBUST

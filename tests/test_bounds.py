@@ -81,6 +81,19 @@ class TestBeliefRegion:
         region = BeliefRegion(t_interval=(45.2, 45.2), c_interval=(44.0, 44.0))
         assert region.is_finite
 
+    @pytest.mark.parametrize("interval", [(1.0, 2.0, 3.0), (1.0,), (), 5.0, None, "ab"])
+    @pytest.mark.parametrize("axis", ["t", "c"])
+    def test_rejects_an_interval_that_is_not_a_pair(self, axis, interval):
+        intervals = {"t_interval": (0.0, 1.0), "c_interval": (0.0, 1.0), f"{axis}_interval": interval}
+        with pytest.raises(InputValidationError, match=rf"^{axis}_interval must be a \(lo, hi\) pair$"):
+            BeliefRegion(**intervals)
+
+    def test_checks_both_shapes_before_any_bound(self):
+        # a NaN bound on t does not hide that c is no pair
+        with pytest.raises(InputValidationError, match=r"^c_interval must be a \(lo, hi\) pair$"):
+            BeliefRegion((math.nan, 1.0), (1.0, 2.0, 3.0))
+        assert BeliefRegion([0.0, 1.0], [2.0, 3.0]).c_interval == (2.0, 3.0)
+
 
 class TestEvaluateGrid:
     def test_two_by_two_matches_pointwise(self):
@@ -772,6 +785,25 @@ class TestBoundPiv:
         assert bound.piv_min == piv_from_correlation(g_norm, CASE_STUDY, NEG, C196).piv
         assert bound.argmax is not None
 
+    def test_ties_go_to_the_first_corner(self):
+        # far from the tipping band every candidate reads exactly 1.0, so both
+        # extremes are the first candidate, the corner (t_lo, c_lo)
+        region = BeliefRegion((10.0, 30.0), (40.0, 60.0))
+        for t, c in itertools.product((10.0, 30.0), (40.0, 60.0)):
+            assert piv(CounterfactualBelief(t, c), CASE_STUDY, NEG, C196).piv == 1.0
+        bound = bound_piv(region, CASE_STUDY, NEG, C196)
+        assert bound.piv_min == bound.piv_max == 1.0
+        assert bound.argmin == bound.argmax == CounterfactualBelief(10.0, 40.0)
+
+    def test_ties_go_to_an_attained_belief_before_a_limit(self):
+        # the limit as y_t_un runs to -inf reads 1.0, as every attained candidate
+        # does; the first attained corner, (t_hi, c_lo), wins over the limit
+        region = BeliefRegion((-math.inf, 30.0), (40.0, 60.0))
+        bound = bound_piv(region, CASE_STUDY, NEG, C196)
+        assert bound.asymptotic_piv == {"t_lo": 1.0}
+        assert bound.piv_min == bound.piv_max == 1.0
+        assert bound.argmin == bound.argmax == CounterfactualBelief(30.0, 40.0)
+
     def test_point_region(self):
         region = BeliefRegion(t_interval=(45.78, 45.78), c_interval=(45.2, 45.2))
         bound = bound_piv(region, CASE_STUDY, NEG, C196)
@@ -1161,6 +1193,16 @@ class TestVerdict:
     def test_threshold_validation(self):
         with pytest.raises(InputValidationError):
             robustness_verdict(self._bound(0.4, 0.95), piv_threshold=1.0)
+
+    @pytest.mark.parametrize("piv_threshold, shown", [
+        ("0.5", "'0.5'"), (None, "None"), ([0.5], "[0.5]"), (True, "True"),
+        (0.0, "0.0"), (1, "1"), (math.nan, "nan"), (-math.inf, "-inf"),
+    ])
+    def test_threshold_refused_as_an_input_error(self, piv_threshold, shown):
+        # a non-number is refused by the rule parse_config uses, not by a TypeError from <
+        with pytest.raises(InputValidationError) as info:
+            robustness_verdict(self._bound(0.4, 0.95), piv_threshold)
+        assert str(info.value) == f"piv_threshold must be in (0, 1), got {shown}"
 
     def test_case_study_belief_1_is_robust(self):
         region = BeliefRegion(t_interval=(-math.inf, 45.78), c_interval=(45.2, 45.2))
