@@ -1,17 +1,20 @@
 """The text of a contour grid, as CSV or as JSON, in chunks of ASCII bytes,
 and write_chunks, which hands them to os.writev in batches.
 
-The contour export imports this module on first use, as it does numpy.  Both
-formats go through one row loop, _rows: a row whose bytes equal the previous
-row's yields the same bytes object again, which goes out by reference, and
-the other rows are built _block_rows at a time in numpy passes by the
-format's block formatter.  A row the formatter flags as inexact, and every
-row of a block under the format's min_cells, goes through one "%" on a
-template of the row's layout, so every row reads byte for byte as that
-template prints it.  The "%.17g" digits of JSON blocks come from
-piv._json_digits, imported on first need.  A ContourGrid has at least one
-row and one column on finite axes, so the writers need no case for an empty
-grid or a non-finite axis value.
+The contour export imports this module on first use; only the functions
+that write a ContourGrid's array import numpy.  Both formats go through one
+row loop, _rows: a row whose bytes equal the previous row's yields the same
+bytes object again, which goes out by reference, and the other rows are
+built _block_rows at a time in numpy passes by the format's block
+formatter.  A row the formatter flags as inexact, and every row of a block
+under the format's min_cells, goes through one "%" on a template of the
+row's layout, so every row reads byte for byte as that template prints it.
+The "%.17g" digits of JSON blocks come from piv._json_digits, imported on
+first need.  cell_chunks writes a grid held as a flat sequence of floats
+without numpy, every row through its "%" template, so its bytes are those
+csv_chunks and json_chunks write for the same cells.  A grid has at least
+one row and one column on finite axes, so the writers need no case for an
+empty grid or a non-finite axis value.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ import functools
 import os
 from collections.abc import Callable, Iterable, Iterator
 from typing import NamedTuple
-
-import numpy as np
 
 from .bounds import _BLOCK_CELLS, ContourGrid, _block_rows
 
@@ -56,6 +57,8 @@ def _cell_words():
     """
     head = "".join(f"0.{q:03d}\0\0\0" for q in range(1000)) + "1.000\0\0\0"
     tail = "".join(f"\0\0\0\0\0{j:03d}" for j in range(1000))
+    import numpy as np
+
     return np.frombuffer(head.encode(), "<u8"), np.frombuffer(tail.encode(), "<u8")
 
 
@@ -70,6 +73,8 @@ def _csv_block(block):
     holding such a cell, a cell outside [0, 1], a NaN or -0.0 are flagged
     false and their text is not used.
     """
+    import numpy as np
+
     # in-place steps and dels keep at most three block-sized arrays alive
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN cells are flagged below
         scaled = block * 1e6
@@ -112,6 +117,11 @@ _CSV = _Format(b",", b",", b"\n", b"%.6f", _csv_block, 128)
 _JSON = _Format(b",\n    [\n      ", b",\n      ", b"\n    ]", b"%.17g", _json_block, 256)
 
 
+def _template(fmt: _Format, nc: int) -> bytes:
+    """The "%" template of a row of nc cells."""
+    return fmt.head + fmt.sep.join([fmt.cell] * nc) + fmt.tail
+
+
 def _percent(template: bytes, row) -> bytes:
     """A row through the "%" template, for rows the block pass does not cover."""
     return template % tuple(row.tolist())
@@ -146,6 +156,8 @@ def _new_rows(piv):
     Rows are compared as int64 words, a block at a time; the comparison's
     temporary is one byte a cell, so a block is _BLOCK_CELLS cells.
     """
+    import numpy as np
+
     nt, nc = piv.shape
     words = np.ascontiguousarray(piv).view(np.int64)
     new = np.empty(nt, bool)
@@ -163,8 +175,10 @@ def _rows(piv, fmt: _Format) -> Iterator[bytes]:
     Equal bytes are equal floats that format alike, and bytes keep -0.0
     apart from 0.0.  A block's text is let go before the next is built.
     """
+    import numpy as np
+
     nt, nc = piv.shape
-    template = fmt.head + fmt.sep.join([fmt.cell] * nc) + fmt.tail
+    template = _template(fmt, nc)
     step = _block_rows(nt, nc, _BLOCK_SHARE)
     new = _new_rows(piv)
     distinct = np.flatnonzero(new)
@@ -176,11 +190,11 @@ def _rows(piv, fmt: _Format) -> Iterator[bytes]:
         yield text
 
 
-def csv_chunks(grid: ContourGrid) -> Iterator[bytes]:
+def _csv(t_values, c_values, rows: Iterator[bytes]) -> Iterator[bytes]:
     """The CSV export: a header row of c values, then each t value and its
-    PIV row to 6 decimals."""
-    yield (b"y_t_un" + b",%r" * len(grid.c_values) + b"\n") % grid.c_values
-    for t, text in zip(grid.t_values, _rows(grid.piv, _CSV)):
+    PIV row's text."""
+    yield (b"y_t_un" + b",%r" * len(c_values) + b"\n") % c_values
+    for t, text in zip(t_values, rows):
         yield b"%r" % (t,)
         yield text
 
@@ -191,18 +205,41 @@ def _axis_json(n: int) -> bytes:
     return b"[\n    " + b",\n    ".join([b"%.17g"] * n) + b"\n  ]"
 
 
-def json_chunks(grid: ContourGrid) -> Iterator[bytes]:
-    """The JSON export, render_json(grid.to_json_object()) + "\\n", one piv
-    row per chunk."""
-    rows = _rows(grid.piv, _JSON)
+def _json(t_values, c_values, rows: Iterator[bytes]) -> Iterator[bytes]:
+    """The JSON export, render_json(grid.to_json_object()) + "\\n", from the
+    text of each piv row."""
     # the first row's block is made before the header, which is not held while it is
     first = next(rows)[len(b",\n"):]
-    yield ((b'{\n  "t_values": ' + _axis_json(len(grid.t_values))
-            + b',\n  "c_values": ' + _axis_json(len(grid.c_values)) + b',\n  "piv": [\n')
-           % (*grid.t_values, *grid.c_values))
+    yield ((b'{\n  "t_values": ' + _axis_json(len(t_values))
+            + b',\n  "c_values": ' + _axis_json(len(c_values)) + b',\n  "piv": [\n')
+           % (*t_values, *c_values))
     yield first
     yield from rows
     yield b"\n  ]\n}\n"
+
+
+def csv_chunks(grid: ContourGrid) -> Iterator[bytes]:
+    """The CSV export of grid, each PIV to 6 decimals, one chunk per t value and per row."""
+    return _csv(grid.t_values, grid.c_values, _rows(grid.piv, _CSV))
+
+
+def json_chunks(grid: ContourGrid) -> Iterator[bytes]:
+    """The JSON export of grid, render_json(grid.to_json_object()) + "\\n", one
+    piv row per chunk."""
+    return _json(grid.t_values, grid.c_values, _rows(grid.piv, _JSON))
+
+
+def cell_chunks(fmt: str, t_values: tuple[float, ...], c_values: tuple[float, ...],
+                cells) -> Iterator[bytes]:
+    """The export in fmt ("csv" or "json") of the grid on these axes whose PIV
+    cells are the flat float sequence cells, in row order: the bytes
+    csv_chunks or json_chunks writes for those cells, every row through its
+    "%" template, without numpy."""
+    form, frame = (_CSV, _csv) if fmt == "csv" else (_JSON, _json)
+    nc = len(c_values)
+    template = _template(form, nc)
+    return frame(t_values, c_values,
+                 (template % tuple(cells[i:i + nc]) for i in range(0, len(cells), nc)))
 
 
 # os.writev takes at most SC_IOV_MAX buffers a call (1024 on Linux); os.write,

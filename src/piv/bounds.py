@@ -17,10 +17,12 @@ kernel.  The other rows are evaluated in blocks of whole rows, at most 1/64
 of the grid each, each one numpy pass of the kernel piv() uses, broadcast
 over the block.  The kernel gets read-only axis arrays and works in place on
 its own temporaries; the axis tuples are built from the arrays after the
-last block.  Only grid evaluation uses numpy, and it imports it on first
-call, so bounding and verdicts run without loading numpy.  A ContourGrid
-refuses a piv array that does not fill its axes and makes it read-only;
-piv._grid_text writes it as CSV or JSON.
+last block.  Only evaluate_grid uses numpy, and it imports it on first
+call, so bounding and verdicts run without loading numpy.  Its checks
+(_grid_shape) and axes (_axis_points) use none, so the CLI's numpy-free
+path for small grids refuses the same inputs and builds the same axes.  A
+ContourGrid refuses a piv array that does not fill its axes and makes it
+read-only; piv._grid_text writes it as CSV or JSON.
 """
 
 from __future__ import annotations
@@ -185,6 +187,21 @@ def _axis_points(lo: float, hi: float, n: int) -> tuple[float, ...]:
     return tuple(points)
 
 
+def _grid_shape(region: BeliefRegion, resolution: tuple[int, int]) -> tuple[int, int]:
+    """(nt, nc), the axis lengths of a grid over region, checked as evaluate_grid
+    documents, before any axis is built; _axis_points builds the axes."""
+    if not region.is_finite:
+        raise InputValidationError("a contour grid needs a finite region")
+    nt, nc = resolution
+    for name, n in (("nt", nt), ("nc", nc)):
+        _require_int(n, f"resolution {name}", 2)
+    (t_lo, t_hi), (c_lo, c_hi) = region.t_interval, region.c_interval
+    nt, nc = (1 if t_lo == t_hi else nt), (1 if c_lo == c_hi else nc)
+    if nt * nc > _CELL_CAP:
+        raise InputValidationError(f"grid of {nt}x{nc} cells exceeds cap {_CELL_CAP}")
+    return nt, nc
+
+
 @functools.cache
 def _erfc_cuts() -> tuple[float, float]:
     """(lo, hi): math.erfc is exactly 2.0 at every x <= lo and exactly 0.0 at
@@ -266,6 +283,13 @@ def _plane(stats: ObservedStats) -> tuple[float, float, float, float, float]:
     l0 = y_t_ob - y_c_ob, v = (var_t + var_c)/2 and d = pi*(1-pi)/2, the
     completed-sample correlation is r = L / (2*sqrt(Q)) with L = g.x + l0 and
     Q = v + d*|x|^2 + L^2/4.  piv.core's kernel keeps its own float order.
+
+    The robust set is convex.  r = s/sqrt(4 + s^2) with s = L/sqrt(v + d*|x|^2),
+    so r and s order beliefs alike.  For k > 0, {x : sign*L >= k*sqrt(v +
+    d*|x|^2)} is a section of a second-order cone, so convex: sign*s is
+    quasi-concave where sign*L > 0.  The PIV rises with sign*r, so on a finite
+    region where sign*L > 0, which holds there if it holds at the corners, the
+    least PIV is at a corner.  Where L changes sign it need not be.
     """
     pi = stats.pi
     a = 1.0 - pi
@@ -409,26 +433,18 @@ def evaluate_grid(
     lies at or beyond a cut skip the math.erfc call and take the exact 2.0
     or 0.0 it would return.
     """
-    if not region.is_finite:
-        raise InputValidationError("a contour grid needs a finite region")
-    nt, nc = resolution
-    for name, n in (("nt", nt), ("nc", nc)):
-        _require_int(n, f"resolution {name}", 2)
-    (t_lo, t_hi), (c_lo, c_hi) = region.t_interval, region.c_interval
-    nt, nc = (1 if t_lo == t_hi else nt), (1 if c_lo == c_hi else nc)
-    if nt * nc > _CELL_CAP:
-        raise InputValidationError(f"grid of {nt}x{nc} cells exceeds cap {_CELL_CAP}")
+    nt, nc = _grid_shape(region, resolution)
     import numpy as np
 
     # read-only, so that a kernel step writing over an input raises at once
-    t = _read_only(np.array(_axis_points(t_lo, t_hi, nt)))
-    c = _read_only(np.array(_axis_points(c_lo, c_hi, nc)))
+    t = _read_only(np.array(_axis_points(*region.t_interval, nt)))
+    c = _read_only(np.array(_axis_points(*region.c_interval, nc)))
     values = np.empty((nt, nc))
     step = _block_rows(nt, nc, _EVAL_BLOCK_SHARE)
     # an overflowing variance raises from the kernel, and a zero denominator
     # gives a non-finite c*; keep numpy from warning first
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rows = _saturated_rows(t, c_lo, c_hi, stats, sign, threshold)
+        rows = _saturated_rows(t, *region.c_interval, stats, sign, threshold)
         evaluate = np.isnan(rows)
         values[~evaluate] = rows[~evaluate, None]
         # the rows left to evaluate, step at a time; a fancy-index copy is writable, so mark it

@@ -26,6 +26,8 @@ import sys
 from .bounds import (
     BeliefRegion,
     BoundResult,
+    _axis_points,
+    _grid_shape,
     bound_piv,
     evaluate_grid,
     robustness_verdict,
@@ -37,7 +39,10 @@ from .core import (
     DegenerateSpreadError,
     InputValidationError,
     PivError,
+    _cdf,
+    _correlation,
     _piv_result,
+    _probit,
     _Record,
     _threshold,
     ideal_correlation,
@@ -182,32 +187,79 @@ def _parse_grid_flag(text: str) -> tuple[int, int]:
     return nt, nc
 
 
+# A grid of at most this many cells is exported without numpy: each cell by
+# piv()'s scalar kernel, each row through its "%" template.  On a shared
+# 2-vCPU Intel Xeon (Python 3.11.7, numpy 2.4.6), whose speed drifted, that
+# cost 1.1-1.9 us a cell, text included (44-77 ms at 200x200), while
+# `import numpy` took 115-150 ms of a fresh process, so every grid under
+# the cut exports sooner in a fresh process.  In a process that has numpy
+# loaded already, the numpy path takes 4-6 ms at 200x200.
+_ROW_PATH_CELLS = 200 * 200
+
+
+def _row_grid(region: BeliefRegion, resolution, config: AnalysisConfig) -> tuple | None:
+    """(t_values, c_values, cells) of the grid over region, where cells holds the
+    PIV at each cell, in row order, by piv()'s scalar kernel, in an array('d')
+    grown a row at a time: 8 bytes a cell, as evaluate_grid's array.
+
+    None for a grid of more than _ROW_PATH_CELLS cells, and where a cell
+    raises, so that evaluate_grid raises the error, checked block by block.
+    """
+    nt, nc = _grid_shape(region, resolution)
+    if nt * nc > _ROW_PATH_CELLS:
+        return None
+    from array import array  # a shared library: only grid exports load it
+
+    t_values, c_values = _axis_points(*region.t_interval, nt), _axis_points(*region.c_interval, nc)
+    stats = config.observed
+    cells = array("d")
+    try:
+        resolved = _threshold(stats, config.sign, config.threshold)
+        for t in t_values:
+            cells.extend([_cdf(_probit(_correlation(t, c, stats), resolved)) for c in c_values])
+    except PivError:
+        return None
+    return t_values, c_values, cells
+
+
 def _export_grid(args, config: AnalysisConfig, region: BeliefRegion, fmt: str):
     """Evaluate the grid over region, stream it to --out as bytes in batches of rows,
-    and return (grid, piv_min, piv_max).  A failed write raises _WriteError."""
+    and return (nt, nc, piv_min, piv_max).  A failed write raises _WriteError.
+    A grid _row_grid takes is evaluated and written without numpy."""
     resolution = _parse_grid_flag(args.grid) if args.grid is not None else config.grid or (101, 101)
     if args.out is None:
         raise InputValidationError("--out is required")
-    grid = evaluate_grid(region, resolution, config.observed, config.sign, config.threshold)
-    # refuse before the file is opened, so a refused grid leaves no partial file;
-    # min and max propagate NaN, and take no grid-sized temporary as isfinite would
-    piv_min, piv_max = grid.min(), grid.max()
-    if not (math.isfinite(piv_min) and math.isfinite(piv_max)):
-        raise InputValidationError("cannot serialize a grid with a non-finite PIV")
-    from ._grid_text import csv_chunks, json_chunks, write_chunks  # on first use, as numpy is
+    row_grid = _row_grid(region, resolution, config)
+    from ._grid_text import cell_chunks, csv_chunks, json_chunks, write_chunks
 
+    if row_grid is None:
+        grid = evaluate_grid(region, resolution, config.observed, config.sign, config.threshold)
+        t_values, c_values = grid.t_values, grid.c_values
+        # numpy's min and max propagate NaN, and take no grid-sized temporary as isfinite would
+        piv_min, piv_max = grid.min(), grid.max()
+        finite = math.isfinite(piv_min) and math.isfinite(piv_max)
+        chunks = (csv_chunks if fmt == "csv" else json_chunks)(grid)
+    else:
+        t_values, c_values, cells = row_grid
+        # Python's min and max do not propagate NaN, so every cell is checked
+        finite = all(map(math.isfinite, cells))
+        piv_min, piv_max = min(cells), max(cells)
+        chunks = cell_chunks(fmt, t_values, c_values, cells)
+    # refuse before the file is opened, so a refused grid leaves no partial file
+    if not finite:
+        raise InputValidationError("cannot serialize a grid with a non-finite PIV")
     try:
         with open(args.out, "wb", buffering=0) as handle:
-            write_chunks(handle.fileno(), (csv_chunks if fmt == "csv" else json_chunks)(grid))
+            write_chunks(handle.fileno(), chunks)
     except OSError as exc:
         raise _WriteError(f"{args.out}: {exc}") from exc
-    return grid, piv_min, piv_max
+    return len(t_values), len(c_values), piv_min, piv_max
 
 
 def cmd_contour(args, config: AnalysisConfig, region: BeliefRegion) -> int:
-    grid, piv_min, piv_max = _export_grid(args, config, region, args.format)
+    nt, nc, piv_min, piv_max = _export_grid(args, config, region, args.format)
     return _print([
-        f"wrote {args.out} ({len(grid.t_values)}x{len(grid.c_values)} cells, format {args.format})",
+        f"wrote {args.out} ({nt}x{nc} cells, format {args.format})",
         f"piv_min   {_fmt(piv_min)}",
         f"piv_max   {_fmt(piv_max)}",
     ])
@@ -233,13 +285,12 @@ def cmd_power(args, config: AnalysisConfig, point: CounterfactualBelief) -> int:
 
 
 def cmd_replicate(args, config: AnalysisConfig, _) -> int:
-    from .report import replicate_report  # on first use, as numpy is
+    from .report import replicate_report  # on first use: only replicate and verify need it
 
     lines, _ = replicate_report(config)
     _print(lines)
-    grid, _, _ = _export_grid(args, config, config.belief_as("plausible-region", "region"), "csv")
-    return _print([
-        f"wrote contour grid to {args.out} ({len(grid.t_values)}x{len(grid.c_values)} cells)"])
+    nt, nc, _, _ = _export_grid(args, config, config.belief_as("plausible-region", "region"), "csv")
+    return _print([f"wrote contour grid to {args.out} ({nt}x{nc} cells)"])
 
 
 def cmd_verify(args, _config, _) -> int:

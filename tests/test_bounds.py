@@ -1092,6 +1092,71 @@ class TestExactBoundProperty:
                 assert ideal_correlation(far, stats) == pytest.approx(r, abs=1e-6)
 
 
+def _convexity_cases(seed: int, n: int):
+    """(stats, sign, threshold, region, sign*L at each corner) for n seeded finite
+    boxes.  n_ob < 12 and r_squared < 0.5 keep the PIV away from 0 and 1 (below
+    1 - 1e-9), where float64 would tie distinct correlations."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        stats = replace(random_observed_stats(rng), n_ob=int(rng.integers(2, 12)),
+                        r_squared=float(rng.uniform(0.0, 0.5)))
+        sign = random_sign(rng)
+        if rng.random() < 0.5:
+            threshold = StatisticalThreshold(float(rng.uniform(0.0, 2.0)))
+        else:
+            magnitude = float(rng.uniform(0.0, 0.5))
+            threshold = FixedThreshold(magnitude if sign is EstimateSign.POSITIVE else -magnitude)
+        sd = math.sqrt(0.5 * (stats.var_t + stats.var_c))
+        t0, c0 = np.array([stats.y_t_ob, stats.y_c_ob]) + sd * rng.uniform(-3.0, 3.0, 2)
+        half_t, half_c = sd * 10.0 ** rng.uniform(-1.0, 1.0, 2)
+        region = BeliefRegion((float(t0 - half_t), float(t0 + half_t)),
+                              (float(c0 - half_c), float(c0 + half_c)))
+        pi, a, l0, _, _ = bounds._plane(stats)
+        s = 1.0 if sign is EstimateSign.POSITIVE else -1.0
+        signed_l = [s * (a * (t - stats.y_t_ob) - pi * (c - stats.y_c_ob) + l0)
+                    for t in region.t_interval for c in region.c_interval]
+        yield stats, sign, threshold, region, signed_l
+
+
+def _corner_misses(stats, sign, threshold, region) -> tuple[bool, bool]:
+    """Whether bound_piv's least PIV, and its argmin's signed r, lie below the
+    least corner's."""
+    s = 1.0 if sign is EstimateSign.POSITIVE else -1.0
+    corners = [CounterfactualBelief(t, c) for t in region.t_interval for c in region.c_interval]
+    bound = bound_piv(region, stats, sign, threshold)
+    least_piv = min(piv(belief, stats, sign, threshold).piv for belief in corners)
+    least_r = min(s * ideal_correlation(belief, stats) for belief in corners)
+    assert bound.piv_min <= least_piv  # the corners are candidates
+    return bound.piv_min < least_piv, s * ideal_correlation(bound.argmin, stats) < least_r
+
+
+class TestConvexRobustSet:
+    """The fact in _plane's docstring: where sign*L > 0 on a finite region,
+    the least PIV is at a corner."""
+
+    def test_least_piv_at_a_corner_where_l_keeps_the_estimates_sign(self):
+        checked = 0
+        for stats, sign, threshold, region, signed_l in _convexity_cases(61, 2000):
+            if min(signed_l) > 0.0:
+                # bit for bit, in the PIV and in the argmin's correlation
+                assert _corner_misses(stats, sign, threshold, region) == (False, False)
+                checked += 1
+        assert checked > 700
+
+    def test_power_where_l_changes_sign_the_least_piv_leaves_the_corners(self):
+        # the check above fails on regions where L changes sign: the least PIV
+        # then lies on an edge or inside, below every corner
+        misses = checked = 0
+        for stats, sign, threshold, region, signed_l in _convexity_cases(62, 2000):
+            if min(signed_l) < 0.0 < max(signed_l):
+                missed_piv, missed_r = _corner_misses(stats, sign, threshold, region)
+                assert missed_piv == missed_r
+                misses += missed_piv
+                checked += 1
+        assert checked > 200
+        assert misses > checked // 5
+
+
 def _sweep_case(rng: random.Random, i: int):
     """Draw i of the seeded sweep: (region, stats, sign, threshold, scale).
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import errno
+import functools
 import hashlib
 import json
 import math
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from piv.bounds import ContourGrid
+from piv.bounds import ContourGrid, evaluate_grid
 from piv.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -34,6 +35,8 @@ from piv.cli import (
 from piv import _grid_text, cli
 from piv.report import replicate_report
 from piv.core import (
+    CounterfactualBelief,
+    DegenerateSpreadError,
     FixedThreshold,
     InputValidationError,
     SignMismatchError,
@@ -43,7 +46,7 @@ from piv.core import (
     std_normal_cdf,
 )
 
-from helpers import cellwise_csv
+from helpers import cellwise_csv, random_observed_stats
 
 
 # sha256 of the contour CSV that `piv replicate` writes by default, of its
@@ -444,7 +447,8 @@ class TestContourCommand:
         assert abs(grid_min - bound["piv_min"]) <= 1e-3
 
     def test_grid_min_and_max_taken_once(self, tmp_path, capsys, monkeypatch):
-        # the finiteness check and the summary share one pass each for min and max
+        # the finiteness check and the summary share one pass each for min and max;
+        # 201x200 is the first grid past the cut, so it is a ContourGrid
         calls = []
         for name in ("min", "max"):
             method = getattr(ContourGrid, name)
@@ -452,7 +456,7 @@ class TestContourCommand:
                                 calls.append(name) or method(grid))
         path = write_config(tmp_path, base_config_object())
         assert main(["contour", "--config", path, "--belief", "box",
-                     "--out", str(tmp_path / "grid.csv"), "--grid", "20x20"]) == EXIT_OK
+                     "--out", str(tmp_path / "grid.csv"), "--grid", "201x200"]) == EXIT_OK
         assert calls == ["min", "max"]
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in lines[1:]] == ["piv_min", "piv_max"]
@@ -667,8 +671,27 @@ class TestContourCommand:
         path = write_config(tmp_path, base_config_object())
         out_path = tmp_path / "grid.out"
         assert main(["contour", "--config", path, "--belief", "box", "--format", fmt,
-                     "--out", str(out_path)]) == EXIT_CONFIG
+                     "--grid", "201x200", "--out", str(out_path)]) == EXIT_CONFIG
         assert "non-finite" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_cell_refused_on_the_row_path(self, fmt, tmp_path, capsys, monkeypatch):
+        # a NaN in the middle of the grid, which Python's min and max would skip
+        calls, cdf = [], cli._cdf
+
+        def nan_cell(x):
+            calls.append(x)
+            return math.nan if len(calls) == 5 else cdf(x)
+
+        monkeypatch.setattr(cli, "_cdf", nan_cell)
+        path = write_config(tmp_path, base_config_object())
+        out_path = tmp_path / "grid.out"
+        assert main(["contour", "--config", path, "--belief", "box", "--format", fmt,
+                     "--grid", "3x3", "--out", str(out_path)]) == EXIT_CONFIG
+        assert len(calls) == 9
+        assert (capsys.readouterr().err
+                == "config error: cannot serialize a grid with a non-finite PIV\n")
         assert not out_path.exists()
 
     def test_missing_out_exits_2_before_grid(self, tmp_path, capsys, monkeypatch):
@@ -676,9 +699,127 @@ class TestContourCommand:
             raise AssertionError("grid evaluated before --out was checked")
 
         monkeypatch.setattr(cli, "evaluate_grid", no_grid)
+        monkeypatch.setattr(cli, "_row_grid", no_grid)
         path = write_config(tmp_path, base_config_object())
         assert main(["contour", "--config", path, "--belief", "box"]) == EXIT_CONFIG
         assert capsys.readouterr().err == "config error: --out is required\n"
+
+
+# the row path's byte-parity cases: config object and belief; the seeded ones
+# cover both signs and both threshold kinds
+def _seeded_case(sign: str, kind: str) -> tuple[dict, str]:
+    rng = np.random.default_rng(["positive", "negative"].index(sign) * 2 + (kind == "fixed"))
+    stats = random_observed_stats(rng)
+    sd = math.sqrt(0.5 * (stats.var_t + stats.var_c))
+    half = sd * float(rng.uniform(0.1, 3.0))
+    t0, c0 = stats.y_t_ob + rng.uniform(-half, half), stats.y_c_ob + rng.uniform(-half, half)
+    magnitude = float(rng.uniform(0.0, 0.3))
+    threshold = ({"kind": "statistical", "critical": 10.0 * magnitude} if kind == "statistical"
+                 else {"kind": "fixed",
+                       "beta_sharp": magnitude if sign == "positive" else -magnitude})
+    obj = {"observed": {**stats._asdict(), "n_ob": int(rng.integers(20, 2000))}, "sign": sign,
+           "threshold": threshold, "piv_threshold": 0.8,
+           "beliefs": [{"name": "grid", "region": {"t": [t0 - half, t0 + half],
+                                                    "c": [c0 - half, c0 + half]}}]}
+    return obj, "grid"
+
+
+def _case_study_case(belief: str) -> tuple[dict, str]:
+    obj = config_to_json_object(case_study_config())
+    obj["beliefs"].append({**TIPPING_BAND, "region": dict(TIPPING_BAND["region"])})
+    return obj, belief
+
+
+ROW_PATH_CASES = {
+    **{f"{sign}-{kind}": functools.partial(_seeded_case, sign, kind)
+       for sign in ("positive", "negative") for kind in ("statistical", "fixed")},
+    "plausible-region": functools.partial(_case_study_case, "plausible-region"),
+    "tipping-band": functools.partial(_case_study_case, "tipping-band"),
+}
+# shape -> (the axis a zero-width interval collapses, or None; --grid); 201x200
+# is the first grid past the cut
+ROW_PATH_SHAPES = {"1x37": ("t", "2x37"), "37x1": ("c", "37x2"), "7x9": (None, "7x9"),
+                   "101x101": (None, "101x101"), "200x200": (None, "200x200"),
+                   "201x200": (None, "201x200")}
+# stats whose completed sample has zero spread at t = c = 0 and overflows far
+# from it, and each grid's error: mixed grids raise what evaluate_grid's blocks
+# check first, the overflow, although the first cell alone raises zero spread
+ZERO_SPREAD_STATS = {"r_squared": 0.1, "n_ob": 100, "y_t_ob": 0.0, "y_c_ob": 0.0,
+                     "var_t": 0.0, "var_c": 0.0, "pi": 0.5}
+OVERFLOW_ERROR = ("config error: completed-sample variance overflows float64; the "
+                  "counterfactual means lie too far from the observed ones\n")
+GRID_ERRORS = {
+    "mixed": ([0.0, 1e155], EXIT_CONFIG, OVERFLOW_ERROR),
+    "zero-spread": ([0.0, 1.0], EXIT_DEGENERATE, "degenerate inputs: completed sample has "
+                    "zero outcome spread; correlation undefined\n"),
+    "overflow": ([1e155, 2e155], EXIT_CONFIG, OVERFLOW_ERROR),
+}
+
+
+class TestRowPath:
+    """Grids of at most cli._ROW_PATH_CELLS cells are evaluated and written
+    without numpy; their bytes, exit codes and messages are the numpy path's."""
+
+    @pytest.mark.parametrize("shape", list(ROW_PATH_SHAPES))
+    @pytest.mark.parametrize("case", list(ROW_PATH_CASES))
+    def test_export_bytes_equal_the_numpy_path(self, case, shape, tmp_path):
+        obj, belief = ROW_PATH_CASES[case]()
+        collapse, grid = ROW_PATH_SHAPES[shape]
+        region = next(b["region"] for b in obj["beliefs"] if b["name"] == belief)
+        if collapse is not None:
+            region[collapse] = [region[collapse][0]] * 2
+        path = write_config(tmp_path, obj)
+        config = load_config(path)
+        expected = evaluate_grid(config.belief_as(belief, "region"),
+                                 tuple(map(int, grid.split("x"))), config.observed,
+                                 config.sign, config.threshold)
+        assert "x".join(map(str, expected.piv.shape)) == shape
+        for fmt, chunks in (("csv", _grid_text.csv_chunks), ("json", _grid_text.json_chunks)):
+            out_path = tmp_path / f"grid.{fmt}"
+            assert main(["contour", "--config", path, "--belief", belief, "--grid", grid,
+                         "--format", fmt, "--out", str(out_path)]) == EXIT_OK
+            assert out_path.read_bytes() == b"".join(chunks(expected)), fmt
+
+    @pytest.mark.parametrize("name", list(GRID_ERRORS))
+    def test_errors_equal_the_numpy_path(self, name, tmp_path, capsys):
+        interval, code, message = GRID_ERRORS[name]
+        obj = {"observed": ZERO_SPREAD_STATS, "sign": "positive",
+               "threshold": {"kind": "statistical", "critical": 1.96},
+               "beliefs": [{"name": "box", "region": {"t": interval, "c": interval}}]}
+        path = write_config(tmp_path, obj)
+        out_path = tmp_path / "grid.csv"
+        for grid in ("3x3", "201x200"):
+            assert main(["contour", "--config", path, "--belief", "box", "--grid", grid,
+                         "--out", str(out_path)]) == code, grid
+            assert capsys.readouterr().err == message, grid
+            assert not out_path.exists()
+        if name == "mixed":  # in cell order, the first cell would raise first
+            stats = load_config(path).observed
+            with pytest.raises(DegenerateSpreadError):
+                ideal_correlation(CounterfactualBelief(0.0, 0.0), stats)
+
+    def test_csv_export_peak_memory_below_one_and_a_half_file_sizes(self, tmp_path,
+                                                                     monkeypatch):
+        # the row path holds the grid as one array('d') grown a row at a time, 8
+        # bytes a cell against about 9 of CSV, and writes rows in 8 KiB batches
+        def no_grid(*args):
+            raise AssertionError("a 120x120 grid went to evaluate_grid")
+
+        monkeypatch.setattr(cli, "evaluate_grid", no_grid)
+        path = write_config(tmp_path, config_to_json_object(case_study_config()))
+        out_path = tmp_path / "grid.csv"
+        argv = ["contour", "--config", path, "--belief", "plausible-region",
+                "--grid", "120x120", "--format", "csv", "--out", str(out_path)]
+        assert main(argv) == EXIT_OK  # warm-up: imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = out_path.stat().st_size
+        assert size > 120_000
+        assert peak < 1.5 * size
 
 
 class TestPowerCommand:
@@ -1256,7 +1397,7 @@ def test_config_error_names_path_once(case, tmp_path, capsys):
 
 
 # =============================================================================
-# Cold path: only contour, replicate and verify import numpy
+# Cold path: only verify and contour grids of more than 200x200 cells import numpy
 # =============================================================================
 
 # Imports the package, then runs each argv through main() in one process, and
@@ -1296,8 +1437,9 @@ def test_point_bound_and_dump_config_do_not_import_numpy(tmp_path):
              for fmt in ("text", "json")]
     argvs.append(["compute", "--config", path, "--dump-config"])
     # nor piv.report, which only replicate and verify use, nor dataclasses and the
-    # inspect it pulls in, whose import and class building would double a cold start
-    for module in ("numpy", "piv.report", "dataclasses", "inspect"):
+    # inspect it pulls in, whose import and class building would double a cold start,
+    # nor array, a shared library that only grid exports use
+    for module in ("numpy", "piv.report", "dataclasses", "inspect", "array"):
         steps = _loaded_after(argvs, module)
         assert len(steps) == 2 + len(argvs)
         assert [name for name, loaded in steps if loaded] == [], module
@@ -1321,14 +1463,32 @@ def test_verify_loads_no_dataclasses():
 
 @pytest.mark.parametrize("command", ["contour", "verify"])
 def test_grid_and_oracle_commands_import_numpy(command, tmp_path):
+    # a 3x3 contour is under the cut and loads no numpy; a 300x300 one does
     if command == "contour":
         path = write_config(tmp_path, config_to_json_object(case_study_config()))
-        argv = ["contour", "--config", path, "--belief", "plausible-region",
-                "--grid", "3x3", "--out", str(tmp_path / "grid.csv")]
+        argvs = [["contour", "--config", path, "--belief", "plausible-region",
+                  "--grid", grid, "--out", str(tmp_path / "grid.csv")]
+                 for grid in ("3x3", "300x300")]
+        loaded_after = [False, False, False, True]
     else:
-        argv = ["verify", "--seeds", "1"]
-    steps = _loaded_after([argv])
-    assert [loaded for _, loaded in steps] == [False, False, True]
+        argvs = [["verify", "--seeds", "1"]]
+        loaded_after = [False, False, True]
+    steps = _loaded_after(argvs)
+    assert [loaded for _, loaded in steps] == loaded_after
+
+
+def test_row_path_exports_and_replicate_load_no_numpy(tmp_path):
+    # the default 101x101 grid of a config without one, replicate's 200x200 grid,
+    # and a 200x200 JSON grid, the last under the cut; 201x200 is the first past it
+    path = write_config(tmp_path, base_config_object())
+    argvs = [["contour", "--config", path, "--belief", "box", "--format", fmt,
+              "--out", str(tmp_path / f"grid.{fmt}")] for fmt in ("csv", "json")]
+    argvs += [["replicate", "--out", str(tmp_path / "contour.csv")]]
+    argvs += [["contour", "--config", path, "--belief", "box", "--format", "json",
+               "--grid", grid, "--out", str(tmp_path / "grid.json")]
+              for grid in ("200x200", "201x200")]
+    steps = _loaded_after(argvs)
+    assert [loaded for _, loaded in steps] == [False] * (2 + 4) + [True]
 
 
 def test_grid_writers_load_only_where_they_are_used(tmp_path):
@@ -1337,14 +1497,14 @@ def test_grid_writers_load_only_where_they_are_used(tmp_path):
              ["power", "--config", path, "--belief", "belief-1-corner", "--format", "json"],
              ["bound", "--config", path, "--belief", "belief-1", "--format", "json"],
              ["compute", "--config", path, "--dump-config"]]
-    # every block of these grids is under min_cells (at 80x80 a block is
-    # one row of 80), so their rows go through "%"; a 300x300 block is two rows
+    # grids of up to 200x200 cells are evaluated and written without numpy, every
+    # row through "%"; past that cut, a 300x300 block is two rows
     argvs += [["contour", "--config", path, "--belief", "plausible-region", "--grid", grid,
                "--format", fmt, "--out", str(tmp_path / f"grid.{fmt}")]
               for grid, fmt in (("20x20", "csv"), ("20x20", "json"), ("50x50", "csv"),
                                 ("50x50", "json"), ("80x80", "json"), ("300x300", "json"))]
     cold, small = [False] * (2 + 4), [True] * 5
-    for module, loaded_after in (("numpy", cold + small + [True]),
+    for module, loaded_after in (("numpy", cold + [False] * 5 + [True]),
                                  ("piv._grid_text", cold + small + [True]),
                                  ("piv._json_digits", cold + [False] * 5 + [True])):
         steps = _loaded_after(argvs, module)
