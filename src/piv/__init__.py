@@ -3,11 +3,24 @@ unconfoundedness: evaluate and bound the probability (PIV) that the null
 hypothesis would be rejected again once the sample is completed with
 counterfactual outcomes."""
 
-from . import bounds, core
-from .bounds import *  # noqa: F403
+from . import core
 from .core import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-# a public name is added to the __all__ of the module that defines it
-__all__ = core.__all__ + bounds.__all__ + ["__version__"]
+
+def __getattr__(name: str):
+    """piv.bounds's public names and __all__, imported on first use.  A private
+    name, which `from piv import _json_digits` asks for first, is refused;
+    __import__, unlike `from . import bounds`, asks piv for no attribute."""
+    if name.startswith("_") and name != "__all__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the import binds piv.bounds; -X importtime shows it, as it shows no import_module
+    bounds = __import__("piv.bounds").bounds
+    # a public name is added to the __all__ of the module that defines it
+    lent = {"__all__": core.__all__ + bounds.__all__ + ["__version__"], "bounds": bounds,
+            **{public: getattr(bounds, public) for public in bounds.__all__}}
+    if name not in lent:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals().update(lent)
+    return lent[name]

@@ -8,6 +8,11 @@ brute-force oracle checks; their reports are built in piv.report, which
 only those two commands load.  This module parses argv, runs the command and
 renders its result as text (6 decimals) or JSON (17 significant digits).
 
+Each command declares its flags once, in _COMMANDS.  _plain_args reads a
+plain argv from that table without argparse; argparse, built from the same
+table, reads any other and writes all help and usage errors.  Only the
+commands that bound or grid import piv.bounds.
+
 Exit codes: 0 success, 2 config error (any other invalid input), 3 degenerate
 math, 4 I/O error (--out, or standard output even when closed), 5 verification
 failure.  Only main writes stderr or picks 2-4: a code holds if stderr fails.
@@ -15,26 +20,19 @@ failure.  Only main writes stderr or picks 2-4: a code holds if stderr fails.
 
 from __future__ import annotations
 
-import argparse
 import errno
+import importlib
 import json
 import math
 import os
 import reprlib
 import sys
+from types import SimpleNamespace
 
-from .bounds import (
-    BeliefRegion,
-    BoundResult,
-    _axis_points,
-    _grid_shape,
-    bound_piv,
-    evaluate_grid,
-    robustness_verdict,
-)
 from .config import AnalysisConfig, case_study_config, config_to_json_object, load_config
 from .config import parse_config  # unused here, re-exported for callers of piv.cli
 from .core import (
+    BeliefRegion,
     CounterfactualBelief,
     DegenerateSpreadError,
     InputValidationError,
@@ -56,15 +54,16 @@ EXIT_IO = 4
 EXIT_VERIFY = 5
 
 
-def __getattr__(name: str):
-    """verify_report, re-exported from piv.report, which is imported on first
-    access; it is then stored in the module's globals, so this runs once."""
-    if name == "verify_report":
-        from .report import verify_report
+# name lent to callers of piv.cli -> its module, imported on first access
+_LENT = {"verify_report": "piv.report", "bound_piv": "piv.bounds",
+         "evaluate_grid": "piv.bounds", "robustness_verdict": "piv.bounds"}
 
-        globals()[name] = verify_report
-        return verify_report
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __getattr__(name: str):
+    if name not in _LENT:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(_LENT[name]), name)
+    return value
 
 
 # =============================================================================
@@ -114,7 +113,7 @@ def _where(belief: CounterfactualBelief | None) -> str:
     return f"at y_t_un={_fmt(belief.y_t_un)} y_c_un={_fmt(belief.y_c_un)}"
 
 
-def _bound_text(bound: BoundResult, verdict, piv_threshold: float) -> list[str]:
+def _bound_text(bound, verdict, piv_threshold: float) -> list[str]:
     lines = [
         f"piv_min   {_fmt(bound.piv_min)}  {_where(bound.argmin)}",
         f"piv_max   {_fmt(bound.piv_max)}  {_where(bound.argmax)}",
@@ -173,8 +172,10 @@ def cmd_compute(args, config: AnalysisConfig, point: CounterfactualBelief) -> in
 
 
 def cmd_bound(args, config: AnalysisConfig, region: BeliefRegion) -> int:
-    bound = bound_piv(region, config.observed, config.sign, config.threshold)
-    verdict = robustness_verdict(bound, config.piv_threshold)
+    from . import bounds  # on first use: compute, power and --dump-config bound nothing
+
+    bound = bounds.bound_piv(region, config.observed, config.sign, config.threshold)
+    verdict = bounds.robustness_verdict(bound, config.piv_threshold)
     payload = {**bound._asdict(), "piv_threshold": config.piv_threshold, "verdict": verdict.value}
     return _emit(args, payload, _bound_text(bound, verdict, config.piv_threshold))
 
@@ -192,8 +193,8 @@ def _parse_grid_flag(text: str) -> tuple[int, int]:
 # 2-vCPU Intel Xeon (Python 3.11.7, numpy 2.4.6), whose speed drifted, that
 # cost 1.1-1.9 us a cell, text included (44-77 ms at 200x200), while
 # `import numpy` took 115-150 ms of a fresh process, so every grid under
-# the cut exports sooner in a fresh process.  In a process that has numpy
-# loaded already, the numpy path takes 4-6 ms at 200x200.
+# the cut exports sooner in a fresh process.  A process that has numpy
+# loaded already takes the numpy path, 4-6 ms at 200x200.
 _ROW_PATH_CELLS = 200 * 200
 
 
@@ -205,12 +206,15 @@ def _row_grid(region: BeliefRegion, resolution, config: AnalysisConfig) -> tuple
     None for a grid of more than _ROW_PATH_CELLS cells, and where a cell
     raises, so that evaluate_grid raises the error, checked block by block.
     """
-    nt, nc = _grid_shape(region, resolution)
+    from . import bounds
+
+    nt, nc = bounds._grid_shape(region, resolution)
     if nt * nc > _ROW_PATH_CELLS:
         return None
     from array import array  # a shared library: only grid exports load it
 
-    t_values, c_values = _axis_points(*region.t_interval, nt), _axis_points(*region.c_interval, nc)
+    t_values = bounds._axis_points(*region.t_interval, nt)
+    c_values = bounds._axis_points(*region.c_interval, nc)
     stats = config.observed
     cells = array("d")
     try:
@@ -225,15 +229,18 @@ def _row_grid(region: BeliefRegion, resolution, config: AnalysisConfig) -> tuple
 def _export_grid(args, config: AnalysisConfig, region: BeliefRegion, fmt: str):
     """Evaluate the grid over region, stream it to --out as bytes in batches of rows,
     and return (nt, nc, piv_min, piv_max).  A failed write raises _WriteError.
-    A grid _row_grid takes is evaluated and written without numpy."""
+    In a process that has not loaded numpy, a grid _row_grid takes is
+    evaluated and written without it."""
     resolution = _parse_grid_flag(args.grid) if args.grid is not None else config.grid or (101, 101)
     if args.out is None:
         raise InputValidationError("--out is required")
-    row_grid = _row_grid(region, resolution, config)
+    row_grid = None if "numpy" in sys.modules else _row_grid(region, resolution, config)
+    from . import bounds
     from ._grid_text import cell_chunks, csv_chunks, json_chunks, write_chunks
 
     if row_grid is None:
-        grid = evaluate_grid(region, resolution, config.observed, config.sign, config.threshold)
+        grid = bounds.evaluate_grid(region, resolution, config.observed, config.sign,
+                                    config.threshold)
         t_values, c_values = grid.t_values, grid.c_values
         # numpy's min and max propagate NaN, and take no grid-sized temporary as isfinite would
         piv_min, piv_max = grid.min(), grid.max()
@@ -301,50 +308,39 @@ def cmd_verify(args, _config, _) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _add_common(p, formats=("text", "json")) -> None:
-    p.add_argument("--config", help="path to the analysis config (JSON)")
-    p.add_argument("--belief", help="name of the belief to evaluate")
-    p.add_argument("--format", choices=formats, default=formats[0])
-    p.add_argument("--dump-config", action="store_true",
-                   help="print the parsed config as canonical JSON and exit")
+# A flag: (name, default, kind, help), where kind is None for any string, int
+# for an integer, bool for a store-true switch, or the tuple of its choices
+_CONFIG = ("--config", None, None, "path to the analysis config (JSON)")
+_BELIEF = ("--belief", None, None, "name of the belief to evaluate")
+_DUMP_CONFIG = ("--dump-config", False, bool,
+                "print the parsed config as canonical JSON and exit")
+_COMMON = (_CONFIG, _BELIEF, ("--format", "text", ("text", "json"), None), _DUMP_CONFIG)
+_CONTOUR = (_CONFIG, _BELIEF, ("--format", "csv", ("csv", "json"), None), _DUMP_CONFIG,
+            ("--out", None, None, "output file path"),
+            ("--grid", None, None, "grid resolution NTxNC (default from config, else 101x101)"))
+_REPLICATE = (("--out", "piv_contour.csv", None, "contour output path (default piv_contour.csv)"),
+              ("--grid", None, None, "contour resolution NTxNC (default 200x200)"),
+              ("--dump-config", False, bool,
+               "print the case-study config as canonical JSON and exit"))
+_VERIFY = (("--seeds", 100, int, "number of seeded datasets"),
+           ("--reps", 2000, int, "monte carlo replications"),
+           ("--seed", 0, int, "monte carlo seed"))
 
-
-def _add_contour(p) -> None:
-    _add_common(p, formats=("csv", "json"))
-    p.add_argument("--out", help="output file path")
-    p.add_argument("--grid", help="grid resolution NTxNC (default from config, else 101x101)")
-
-
-def _add_replicate(p) -> None:
-    p.add_argument("--out", default="piv_contour.csv",
-                   help="contour output path (default piv_contour.csv)")
-    p.add_argument("--grid", help="contour resolution NTxNC (default 200x200)")
-    p.add_argument("--dump-config", action="store_true",
-                   help="print the case-study config as canonical JSON and exit")
-
-
-def _add_verify(p) -> None:
-    p.add_argument("--seeds", type=int, default=100, help="number of seeded datasets")
-    p.add_argument("--reps", type=int, default=2000, help="monte carlo replications")
-    p.add_argument("--seed", type=int, default=0, help="monte carlo seed")
-
-
-# command -> (help, adds its arguments, runs it, the kind of --belief it reads or None);
+# command -> (help, its flags, runs it, the kind of --belief it reads or None);
 # main resolves that belief and passes it to the command, None where it reads none
 _COMMANDS = {
-    "compute": ("PIV at a point belief", _add_common, cmd_compute, "point"),
-    "bound": ("extremal PIV over a belief region, with verdict", _add_common, cmd_bound,
-              "region"),
-    "contour": ("export a PIV grid over a finite region", _add_contour, cmd_contour, "region"),
-    "power": ("retest power quantities at a point belief", _add_common, cmd_power, "point"),
-    "replicate": ("run the built-in kindergarten-retention case study", _add_replicate,
+    "compute": ("PIV at a point belief", _COMMON, cmd_compute, "point"),
+    "bound": ("extremal PIV over a belief region, with verdict", _COMMON, cmd_bound, "region"),
+    "contour": ("export a PIV grid over a finite region", _CONTOUR, cmd_contour, "region"),
+    "power": ("retest power quantities at a point belief", _COMMON, cmd_power, "point"),
+    "replicate": ("run the built-in kindergarten-retention case study", _REPLICATE,
                   cmd_replicate, None),
-    "verify": ("run the brute-force oracle checks", _add_verify, cmd_verify, None),
+    "verify": ("run the brute-force oracle checks", _VERIFY, cmd_verify, None),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser, with only command's subparser when command names one.
+def build_parser(command: str | None = None):
+    """The argparse parser, with only command's subparser when command names one.
 
     A process runs one command, and each add_argument call costs time and
     leaves cyclic garbage, so main builds the subparser of the command it
@@ -353,6 +349,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     line names every command either way, so each output is the same as the
     full parser's.
     """
+    import argparse  # only help, usage errors and argv _plain_args declines load it
+
     parser = argparse.ArgumentParser(
         prog="piv",
         description="Bound the probability that a significant two-group regression "
@@ -361,17 +359,52 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     only = command in _COMMANDS
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="{" + ",".join(_COMMANDS) + "}" if only else None)
-    for name, (help_text, add_arguments, *_) in _COMMANDS.items():
+    for name, (help_text, flags, *_) in _COMMANDS.items():
         if only and name != command:
             continue
-        add_arguments(sub.add_parser(name, help=help_text))
+        p = sub.add_parser(name, help=help_text)
+        for flag, default, kind, flag_help in flags:
+            p.add_argument(flag, help=flag_help, **(
+                {"action": "store_true"} if kind is bool
+                else {"choices": kind, "default": default} if isinstance(kind, tuple)
+                else {"type": kind, "default": default}))
     return parser
+
+
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """What build_parser().parse_args(argv) returns, where argv is a command
+    and then its exact flags, each once, each valued one followed by a value
+    argparse takes that does not start with "-"; None for any other argv,
+    such as an abbreviation, --flag=value, -h or an error."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = {flag: (default, kind) for flag, default, kind, _ in _COMMANDS[argv[0]][1]}
+    given = {}
+    words = iter(argv[1:])
+    for flag in words:
+        if flag not in flags or flag in given:
+            return None
+        kind = flags[flag][1]
+        if kind is bool:
+            given[flag] = True
+            continue
+        value = next(words, "-")
+        if value.startswith("-") or isinstance(kind, tuple) and value not in kind:
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        given[flag] = value
+    return SimpleNamespace(command=argv[0], **{flag[2:].replace("-", "_"): given.get(flag, default)
+                                               for flag, (default, _) in flags.items()})
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _plain_args(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if args.command == "verify":
             config = None

@@ -2,8 +2,8 @@
 
 parse_config checks the shape of a decoded JSON object, rejecting unknown
 keys, and leaves the values to the domain types; config_to_json_object is its
-inverse.  This module loads neither numpy nor argparse, so a caller that only
-reads configs does not load the command line.
+inverse.  This module loads neither numpy, argparse nor piv.bounds, so a caller
+that only reads configs loads neither the command line nor the bound search.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import math
 import reprlib
 from contextlib import contextmanager
 
-from .bounds import BeliefRegion
 from .core import (
+    BeliefRegion,
     CounterfactualBelief,
     EstimateSign,
     FixedThreshold,

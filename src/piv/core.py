@@ -210,6 +210,38 @@ class CounterfactualBelief(_Record):
         object.__setattr__(self, "y_c_un", _require_finite(y_c_un, "y_c_un"))
 
 
+def _check_bound(value: float, name: str) -> float:
+    x = _as_float(value, name, "a real number or +/-inf")
+    if math.isnan(x):
+        raise InputValidationError(f"{name} must not be NaN")
+    return x
+
+
+class BeliefRegion(_Record):
+    """Rectangle of plausible (y_t_un, y_c_un) values; either side may be infinite."""
+
+    __slots__ = ("t_interval", "c_interval")
+
+    def __init__(self, t_interval: tuple[float, float], c_interval: tuple[float, float]) -> None:
+        for axis, interval in (("t", t_interval), ("c", c_interval)):  # shapes before any bound
+            if not isinstance(interval, (tuple, list)) or len(interval) != 2:
+                raise InputValidationError(f"{axis}_interval must be a (lo, hi) pair")
+        for axis, (lo, hi) in (("t", t_interval), ("c", c_interval)):
+            lo = _check_bound(lo, f"{axis}_interval lower bound")
+            hi = _check_bound(hi, f"{axis}_interval upper bound")
+            if lo > hi:
+                raise InputValidationError(
+                    f"{axis}_interval is empty: lower bound {lo} exceeds upper bound {hi}"
+                )
+            if lo == math.inf or hi == -math.inf:
+                raise InputValidationError(f"{axis}_interval contains no finite point")
+            object.__setattr__(self, f"{axis}_interval", (lo, hi))
+
+    @property
+    def is_finite(self) -> bool:
+        return all(math.isfinite(v) for v in (*self.t_interval, *self.c_interval))
+
+
 class EstimateSign(Enum):
     """Sign of the observed significant estimate."""
 

@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -32,7 +33,7 @@ from piv.cli import (
     parse_config,
     render_json,
 )
-from piv import _grid_text, cli
+from piv import _grid_text, bounds, cli
 from piv.report import replicate_report
 from piv.core import (
     CounterfactualBelief,
@@ -144,6 +145,39 @@ def band_config_object(variant: str) -> dict:
 
 # the environment of a child process that imports this checkout's piv
 _SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+# Runs the code in argv[2], then each argv in argv[1] through main() in one
+# fresh process, and prints, for each argv: its exit code, stdout and stderr,
+# whether each _row_grid call gave a grid (the row path) or None, and whether
+# numpy is loaded after it; then len(calls) where the setup code defines calls.
+# The process has not loaded numpy, so grids under the cut take the row path.
+_COLD_MAIN = """
+import contextlib, io, json, sys
+import piv.cli
+exec(sys.argv[2])
+took, row_grid = [], piv.cli._row_grid
+def traced(*args):
+    grid = row_grid(*args)
+    took.append(grid is not None)
+    return grid
+piv.cli._row_grid = traced
+steps = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = piv.cli.main(argv)
+    steps.append([code, out.getvalue(), err.getvalue(), took[:], "numpy" in sys.modules])
+    took.clear()
+print(json.dumps([steps, len(globals().get("calls", ()))]))
+"""
+
+
+def _cold_main(argvs: list[list[str]], setup: str = "") -> tuple[list[list], int]:
+    proc = subprocess.run([sys.executable, "-c", _COLD_MAIN, json.dumps(argvs), setup],
+                          env=_SRC_ENV, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    steps, calls = json.loads(proc.stdout)
+    return steps, calls
 
 
 def base_config_object() -> dict:
@@ -667,7 +701,7 @@ class TestContourCommand:
         def nan_grid(*args):
             return ContourGrid((1.0, 2.0), (3.0,), np.array([[0.5], [math.nan]]))
 
-        monkeypatch.setattr(cli, "evaluate_grid", nan_grid)
+        monkeypatch.setattr(bounds, "evaluate_grid", nan_grid)
         path = write_config(tmp_path, base_config_object())
         out_path = tmp_path / "grid.out"
         assert main(["contour", "--config", path, "--belief", "box", "--format", fmt,
@@ -676,29 +710,32 @@ class TestContourCommand:
         assert not out_path.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_non_finite_cell_refused_on_the_row_path(self, fmt, tmp_path, capsys, monkeypatch):
-        # a NaN in the middle of the grid, which Python's min and max would skip
-        calls, cdf = [], cli._cdf
-
-        def nan_cell(x):
-            calls.append(x)
-            return math.nan if len(calls) == 5 else cdf(x)
-
-        monkeypatch.setattr(cli, "_cdf", nan_cell)
+    def test_non_finite_cell_refused_on_the_row_path(self, fmt, tmp_path):
+        # a NaN in the middle of the grid, which Python's min and max would skip;
+        # in a fresh process, which takes the row path, the one caller of cli._cdf
+        nan_cell = ("import math\n"
+                    "calls, cdf = [], piv.cli._cdf\n"
+                    "def nan_cell(x):\n"
+                    "    calls.append(x)\n"
+                    "    return math.nan if len(calls) == 5 else cdf(x)\n"
+                    "piv.cli._cdf = nan_cell\n")
         path = write_config(tmp_path, base_config_object())
         out_path = tmp_path / "grid.out"
-        assert main(["contour", "--config", path, "--belief", "box", "--format", fmt,
-                     "--grid", "3x3", "--out", str(out_path)]) == EXIT_CONFIG
-        assert len(calls) == 9
-        assert (capsys.readouterr().err
-                == "config error: cannot serialize a grid with a non-finite PIV\n")
+        [(code, out, err, took, numpy_loaded)], calls = _cold_main(
+            [["contour", "--config", path, "--belief", "box", "--format", fmt,
+              "--grid", "3x3", "--out", str(out_path)]], nan_cell)
+        assert code == EXIT_CONFIG
+        assert (took, numpy_loaded) == ([True], False)
+        assert calls == 9
+        assert out == ""
+        assert err == "config error: cannot serialize a grid with a non-finite PIV\n"
         assert not out_path.exists()
 
     def test_missing_out_exits_2_before_grid(self, tmp_path, capsys, monkeypatch):
         def no_grid(*args):
             raise AssertionError("grid evaluated before --out was checked")
 
-        monkeypatch.setattr(cli, "evaluate_grid", no_grid)
+        monkeypatch.setattr(bounds, "evaluate_grid", no_grid)
         monkeypatch.setattr(cli, "_row_grid", no_grid)
         path = write_config(tmp_path, base_config_object())
         assert main(["contour", "--config", path, "--belief", "box"]) == EXIT_CONFIG
@@ -756,28 +793,75 @@ GRID_ERRORS = {
 }
 
 
+def _row_path_case(case: str, shape: str, directory: Path) -> tuple[str, str, str]:
+    """(config path, belief, --grid) of a byte-parity case, its config written
+    in directory."""
+    obj, belief = ROW_PATH_CASES[case]()
+    collapse, grid = ROW_PATH_SHAPES[shape]
+    region = next(b["region"] for b in obj["beliefs"] if b["name"] == belief)
+    if collapse is not None:
+        region[collapse] = [region[collapse][0]] * 2
+    directory.mkdir()
+    return write_config(directory, obj), belief, grid
+
+
+@pytest.fixture(scope="class")
+def cold_exports(tmp_path_factory):
+    """(case, shape) -> ((config path, belief, --grid), {format: step}) for every
+    byte-parity case, each exported in both formats by main in one fresh
+    process, a step as _cold_main gives it.  The grids past the cut run last,
+    since the first of them loads numpy."""
+    root = tmp_path_factory.mktemp("row-path")
+    keys = sorted(((case, shape) for case in ROW_PATH_CASES for shape in ROW_PATH_SHAPES),
+                  key=lambda key: key[1] == "201x200")
+    cases = {key: _row_path_case(*key, root / "-".join(key)) for key in keys}
+    argvs = [["contour", "--config", path, "--belief", belief, "--grid", grid, "--format", fmt,
+              "--out", str(Path(path).with_name(f"grid.{fmt}"))]
+             for path, belief, grid in cases.values() for fmt in ("csv", "json")]
+    steps, _ = _cold_main(argvs)
+    return {key: (cases[key], {"csv": steps[2 * i], "json": steps[2 * i + 1]})
+            for i, key in enumerate(keys)}
+
+
+# Exports the grid of argv[1] twice through main() in a fresh process, where
+# piv.bounds.evaluate_grid fails, and prints the tracemalloc peak of the second
+_ROW_PATH_PEAK = """
+import contextlib, io, json, sys, tracemalloc
+import piv.bounds, piv.cli
+def no_grid(*args):
+    raise AssertionError("a 120x120 grid went to evaluate_grid")
+piv.bounds.evaluate_grid = no_grid
+argv = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    assert piv.cli.main(argv) == 0  # warm-up: imports and caches stay out of the peak
+    tracemalloc.start()
+    assert piv.cli.main(argv) == 0
+    print(tracemalloc.get_traced_memory()[1], file=sys.stderr)
+"""
+
+
 class TestRowPath:
     """Grids of at most cli._ROW_PATH_CELLS cells are evaluated and written
-    without numpy; their bytes, exit codes and messages are the numpy path's."""
+    without numpy in a process that has not loaded it; their bytes, exit codes
+    and messages are the numpy path's.  This process has loaded numpy, so
+    each row-path case runs in a fresh one."""
 
     @pytest.mark.parametrize("shape", list(ROW_PATH_SHAPES))
     @pytest.mark.parametrize("case", list(ROW_PATH_CASES))
-    def test_export_bytes_equal_the_numpy_path(self, case, shape, tmp_path):
-        obj, belief = ROW_PATH_CASES[case]()
-        collapse, grid = ROW_PATH_SHAPES[shape]
-        region = next(b["region"] for b in obj["beliefs"] if b["name"] == belief)
-        if collapse is not None:
-            region[collapse] = [region[collapse][0]] * 2
-        path = write_config(tmp_path, obj)
+    def test_export_bytes_equal_the_numpy_path(self, case, shape, cold_exports):
+        (path, belief, grid), steps = cold_exports[case, shape]
         config = load_config(path)
         expected = evaluate_grid(config.belief_as(belief, "region"),
                                  tuple(map(int, grid.split("x"))), config.observed,
                                  config.sign, config.threshold)
         assert "x".join(map(str, expected.piv.shape)) == shape
+        past_cut = shape == "201x200"
         for fmt, chunks in (("csv", _grid_text.csv_chunks), ("json", _grid_text.json_chunks)):
-            out_path = tmp_path / f"grid.{fmt}"
-            assert main(["contour", "--config", path, "--belief", belief, "--grid", grid,
-                         "--format", fmt, "--out", str(out_path)]) == EXIT_OK
+            code, _, err, took, numpy_loaded = steps[fmt]
+            assert (code, err) == (EXIT_OK, ""), fmt
+            # under the cut the row path wrote the grid, and nothing loaded numpy
+            assert (True in took, numpy_loaded) == (not past_cut, past_cut), fmt
+            out_path = Path(path).with_name(f"grid.{fmt}")
             assert out_path.read_bytes() == b"".join(chunks(expected)), fmt
 
     @pytest.mark.parametrize("name", list(GRID_ERRORS))
@@ -788,38 +872,51 @@ class TestRowPath:
                "beliefs": [{"name": "box", "region": {"t": interval, "c": interval}}]}
         path = write_config(tmp_path, obj)
         out_path = tmp_path / "grid.csv"
-        for grid in ("3x3", "201x200"):
-            assert main(["contour", "--config", path, "--belief", "box", "--grid", grid,
-                         "--out", str(out_path)]) == code, grid
-            assert capsys.readouterr().err == message, grid
+        argvs = [["contour", "--config", path, "--belief", "box", "--grid", grid,
+                  "--out", str(out_path)] for grid in ("3x3", "201x200")]
+        for argv in argvs:  # in this process, which has numpy, both take the numpy path
+            assert main(argv) == code, argv
+            assert capsys.readouterr().err == message, argv
             assert not out_path.exists()
+        # in a fresh process the row path tries the 3x3 grid and hands it over
+        steps, _ = _cold_main(argvs)
+        assert [step[:4] for step in steps] == [[code, "", message, [False]],
+                                                [code, "", message, []]]
+        assert not out_path.exists()
         if name == "mixed":  # in cell order, the first cell would raise first
             stats = load_config(path).observed
             with pytest.raises(DegenerateSpreadError):
                 ideal_correlation(CounterfactualBelief(0.0, 0.0), stats)
 
-    def test_csv_export_peak_memory_below_one_and_a_half_file_sizes(self, tmp_path,
-                                                                     monkeypatch):
+    def test_csv_export_peak_memory_below_one_and_a_half_file_sizes(self, tmp_path):
         # the row path holds the grid as one array('d') grown a row at a time, 8
         # bytes a cell against about 9 of CSV, and writes rows in 8 KiB batches
-        def no_grid(*args):
-            raise AssertionError("a 120x120 grid went to evaluate_grid")
-
-        monkeypatch.setattr(cli, "evaluate_grid", no_grid)
         path = write_config(tmp_path, config_to_json_object(case_study_config()))
         out_path = tmp_path / "grid.csv"
         argv = ["contour", "--config", path, "--belief", "plausible-region",
                 "--grid", "120x120", "--format", "csv", "--out", str(out_path)]
-        assert main(argv) == EXIT_OK  # warm-up: imports and caches stay out of the peak
-        tracemalloc.start()
-        try:
-            assert main(argv) == EXIT_OK
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        proc = subprocess.run([sys.executable, "-c", _ROW_PATH_PEAK, json.dumps(argv)],
+                              env=_SRC_ENV, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        peak = int(proc.stderr)
         size = out_path.stat().st_size
         assert size > 120_000
         assert peak < 1.5 * size
+
+    def test_a_process_with_numpy_takes_the_numpy_path(self, tmp_path, monkeypatch):
+        # the row path only spares a fresh process numpy's import
+        def no_rows(*args):
+            raise AssertionError("a process with numpy took the row path")
+
+        calls, evaluate = [], bounds.evaluate_grid
+        monkeypatch.setattr(bounds, "evaluate_grid",
+                            lambda *args: calls.append(args) or evaluate(*args))
+        monkeypatch.setattr(cli, "_row_grid", no_rows)
+        path = write_config(tmp_path, config_to_json_object(case_study_config()))
+        assert "numpy" in sys.modules
+        assert main(["contour", "--config", path, "--belief", "plausible-region",
+                     "--grid", "200x200", "--out", str(tmp_path / "grid.csv")]) == EXIT_OK
+        assert len(calls) == 1
 
 
 class TestPowerCommand:
@@ -1445,6 +1542,49 @@ def test_point_bound_and_dump_config_do_not_import_numpy(tmp_path):
         assert [name for name, loaded in steps if loaded] == [], module
 
 
+def test_plain_command_lines_load_no_argparse_and_point_commands_no_bounds(tmp_path):
+    path = write_config(tmp_path, config_to_json_object(case_study_config()))
+    point = [[command, "--config", path, "--belief", "belief-1-corner", "--format", fmt]
+             for command in ("compute", "power") for fmt in ("text", "json")]
+    point += [["compute", "--config", path, "--dump-config"],
+              ["power", "--config", path, "--format", "json", "--dump-config"]]
+    bound = [["bound", "--config", path, "--belief", belief, "--format", fmt]
+             for belief in ("belief-1", "belief-2") for fmt in ("text", "json")]
+    contour = [["contour", "--config", path, "--belief", "plausible-region", "--grid", "3x3",
+                "--format", fmt, "--out", str(tmp_path / f"grid.{fmt}")]
+               for fmt in ("csv", "json")]
+    steps = _loaded_after(point + bound + contour, "argparse")
+    assert [name for name, loaded in steps if loaded] == []
+    # import piv and import piv.cli load no bounds either; bound and contour do
+    steps = _loaded_after(point + bound + contour, "piv.bounds")
+    assert [loaded for _, loaded in steps] == [False] * (2 + len(point)) + [True] * 6
+
+
+# Runs main(argv[1]) in a fresh process, with stdout and stderr set aside, and
+# prints its exit code and whether argparse is loaded after it.
+_ARGPARSE_PROBE = """
+import contextlib, io, json, sys
+import piv.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = piv.cli.main(json.loads(sys.argv[1]))
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, "argparse" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), (["compute", "--help"], 0), (["compute", "--bogus"], 2),
+    (["compute", "--conf", "missing.json"], 2), (["verify", "--seeds", "x"], 2),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else f"exit-{value}")
+def test_help_usage_errors_and_unusual_argv_load_argparse(argv, code):
+    proc = subprocess.run([sys.executable, "-c", _ARGPARSE_PROBE, json.dumps(argv)],
+                          env=_SRC_ENV, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [code, True]
+
+
 def test_only_the_report_commands_load_the_report(tmp_path):
     path = write_config(tmp_path, config_to_json_object(case_study_config()))
     argvs = [["contour", "--config", path, "--belief", "plausible-region", "--grid", "3x3",
@@ -1584,11 +1724,43 @@ def test_only_main_writes_stderr_or_picks_a_failure_code():
 
 def test_import_piv_leaves_the_cli_unloaded():
     assert _loaded_after([], "piv.cli") == [["import piv", False], ["import piv.cli", True]]
+    for module in ("argparse", "piv.bounds"):
+        assert _loaded_after([], module) == [["import piv", False], ["import piv.cli", False]]
+
+
+# From-imports of the package in a fresh process, where piv.bounds is not loaded
+# yet; prints the names `from piv import *` binds.
+_FROM_PIV_PROBE = """
+import json
+from piv import _json_digits
+from piv import config
+names = {}
+exec("from piv import *", names)
+print(json.dumps(sorted(set(names) - {"__builtins__"})))
+"""
+
+
+def test_the_package_lends_the_bounds_names_on_first_use():
+    # a private name is refused before piv.bounds is looked up, so `from piv
+    # import _json_digits` does not recurse; submodules import as before
+    proc = subprocess.run([sys.executable, "-c", _FROM_PIV_PROBE], env=_SRC_ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) == PUBLIC_NAMES
+
+
+def test_belief_region_is_one_class():
+    import piv
+    from piv import bounds, core
+
+    assert core.BeliefRegion is bounds.BeliefRegion is piv.BeliefRegion
+    assert piv.bounds is bounds
 
 
 def test_the_config_layer_loads_without_the_cli():
     probe = ("import json, sys, piv.config\n"
-             "print(json.dumps(sorted({'numpy', 'argparse', 'piv.cli'} & set(sys.modules))))")
+             "print(json.dumps(sorted({'numpy', 'argparse', 'piv.cli', 'piv.bounds'}"
+             " & set(sys.modules))))")
     proc = subprocess.run([sys.executable, "-c", probe], env=_SRC_ENV, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -1606,10 +1778,12 @@ def test_the_cli_keeps_the_names_perfbench_reads():
 
     for name in PERFBENCH_CLI_NAMES:
         assert callable(getattr(cli, name)), name
-    # the config layer and the reports are the same objects, not copies
+    # the config layer, the reports and the bounds are the same objects, not copies
     for name in ("load_config", "parse_config", "config_to_json_object", "case_study_config"):
         assert getattr(cli, name) is getattr(config, name)
     assert cli.verify_report is report.verify_report
+    for name in ("bound_piv", "evaluate_grid", "robustness_verdict"):
+        assert getattr(cli, name) is getattr(bounds, name)
 
 
 # Help and parse errors.  main builds only the subparser of the command it is
@@ -1618,6 +1792,28 @@ _PARSER_EXITS = [[], ["--help"], ["-h"], ["bogus"], ["--bogus"], ["compute", "--
                  ["compute", "extra"], ["compute", "--format", "xml"], ["contour", "--grid"],
                  ["verify", "--seeds", "x"], ["replicate", "--out"]]
 _PARSER_EXITS += [[command, "--help"] for command in cli._COMMANDS]
+# " ".join(argv) -> sha256 of json.dumps([stdout, stderr, exit code]) that main
+# gives at COLUMNS=80 under Python 3.11, recorded before the parser was built
+# from the flag table; Python 3.10 prints "optional arguments:" in help
+PARSER_EXIT_SHA256 = {
+    "": "4001714b99bafb1769069725c6c4cbaee1541d586e622aa761f14289157685b6",
+    "--help": "e509cda4c851ee18e237e66fec711309ed7001d6f899d5f3e10df7494e38abcf",
+    "-h": "e509cda4c851ee18e237e66fec711309ed7001d6f899d5f3e10df7494e38abcf",
+    "bogus": "c8eb38ce03071d62d139785bcc67b880af3da035043d1d8d5ba0ae48f3f961e0",
+    "--bogus": "4001714b99bafb1769069725c6c4cbaee1541d586e622aa761f14289157685b6",
+    "compute --bogus": "85292e56846e3f10d8a853a3aacc11b1642dbceca05d96ec6fd00d21c08c1953",
+    "compute extra": "3c8e8de3bcf2f2d09225641e68dc8940815963a1bd43bd227f65056e0b2b8081",
+    "compute --format xml": "8baab60194d4352cb80cf43f0e062e9dd379681dc9daf2a6d03e380b2ebe8c56",
+    "contour --grid": "87267fecf00bacdbbc877fad1ccdfb8c580ce2423b9e188fc4998e349cc6d9ab",
+    "verify --seeds x": "95e1e60c23181f018da1f4fc86af06859b1cf5d79f35f50941d0e2c9ddb74983",
+    "replicate --out": "c8443c033c71c8f6c6eb42ab8c57f9f3c15d1f7823caa5edff9650611fcc22b6",
+    "compute --help": "be390629cf56cc01cec7fd27415d61beeb365a2b005a3e1f54f3899bbc48aecf",
+    "bound --help": "21eec778fa1a89813694ff8c84632162faa33d8ff4411382b81052362c01c240",
+    "contour --help": "25bf864fdcf9f92d3c62e2c1ff93510cae0d284627a6f1eb87d366539e21caee",
+    "power --help": "3f5a80412dde7dda702156d2c056c0583a1d29f68daa86500773b49b8ae85406",
+    "replicate --help": "87b74c9ade60cf2efc567331b7b0d62640003a100d8be19c694055969f1996fd",
+    "verify --help": "60eac4dac559be20aeaeea3b923fa2d6acf03c5d46009b51d4953739602cda7d",
+}
 
 
 @pytest.mark.parametrize("argv", _PARSER_EXITS, ids=lambda argv: " ".join(argv) or "no-command")
@@ -1629,7 +1825,11 @@ def test_help_and_errors_match_the_full_parser(argv, monkeypatch, capsys):
     with pytest.raises(SystemExit) as one:
         main(argv)
     assert one.value.code == full.value.code
-    assert capsys.readouterr() == expected
+    got = capsys.readouterr()
+    assert got == expected
+    if sys.version_info[:2] == (3, 11):
+        text = json.dumps([got.out, got.err, one.value.code])
+        assert hashlib.sha256(text.encode()).hexdigest() == PARSER_EXIT_SHA256[" ".join(argv)]
 
 
 def test_usage_lists_every_command_for_a_one_command_parser(monkeypatch, capsys):
@@ -1650,3 +1850,93 @@ def test_usage_lists_every_command_for_a_one_command_parser(monkeypatch, capsys)
 ], ids=lambda argv: argv[0])
 def test_one_command_parser_parses_as_the_full_parser(argv):
     assert vars(cli.build_parser(argv[0]).parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
+# The plain path: main reads a command and its exact flags without argparse,
+# into what the full parser returns; anything else goes to argparse.
+_PLAIN_STRINGS = ("cfg.json", "x y", "", "a=b", "compute", "200x200")
+_PLAIN_INTS = ("0", "7", "2000", "007", " 12", "+3")
+
+
+def _plain_argvs(command: str):
+    """argvs of command with every subset of its flags, in table order, reversed and
+    shuffled, each choice of a choices flag and various values of the others."""
+    flags = cli._COMMANDS[command][1]
+    rng = random.Random(command)
+    for mask in range(1 << len(flags)):
+        subset = [flag for i, flag in enumerate(flags) if mask >> i & 1]
+        choices = next((kind for _, _, kind, _ in subset if isinstance(kind, tuple)), (None,))
+        for choice in choices:
+            words = []
+            for k, (flag, _, kind, _) in enumerate(subset):
+                if kind is bool:
+                    words.append([flag])
+                else:
+                    value = (choice if isinstance(kind, tuple)
+                             else _PLAIN_INTS[(mask + k) % len(_PLAIN_INTS)] if kind is int
+                             else _PLAIN_STRINGS[(mask + k) % len(_PLAIN_STRINGS)])
+                    words.append([flag, value])
+            shuffled = rng.sample(words, len(words))
+            for order in (words, words[::-1], shuffled):
+                yield [command, *(word for pair in order for word in pair)]
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_plain_path_parses_as_the_full_parser(command):
+    parser, count = cli.build_parser(), 0
+    for argv in _plain_argvs(command):
+        plain = cli._plain_args(argv)
+        assert plain is not None, argv
+        assert vars(plain) == vars(parser.parse_args(argv)), argv
+        count += 1
+    assert count >= 3 * (1 << len(cli._COMMANDS[command][1]))
+
+
+def _declined(path: str) -> list[list[str]]:
+    point = ["--config", path, "--belief", "corner"]
+    return [
+        ["compute", "--conf", path, "--belief", "corner"],  # an abbreviation
+        ["compute", f"--config={path}", "--belief", "corner"],
+        ["compute", *point, "--format", "text", "--format", "json"],  # a repeated flag
+        ["verify", "--seeds", "1", "--seed", "-1"],
+        ["verify", "--seeds", "-1"],
+        ["compute", *point, "--format", "xml"],
+        ["verify", "--seeds", "x"],
+        ["contour", *point, "--grid"],
+        ["compute", *point, "extra"],
+        ["compute", *point, "--"],
+        ["compute", "--", *point],
+        ["compute", *point, "-h"],
+        ["compute", *point, "--help"],
+        ["compute", "--belief", "--config", path],
+        [],
+        ["--config", path, "compute"],
+        ["bogus", *point],
+    ]
+
+
+def test_plain_path_declines_what_argparse_must_read(tmp_path, monkeypatch, capsys):
+    """For each argv, _plain_args gives None, and main gives the full parser's
+    result: its namespace, passed to the command, or its exit and output."""
+    monkeypatch.setenv("COLUMNS", "80")
+    path = write_config(tmp_path, base_config_object())
+    ran = []
+    for name, (help_text, flags, _, kind) in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name, (help_text, flags,
+                                                  lambda args, *_: ran.append(args) or 0, kind))
+    # a repeated switch too; main would print the config and run no command
+    assert cli._plain_args(["compute", "--dump-config", "--config", path, "--dump-config"]) is None
+    for argv in _declined(path):
+        assert cli._plain_args(argv) is None, argv
+        ran.clear()
+        try:
+            expected = vars(cli.build_parser().parse_args(argv))
+        except SystemExit as full:
+            output = capsys.readouterr()
+            with pytest.raises(SystemExit) as one:
+                main(argv)
+            assert one.value.code == full.code, argv
+            assert capsys.readouterr() == output, argv
+            continue
+        assert main(argv) == EXIT_OK, argv
+        assert [vars(args) for args in ran] == [expected], argv
