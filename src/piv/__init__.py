@@ -10,10 +10,14 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    """piv.bounds's public names and __all__, imported on first use.  A private
-    name, which `from piv import _json_digits` asks for first, is refused;
-    __import__, unlike `from . import bounds`, asks piv for no attribute."""
-    if name.startswith("_") and name != "__all__":
+    """piv.bounds, its public names and __all__, imported on first use.  A private
+    name or another submodule, which `from piv import config` asks for first, is
+    refused before piv.bounds is imported; __import__, unlike `from . import
+    bounds`, asks piv for no attribute."""
+    from importlib.machinery import PathFinder
+
+    if (name.startswith("_") and name != "__all__"
+            or name != "bounds" and PathFinder.find_spec(f"{__name__}.{name}", __path__)):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # the import binds piv.bounds; -X importtime shows it, as it shows no import_module
     bounds = __import__("piv.bounds").bounds

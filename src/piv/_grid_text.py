@@ -10,21 +10,25 @@ formatter.  A row the formatter flags as inexact, and every row of a block
 under the format's min_cells, goes through one "%" on a template of the
 row's layout, so every row reads byte for byte as that template prints it.
 The "%.17g" digits of JSON blocks come from piv._json_digits, imported on
-first need.  cell_chunks writes a grid held as a flat sequence of floats
-without numpy, every row through its "%" template, so its bytes are those
-csv_chunks and json_chunks write for the same cells.  A grid has at least
-one row and one column on finite axes, so the writers need no case for an
-empty grid or a non-finite axis value.
+first need.  grid_export alone picks how a grid is evaluated: by
+bounds.evaluate_grid, or without numpy by _row_cells, every row through its
+"%" template, whose bytes are those csv_chunks and json_chunks write for the
+same cells.  A grid has at least one row and one column on finite axes, so
+the writers need no case for an empty grid or a non-finite axis value.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
+import sys
 from collections.abc import Callable, Iterable, Iterator
 from typing import NamedTuple
 
+from . import bounds
 from .bounds import _BLOCK_CELLS, ContourGrid, _block_rows
+from .core import BeliefRegion, InputValidationError, PivError, _cdf, _correlation, _probit, _threshold
 
 # Rows are written in blocks of whole rows: about _BLOCK_CELLS cells, and at
 # most 1/128 of the grid, so that a block's text and temporaries stay small
@@ -229,17 +233,63 @@ def json_chunks(grid: ContourGrid) -> Iterator[bytes]:
     return _json(grid.t_values, grid.c_values, _rows(grid.piv, _JSON))
 
 
-def cell_chunks(fmt: str, t_values: tuple[float, ...], c_values: tuple[float, ...],
-                cells) -> Iterator[bytes]:
-    """The export in fmt ("csv" or "json") of the grid on these axes whose PIV
-    cells are the flat float sequence cells, in row order: the bytes
-    csv_chunks or json_chunks writes for those cells, every row through its
-    "%" template, without numpy."""
+# A grid of at most this many cells is exported without numpy: each cell by
+# piv()'s scalar kernel, each row through its "%" template.  On a shared
+# 2-vCPU Intel Xeon (Python 3.11.7, numpy 2.4.6), whose speed drifted, that
+# cost 1.1-1.9 us a cell, text included (44-77 ms at 200x200), while
+# `import numpy` took 115-150 ms of a fresh process, so every grid under
+# the cut exports sooner in a fresh process.  A process that has numpy
+# loaded already takes the numpy path, 4-6 ms at 200x200.
+_ROW_PATH_CELLS = 200 * 200
+
+
+def _row_cells(region: BeliefRegion, nt: int, nc: int, stats, sign, threshold) -> tuple | None:
+    """(t_values, c_values, cells) of the nt x nc grid over region: each cell's
+    PIV by piv()'s scalar kernel, in row order, in an array('d') grown a row
+    at a time (8 bytes a cell, as evaluate_grid's array).  None where a cell
+    raises, so that evaluate_grid raises the error, checked block by block."""
+    from array import array  # a shared library: only grid exports load it
+
+    t_values = bounds._axis_points(*region.t_interval, nt)
+    c_values = bounds._axis_points(*region.c_interval, nc)
+    cells = array("d")
+    try:
+        resolved = _threshold(stats, sign, threshold)
+        for t in t_values:
+            cells.extend([_cdf(_probit(_correlation(t, c, stats), resolved)) for c in c_values])
+    except PivError:
+        return None
+    return t_values, c_values, cells
+
+
+def grid_export(region: BeliefRegion, resolution, stats, sign, threshold, fmt: str) -> tuple:
+    """(nt, nc, piv_min, piv_max, chunks): the PIV grid over region and its export
+    in fmt ("csv" or "json").  A process without numpy takes _row_cells for a
+    grid of at most _ROW_PATH_CELLS cells; any other grid, or one where a cell
+    raises, goes to bounds.evaluate_grid.  A non-finite PIV is refused before
+    any chunk is made, so that a refused grid leaves no partial file."""
+    nt, nc = bounds._grid_shape(region, resolution)
+    row_cells = None
+    if "numpy" not in sys.modules and nt * nc <= _ROW_PATH_CELLS:
+        row_cells = _row_cells(region, nt, nc, stats, sign, threshold)
     form, frame = (_CSV, _csv) if fmt == "csv" else (_JSON, _json)
-    nc = len(c_values)
-    template = _template(form, nc)
-    return frame(t_values, c_values,
-                 (template % tuple(cells[i:i + nc]) for i in range(0, len(cells), nc)))
+    if row_cells is None:
+        grid = bounds.evaluate_grid(region, resolution, stats, sign, threshold)
+        t_values, c_values = grid.t_values, grid.c_values
+        rows = _rows(grid.piv, form)
+        # numpy's min and max propagate NaN, and take no grid-sized temporary as isfinite would
+        piv_min, piv_max = grid.min(), grid.max()
+        finite = math.isfinite(piv_min) and math.isfinite(piv_max)
+    else:
+        t_values, c_values, cells = row_cells
+        template = _template(form, nc)
+        rows = (template % tuple(cells[i:i + nc]) for i in range(0, len(cells), nc))
+        # Python's min and max do not propagate NaN, so every cell is checked
+        finite = all(map(math.isfinite, cells))
+        piv_min, piv_max = min(cells), max(cells)
+    if not finite:
+        raise InputValidationError("cannot serialize a grid with a non-finite PIV")
+    return nt, nc, piv_min, piv_max, frame(t_values, c_values, rows)
 
 
 # os.writev takes at most SC_IOV_MAX buffers a call (1024 on Linux); os.write,

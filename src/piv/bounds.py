@@ -19,10 +19,10 @@ over the block.  The kernel gets read-only axis arrays and works in place on
 its own temporaries; the axis tuples are built from the arrays after the
 last block.  Only evaluate_grid uses numpy, and it imports it on first
 call, so bounding and verdicts run without loading numpy.  Its checks
-(_grid_shape) and axes (_axis_points) use none, so the CLI's numpy-free
-path for small grids refuses the same inputs and builds the same axes.  A
-ContourGrid refuses a piv array that does not fill its axes and makes it
-read-only; piv._grid_text writes it as CSV or JSON.
+(_grid_shape) and axes (_axis_points) use none, so the numpy-free path of
+piv._grid_text.grid_export refuses the same inputs and builds the same
+axes.  A ContourGrid refuses a piv array that does not fill its axes and
+makes it read-only; piv._grid_text writes it as CSV or JSON.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from enum import Enum
 from .core import (
     _SQRT2,
     _VARIANCE_OVERFLOW,
-    BeliefRegion,  # defined beside CounterfactualBelief; a public name of this module
+    BeliefRegion,  # a public name of piv.core; perfbench/gen.py imports it from here
     CounterfactualBelief,
     EstimateSign,
     InputValidationError,
@@ -55,7 +55,6 @@ from .core import (
 )
 
 __all__ = [
-    "BeliefRegion",
     "ContourGrid",
     "BoundResult",
     "Verdict",

@@ -11,7 +11,8 @@ renders its result as text (6 decimals) or JSON (17 significant digits).
 Each command declares its flags once, in _COMMANDS.  _plain_args reads a
 plain argv from that table without argparse; argparse, built from the same
 table, reads any other and writes all help and usage errors.  Only the
-commands that bound or grid import piv.bounds.
+commands that bound or grid import piv.bounds, and piv._grid_text's
+grid_export evaluates and formats each grid that contour and replicate write.
 
 Exit codes: 0 success, 2 config error (any other invalid input), 3 degenerate
 math, 4 I/O error (--out, or standard output even when closed), 5 verification
@@ -37,10 +38,7 @@ from .core import (
     DegenerateSpreadError,
     InputValidationError,
     PivError,
-    _cdf,
-    _correlation,
     _piv_result,
-    _probit,
     _Record,
     _threshold,
     ideal_correlation,
@@ -188,79 +186,22 @@ def _parse_grid_flag(text: str) -> tuple[int, int]:
     return nt, nc
 
 
-# A grid of at most this many cells is exported without numpy: each cell by
-# piv()'s scalar kernel, each row through its "%" template.  On a shared
-# 2-vCPU Intel Xeon (Python 3.11.7, numpy 2.4.6), whose speed drifted, that
-# cost 1.1-1.9 us a cell, text included (44-77 ms at 200x200), while
-# `import numpy` took 115-150 ms of a fresh process, so every grid under
-# the cut exports sooner in a fresh process.  A process that has numpy
-# loaded already takes the numpy path, 4-6 ms at 200x200.
-_ROW_PATH_CELLS = 200 * 200
-
-
-def _row_grid(region: BeliefRegion, resolution, config: AnalysisConfig) -> tuple | None:
-    """(t_values, c_values, cells) of the grid over region, where cells holds the
-    PIV at each cell, in row order, by piv()'s scalar kernel, in an array('d')
-    grown a row at a time: 8 bytes a cell, as evaluate_grid's array.
-
-    None for a grid of more than _ROW_PATH_CELLS cells, and where a cell
-    raises, so that evaluate_grid raises the error, checked block by block.
-    """
-    from . import bounds
-
-    nt, nc = bounds._grid_shape(region, resolution)
-    if nt * nc > _ROW_PATH_CELLS:
-        return None
-    from array import array  # a shared library: only grid exports load it
-
-    t_values = bounds._axis_points(*region.t_interval, nt)
-    c_values = bounds._axis_points(*region.c_interval, nc)
-    stats = config.observed
-    cells = array("d")
-    try:
-        resolved = _threshold(stats, config.sign, config.threshold)
-        for t in t_values:
-            cells.extend([_cdf(_probit(_correlation(t, c, stats), resolved)) for c in c_values])
-    except PivError:
-        return None
-    return t_values, c_values, cells
-
-
 def _export_grid(args, config: AnalysisConfig, region: BeliefRegion, fmt: str):
     """Evaluate the grid over region, stream it to --out as bytes in batches of rows,
-    and return (nt, nc, piv_min, piv_max).  A failed write raises _WriteError.
-    In a process that has not loaded numpy, a grid _row_grid takes is
-    evaluated and written without it."""
+    and return (nt, nc, piv_min, piv_max).  A failed write raises _WriteError."""
     resolution = _parse_grid_flag(args.grid) if args.grid is not None else config.grid or (101, 101)
     if args.out is None:
         raise InputValidationError("--out is required")
-    row_grid = None if "numpy" in sys.modules else _row_grid(region, resolution, config)
-    from . import bounds
-    from ._grid_text import cell_chunks, csv_chunks, json_chunks, write_chunks
+    from ._grid_text import grid_export, write_chunks  # on first use: only grid exports need it
 
-    if row_grid is None:
-        grid = bounds.evaluate_grid(region, resolution, config.observed, config.sign,
-                                    config.threshold)
-        t_values, c_values = grid.t_values, grid.c_values
-        # numpy's min and max propagate NaN, and take no grid-sized temporary as isfinite would
-        piv_min, piv_max = grid.min(), grid.max()
-        finite = math.isfinite(piv_min) and math.isfinite(piv_max)
-        chunks = (csv_chunks if fmt == "csv" else json_chunks)(grid)
-    else:
-        t_values, c_values, cells = row_grid
-        # Python's min and max do not propagate NaN, so every cell is checked
-        finite = all(map(math.isfinite, cells))
-        piv_min, piv_max = min(cells), max(cells)
-        chunks = cell_chunks(fmt, t_values, c_values, cells)
-    # refuse before the file is opened, so a refused grid leaves no partial file
-    if not finite:
-        raise InputValidationError("cannot serialize a grid with a non-finite PIV")
+    nt, nc, piv_min, piv_max, chunks = grid_export(region, resolution, config.observed,
+                                                   config.sign, config.threshold, fmt)
     try:
         with open(args.out, "wb", buffering=0) as handle:
             write_chunks(handle.fileno(), chunks)
     except OSError as exc:
         raise _WriteError(f"{args.out}: {exc}") from exc
-    return len(t_values), len(c_values), piv_min, piv_max
+    return nt, nc, piv_min, piv_max
 
 
 def cmd_contour(args, config: AnalysisConfig, region: BeliefRegion) -> int:
@@ -339,16 +280,8 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None):
-    """The argparse parser, with only command's subparser when command names one.
-
-    A process runs one command, and each add_argument call costs time and
-    leaves cyclic garbage, so main builds the subparser of the command it
-    was given.  For no command, an unknown one or a flag such as --help,
-    every subparser is built, so help and errors list them all.  The usage
-    line names every command either way, so each output is the same as the
-    full parser's.
-    """
+def build_parser():
+    """The argparse parser of every command, built from _COMMANDS."""
     import argparse  # only help, usage errors and argv _plain_args declines load it
 
     parser = argparse.ArgumentParser(
@@ -356,12 +289,8 @@ def build_parser(command: str | None = None):
         description="Bound the probability that a significant two-group regression "
                     "inference survives retesting on the counterfactual-completed sample.",
     )
-    only = command in _COMMANDS
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{" + ",".join(_COMMANDS) + "}" if only else None)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags, *_) in _COMMANDS.items():
-        if only and name != command:
-            continue
         p = sub.add_parser(name, help=help_text)
         for flag, default, kind, flag_help in flags:
             p.add_argument(flag, help=flag_help, **(
@@ -404,7 +333,7 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _plain_args(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         if args.command == "verify":
             config = None

@@ -58,6 +58,7 @@ __all__ = [
     "SignMismatchError",
     "ObservedStats",
     "CounterfactualBelief",
+    "BeliefRegion",
     "EstimateSign",
     "StatisticalThreshold",
     "FixedThreshold",

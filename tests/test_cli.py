@@ -148,19 +148,20 @@ _SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] /
 
 # Runs the code in argv[2], then each argv in argv[1] through main() in one
 # fresh process, and prints, for each argv: its exit code, stdout and stderr,
-# whether each _row_grid call gave a grid (the row path) or None, and whether
-# numpy is loaded after it; then len(calls) where the setup code defines calls.
-# The process has not loaded numpy, so grids under the cut take the row path.
+# whether each _grid_text._row_cells call gave the cells (the row path) or
+# None, and whether numpy is loaded after it; then len(calls) where the setup
+# code defines calls.  The process has not loaded numpy, so grids under the
+# cut take the row path.
 _COLD_MAIN = """
 import contextlib, io, json, sys
-import piv.cli
+import piv._grid_text, piv.cli
 exec(sys.argv[2])
-took, row_grid = [], piv.cli._row_grid
+took, row_cells = [], piv._grid_text._row_cells
 def traced(*args):
-    grid = row_grid(*args)
-    took.append(grid is not None)
-    return grid
-piv.cli._row_grid = traced
+    cells = row_cells(*args)
+    took.append(cells is not None)
+    return cells
+piv._grid_text._row_cells = traced
 steps = []
 for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
@@ -712,13 +713,13 @@ class TestContourCommand:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_cell_refused_on_the_row_path(self, fmt, tmp_path):
         # a NaN in the middle of the grid, which Python's min and max would skip;
-        # in a fresh process, which takes the row path, the one caller of cli._cdf
+        # in a fresh process, which takes the row path, the one caller of _grid_text._cdf
         nan_cell = ("import math\n"
-                    "calls, cdf = [], piv.cli._cdf\n"
+                    "calls, cdf = [], piv._grid_text._cdf\n"
                     "def nan_cell(x):\n"
                     "    calls.append(x)\n"
                     "    return math.nan if len(calls) == 5 else cdf(x)\n"
-                    "piv.cli._cdf = nan_cell\n")
+                    "piv._grid_text._cdf = nan_cell\n")
         path = write_config(tmp_path, base_config_object())
         out_path = tmp_path / "grid.out"
         [(code, out, err, took, numpy_loaded)], calls = _cold_main(
@@ -736,7 +737,7 @@ class TestContourCommand:
             raise AssertionError("grid evaluated before --out was checked")
 
         monkeypatch.setattr(bounds, "evaluate_grid", no_grid)
-        monkeypatch.setattr(cli, "_row_grid", no_grid)
+        monkeypatch.setattr(_grid_text, "_row_cells", no_grid)
         path = write_config(tmp_path, base_config_object())
         assert main(["contour", "--config", path, "--belief", "box"]) == EXIT_CONFIG
         assert capsys.readouterr().err == "config error: --out is required\n"
@@ -841,7 +842,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 
 
 class TestRowPath:
-    """Grids of at most cli._ROW_PATH_CELLS cells are evaluated and written
+    """Grids of at most _grid_text._ROW_PATH_CELLS cells are evaluated and written
     without numpy in a process that has not loaded it; their bytes, exit codes
     and messages are the numpy path's.  This process has loaded numpy, so
     each row-path case runs in a fresh one."""
@@ -888,6 +889,29 @@ class TestRowPath:
             with pytest.raises(DegenerateSpreadError):
                 ideal_correlation(CounterfactualBelief(0.0, 0.0), stats)
 
+    @pytest.mark.parametrize("case", list(ROW_PATH_CASES))
+    def test_row_cells_are_evaluate_grids_bit_for_bit(self, case):
+        # the row path's kernel, called directly: its axes and every cell's bits
+        obj, belief = ROW_PATH_CASES[case]()
+        config = parse_config(obj)
+        region = config.belief_as(belief, "region")
+        grid = evaluate_grid(region, (37, 41), config.observed, config.sign, config.threshold)
+        t_values, c_values, cells = _grid_text._row_cells(region, 37, 41, config.observed,
+                                                          config.sign, config.threshold)
+        assert (t_values, c_values) == (grid.t_values, grid.c_values)
+        assert cells.tobytes() == grid.piv.tobytes()
+
+    @pytest.mark.parametrize("name", list(GRID_ERRORS))
+    def test_row_cells_hand_a_raising_grid_over(self, name):
+        # None, not the first cell's error, so that evaluate_grid raises its own
+        interval = GRID_ERRORS[name][0]
+        config = parse_config({"observed": ZERO_SPREAD_STATS, "sign": "positive",
+                               "threshold": {"kind": "statistical", "critical": 1.96},
+                               "beliefs": [{"name": "box",
+                                            "region": {"t": interval, "c": interval}}]})
+        assert _grid_text._row_cells(config.belief_as("box", "region"), 3, 3, config.observed,
+                                     config.sign, config.threshold) is None
+
     def test_csv_export_peak_memory_below_one_and_a_half_file_sizes(self, tmp_path):
         # the row path holds the grid as one array('d') grown a row at a time, 8
         # bytes a cell against about 9 of CSV, and writes rows in 8 KiB batches
@@ -911,7 +935,7 @@ class TestRowPath:
         calls, evaluate = [], bounds.evaluate_grid
         monkeypatch.setattr(bounds, "evaluate_grid",
                             lambda *args: calls.append(args) or evaluate(*args))
-        monkeypatch.setattr(cli, "_row_grid", no_rows)
+        monkeypatch.setattr(_grid_text, "_row_cells", no_rows)
         path = write_config(tmp_path, config_to_json_object(case_study_config()))
         assert "numpy" in sys.modules
         assert main(["contour", "--config", path, "--belief", "plausible-region",
@@ -1705,6 +1729,18 @@ def test_only_the_cli_imports_the_cli():
     assert importers == []
 
 
+def test_the_cli_evaluates_no_grid_cell():
+    # grid evaluation, on either path, is piv._grid_text.grid_export's alone
+    source = (_SRC_PIV / "cli.py").read_text(encoding="utf-8")
+    functions = {node.name for node in ast.walk(ast.parse(source))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert "_row_grid" not in functions
+    assert not hasattr(cli, "_row_grid")
+    kernel = {"piv.core._cdf", "piv.core._correlation", "piv.core._probit"}
+    assert kernel & _imported(source) == set()
+    assert "piv._grid_text.grid_export" in _imported(source)
+
+
 def test_only_main_writes_stderr_or_picks_a_failure_code():
     """Every other function raises on failure, so that main alone writes the
     one stderr line and picks the exit code, which then holds whatever becomes
@@ -1749,6 +1785,27 @@ def test_the_package_lends_the_bounds_names_on_first_use():
     assert set(json.loads(proc.stdout)) == PUBLIC_NAMES
 
 
+# Runs argv[1] in a fresh process, and prints whether piv.bounds is loaded after
+# it, and whether `from piv import bound_piv` then gives piv.bounds's own object.
+_FROM_IMPORT_PROBE = """
+import json, sys
+exec(sys.argv[1])
+loaded = "piv.bounds" in sys.modules
+from piv import bound_piv
+print(json.dumps([loaded, bound_piv is sys.modules["piv.bounds"].bound_piv]))
+"""
+
+
+@pytest.mark.parametrize("statement", ["from piv import config", "from piv import oracle",
+                                       "from piv import BeliefRegion"])
+def test_from_imports_of_other_names_load_no_bounds(statement):
+    # a submodule, or a name of piv.core, is not one piv.bounds lends
+    proc = subprocess.run([sys.executable, "-c", _FROM_IMPORT_PROBE, statement], env=_SRC_ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, True]
+
+
 def test_belief_region_is_one_class():
     import piv
     from piv import bounds, core
@@ -1786,8 +1843,9 @@ def test_the_cli_keeps_the_names_perfbench_reads():
         assert getattr(cli, name) is getattr(bounds, name)
 
 
-# Help and parse errors.  main builds only the subparser of the command it is
-# given, and must print exactly what the parser holding every command prints.
+# Help and parse errors.  main hands every argv _plain_args declines to the
+# parser of every command, and must print exactly what it printed when main
+# built only the subparser of the command it was given.
 _PARSER_EXITS = [[], ["--help"], ["-h"], ["bogus"], ["--bogus"], ["compute", "--bogus"],
                  ["compute", "extra"], ["compute", "--format", "xml"], ["contour", "--grid"],
                  ["verify", "--seeds", "x"], ["replicate", "--out"]]
@@ -1832,24 +1890,12 @@ def test_help_and_errors_match_the_full_parser(argv, monkeypatch, capsys):
         assert hashlib.sha256(text.encode()).hexdigest() == PARSER_EXIT_SHA256[" ".join(argv)]
 
 
-def test_usage_lists_every_command_for_a_one_command_parser(monkeypatch, capsys):
+def test_usage_lists_every_command(monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit):
         main(["compute", "--bogus"])
     assert capsys.readouterr().err.startswith(
         "usage: piv [-h] {compute,bound,contour,power,replicate,verify} ...\n")
-
-
-@pytest.mark.parametrize("argv", [
-    ["compute", "--config", "a.json", "--belief", "corner", "--format", "json"],
-    ["bound", "--config", "a.json", "--dump-config"],
-    ["contour", "--config", "a.json", "--belief", "box", "--out", "g.csv", "--grid", "3x3"],
-    ["power", "--belief", "corner"],
-    ["replicate", "--grid", "20x20"],
-    ["verify", "--seeds", "3", "--reps", "1000"],
-], ids=lambda argv: argv[0])
-def test_one_command_parser_parses_as_the_full_parser(argv):
-    assert vars(cli.build_parser(argv[0]).parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
 
 
 # The plain path: main reads a command and its exact flags without argparse,
