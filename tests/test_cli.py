@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import piv
 from piv.bounds import ContourGrid, evaluate_grid
 from piv.cli import (
     EXIT_CONFIG,
@@ -143,8 +145,9 @@ def band_config_object(variant: str) -> dict:
         obj["beliefs"].append(POSITIVE_BAND)
     return obj
 
-# the environment of a child process that imports this checkout's piv
-_SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+# the environment of a child process that imports the piv this suite imports,
+# the checkout's src or an installed copy
+_SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
 
 # Runs the code in argv[2], then each argv in argv[1] through main() in one
 # fresh process, and prints, for each argv: its exit code, stdout and stderr,
@@ -585,6 +588,28 @@ class TestContourCommand:
                 "--grid", grid, "--format", fmt, "--out", str(out_path)]
         assert main(argv) == EXIT_OK
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == CONTOUR_EXPORT_SHA256[grid, fmt]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo on this system")
+    def test_export_through_a_fifo_pinned(self, tmp_path):
+        # a target that cannot seek gets the same bytes, read as they are written
+        path = write_config(tmp_path, config_to_json_object(case_study_config()))
+        fifo = tmp_path / "grid.fifo"
+        os.mkfifo(fifo)
+        digest = hashlib.sha256()
+
+        def read():
+            with open(fifo, "rb") as stream:
+                for block in iter(lambda: stream.read(1 << 16), b""):
+                    digest.update(block)
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        code = main(["contour", "--config", path, "--belief", "plausible-region",
+                     "--grid", "1000x250", "--format", "csv", "--out", str(fifo)])
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert code == EXIT_OK
+        assert digest.hexdigest() == CONTOUR_EXPORT_SHA256["1000x250", "csv"]
 
     @pytest.mark.skipif(not hasattr(os, "writev"), reason="no os.writev on this system")
     @pytest.mark.parametrize("grid, fmt", list(CONTOUR_EXPORT_SHA256))
@@ -1521,33 +1546,51 @@ def test_config_error_names_path_once(case, tmp_path, capsys):
 # Cold path: only verify and contour grids of more than 200x200 cells import numpy
 # =============================================================================
 
-# Imports the package, then runs each argv through main() in one process, and
-# prints [step, whether the module named by argv[2] is in sys.modules after it]
-# for every step.
+# Runs each step of argv[1] in one fresh process.  A step is a Python statement,
+# run in a namespace of its own, or an argv that main() runs with stdout and
+# stderr set aside.  Prints piv.__file__ and, for each step, [step, the names
+# the statement bound or the argv's exit code, SystemExit's included, whether
+# each module of the JSON list argv[2] is in sys.modules after it].
 _MODULE_PROBE = """
 import contextlib, io, json, sys
-steps = []
-def step(name):
-    steps.append([name, sys.argv[2] in sys.modules])
+watched, steps = json.loads(sys.argv[2]), []
+for step in json.loads(sys.argv[1]):
+    if isinstance(step, str):
+        names = {}
+        exec(step, names)
+        result = sorted(set(names) - {"__builtins__"})
+    else:
+        import piv.cli
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                result = piv.cli.main(step)
+            except SystemExit as exc:
+                result = exc.code
+    steps.append([step, result, [module in sys.modules for module in watched]])
 import piv
-step("import piv")
-import piv.cli
-step("import piv.cli")
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = piv.cli.main(argv)
-    if code != 0:
-        sys.exit(f"{argv} exited {code}")
-    step(" ".join(argv))
-print(json.dumps(steps))
+print(json.dumps([piv.__file__, steps]))
 """
 
 
-def _loaded_after(argvs: list[list[str]], module: str = "numpy") -> list[list]:
-    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps(argvs), module],
+def _probe(steps: list, modules: tuple[str, ...]) -> list[list]:
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps(steps),
+                           json.dumps(modules)],
                           env=_SRC_ENV, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    piv_file, steps = json.loads(proc.stdout)
+    assert piv_file == piv.__file__  # the child imported the piv under test
+    return steps
+
+
+def _loaded_after(argvs: list[list[str]],
+                  modules: tuple[str, ...] = ("numpy",)) -> dict[str, list[list]]:
+    """module -> [step, whether the module is loaded after it] for import piv,
+    import piv.cli and each argv, which must exit 0, in one fresh process."""
+    steps = _probe(["import piv", "import piv.cli", *argvs], modules)
+    assert [code for _, code, _ in steps[2:]] == [0] * len(argvs), steps
+    names = [step if isinstance(step, str) else " ".join(step) for step, _, _ in steps]
+    return {module: [[name, loaded[i]] for name, (_, _, loaded) in zip(names, steps)]
+            for i, module in enumerate(modules)}
 
 
 def test_point_bound_and_dump_config_do_not_import_numpy(tmp_path):
@@ -1560,8 +1603,10 @@ def test_point_bound_and_dump_config_do_not_import_numpy(tmp_path):
     # nor piv.report, which only replicate and verify use, nor dataclasses and the
     # inspect it pulls in, whose import and class building would double a cold start,
     # nor array, a shared library that only grid exports use
-    for module in ("numpy", "piv.report", "dataclasses", "inspect", "array"):
-        steps = _loaded_after(argvs, module)
+    modules = ("numpy", "piv.report", "dataclasses", "inspect", "array")
+    loaded_after = _loaded_after(argvs, modules)
+    for module in modules:
+        steps = loaded_after[module]
         assert len(steps) == 2 + len(argvs)
         assert [name for name, loaded in steps if loaded] == [], module
 
@@ -1577,25 +1622,12 @@ def test_plain_command_lines_load_no_argparse_and_point_commands_no_bounds(tmp_p
     contour = [["contour", "--config", path, "--belief", "plausible-region", "--grid", "3x3",
                 "--format", fmt, "--out", str(tmp_path / f"grid.{fmt}")]
                for fmt in ("csv", "json")]
-    steps = _loaded_after(point + bound + contour, "argparse")
+    loaded_after = _loaded_after(point + bound + contour, ("argparse", "piv.bounds"))
+    steps = loaded_after["argparse"]
     assert [name for name, loaded in steps if loaded] == []
     # import piv and import piv.cli load no bounds either; bound and contour do
-    steps = _loaded_after(point + bound + contour, "piv.bounds")
+    steps = loaded_after["piv.bounds"]
     assert [loaded for _, loaded in steps] == [False] * (2 + len(point)) + [True] * 6
-
-
-# Runs main(argv[1]) in a fresh process, with stdout and stderr set aside, and
-# prints its exit code and whether argparse is loaded after it.
-_ARGPARSE_PROBE = """
-import contextlib, io, json, sys
-import piv.cli
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    try:
-        code = piv.cli.main(json.loads(sys.argv[1]))
-    except SystemExit as exc:
-        code = exc.code
-print(json.dumps([code, "argparse" in sys.modules]))
-"""
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -1603,10 +1635,7 @@ print(json.dumps([code, "argparse" in sys.modules]))
     (["compute", "--conf", "missing.json"], 2), (["verify", "--seeds", "x"], 2),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else f"exit-{value}")
 def test_help_usage_errors_and_unusual_argv_load_argparse(argv, code):
-    proc = subprocess.run([sys.executable, "-c", _ARGPARSE_PROBE, json.dumps(argv)],
-                          env=_SRC_ENV, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [code, True]
+    assert _probe([argv], ("argparse",)) == [[argv, code, [True]]]
 
 
 def test_only_the_report_commands_load_the_report(tmp_path):
@@ -1614,14 +1643,14 @@ def test_only_the_report_commands_load_the_report(tmp_path):
     argvs = [["contour", "--config", path, "--belief", "plausible-region", "--grid", "3x3",
               "--out", str(tmp_path / "grid.csv")],
              ["verify", "--seeds", "1"]]
-    steps = _loaded_after(argvs, "piv.report")
+    steps = _loaded_after(argvs, ("piv.report",))["piv.report"]
     assert [loaded for _, loaded in steps] == [False, False, False, True]
 
 
 def test_verify_loads_no_dataclasses():
     # the oracle's records are _Record values too; numpy itself loads inspect,
     # so only dataclasses is pinned on this path
-    steps = _loaded_after([["verify", "--seeds", "1"]], "dataclasses")
+    steps = _loaded_after([["verify", "--seeds", "1"]], ("dataclasses",))["dataclasses"]
     assert [loaded for _, loaded in steps] == [False, False, False]
 
 
@@ -1637,7 +1666,7 @@ def test_grid_and_oracle_commands_import_numpy(command, tmp_path):
     else:
         argvs = [["verify", "--seeds", "1"]]
         loaded_after = [False, False, True]
-    steps = _loaded_after(argvs)
+    steps = _loaded_after(argvs)["numpy"]
     assert [loaded for _, loaded in steps] == loaded_after
 
 
@@ -1651,7 +1680,7 @@ def test_row_path_exports_and_replicate_load_no_numpy(tmp_path):
     argvs += [["contour", "--config", path, "--belief", "box", "--format", "json",
                "--grid", grid, "--out", str(tmp_path / "grid.json")]
               for grid in ("200x200", "201x200")]
-    steps = _loaded_after(argvs)
+    steps = _loaded_after(argvs)["numpy"]
     assert [loaded for _, loaded in steps] == [False] * (2 + 4) + [True]
 
 
@@ -1668,11 +1697,10 @@ def test_grid_writers_load_only_where_they_are_used(tmp_path):
               for grid, fmt in (("20x20", "csv"), ("20x20", "json"), ("50x50", "csv"),
                                 ("50x50", "json"), ("80x80", "json"), ("300x300", "json"))]
     cold, small = [False] * (2 + 4), [True] * 5
-    for module, loaded_after in (("numpy", cold + [False] * 5 + [True]),
-                                 ("piv._grid_text", cold + small + [True]),
-                                 ("piv._json_digits", cold + [False] * 5 + [True])):
-        steps = _loaded_after(argvs, module)
-        assert [loaded for _, loaded in steps] == loaded_after, module
+    expected = {"numpy": cold + [False] * 5 + [True], "piv._grid_text": cold + small + [True],
+                "piv._json_digits": cold + [False] * 5 + [True]}
+    for module, steps in _loaded_after(argvs, tuple(expected)).items():
+        assert [loaded for _, loaded in steps] == expected[module], module
 
 
 # =============================================================================
@@ -1687,12 +1715,10 @@ PUBLIC_NAMES = {
     "BeliefRegion", "ContourGrid", "BoundResult", "Verdict", "evaluate_grid", "bound_piv",
     "robustness_verdict", "__version__",
 }
-_SRC_PIV = Path(__file__).resolve().parents[1] / "src" / "piv"
+_SRC_PIV = Path(cli.__file__).parent
 
 
 def test_public_names_are_pinned_and_resolve():
-    import piv
-
     assert len(piv.__all__) == len(PUBLIC_NAMES) == 25
     assert set(piv.__all__) == PUBLIC_NAMES
     for name in piv.__all__:
@@ -1759,69 +1785,44 @@ def test_only_main_writes_stderr_or_picks_a_failure_code():
 
 
 def test_import_piv_leaves_the_cli_unloaded():
-    assert _loaded_after([], "piv.cli") == [["import piv", False], ["import piv.cli", True]]
+    loaded_after = _loaded_after([], ("piv.cli", "argparse", "piv.bounds"))
+    assert loaded_after["piv.cli"] == [["import piv", False], ["import piv.cli", True]]
     for module in ("argparse", "piv.bounds"):
-        assert _loaded_after([], module) == [["import piv", False], ["import piv.cli", False]]
-
-
-# From-imports of the package in a fresh process, where piv.bounds is not loaded
-# yet; prints the names `from piv import *` binds.
-_FROM_PIV_PROBE = """
-import json
-from piv import _json_digits
-from piv import config
-names = {}
-exec("from piv import *", names)
-print(json.dumps(sorted(set(names) - {"__builtins__"})))
-"""
+        assert loaded_after[module] == [["import piv", False], ["import piv.cli", False]]
 
 
 def test_the_package_lends_the_bounds_names_on_first_use():
     # a private name is refused before piv.bounds is looked up, so `from piv
     # import _json_digits` does not recurse; submodules import as before
-    proc = subprocess.run([sys.executable, "-c", _FROM_PIV_PROBE], env=_SRC_ENV,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert set(json.loads(proc.stdout)) == PUBLIC_NAMES
+    steps = _probe(["from piv import _json_digits", "from piv import config",
+                    "from piv import *"], ())
+    assert set(steps[-1][1]) == PUBLIC_NAMES
 
 
-# Runs argv[1] in a fresh process, and prints whether piv.bounds is loaded after
-# it, and whether `from piv import bound_piv` then gives piv.bounds's own object.
-_FROM_IMPORT_PROBE = """
-import json, sys
-exec(sys.argv[1])
-loaded = "piv.bounds" in sys.modules
-from piv import bound_piv
-print(json.dumps([loaded, bound_piv is sys.modules["piv.bounds"].bound_piv]))
-"""
+# in a fresh process, where piv.bounds is not loaded yet: then `from piv import
+# bound_piv` gives piv.bounds's own object
+_FROM_BOUNDS = ("import sys\nfrom piv import bound_piv\n"
+                "assert bound_piv is sys.modules['piv.bounds'].bound_piv")
 
 
 @pytest.mark.parametrize("statement", ["from piv import config", "from piv import oracle",
                                        "from piv import BeliefRegion"])
 def test_from_imports_of_other_names_load_no_bounds(statement):
     # a submodule, or a name of piv.core, is not one piv.bounds lends
-    proc = subprocess.run([sys.executable, "-c", _FROM_IMPORT_PROBE, statement], env=_SRC_ENV,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [False, True]
+    steps = _probe([statement, _FROM_BOUNDS], ("piv.bounds",))
+    assert [loaded for *_, loaded in steps] == [[False], [True]]
 
 
 def test_belief_region_is_one_class():
-    import piv
-    from piv import bounds, core
+    from piv import core
 
     assert core.BeliefRegion is bounds.BeliefRegion is piv.BeliefRegion
     assert piv.bounds is bounds
 
 
 def test_the_config_layer_loads_without_the_cli():
-    probe = ("import json, sys, piv.config\n"
-             "print(json.dumps(sorted({'numpy', 'argparse', 'piv.cli', 'piv.bounds'}"
-             " & set(sys.modules))))")
-    proc = subprocess.run([sys.executable, "-c", probe], env=_SRC_ENV, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    steps = _probe(["import piv.config"], ("numpy", "argparse", "piv.cli", "piv.bounds"))
+    assert steps == [["import piv.config", ["piv"], [False] * 4]]
 
 
 # the names perfbench/ reads from piv.cli, as attributes or through a from-import
@@ -1843,13 +1844,14 @@ def test_the_cli_keeps_the_names_perfbench_reads():
         assert getattr(cli, name) is getattr(bounds, name)
 
 
-# Help and parse errors.  main hands every argv _plain_args declines to the
-# parser of every command, and must print exactly what it printed when main
-# built only the subparser of the command it was given.
+# Help and parse errors, which main leaves to argparse: help exits 0 and a
+# usage error 2.
 _PARSER_EXITS = [[], ["--help"], ["-h"], ["bogus"], ["--bogus"], ["compute", "--bogus"],
                  ["compute", "extra"], ["compute", "--format", "xml"], ["contour", "--grid"],
                  ["verify", "--seeds", "x"], ["replicate", "--out"]]
 _PARSER_EXITS += [[command, "--help"] for command in cli._COMMANDS]
+PARSER_EXIT_CODE = {" ".join(argv): 0 if argv[-1:] in (["--help"], ["-h"]) else 2
+                    for argv in _PARSER_EXITS}
 # " ".join(argv) -> sha256 of json.dumps([stdout, stderr, exit code]) that main
 # gives at COLUMNS=80 under Python 3.11, recorded before the parser was built
 # from the flag table; Python 3.10 prints "optional arguments:" in help
@@ -1877,14 +1879,24 @@ PARSER_EXIT_SHA256 = {
 @pytest.mark.parametrize("argv", _PARSER_EXITS, ids=lambda argv: " ".join(argv) or "no-command")
 def test_help_and_errors_match_the_full_parser(argv, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
-    with pytest.raises(SystemExit) as full:
-        cli.build_parser().parse_args(argv)
-    expected = capsys.readouterr()
     with pytest.raises(SystemExit) as one:
         main(argv)
-    assert one.value.code == full.value.code
     got = capsys.readouterr()
-    assert got == expected
+    assert one.value.code == PARSER_EXIT_CODE[" ".join(argv)]
+    # help goes to stdout, a usage error to stderr, and neither writes the other stream
+    shown, silent = (got.out, got.err) if one.value.code == 0 else (got.err, got.out)
+    assert shown.startswith("usage: piv")
+    assert silent == ""
+    # help names every command, or every flag of its command, with its help;
+    # compared without whitespace, since argparse may break a line at any space or hyphen
+    if one.value.code == 0:
+        rows = ([(name, help_text) for name, (help_text, *_) in cli._COMMANDS.items()]
+                if len(argv) == 1 else
+                [(flag, flag_help or "") for flag, _, _, flag_help in cli._COMMANDS[argv[0]][1]])
+        text = "".join(got.out.split())
+        for name, help_text in rows:
+            assert name in text, name
+            assert "".join(help_text.split()) in text, help_text
     if sys.version_info[:2] == (3, 11):
         text = json.dumps([got.out, got.err, one.value.code])
         assert hashlib.sha256(text.encode()).hexdigest() == PARSER_EXIT_SHA256[" ".join(argv)]

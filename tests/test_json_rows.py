@@ -179,7 +179,7 @@ def test_tables_build_in_little_memory():
              "tracemalloc.start()\n"
              "_json_digits._tables()\n"
              "print(*tracemalloc.get_traced_memory())\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env = dict(os.environ, PYTHONPATH=str(Path(_json_digits.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     kept, peak = map(int, proc.stdout.split())
