@@ -530,9 +530,9 @@ _SPEC_SIZES = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
 def random_spec(seed: int, p: int | None = None, n_ob: int | None = None) -> SyntheticSpec:
     """A reproducible, well-conditioned spec for batch checks.
 
-    Covariate counts cycle through 0..6 and sample sizes through 8..512
-    unless pinned; means are kept separated so relative comparisons of the
-    treatment coefficient stay meaningful.
+    Covariate counts cycle through 0..6 unless p is given, and sample sizes
+    are drawn from 8..512 unless n_ob is; means are kept separated so relative
+    comparisons of the treatment coefficient stay meaningful.
     """
     rng = np.random.default_rng(seed)
     if p is None:

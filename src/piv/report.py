@@ -1,15 +1,13 @@
 """The reports of `piv replicate` and `piv verify`, as lines of text.
 
-replicate_report walks the case-study config through the six steps of the
-PIV procedure; verify_report runs the brute-force checks of piv.oracle, which
-it imports, and numpy with it, on first call.
+replicate_report walks a config through the six PIV steps with piv.bounds, and
+verify_report runs piv.oracle's brute-force checks; each imports on first call.
 """
 
 from __future__ import annotations
 
 import math
 
-from .bounds import bound_piv, robustness_verdict
 from .config import AnalysisConfig
 from .core import (
     CounterfactualBelief,
@@ -44,6 +42,8 @@ def replicate_report(config: AnalysisConfig) -> tuple[list[str], dict]:
     belief-1-corner: a missing one, or one of the other kind, is an
     InputValidationError naming it.
     """
+    from .bounds import bound_piv, robustness_verdict
+
     stats, sign, threshold = config.observed, config.sign, config.threshold
     resolved = se, critical, _, statistical, positive = _threshold(stats, sign, threshold)
 

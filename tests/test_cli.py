@@ -6,6 +6,7 @@ import ast
 import errno
 import functools
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -539,6 +540,22 @@ class TestContourCommand:
         size = out_path.stat().st_size
         assert size > 1_000_000
         assert peak < size
+
+    def test_first_json_export_peak_memory_below_file_size(self, tmp_path):
+        # nothing warmed in a fresh process: the first export also builds the digit tables
+        path = write_config(tmp_path, config_to_json_object(case_study_config()))
+        out_path = tmp_path / "grid.json"
+        argv = ["contour", "--config", path, "--belief", "plausible-region",
+                "--grid", "300x300", "--format", "json", "--out", str(out_path)]
+        child = ("import json, sys, tracemalloc\n"
+                 "import numpy, piv._grid_text, piv._json_digits, piv.cli\n"
+                 "tracemalloc.start()\n"
+                 "assert piv.cli.main(json.loads(sys.argv[1])) == 0\n"
+                 "print(tracemalloc.get_traced_memory()[1], file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", child, json.dumps(argv)],
+                              env=_SRC_ENV, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stderr) < out_path.stat().st_size
 
     def test_csv_export_peak_memory_below_file_size(self, tmp_path):
         # a CSV cell is 9 bytes against the grid array's 8, so the blocks the grid
@@ -1543,167 +1560,6 @@ def test_config_error_names_path_once(case, tmp_path, capsys):
 
 
 # =============================================================================
-# Cold path: only verify and contour grids of more than 200x200 cells import numpy
-# =============================================================================
-
-# Runs each step of argv[1] in one fresh process.  A step is a Python statement,
-# run in a namespace of its own, or an argv that main() runs with stdout and
-# stderr set aside.  Prints piv.__file__ and, for each step, [step, the names
-# the statement bound or the argv's exit code, SystemExit's included, whether
-# each module of the JSON list argv[2] is in sys.modules after it].
-_MODULE_PROBE = """
-import contextlib, io, json, sys
-watched, steps = json.loads(sys.argv[2]), []
-for step in json.loads(sys.argv[1]):
-    if isinstance(step, str):
-        names = {}
-        exec(step, names)
-        result = sorted(set(names) - {"__builtins__"})
-    else:
-        import piv.cli
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                result = piv.cli.main(step)
-            except SystemExit as exc:
-                result = exc.code
-    steps.append([step, result, [module in sys.modules for module in watched]])
-import piv
-print(json.dumps([piv.__file__, steps]))
-"""
-
-
-def _probe(steps: list, modules: tuple[str, ...]) -> list[list]:
-    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps(steps),
-                           json.dumps(modules)],
-                          env=_SRC_ENV, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    piv_file, steps = json.loads(proc.stdout)
-    assert piv_file == piv.__file__  # the child imported the piv under test
-    return steps
-
-
-def _loaded_after(argvs: list[list[str]],
-                  modules: tuple[str, ...] = ("numpy",)) -> dict[str, list[list]]:
-    """module -> [step, whether the module is loaded after it] for import piv,
-    import piv.cli and each argv, which must exit 0, in one fresh process."""
-    steps = _probe(["import piv", "import piv.cli", *argvs], modules)
-    assert [code for _, code, _ in steps[2:]] == [0] * len(argvs), steps
-    names = [step if isinstance(step, str) else " ".join(step) for step, _, _ in steps]
-    return {module: [[name, loaded[i]] for name, (_, _, loaded) in zip(names, steps)]
-            for i, module in enumerate(modules)}
-
-
-def test_point_bound_and_dump_config_do_not_import_numpy(tmp_path):
-    path = write_config(tmp_path, config_to_json_object(case_study_config()))
-    argvs = [[command, "--config", path, "--belief", belief, "--format", fmt]
-             for command, belief in (("compute", "belief-1-corner"), ("power", "belief-1-corner"),
-                                     ("bound", "belief-1"), ("bound", "belief-2"))
-             for fmt in ("text", "json")]
-    argvs.append(["compute", "--config", path, "--dump-config"])
-    # nor piv.report, which only replicate and verify use, nor dataclasses and the
-    # inspect it pulls in, whose import and class building would double a cold start,
-    # nor array, a shared library that only grid exports use
-    modules = ("numpy", "piv.report", "dataclasses", "inspect", "array")
-    loaded_after = _loaded_after(argvs, modules)
-    for module in modules:
-        steps = loaded_after[module]
-        assert len(steps) == 2 + len(argvs)
-        assert [name for name, loaded in steps if loaded] == [], module
-
-
-def test_plain_command_lines_load_no_argparse_and_point_commands_no_bounds(tmp_path):
-    path = write_config(tmp_path, config_to_json_object(case_study_config()))
-    point = [[command, "--config", path, "--belief", "belief-1-corner", "--format", fmt]
-             for command in ("compute", "power") for fmt in ("text", "json")]
-    point += [["compute", "--config", path, "--dump-config"],
-              ["power", "--config", path, "--format", "json", "--dump-config"]]
-    bound = [["bound", "--config", path, "--belief", belief, "--format", fmt]
-             for belief in ("belief-1", "belief-2") for fmt in ("text", "json")]
-    contour = [["contour", "--config", path, "--belief", "plausible-region", "--grid", "3x3",
-                "--format", fmt, "--out", str(tmp_path / f"grid.{fmt}")]
-               for fmt in ("csv", "json")]
-    loaded_after = _loaded_after(point + bound + contour, ("argparse", "piv.bounds"))
-    steps = loaded_after["argparse"]
-    assert [name for name, loaded in steps if loaded] == []
-    # import piv and import piv.cli load no bounds either; bound and contour do
-    steps = loaded_after["piv.bounds"]
-    assert [loaded for _, loaded in steps] == [False] * (2 + len(point)) + [True] * 6
-
-
-@pytest.mark.parametrize("argv, code", [
-    (["--help"], 0), (["compute", "--help"], 0), (["compute", "--bogus"], 2),
-    (["compute", "--conf", "missing.json"], 2), (["verify", "--seeds", "x"], 2),
-], ids=lambda value: " ".join(value) if isinstance(value, list) else f"exit-{value}")
-def test_help_usage_errors_and_unusual_argv_load_argparse(argv, code):
-    assert _probe([argv], ("argparse",)) == [[argv, code, [True]]]
-
-
-def test_only_the_report_commands_load_the_report(tmp_path):
-    path = write_config(tmp_path, config_to_json_object(case_study_config()))
-    argvs = [["contour", "--config", path, "--belief", "plausible-region", "--grid", "3x3",
-              "--out", str(tmp_path / "grid.csv")],
-             ["verify", "--seeds", "1"]]
-    steps = _loaded_after(argvs, ("piv.report",))["piv.report"]
-    assert [loaded for _, loaded in steps] == [False, False, False, True]
-
-
-def test_verify_loads_no_dataclasses():
-    # the oracle's records are _Record values too; numpy itself loads inspect,
-    # so only dataclasses is pinned on this path
-    steps = _loaded_after([["verify", "--seeds", "1"]], ("dataclasses",))["dataclasses"]
-    assert [loaded for _, loaded in steps] == [False, False, False]
-
-
-@pytest.mark.parametrize("command", ["contour", "verify"])
-def test_grid_and_oracle_commands_import_numpy(command, tmp_path):
-    # a 3x3 contour is under the cut and loads no numpy; a 300x300 one does
-    if command == "contour":
-        path = write_config(tmp_path, config_to_json_object(case_study_config()))
-        argvs = [["contour", "--config", path, "--belief", "plausible-region",
-                  "--grid", grid, "--out", str(tmp_path / "grid.csv")]
-                 for grid in ("3x3", "300x300")]
-        loaded_after = [False, False, False, True]
-    else:
-        argvs = [["verify", "--seeds", "1"]]
-        loaded_after = [False, False, True]
-    steps = _loaded_after(argvs)["numpy"]
-    assert [loaded for _, loaded in steps] == loaded_after
-
-
-def test_row_path_exports_and_replicate_load_no_numpy(tmp_path):
-    # the default 101x101 grid of a config without one, replicate's 200x200 grid,
-    # and a 200x200 JSON grid, the last under the cut; 201x200 is the first past it
-    path = write_config(tmp_path, base_config_object())
-    argvs = [["contour", "--config", path, "--belief", "box", "--format", fmt,
-              "--out", str(tmp_path / f"grid.{fmt}")] for fmt in ("csv", "json")]
-    argvs += [["replicate", "--out", str(tmp_path / "contour.csv")]]
-    argvs += [["contour", "--config", path, "--belief", "box", "--format", "json",
-               "--grid", grid, "--out", str(tmp_path / "grid.json")]
-              for grid in ("200x200", "201x200")]
-    steps = _loaded_after(argvs)["numpy"]
-    assert [loaded for _, loaded in steps] == [False] * (2 + 4) + [True]
-
-
-def test_grid_writers_load_only_where_they_are_used(tmp_path):
-    path = write_config(tmp_path, config_to_json_object(case_study_config()))
-    argvs = [["compute", "--config", path, "--belief", "belief-1-corner", "--format", "json"],
-             ["power", "--config", path, "--belief", "belief-1-corner", "--format", "json"],
-             ["bound", "--config", path, "--belief", "belief-1", "--format", "json"],
-             ["compute", "--config", path, "--dump-config"]]
-    # grids of up to 200x200 cells are evaluated and written without numpy, every
-    # row through "%"; past that cut, a 300x300 block is two rows
-    argvs += [["contour", "--config", path, "--belief", "plausible-region", "--grid", grid,
-               "--format", fmt, "--out", str(tmp_path / f"grid.{fmt}")]
-              for grid, fmt in (("20x20", "csv"), ("20x20", "json"), ("50x50", "csv"),
-                                ("50x50", "json"), ("80x80", "json"), ("300x300", "json"))]
-    cold, small = [False] * (2 + 4), [True] * 5
-    expected = {"numpy": cold + [False] * 5 + [True], "piv._grid_text": cold + small + [True],
-                "piv._json_digits": cold + [False] * 5 + [True]}
-    for module, steps in _loaded_after(argvs, tuple(expected)).items():
-        assert [loaded for _, loaded in steps] == expected[module], module
-
-
-# =============================================================================
 # Public surface and the direction of imports: nothing in the library needs the CLI
 # =============================================================================
 
@@ -1784,45 +1640,11 @@ def test_only_main_writes_stderr_or_picks_a_failure_code():
     assert users == {"cli.py:main"}
 
 
-def test_import_piv_leaves_the_cli_unloaded():
-    loaded_after = _loaded_after([], ("piv.cli", "argparse", "piv.bounds"))
-    assert loaded_after["piv.cli"] == [["import piv", False], ["import piv.cli", True]]
-    for module in ("argparse", "piv.bounds"):
-        assert loaded_after[module] == [["import piv", False], ["import piv.cli", False]]
-
-
-def test_the_package_lends_the_bounds_names_on_first_use():
-    # a private name is refused before piv.bounds is looked up, so `from piv
-    # import _json_digits` does not recurse; submodules import as before
-    steps = _probe(["from piv import _json_digits", "from piv import config",
-                    "from piv import *"], ())
-    assert set(steps[-1][1]) == PUBLIC_NAMES
-
-
-# in a fresh process, where piv.bounds is not loaded yet: then `from piv import
-# bound_piv` gives piv.bounds's own object
-_FROM_BOUNDS = ("import sys\nfrom piv import bound_piv\n"
-                "assert bound_piv is sys.modules['piv.bounds'].bound_piv")
-
-
-@pytest.mark.parametrize("statement", ["from piv import config", "from piv import oracle",
-                                       "from piv import BeliefRegion"])
-def test_from_imports_of_other_names_load_no_bounds(statement):
-    # a submodule, or a name of piv.core, is not one piv.bounds lends
-    steps = _probe([statement, _FROM_BOUNDS], ("piv.bounds",))
-    assert [loaded for *_, loaded in steps] == [[False], [True]]
-
-
 def test_belief_region_is_one_class():
     from piv import core
 
     assert core.BeliefRegion is bounds.BeliefRegion is piv.BeliefRegion
     assert piv.bounds is bounds
-
-
-def test_the_config_layer_loads_without_the_cli():
-    steps = _probe(["import piv.config"], ("numpy", "argparse", "piv.cli", "piv.bounds"))
-    assert steps == [["import piv.config", ["piv"], [False] * 4]]
 
 
 # the names perfbench/ reads from piv.cli, as attributes or through a from-import
@@ -1842,6 +1664,156 @@ def test_the_cli_keeps_the_names_perfbench_reads():
     assert cli.verify_report is report.verify_report
     for name in ("bound_piv", "evaluate_grid", "robustness_verdict"):
         assert getattr(cli, name) is getattr(bounds, name)
+
+
+def test_the_perfbench_tracer_finds_every_name_it_wraps():
+    # install() raises AttributeError on a name it wraps that is gone
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from piv import core, oracle
+
+    originals = core.piv, bounds.bound_piv, oracle.monte_carlo_piv
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        assert core.piv is not originals[0]
+    finally:
+        tracer.restore()
+    assert (core.piv, bounds.bound_piv, oracle.monte_carlo_piv) == originals
+
+
+# =============================================================================
+# Cold path: what a fresh process loads, step by step
+# =============================================================================
+
+# Runs each step of the JSON list argv[1] in one fresh process: a Python
+# statement, in a namespace of its own, or "piv ARGS", which main() runs with
+# stdout and stderr set aside.  Prints piv.__file__ and, for each step, [step,
+# the names the statement bound or the exit code, SystemExit's included, the
+# modules of the JSON list argv[2] that are loaded after the step and were not before].
+_MODULE_PROBE = """
+import contextlib, io, json, sys
+watched, loaded, steps = json.loads(sys.argv[2]), set(), []
+for step in json.loads(sys.argv[1]):
+    if step.startswith("piv "):
+        import piv.cli
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                result = piv.cli.main(step.split()[1:])
+            except SystemExit as exc:
+                result = exc.code
+    else:
+        names = {}
+        exec(step, names)
+        result = sorted(set(names) - {"__builtins__"})
+    now = {module for module in watched if module in sys.modules}
+    steps.append([step, result, sorted(now - loaded)])
+    loaded = now
+import piv
+print(json.dumps([piv.__file__, steps]))
+"""
+
+# numpy imports inspect itself, so inspect is watched only in groups that never
+# load numpy, as is array, a shared library that only grids under the cut use
+_WATCHED = ("numpy", "argparse", "dataclasses", "piv.bounds", "piv.cli", "piv.report",
+            "piv.oracle", "piv._grid_text", "piv._json_digits")
+_NO_NUMPY = _WATCHED + ("inspect", "array")
+_CASE, _BOX = "--config case.json", "--config box.json --belief box"
+_REGION = f"{_CASE} --belief plausible-region"
+
+# group -> (the modules it watches, its steps, run in order in one fresh process).
+# A step is (a statement or "piv ARGS", the watched modules it is the first to load,
+# and optionally the names the statement binds or the exit code, else 0); case.json
+# is the case study and box.json base_config_object().  A step that loads numpy or
+# argparse first starts a group: numpy picks a grid's path, and either hides what a
+# later step loads.
+COLD_PATH = {
+    # compute, power and --dump-config load neither argparse nor piv.bounds, and
+    # grids of up to 200x200 cells are evaluated and written without numpy, every
+    # row through "%"
+    "commands without numpy": (_NO_NUMPY, [
+        ("import piv", (), ["piv"]),
+        ("import piv.cli", ("piv.cli",), ["piv"]),
+        *[(f"piv {command} {_CASE} --belief belief-1-corner --format {fmt}", ())
+          for command in ("compute", "power") for fmt in ("text", "json")],
+        (f"piv compute {_CASE} --dump-config", ()),
+        (f"piv power {_CASE} --format json --dump-config", ()),
+        (f"piv bound {_CASE} --belief belief-1 --format text", ("piv.bounds",)),
+        *[(f"piv bound {_CASE} --belief {belief} --format {fmt}", ())
+          for belief, fmt in (("belief-1", "json"), ("belief-2", "text"), ("belief-2", "json"))],
+        (f"piv contour {_REGION} --grid 20x20 --format csv --out grid.csv",
+         ("piv._grid_text", "array")),
+        *[(f"piv contour {_REGION} --grid {grid} --format {fmt} --out grid.{fmt}", ())
+          for grid, fmt in (("20x20", "json"), ("50x50", "csv"), ("50x50", "json"),
+                            ("80x80", "json"), ("3x3", "csv"), ("3x3", "json"))],
+        # the default 101x101 grid of a config without one, and 200x200, the last under the cut
+        (f"piv contour {_BOX} --format csv --out grid.csv", ()),
+        (f"piv contour {_BOX} --format json --out grid.json", ()),
+        ("piv replicate --out contour.csv", ("piv.report",)),
+        (f"piv contour {_BOX} --format json --grid 200x200 --out grid.json", ()),
+    ]),
+    # past the cut a grid loads numpy, and a JSON block of digits its formatter;
+    # 201x200 is the first grid past it
+    "300x300 csv": (_WATCHED, [(f"piv contour {_REGION} --grid 300x300 --out grid.csv",
+                                ("piv.cli", "numpy", "piv.bounds", "piv._grid_text"))]),
+    "300x300 json": (_WATCHED, [
+        (f"piv contour {_REGION} --grid 300x300 --format json --out grid.json",
+         ("piv.cli", "numpy", "piv.bounds", "piv._grid_text", "piv._json_digits"))]),
+    "201x200 json": (_WATCHED, [
+        (f"piv contour {_BOX} --format json --grid 201x200 --out grid.json",
+         ("piv.cli", "numpy", "piv.bounds", "piv._grid_text"))]),
+    # verify bounds nothing, and the oracle's records are _Record values, not dataclasses
+    "verify": (_WATCHED, [("piv verify --seeds 1",
+                           ("piv.cli", "numpy", "piv.oracle", "piv.report"))]),
+    # import piv.config loads no CLI.  A private name is refused before piv.bounds is
+    # looked up, so `from piv import _json_digits` does not recurse
+    "import piv.config": (_WATCHED, [
+        ("import piv.config", (), ["piv"]),
+        ("from piv import _json_digits",
+         ("numpy", "piv.bounds", "piv._grid_text", "piv._json_digits"), ["_json_digits"]),
+        ("from piv import *", (), sorted(PUBLIC_NAMES)),
+    ]),
+    # a submodule, or a name of piv.core, is not one that piv.bounds lends; the first
+    # name it lends imports it, and is piv.bounds's own object
+    "from piv import": (_WATCHED, [
+        ("from piv import BeliefRegion", (), ["BeliefRegion"]),
+        ("from piv import config", (), ["config"]),
+        ("from piv import oracle", ("numpy", "piv.oracle"), ["oracle"]),
+        ("import sys\nfrom piv import bound_piv\n"
+         "assert bound_piv is sys.modules['piv.bounds'].bound_piv",
+         ("piv.bounds",), ["bound_piv", "sys"]),
+    ]),
+}
+# help, usage errors and any argv the plain path declines load argparse
+COLD_PATH.update({argv: (("argparse",), [(f"piv {argv}", ("argparse",), code)])
+                  for argv, code in (("--help", 0), ("compute --help", 0), ("compute --bogus", 2),
+                                     ("compute --conf missing.json", 2), ("verify --seeds x", 2))})
+
+
+@pytest.mark.parametrize("group", COLD_PATH)
+def test_cold_path(group, tmp_path):
+    (tmp_path / "case.json").write_text(json.dumps(config_to_json_object(case_study_config())))
+    (tmp_path / "box.json").write_text(json.dumps(base_config_object()))
+    watched, steps = COLD_PATH[group]
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE,
+                           json.dumps([step for step, *_ in steps]), json.dumps(watched)],
+                          cwd=tmp_path, env=_SRC_ENV, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    piv_file, probed = json.loads(proc.stdout)
+    assert piv_file == piv.__file__  # the child imported the piv under test
+    assert probed == [[step, result[0] if result else 0, sorted(loads)]
+                      for step, loads, *result in steps]
+
+
+@pytest.mark.parametrize("command", cli._COMMANDS)
+def test_every_command_states_its_cold_path(command):
+    # in a group that watches what a cold start must not load before it needs it
+    assert any(step.split()[:2] == ["piv", command]
+               for watched, steps in COLD_PATH.values()
+               if {"numpy", "argparse", "piv.bounds"} <= set(watched)
+               for step, *_ in steps)
 
 
 # Help and parse errors, which main leaves to argparse: help exits 0 and a
