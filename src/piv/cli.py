@@ -1,12 +1,12 @@
 """Command-line front end: argv parsing, dispatch and rendering.
 
 Commands operate on a JSON analysis config (piv.config) holding the observed
-summary statistics, the estimate sign, the rejection threshold and a list of
-named beliefs (points or rectangles).  `piv replicate` runs the built-in
-kindergarten-retention case study end to end and `piv verify` drives the
-brute-force oracle checks; their reports are built in piv.report, which
-only those two commands load.  This module parses argv, runs the command and
-renders its result as text (6 decimals) or JSON (17 significant digits).
+summary statistics, whose gap y_t_ob - y_c_ob signs the estimate, the rejection
+threshold and a list of named beliefs (points or rectangles).  `piv replicate`
+runs the built-in kindergarten-retention case study end to end and `piv verify`
+drives the brute-force oracle checks; their reports are built in piv.report,
+which only those two commands load.  This module parses argv, runs the command
+and renders its result as text (6 decimals) or JSON (17 significant digits).
 
 Each command declares its flags once, in _COMMANDS.  _plain_args reads a
 plain argv from that table without argparse; argparse, built from the same

@@ -2,7 +2,8 @@
 
 parse_config checks the shape of a decoded JSON object, rejecting unknown
 keys, and leaves the values to the domain types; config_to_json_object is its
-inverse.  This module loads neither numpy, argparse nor piv.bounds, so a caller
+inverse.  The sign is that of y_t_ob - y_c_ob; a "sign" key, if given, must
+agree.  This module loads neither numpy, argparse nor piv.bounds, so a caller
 that only reads configs loads neither the command line nor the bound search.
 """
 
@@ -39,18 +40,29 @@ class NamedBelief(_Record):
         object.__setattr__(self, "region", region)
 
 
-class AnalysisConfig(_Record):
-    __slots__ = ("observed", "sign", "threshold", "beliefs", "piv_threshold", "grid")
+def _estimate_sign(observed: ObservedStats) -> EstimateSign:
+    """The sign of y_t_ob - y_c_ob, the estimate the PIV retests; a zero gap has none."""
+    if observed.y_t_ob == observed.y_c_ob:
+        raise InputValidationError("observed: no gap between y_t_ob and y_c_ob, so no estimate")
+    return EstimateSign.POSITIVE if observed.y_t_ob > observed.y_c_ob else EstimateSign.NEGATIVE
 
-    def __init__(self, observed: ObservedStats, sign: EstimateSign, threshold: Threshold,
+
+class AnalysisConfig(_Record):
+    __slots__ = ("observed", "threshold", "beliefs", "piv_threshold", "grid")
+
+    def __init__(self, observed: ObservedStats, threshold: Threshold,
                  beliefs: tuple[NamedBelief, ...], piv_threshold: float = 0.8,
                  grid: tuple[int, int] | None = None) -> None:
+        _estimate_sign(observed)  # refuses a zero gap
         object.__setattr__(self, "observed", observed)
-        object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "threshold", threshold)
         object.__setattr__(self, "beliefs", beliefs)
         object.__setattr__(self, "piv_threshold", piv_threshold)
         object.__setattr__(self, "grid", grid)
+
+    @property
+    def sign(self) -> EstimateSign:
+        return _estimate_sign(self.observed)
 
     def belief(self, name: str) -> NamedBelief:
         for belief in self.beliefs:
@@ -116,19 +128,19 @@ def parse_config(obj) -> AnalysisConfig:
 
     This checks the JSON shape; the domain types check the values.
     """
-    root = _check_keys(obj, "config", ("observed", "sign", "threshold", "beliefs"),
-                       ("piv_threshold", "grid"))
+    root = _check_keys(obj, "config", ("observed", "threshold", "beliefs"),
+                       ("sign", "piv_threshold", "grid"))
 
     observed_obj = _check_keys(root["observed"], "observed",
                                ObservedStats.__slots__)
     with _at("observed"):
         observed = ObservedStats(**observed_obj)
 
-    sign_value = root["sign"]
-    if sign_value not in ("positive", "negative"):
+    sign = _estimate_sign(observed)
+    if root.get("sign", sign.value) != sign.value:
         raise InputValidationError(
-            f"sign: expected 'positive' or 'negative', got {reprlib.repr(sign_value)}")
-    sign = EstimateSign(sign_value)
+            f"sign: got {reprlib.repr(root['sign'])}, but y_t_ob - y_c_ob = "
+            f"{observed.y_t_ob - observed.y_c_ob:g} makes the estimate {sign.value}")
 
     threshold_obj = _require_mapping(root["threshold"], "threshold")
     kind = threshold_obj.get("kind")
@@ -181,7 +193,6 @@ def parse_config(obj) -> AnalysisConfig:
 
     return AnalysisConfig(
         observed=observed,
-        sign=sign,
         threshold=threshold,
         beliefs=tuple(beliefs),
         piv_threshold=piv_threshold,
@@ -249,7 +260,6 @@ def case_study_config() -> AnalysisConfig:
             "var_c": 138.83,
             "pi": 0.0617,
         },
-        "sign": "negative",
         "threshold": {"kind": "statistical", "critical": 1.96},
         "beliefs": [
             {"name": "belief-1",

@@ -60,6 +60,31 @@ def negate_stats(stats: ObservedStats) -> ObservedStats:
     )
 
 
+def ordered_means(stats: ObservedStats, sign: EstimateSign) -> ObservedStats:
+    """stats with its two observed means swapped if need be, so that the
+    estimate y_t_ob - y_c_ob has the given sign."""
+    if (stats.y_t_ob > stats.y_c_ob) == (sign is EstimateSign.POSITIVE):
+        return stats
+    return replace(stats, y_t_ob=stats.y_c_ob, y_c_ob=stats.y_t_ob)
+
+
+def mirrored(obj: dict) -> dict:
+    """A config object mirrored through zero, in place: the observed means and
+    every belief negated, which turns a significant negative estimate into a
+    positive one.  A stated "sign" would contradict the mirrored means, so it
+    is dropped; the config derives the sign."""
+    obj.pop("sign", None)
+    for key in ("y_t_ob", "y_c_ob"):
+        obj["observed"][key] = -obj["observed"][key]
+    for belief in obj["beliefs"]:
+        if "point" in belief:
+            belief["point"] = {k: -v for k, v in belief["point"].items()}
+        else:
+            belief["region"] = {axis: [None if v is None else -v for v in reversed(interval)]
+                                for axis, interval in belief["region"].items()}
+    return obj
+
+
 def replace(record, **changes):
     """record with the named fields changed, rebuilt through its constructor,
     so that the new values are validated."""

@@ -48,6 +48,7 @@ from helpers import (
     CASE_STUDY,
     cellwise_csv,
     negate_stats,
+    ordered_means,
     random_observed_stats,
     random_sign,
     replace,
@@ -167,16 +168,19 @@ class TestEvaluateGrid:
         assert np.all(dc[unsaturated[:, 1:] & unsaturated[:, :-1]] > 0)
 
 
-def _random_grid_case(rng: np.random.Generator):
+def _random_grid_case(rng: np.random.Generator, ordered: bool = False):
     """A seeded analysis over both signs and threshold kinds, pi near 0 or 1
     now and then, observed means shifted far from zero now and then (so that
     the gap y_t_id - y_c_id cancels), and a box around the observed means up
-    to 1e6 sd wide."""
+    to 1e6 sd wide.  If ordered, the two means are swapped where the drawn
+    sign needs it, as a config needs; the draws are the same either way."""
     stats = random_observed_stats(rng)
     pi = float(rng.choice([stats.pi, 1e-4, 0.9999]))
     shift = float(rng.choice([0.0, 0.0, 1e5, -1e9]))
     stats = replace(stats, pi=pi, y_t_ob=stats.y_t_ob + shift, y_c_ob=stats.y_c_ob + shift)
     sign = random_sign(rng)
+    if ordered:
+        stats = ordered_means(stats, sign)
     if rng.random() < 0.5:
         threshold = StatisticalThreshold(float(rng.uniform(0.5, 4.0)))
     else:
@@ -578,7 +582,8 @@ class TestCsvAndJson:
     def test_bytes_equal_cellwise_rendering(self, tmp_path):
         rng = np.random.default_rng(7)
         cases = [(PLAUSIBLE, CASE_STUDY, NEG, C196)]
-        cases += [_random_grid_case(rng) for _ in range(5)]
+        # ordered, since the CLI leg writes each case as a config
+        cases += [_random_grid_case(rng, ordered=True) for _ in range(5)]
         for base, stats, sign, threshold in cases:
             for shape in ("7x5", "2x2", "1x5", "7x1"):
                 region, resolution = _shaped(base, shape)
@@ -594,7 +599,7 @@ class TestCsvAndJson:
                 assert render_json(grid.to_json_object()) == json_text
 
                 # the files piv contour streams to --out, row by row
-                config = AnalysisConfig(stats, sign, threshold, (NamedBelief("box", region=region),))
+                config = AnalysisConfig(stats, threshold, (NamedBelief("box", region=region),))
                 path = tmp_path / "config.json"
                 path.write_text(render_json(config_to_json_object(config)), encoding="utf-8")
                 for fmt, expected in (("csv", csv), ("json", json_text + "\n")):
@@ -955,8 +960,8 @@ class TestBoundPiv:
 
     @staticmethod
     def _bound_command(tmp_path, capsys, observed, region):
-        config = AnalysisConfig(ObservedStats(**observed), EstimateSign.POSITIVE,
-                                StatisticalThreshold(1.96), (NamedBelief("box", region=region),))
+        config = AnalysisConfig(ObservedStats(**observed), StatisticalThreshold(1.96),
+                                (NamedBelief("box", region=region),))
         path = tmp_path / "config.json"
         path.write_text(render_json(config_to_json_object(config)), encoding="utf-8")
         code = main(["bound", "--config", str(path), "--belief", "box", "--format", "json"])

@@ -38,11 +38,14 @@ from piv.cli import (
 )
 from piv import _grid_text, bounds, cli
 from piv.report import replicate_report
+from piv.config import AnalysisConfig
 from piv.core import (
     CounterfactualBelief,
     DegenerateSpreadError,
+    EstimateSign,
     FixedThreshold,
     InputValidationError,
+    ObservedStats,
     SignMismatchError,
     StatisticalThreshold,
     ideal_correlation,
@@ -50,7 +53,7 @@ from piv.core import (
     std_normal_cdf,
 )
 
-from helpers import cellwise_csv, random_observed_stats
+from helpers import cellwise_csv, mirrored, ordered_means, random_observed_stats
 
 
 # sha256 of the contour CSV that `piv replicate` writes by default, of its
@@ -113,8 +116,6 @@ TIPPING_BAND_SHA256 = {
 # the tipping band under a fixed threshold, and mirrored for a positive estimate
 # (observed means negated, the band negated with them): the size and sha256 of
 # their 300x300 JSON exports, where 88% and 83% of cells lie in (0, 1)
-FIXED_BAND = {"name": "tipping-band", "region": {"t": [44.0, 48.0], "c": [44.0, 47.0]}}
-POSITIVE_BAND = {"name": "tipping-band", "region": {"t": [-48.0, -44.0], "c": [-47.0, -44.0]}}
 MORE_BAND_SHA256 = {
     "fixed": (2_366_437, "320352d949833e86e5dafe3d49627e5adbdc5803a6185f2a961fd873eb91e713"),
     "positive": (2_279_305, "b711313c33ffad1d8bc445856c7f897df7344b6af496d30526a50653d350f18c"),
@@ -136,15 +137,11 @@ def band_config_object(variant: str) -> dict:
     """The case study's dumped config with a tipping band under a fixed
     threshold of -0.02, or mirrored for a positive estimate."""
     obj = config_to_json_object(case_study_config())
+    obj["beliefs"].append({**TIPPING_BAND})
     if variant == "fixed":
         obj["threshold"] = {"kind": "fixed", "beta_sharp": -0.02}
-        obj["beliefs"].append(FIXED_BAND)
-    else:
-        obj["sign"] = "positive"
-        obj["observed"]["y_t_ob"] = -obj["observed"]["y_t_ob"]
-        obj["observed"]["y_c_ob"] = -obj["observed"]["y_c_ob"]
-        obj["beliefs"].append(POSITIVE_BAND)
-    return obj
+        return obj
+    return mirrored(obj)
 
 # the environment of a child process that imports the piv this suite imports,
 # the checkout's src or an installed copy
@@ -386,16 +383,35 @@ class TestComputeCommand:
 
     def test_degenerate_exits_3(self, tmp_path):
         obj = base_config_object()
-        obj["observed"].update({"var_t": 0.0, "var_c": 0.0, "y_t_ob": 5.0, "y_c_ob": 5.0})
-        obj["beliefs"][0]["point"] = {"y_t_un": 5.0, "y_c_un": 5.0}
+        _degenerate(obj)
+        obj["beliefs"][0]["point"] = {"y_t_un": 1e-200, "y_c_un": 0.0}
         path = write_config(tmp_path, obj)
         assert main(["compute", "--config", path, "--belief", "corner"]) == EXIT_DEGENERATE
 
-    def test_dump_config_round_trip(self, tmp_path, capsys):
-        path = write_config(tmp_path, base_config_object())
+    @pytest.mark.parametrize("mirror", [False, True], ids=["negative", "positive"])
+    @pytest.mark.parametrize("stated", [True, False], ids=["stated", "derived"])
+    def test_dump_config_round_trip(self, stated, mirror, tmp_path, capsys):
+        # "sign" is optional: a config without it parses as the config with it,
+        # and --dump-config writes the sign of y_t_ob - y_c_ob
+        sign = "positive" if mirror else "negative"
+        obj = mirrored(base_config_object()) if mirror else base_config_object()
+        obj.pop("sign", None)
+        if stated:
+            obj["sign"] = sign
+        path = write_config(tmp_path, obj)
         assert main(["compute", "--config", path, "--dump-config"]) == EXIT_OK
         dumped = json.loads(capsys.readouterr().out)
-        assert parse_config(dumped) == load_config(path)
+        assert dumped["sign"] == sign
+        assert parse_config(dumped) == load_config(path) == parse_config({**obj, "sign": sign})
+
+    def test_sign_is_derived_and_no_gap_refused_on_construction(self):
+        config = parse_config(base_config_object())
+        assert list(config._asdict()) == ["observed", "threshold", "beliefs", "piv_threshold",
+                                          "grid"]
+        assert config.sign is EstimateSign.NEGATIVE
+        flat = ObservedStats(**{**config.observed._asdict(), "y_t_ob": config.observed.y_c_ob})
+        with pytest.raises(InputValidationError, match="^observed: no gap between y_t_ob"):
+            AnalysisConfig(flat, config.threshold, config.beliefs)
 
 
 class TestBoundCommand:
@@ -789,7 +805,7 @@ class TestContourCommand:
 # cover both signs and both threshold kinds
 def _seeded_case(sign: str, kind: str) -> tuple[dict, str]:
     rng = np.random.default_rng(["positive", "negative"].index(sign) * 2 + (kind == "fixed"))
-    stats = random_observed_stats(rng)
+    stats = ordered_means(random_observed_stats(rng), EstimateSign(sign))
     sd = math.sqrt(0.5 * (stats.var_t + stats.var_c))
     half = sd * float(rng.uniform(0.1, 3.0))
     t0, c0 = stats.y_t_ob + rng.uniform(-half, half), stats.y_c_ob + rng.uniform(-half, half)
@@ -797,7 +813,7 @@ def _seeded_case(sign: str, kind: str) -> tuple[dict, str]:
     threshold = ({"kind": "statistical", "critical": 10.0 * magnitude} if kind == "statistical"
                  else {"kind": "fixed",
                        "beta_sharp": magnitude if sign == "positive" else -magnitude})
-    obj = {"observed": {**stats._asdict(), "n_ob": int(rng.integers(20, 2000))}, "sign": sign,
+    obj = {"observed": {**stats._asdict(), "n_ob": int(rng.integers(20, 2000))},
            "threshold": threshold, "piv_threshold": 0.8,
            "beliefs": [{"name": "grid", "region": {"t": [t0 - half, t0 + half],
                                                     "c": [c0 - half, c0 + half]}}]}
@@ -823,8 +839,9 @@ ROW_PATH_SHAPES = {"1x37": ("t", "2x37"), "37x1": ("c", "37x2"), "7x9": (None, "
                    "201x200": (None, "201x200")}
 # stats whose completed sample has zero spread at t = c = 0 and overflows far
 # from it, and each grid's error: mixed grids raise what evaluate_grid's blocks
-# check first, the overflow, although the first cell alone raises zero spread
-ZERO_SPREAD_STATS = {"r_squared": 0.1, "n_ob": 100, "y_t_ob": 0.0, "y_c_ob": 0.0,
+# check first, the overflow, although the first cell alone raises zero spread.
+# A config needs a gap between the observed means; this one squares to zero.
+ZERO_SPREAD_STATS = {"r_squared": 0.1, "n_ob": 100, "y_t_ob": 1e-200, "y_c_ob": 0.0,
                      "var_t": 0.0, "var_c": 0.0, "pi": 0.5}
 OVERFLOW_ERROR = ("config error: completed-sample variance overflows float64; the "
                   "counterfactual means lie too far from the observed ones\n")
@@ -1057,22 +1074,8 @@ class TestReplicateCommand:
         text = "\n".join(lines) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == REPLICATE_REPORT_SHA256
 
-    @staticmethod
-    def _mirrored(obj: dict) -> dict:
-        """The config object mirrored through zero: a significant positive estimate."""
-        obj["sign"] = "positive"
-        for key in ("y_t_ob", "y_c_ob"):
-            obj["observed"][key] = -obj["observed"][key]
-        for belief in obj["beliefs"]:
-            if "point" in belief:
-                belief["point"] = {k: -v for k, v in belief["point"].items()}
-            else:
-                belief["region"] = {axis: [None if v is None else -v for v in reversed(interval)]
-                                    for axis, interval in belief["region"].items()}
-        return obj
-
     def test_report_follows_the_sign_of_its_config(self):
-        lines, data = replicate_report(parse_config(self._mirrored(
+        lines, data = replicate_report(parse_config(mirrored(
             config_to_json_object(case_study_config()))))
         _, expected = replicate_report(case_study_config())
         assert lines[3] == "step 2  critical value: C = 1.96 (significant positive estimate)"
@@ -1090,7 +1093,7 @@ class TestReplicateCommand:
         obj = config_to_json_object(case_study_config())
         obj["threshold"] = {"kind": "fixed", "beta_sharp": -0.02}
         if positive:
-            obj = self._mirrored(obj)
+            obj = mirrored(obj)
             obj["threshold"]["beta_sharp"] = 0.02
         config = parse_config(obj)
         lines, data = replicate_report(config)
@@ -1353,21 +1356,31 @@ def test_closed_stdout_exits_4_with_one_line(command, unbuffered, tmp_path):
 
 
 def _degenerate(obj: dict) -> None:
-    obj["observed"].update({"var_t": 0.0, "var_c": 0.0, "y_t_ob": 5.0, "y_c_ob": 5.0})
+    """Zero spread at the observed means: no variance, and a gap that squares to zero."""
+    obj.update(sign="positive", observed=dict(ZERO_SPREAD_STATS))
+
+
+def _no_gap(obj: dict) -> None:
+    obj["observed"]["y_t_ob"] = obj["observed"]["y_c_ob"]
 
 
 _MALFORMED_BELIEFS = [
     {"name": "huge", "point": {"y_t_un": 1e200, "y_c_un": 0.0}},
     {"name": "far", "region": {"t": [1e200, 2e200], "c": [36.77, 45.78]}},
-    {"name": "flat", "point": {"y_t_un": 5.0, "y_c_un": 5.0}},
-    {"name": "flat-point-region", "region": {"t": [5.0, 5.0], "c": [5.0, 5.0]}},
-    {"name": "flat-box", "region": {"t": [4.0, 6.0], "c": [4.0, 6.0]}},
+    {"name": "flat", "point": {"y_t_un": 1e-200, "y_c_un": 0.0}},
+    {"name": "flat-point-region", "region": {"t": [1e-200, 1e-200], "c": [0.0, 0.0]}},
+    {"name": "flat-box", "region": {"t": [-1.0, 1.0], "c": [-1.0, 1.0]}},
     {"name": "line", "region": {"t": [None, None], "c": [0.0, 0.0]}},
     {"name": "overflowing-edge", "region": {"t": [1e308, 1e308], "c": [None, None]}},
 ]
 _CONFIG_ERROR = (EXIT_CONFIG, "config error: ")
 _HUGE = 10**400  # a JSON integer that float() cannot convert
 _DEGENERATE = (EXIT_DEGENERATE, "degenerate inputs: ")
+_NO_GAP = (EXIT_CONFIG,
+           "config error: observed: no gap between y_t_ob and y_c_ob, so no estimate\n")
+# the case study's estimate is negative
+_OTHER_SIGN = (EXIT_CONFIG, "config error: sign: got 'positive', but y_t_ob - y_c_ob = -9.01 "
+               "makes the estimate negative\n")
 # in place of a config edit: the command is run without --config
 _NO_CONFIG = "no --config"
 # the commands that take no --config
@@ -1410,6 +1423,16 @@ MALFORMED_INPUTS = {
     "bound-degenerate": (_degenerate, ["bound", "--belief", "flat-point-region"], *_DEGENERATE),
     "contour-degenerate": (_degenerate, ["contour", "--belief", "flat-box", "--grid", "3x3",
                                          "--out", "{out}"], *_DEGENERATE),
+    # with no gap there is no estimate: a config error, where zero spread was exit 3
+    "compute-no-gap": (_no_gap, ["compute", "--belief", "corner"], *_NO_GAP),
+    "power-no-gap": (_no_gap, ["power", "--belief", "corner"], *_NO_GAP),
+    "bound-no-gap": (_no_gap, ["bound", "--belief", "box"], *_NO_GAP),
+    "contour-no-gap": (_no_gap, ["contour", "--belief", "box", "--out", "{out}"], *_NO_GAP),
+    "dump-config-no-gap": (_no_gap, ["compute", "--dump-config"], *_NO_GAP),
+    # a stated sign must be the sign of y_t_ob - y_c_ob
+    "compute-other-sign": (lambda obj: obj.update(sign="positive"), _CORNER, *_OTHER_SIGN),
+    "bound-other-sign": (lambda obj: obj.update(sign="positive"), ["bound", "--belief", "belief-2"],
+                         *_OTHER_SIGN),
     "contour-unwritable-out": (None, ["contour", "--belief", "box",
                                       "--out", "{tmp}/no_dir/grid.csv"], EXIT_IO, "cannot write "),
     "verify-negative-seed": (None, ["verify", "--seeds", "1", "--reps", "1000", "--seed", "-1"],
@@ -1539,6 +1562,8 @@ def test_oversized_value_makes_one_short_error_line(case, tmp_path, capsys):
 CONFIG_ERROR_PATHS = {
     "observed": (lambda obj: obj["observed"].update(r_squared="high"), "observed"),
     "sign": (lambda obj: obj.update(sign="up"), "sign"),
+    "sign-disagrees": (lambda obj: obj.update(sign="positive"), "sign"),
+    "no-gap": (_no_gap, "observed"),
     "threshold": (lambda obj: obj["threshold"].update(critical=-1.96), "threshold"),
     "point": (lambda obj: obj["beliefs"][0]["point"].update(y_t_un="a"), "beliefs[0].point"),
     "region": (lambda obj: obj["beliefs"][3]["region"].update(c=[36.77, "b"]), "beliefs[3].region"),
@@ -1682,6 +1707,25 @@ def test_the_perfbench_tracer_finds_every_name_it_wraps():
     finally:
         tracer.restore()
     assert (core.piv, bounds.bound_piv, oracle.monte_carlo_piv) == originals
+
+
+def test_every_perfbench_config_parses_with_the_sign_it_states():
+    # gen writes "sign" as the sign of y_t_ob - y_c_ob, breaking a tie toward
+    # positive; a config refuses a tie, but with both means drawn as uniform
+    # floats one is practically impossible
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # @dataclass looks its module up there
+    try:
+        spec.loader.exec_module(gen)
+        for seed in range(200):
+            rng = random.Random(seed)
+            for _ in range(10):
+                obj = gen.config_object(rng)
+                assert parse_config(obj).sign.value == obj["sign"], seed
+    finally:
+        del sys.modules[spec.name]
 
 
 # =============================================================================

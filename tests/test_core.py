@@ -48,6 +48,7 @@ from helpers import (
     CASE_STUDY,
     negate_belief,
     negate_stats,
+    ordered_means,
     random_belief,
     random_observed_stats,
     random_sign,
@@ -454,9 +455,10 @@ class TestThresholdRefusals:
                 for not_a_threshold in (None, 1.96, "fixed", _NotAThreshold()):
                     with pytest.raises(InputValidationError, match="unknown threshold type"):
                         call(not_a_threshold)
-            # a config with the wrong-side threshold is a config error
+            # a config with the wrong-side threshold is a config error; its means
+            # are ordered to agree with the sign
             obj = {
-                "observed": stats._asdict(),
+                "observed": ordered_means(stats, sign)._asdict(),
                 "sign": sign.value,
                 "threshold": {"kind": "fixed", "beta_sharp": wrong_side.beta_sharp},
                 "beliefs": [{"name": "b", "point": belief._asdict()}],
