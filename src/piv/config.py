@@ -35,6 +35,8 @@ class NamedBelief(_Record):
 
     def __init__(self, name: str, point: CounterfactualBelief | None = None,
                  region: BeliefRegion | None = None) -> None:
+        if (point is None) == (region is None):
+            raise InputValidationError("exactly one of 'point' or 'region' is required")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "region", region)
@@ -54,6 +56,13 @@ class AnalysisConfig(_Record):
                  beliefs: tuple[NamedBelief, ...], piv_threshold: float = 0.8,
                  grid: tuple[int, int] | None = None) -> None:
         _estimate_sign(observed)  # refuses a zero gap
+        beliefs = tuple(beliefs)
+        names: set[str] = set()
+        for i, belief in enumerate(beliefs):
+            if belief.name in names:
+                raise InputValidationError(
+                    f"beliefs[{i}].name: duplicate belief name {reprlib.repr(belief.name)}")
+            names.add(belief.name)
         object.__setattr__(self, "observed", observed)
         object.__setattr__(self, "threshold", threshold)
         object.__setattr__(self, "beliefs", beliefs)
@@ -157,27 +166,24 @@ def parse_config(obj) -> AnalysisConfig:
     if not isinstance(beliefs_obj, list) or not beliefs_obj:
         raise InputValidationError("beliefs: expected a non-empty list")
     beliefs: list[NamedBelief] = []
-    names: set[str] = set()
     for i, entry in enumerate(beliefs_obj):
         path = f"beliefs[{i}]"
         entry = _check_keys(entry, path, ("name",), ("point", "region"))
         name = entry["name"]
         if not isinstance(name, str) or not name:
             raise InputValidationError(f"{path}.name: expected a non-empty string")
-        if name in names:
-            raise InputValidationError(f"{path}.name: duplicate belief name {reprlib.repr(name)}")
-        names.add(name)
-        if ("point" in entry) == ("region" in entry):
-            raise InputValidationError(f"{path}: exactly one of 'point' or 'region' is required")
+        point = region = None
         if "point" in entry:
-            point = _check_keys(entry["point"], f"{path}.point", ("y_t_un", "y_c_un"))
+            point_obj = _check_keys(entry["point"], f"{path}.point", ("y_t_un", "y_c_un"))
             with _at(f"{path}.point"):
-                beliefs.append(NamedBelief(name, point=CounterfactualBelief(**point)))
-        else:
-            region = _check_keys(entry["region"], f"{path}.region", ("t", "c"))
-            t, c = (_interval(region[axis], f"{path}.region.{axis}") for axis in ("t", "c"))
+                point = CounterfactualBelief(**point_obj)
+        if "region" in entry:
+            region_obj = _check_keys(entry["region"], f"{path}.region", ("t", "c"))
+            t, c = (_interval(region_obj[axis], f"{path}.region.{axis}") for axis in ("t", "c"))
             with _at(f"{path}.region"):
-                beliefs.append(NamedBelief(name, region=BeliefRegion(t, c)))
+                region = BeliefRegion(t, c)
+        with _at(path):
+            beliefs.append(NamedBelief(name, point, region))
 
     piv_threshold = root.get("piv_threshold", 0.8)
     if not 0.0 < _as_float(piv_threshold, "piv_threshold:", "in (0, 1)") < 1.0:
@@ -194,7 +200,7 @@ def parse_config(obj) -> AnalysisConfig:
     return AnalysisConfig(
         observed=observed,
         threshold=threshold,
-        beliefs=tuple(beliefs),
+        beliefs=beliefs,
         piv_threshold=piv_threshold,
         grid=grid,
     )
