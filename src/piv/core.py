@@ -123,7 +123,7 @@ def _require_int(value: int, name: str, least: int) -> int:
 class _Record:
     """A frozen value: its fields are its __slots__, in order.
 
-    Each subclass sets them once, in __init__, through object.__setattr__.  A
+    Each subclass sets them once, in __init__, past _Record.__setattr__.  A
     record equals only a record of its own class with equal fields, hashes its
     field tuple and refuses assignment and deletion; pickle and copy rebuild
     it through the constructor, so validation runs again.
@@ -244,10 +244,15 @@ class BeliefRegion(_Record):
 
 
 class EstimateSign(Enum):
-    """Sign of the observed significant estimate."""
+    """Sign of the observed significant estimate; each signed() refuses anything else."""
 
     POSITIVE = "positive"
     NEGATIVE = "negative"
+
+
+# Before Python 3.12 each read of an enum class attribute takes the slow path
+# through EnumType.__getattr__; the point path compares against these names.
+_POSITIVE, _NEGATIVE = EstimateSign.POSITIVE, EstimateSign.NEGATIVE
 
 
 class StatisticalThreshold(_Record):
@@ -268,8 +273,11 @@ class StatisticalThreshold(_Record):
 
     def signed(self, sign: EstimateSign) -> float:
         """The signed cut C, in standard errors, on the estimate's side of zero."""
-        c = self.critical_magnitude
-        return c if sign is EstimateSign.POSITIVE else -c
+        if sign is _POSITIVE:
+            return self.critical_magnitude
+        if sign is _NEGATIVE:
+            return -self.critical_magnitude
+        raise InputValidationError(f"unknown estimate sign: {sign!r}")
 
 
 class FixedThreshold(_Record):
@@ -283,21 +291,15 @@ class FixedThreshold(_Record):
     def signed(self, sign: EstimateSign) -> float:
         """The cut beta_sharp; SignMismatchError when it lies across zero from the estimate."""
         b = self.beta_sharp
-        if sign is EstimateSign.POSITIVE and b < 0.0:
-            raise SignMismatchError(
-                f"fixed threshold {b} is negative but the estimate sign is positive"
-            )
-        if sign is EstimateSign.NEGATIVE and b > 0.0:
-            raise SignMismatchError(
-                f"fixed threshold {b} is positive but the estimate sign is negative"
-            )
+        if sign is not _POSITIVE and sign is not _NEGATIVE:
+            raise InputValidationError(f"unknown estimate sign: {sign!r}")
+        if b < 0.0 if sign is _POSITIVE else b > 0.0:
+            raise SignMismatchError(f"fixed threshold {b} is {'negative' if b < 0.0 else 'positive'}"
+                                    f" but the estimate sign is {sign.value}")
         return b
 
 
 Threshold = StatisticalThreshold | FixedThreshold
-
-
-_setattr = object.__setattr__
 
 
 class PivResult(_Record):
@@ -307,11 +309,15 @@ class PivResult(_Record):
 
     def __init__(self, piv: float, probit_piv: float, threshold_value: float,
                  t_ratio: float) -> None:
-        # piv() builds one a call, and a module global is found faster than object.__setattr__
-        _setattr(self, "piv", piv)
-        _setattr(self, "probit_piv", probit_piv)
-        _setattr(self, "threshold_value", threshold_value)
-        _setattr(self, "t_ratio", t_ratio)
+        # piv() builds one a call: each slot's descriptor sets it, past _Record.__setattr__
+        _set_piv(self, piv)
+        _set_probit_piv(self, probit_piv)
+        _set_threshold_value(self, threshold_value)
+        _set_t_ratio(self, t_ratio)
+
+
+_set_piv, _set_probit_piv, _set_threshold_value, _set_t_ratio = (
+    PivResult.__dict__[name].__set__ for name in PivResult.__slots__)
 
 
 # =============================================================================
@@ -353,27 +359,17 @@ def _cdf(x, erfc=math.erfc):
 # caller's arrays are never written.
 
 
-def _arm_means(y_t_un, y_c_un, stats: ObservedStats):
-    """Mean outcomes y_t_id, y_c_id of the completed treated and control arms.
-
-    Each arm mixes observed and counterfactual rows: the completed treated arm
-    holds the pi*n_ob observed treated plus the (1-pi)*n_ob controls under
-    their unrealized treatment, and symmetrically for control.
-    """
-    pi = stats.pi
-    y_t_id = (1.0 - pi) * y_t_un + pi * stats.y_t_ob
-    y_c_id = pi * y_c_un + (1.0 - pi) * stats.y_c_ob
-    return y_t_id, y_c_id
-
-
 def _gap_and_variance(y_t_un, y_c_un, stats: ObservedStats):
     """Completed-sample arm mean difference y_t_id - y_c_id and outcome variance.
 
-    Within each arm the outcome is a two-component mixture (observed and
-    counterfactual cells with the arm's observed variance), and the two
-    equally sized arms add a between-arm term of a quarter of the squared
-    gap.  The variance is 0.0 only when both variances are zero and all four
-    means are equal, and inf when it overflows; _correlation raises on both.
+    Each arm mixes observed and counterfactual rows: the completed treated arm
+    holds the pi*n_ob observed treated plus the (1-pi)*n_ob controls under
+    their unrealized treatment, and symmetrically for control.  Within each
+    arm the outcome is a two-component mixture (observed and counterfactual
+    cells with the arm's observed variance), and the two equally sized arms
+    add a between-arm term of a quarter of the squared gap.  The variance is
+    0.0 only when both variances are zero and all four means are equal, and
+    inf when it overflows; _correlation raises on both.
     """
     pi = stats.pi
     d_t = y_t_un - stats.y_t_ob
@@ -383,8 +379,8 @@ def _gap_and_variance(y_t_un, y_c_un, stats: ObservedStats):
     variance *= 0.5 * pi * (1.0 - pi)
     variance += 0.5 * stats.var_t
     variance += 0.5 * stats.var_c
-    y_t_id, y_c_id = _arm_means(y_t_un, y_c_un, stats)
-    gap = y_t_id - y_c_id
+    # y_t_id - y_c_id, each mean written out as the module docstring gives it
+    gap = ((1.0 - pi) * y_t_un + pi * stats.y_t_ob) - (pi * y_c_un + (1.0 - pi) * stats.y_c_ob)
     square = gap * gap
     square *= 0.25
     variance += square
@@ -470,7 +466,7 @@ def _threshold(stats: ObservedStats, sign: EstimateSign, threshold: Threshold) -
     if not (statistical or isinstance(threshold, FixedThreshold)):
         raise InputValidationError(f"unknown threshold type: {threshold!r}")
     se, cut = se_ideal(stats), threshold.signed(sign)
-    return se, cut, cut * se if statistical else cut, statistical, sign is EstimateSign.POSITIVE
+    return se, cut, cut * se if statistical else cut, statistical, sign is _POSITIVE
 
 
 def _probit(r, resolved: tuple):
