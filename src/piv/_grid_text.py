@@ -28,7 +28,8 @@ from typing import NamedTuple
 
 from . import bounds
 from .bounds import _BLOCK_CELLS, ContourGrid, _block_rows
-from .core import BeliefRegion, InputValidationError, PivError, _cdf, _correlation, _probit, _threshold
+from .core import (BeliefRegion, InputValidationError, PivError, _cdf, _correlation, _kernel_terms,
+                   _probit, _threshold)
 
 # Rows are written in blocks of whole rows: about _BLOCK_CELLS cells, and at
 # most 1/128 of the grid, so that a block's text and temporaries stay small
@@ -254,9 +255,9 @@ def _row_cells(region: BeliefRegion, nt: int, nc: int, stats, sign, threshold) -
     c_values = bounds._axis_points(*region.c_interval, nc)
     cells = array("d")
     try:
-        resolved = _threshold(stats, sign, threshold)
+        terms, resolved = _kernel_terms(stats), _threshold(stats, sign, threshold)
         for t in t_values:
-            cells.extend([_cdf(_probit(_correlation(t, c, stats), resolved)) for c in c_values])
+            cells.extend([_cdf(_probit(_correlation(t, c, terms), resolved)) for c in c_values])
     except PivError:
         return None
     return t_values, c_values, cells

@@ -44,6 +44,7 @@ from .core import (
     Threshold,
     _cdf,
     _correlation,
+    _kernel_terms,
     _probit,
     _read_only,
     _Record,
@@ -239,7 +240,7 @@ def _completed_piv(y_t_un, y_c_un, stats: ObservedStats, sign: EstimateSign,
     import numpy as np
 
     # r is not kept past _probit, so that an array kernel does not hold it through _cdf
-    probit = _probit(_correlation(y_t_un, y_c_un, stats, np.sqrt, _min_max),
+    probit = _probit(_correlation(y_t_un, y_c_un, _kernel_terms(stats), np.sqrt, _min_max),
                      _threshold(stats, sign, threshold))
     return _cdf(probit, _erfc)
 
@@ -328,11 +329,11 @@ def _saturated_rows(t, c_lo: float, c_hi: float, stats: ObservedStats,
     """
     import numpy as np
 
+    terms = y_t, y_c, _, half_var_t, half_var_c, *_ = _kernel_terms(stats)
     rows = np.full(len(t), math.nan)
     plane = pi, a, l0, v, d = _plane(stats)
-    y_t, y_c = stats.y_t_ob, stats.y_c_ob
     # the kernel's constant term, in the kernel's order of operations
-    if not 0.5 * stats.var_t + 0.5 * stats.var_c >= sys.float_info.min:
+    if not half_var_t + half_var_c >= sys.float_info.min:
         return rows
     dt = t - y_t
     offset = _edge_stationary(dt, a, -pi, plane)
@@ -344,7 +345,7 @@ def _saturated_rows(t, c_lo: float, c_hi: float, stats: ObservedStats,
     candidates[:, 2] = np.where(np.isfinite(c_star), np.clip(c_star, c_lo, c_hi), c_lo)
     try:
         resolved = _threshold(stats, sign, threshold)
-        probit = _probit(_correlation(t[:, None], candidates, stats, np.sqrt, _min_max), resolved)
+        probit = _probit(_correlation(t[:, None], candidates, terms, np.sqrt, _min_max), resolved)
     except PivError:
         return rows
     x = probit / -_SQRT2
@@ -362,10 +363,7 @@ def _saturated_rows(t, c_lo: float, c_hi: float, stats: ObservedStats,
 
     # the row's variance bound, in the kernel's order of operations
     dc = max(abs(c_lo - y_c), abs(c_hi - y_c))
-    variance = (dt * dt + dc * dc) * d
-    variance += 0.5 * stats.var_t
-    variance += 0.5 * stats.var_c
-    variance += m * m * 0.25
+    variance = (dt * dt + dc * dc) * d + half_var_t + half_var_c + m * m * 0.25
     lo, hi = _erfc_cuts()
     ones = x_max + (margin + _ROW_ERROR * (np.abs(x_max) + abs(lo))) <= lo
     zeros = x_min - (margin + _ROW_ERROR * (np.abs(x_min) + hi)) >= hi
@@ -467,6 +465,7 @@ def bound_piv(
     an underflow; one that lies in the region but beyond float range is
     refused, as an edge's is.
     """
+    terms = _kernel_terms(stats)
     plane = pi, a, l0, v, d = _plane(stats)
     y_t, y_c = stats.y_t_ob, stats.y_c_ob
     (t_lo, t_hi), (c_lo, c_hi) = region.t_interval, region.c_interval
@@ -500,7 +499,7 @@ def bound_piv(
 
     values = []
     for t, c in points:
-        r = _correlation(t, c, stats)
+        r = _correlation(t, c, terms)
         if not values:  # as in piv(), the first correlation raises before the threshold does
             resolved = _threshold(stats, sign, threshold)
         values.append(_cdf(_probit(r, resolved)))

@@ -348,18 +348,26 @@ def _cdf(x, erfc=math.erfc):
 # =============================================================================
 
 
-# The kernel below takes a float belief or numpy arrays of beliefs and uses
-# only + - * / on them, so both give bit-identical results.  Squares are
-# written as products: float ** 2 calls libm pow, which can differ in the
-# last bit from the exact product that numpy computes.  Sums and products
-# are built as augmented assignments, such as variance *= coef, on a
-# temporary the step before created: a float rebinds and an array is updated
-# in place, and IEEE + and * commute exactly, so the bits are those of the
-# written-out expression.  No such step is ever applied to an argument, so a
-# caller's arrays are never written.
+# The kernel below takes a float belief or numpy arrays of beliefs and uses only + - * / on them,
+# so both give bit-identical results.  Its constants come from _kernel_terms, each computed there
+# as the kernel's own order of operations has it.  Squares are written as products: float ** 2
+# calls libm pow, which can differ in the last bit from the exact product that numpy computes.
+# Sums and products are built as augmented assignments, such as variance *= coef, on a temporary
+# the step before created: a float rebinds and an array is updated in place, and IEEE + and *
+# commute exactly, so the bits are those of the written-out expression.  No such step is ever
+# applied to an argument, so a caller's arrays are never written.
 
 
-def _gap_and_variance(y_t_un, y_c_un, stats: ObservedStats):
+def _kernel_terms(stats: ObservedStats) -> tuple:
+    """(y_t_ob, y_c_ob, 0.5*pi*(1-pi), 0.5*var_t, 0.5*var_c, pi, 1-pi, pi*y_t_ob, (1-pi)*y_c_ob)."""
+    if not isinstance(stats, ObservedStats):
+        raise InputValidationError(f"stats must be an ObservedStats, got {reprlib.repr(stats)}")
+    pi, a = stats.pi, 1.0 - stats.pi
+    y_t_ob, y_c_ob = stats.y_t_ob, stats.y_c_ob
+    return y_t_ob, y_c_ob, 0.5 * pi * a, 0.5 * stats.var_t, 0.5 * stats.var_c, pi, a, pi * y_t_ob, a * y_c_ob
+
+
+def _gap_and_variance(y_t_un, y_c_un, terms: tuple):
     """Completed-sample arm mean difference y_t_id - y_c_id and outcome variance.
 
     Each arm mixes observed and counterfactual rows: the completed treated arm
@@ -371,16 +379,16 @@ def _gap_and_variance(y_t_un, y_c_un, stats: ObservedStats):
     0.0 only when both variances are zero and all four means are equal, and
     inf when it overflows; _correlation raises on both.
     """
-    pi = stats.pi
-    d_t = y_t_un - stats.y_t_ob
-    d_c = y_c_un - stats.y_c_ob
+    y_t_ob, y_c_ob, coef, half_var_t, half_var_c, pi, a, t_ob, c_ob = terms
+    d_t = y_t_un - y_t_ob
+    d_c = y_c_un - y_c_ob
     # 0.5*var_t + 0.5*pi*(1-pi)*(d_t^2 + d_c^2) + 0.5*var_c + 0.25*gap^2, summed left to right
     variance = d_t * d_t + d_c * d_c
-    variance *= 0.5 * pi * (1.0 - pi)
-    variance += 0.5 * stats.var_t
-    variance += 0.5 * stats.var_c
+    variance *= coef
+    variance += half_var_t
+    variance += half_var_c
     # y_t_id - y_c_id, each mean written out as the module docstring gives it
-    gap = ((1.0 - pi) * y_t_un + pi * stats.y_t_ob) - (pi * y_c_un + (1.0 - pi) * stats.y_c_ob)
+    gap = (a * y_t_un + t_ob) - (pi * y_c_un + c_ob)
     square = gap * gap
     square *= 0.25
     variance += square
@@ -393,10 +401,10 @@ _VARIANCE_OVERFLOW = (
 )
 
 
-def _correlation(y_t_un, y_c_un, stats: ObservedStats, sqrt=math.sqrt, extremes=None):
-    """0.5*gap/sd; arrays take sqrt=np.sqrt and extremes=bounds._min_max.  A NaN
-    variance, or an array holding one, fails the overflow check."""
-    gap, variance = _gap_and_variance(y_t_un, y_c_un, stats)
+def _correlation(y_t_un, y_c_un, terms: tuple, sqrt=math.sqrt, extremes=None):
+    """0.5*gap/sd at _kernel_terms' terms; arrays take sqrt=np.sqrt and extremes=bounds._min_max.
+    A NaN variance, or an array holding one, fails the overflow check."""
+    gap, variance = _gap_and_variance(y_t_un, y_c_un, terms)
     if extremes is None:
         low = high = variance
     else:
@@ -420,7 +428,7 @@ def ideal_correlation(belief: CounterfactualBelief, stats: ObservedStats) -> flo
     DegenerateSpreadError when the spread is zero and InputValidationError
     when the variance overflows.
     """
-    return _correlation(belief.y_t_un, belief.y_c_un, stats)
+    return _correlation(belief.y_t_un, belief.y_c_un, _kernel_terms(stats))
 
 
 def se_ideal(stats: ObservedStats) -> float:
@@ -509,6 +517,11 @@ def piv_from_correlation(
     return _piv_result(_require_finite(r, "correlation"), _threshold(stats, sign, threshold))
 
 
+# piv()'s last analysis (stats, sign, threshold, terms, resolved), one tuple read once a call so that
+# a thread switch cannot split key from values.  Frozen records and a kept key make identity safe.
+_last = (object(),) * 5
+
+
 def piv(
     belief: CounterfactualBelief,
     stats: ObservedStats,
@@ -516,5 +529,12 @@ def piv(
     threshold: Threshold,
 ) -> PivResult:
     """PIV at one belief point: probability of rejecting the null again in the completed sample."""
-    r = _correlation(belief.y_t_un, belief.y_c_un, stats)
-    return _piv_result(r, _threshold(stats, sign, threshold))
+    global _last
+    last_stats, last_sign, last_threshold, terms, resolved = _last
+    if stats is last_stats and sign is last_sign and threshold is last_threshold:
+        return _piv_result(_correlation(belief.y_t_un, belief.y_c_un, terms), resolved)
+    # the correlation raises before the threshold does, and only a success is kept
+    r = _correlation(belief.y_t_un, belief.y_c_un, terms := _kernel_terms(stats))
+    resolved = _threshold(stats, sign, threshold)
+    _last = stats, sign, threshold, terms, resolved
+    return _piv_result(r, resolved)

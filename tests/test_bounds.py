@@ -36,6 +36,7 @@ from piv.core import (
     SignMismatchError,
     StatisticalThreshold,
     _correlation,
+    _kernel_terms,
     _probit,
     _threshold,
     ideal_correlation,
@@ -206,7 +207,7 @@ def _saturated(grid, stats, sign, threshold) -> np.ndarray:
     """Per row, whether every cell's erfc argument lies past one cut of
     _erfc_cuts; the arguments come from the kernel's steps on the whole grid."""
     t = np.array(grid.t_values)[:, None]
-    r = _correlation(t, np.array(grid.c_values), stats, np.sqrt, _min_max)
+    r = _correlation(t, np.array(grid.c_values), _kernel_terms(stats), np.sqrt, _min_max)
     x = _probit(r, _threshold(stats, sign, threshold)) / -core._SQRT2
     lo, hi = bounds._erfc_cuts()
     return (x <= lo).all(axis=1) | (x >= hi).all(axis=1)

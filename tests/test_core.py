@@ -13,12 +13,17 @@ import json
 import math
 import pickle
 import re
+import reprlib
+import sys
+import threading
 from decimal import Decimal, getcontext
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from piv import _grid_text, core
 from piv.bounds import BeliefRegion, BoundResult, ContourGrid, _min_max, bound_piv, evaluate_grid
 from piv.cli import EXIT_CONFIG, main, parse_config
 from piv.config import AnalysisConfig, NamedBelief, case_study_config
@@ -35,6 +40,7 @@ from piv.core import (
     _cdf,
     _correlation,
     _gap_and_variance,
+    _kernel_terms,
     _piv_result,
     _probit,
     _threshold,
@@ -252,13 +258,13 @@ def _means(belief: CounterfactualBelief, stats: ObservedStats) -> tuple[float, f
     pi = stats.pi
     y_t_id = (1.0 - pi) * belief.y_t_un + pi * stats.y_t_ob
     y_c_id = pi * belief.y_c_un + (1.0 - pi) * stats.y_c_ob
-    assert _gap_and_variance(belief.y_t_un, belief.y_c_un, stats)[0] == y_t_id - y_c_id
+    assert _gap_and_variance(belief.y_t_un, belief.y_c_un, _kernel_terms(stats))[0] == y_t_id - y_c_id
     return y_t_id, y_c_id
 
 
 def _sd(belief: CounterfactualBelief, stats: ObservedStats) -> float:
     """Completed-sample outcome standard deviation."""
-    return math.sqrt(_gap_and_variance(belief.y_t_un, belief.y_c_un, stats)[1])
+    return math.sqrt(_gap_and_variance(belief.y_t_un, belief.y_c_un, _kernel_terms(stats))[1])
 
 
 class TestIdealMeans:
@@ -311,7 +317,7 @@ class TestIdealSd:
     def test_overflowing_variance_raises(self):
         # the squared distance to the observed means exceeds float64
         belief = CounterfactualBelief(1e200, 0.0)
-        assert _gap_and_variance(belief.y_t_un, belief.y_c_un, CASE_STUDY)[1] == math.inf
+        assert _gap_and_variance(belief.y_t_un, belief.y_c_un, _kernel_terms(CASE_STUDY))[1] == math.inf
         for call in (lambda: ideal_correlation(belief, CASE_STUDY),
                      lambda: piv(belief, CASE_STUDY, NEG, C196)):
             with pytest.raises(InputValidationError, match="variance overflows"):
@@ -321,13 +327,13 @@ class TestIdealSd:
         # a NaN variance fails the overflow check as a scalar and anywhere in an
         # array, also beside a zero variance, which would be degenerate on its own
         with pytest.raises(InputValidationError, match="variance overflows"):
-            _correlation(math.nan, 45.2, CASE_STUDY)
+            _correlation(math.nan, 45.2, _kernel_terms(CASE_STUDY))
         flat = ObservedStats(0.0, 10, 5.0, 5.0, 0.0, 0.0, 0.5)
         for y_t_un in ([[40.0], [math.nan]], [[5.0], [math.nan]], [[math.nan], [5.0]]):
             with pytest.raises(InputValidationError, match="variance overflows"):
-                _correlation(np.array(y_t_un), np.array([5.0]), flat, np.sqrt, _min_max)
+                _correlation(np.array(y_t_un), np.array([5.0]), _kernel_terms(flat), np.sqrt, _min_max)
         with pytest.raises(DegenerateSpreadError):
-            _correlation(np.array([[5.0], [6.0]]), np.array([5.0]), flat, np.sqrt, _min_max)
+            _correlation(np.array([[5.0], [6.0]]), np.array([5.0]), _kernel_terms(flat), np.sqrt, _min_max)
 
 
 class TestIdealCorrelation:
@@ -603,8 +609,8 @@ class TestPiv:
                        for op in dis.get_instructions(function))
 
         assert loads_the_enum(reads_a_member)
-        for function in (piv, piv_from_correlation, _piv_result, _threshold, _correlation,
-                         _gap_and_variance, _probit, _cdf, StatisticalThreshold.signed,
+        for function in (piv, piv_from_correlation, _piv_result, _threshold, _kernel_terms,
+                         _correlation, _gap_and_variance, _probit, _cdf, StatisticalThreshold.signed,
                          FixedThreshold.signed, PivResult.__init__):
             assert not loads_the_enum(function), function.__qualname__
 
@@ -682,6 +688,146 @@ class TestPiv:
             for c in np.linspace(-1e6, 1e6, 41):
                 r = ideal_correlation(CounterfactualBelief(float(t), float(c)), CASE_STUDY)
                 assert abs(r) <= cap
+
+
+def _memo_cases(seed: int, beliefs: int) -> list[tuple]:
+    """(stats, sign, threshold, beliefs) for each sign under a statistical and a
+    fixed threshold, the fixed one on the estimate's side."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for sign in (POS, NEG):
+        magnitude = float(rng.uniform(0.01, 0.3))
+        for threshold in (StatisticalThreshold(float(rng.uniform(1.64, 2.58))),
+                          FixedThreshold(magnitude if sign is POS else -magnitude)):
+            cases.append((random_observed_stats(rng), sign, threshold,
+                          [random_belief(rng) for _ in range(beliefs)]))
+    return cases
+
+
+def _hex(result: PivResult) -> list[str]:
+    return [value.hex() for value in result._values()]
+
+
+def _uncached_hex(belief, stats, sign, threshold) -> list[str]:
+    """piv()'s fields at belief, by the kernel's steps with nothing kept between calls."""
+    return _hex(_piv_result(_correlation(belief.y_t_un, belief.y_c_un, _kernel_terms(stats)),
+                            _threshold(stats, sign, threshold)))
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """piv()'s memo holding no analysis; the memo in place before is put back after."""
+    monkeypatch.setattr(core, "_last", (object(),) * 5)
+
+
+class TestPivMemo:
+    """piv() resolves the last analysis it saw once, and keys it by identity."""
+
+    def test_hits_and_misses_give_the_uncached_bits(self, cold_memo):
+        for seed in (41, 42):
+            cases = _memo_cases(seed, 25)
+            want = [[_uncached_hex(belief, stats, sign, threshold) for belief in beliefs]
+                    for stats, sign, threshold, beliefs in cases]
+            for a, b in ((0, 1), (2, 3)):
+                for i in (a, b, a, a, b):
+                    stats, sign, threshold, beliefs = cases[i]
+                    assert [_hex(piv(belief, stats, sign, threshold)) for belief in beliefs] == want[i]
+            # equal but distinct copies of the stats and the threshold: a miss, then hits
+            for i, (stats, sign, threshold, beliefs) in enumerate(cases):
+                stats, threshold = copy.copy(stats), copy.copy(threshold)
+                assert stats is not cases[i][0] and threshold is not cases[i][2]
+                assert [_hex(piv(belief, stats, sign, threshold)) for belief in beliefs] == want[i]
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_refusals_hold_and_leave_the_memo(self, cold_memo, warm):
+        good = piv(BELIEF_1_CORNER, CASE_STUDY, NEG, C196) if warm else None
+        before = core._last
+        refused = (("negative", C196, InputValidationError, "unknown estimate sign"),
+                   (None, C196, InputValidationError, "unknown estimate sign"),
+                   (NEG, FixedThreshold(0.1), SignMismatchError, "fixed threshold"),
+                   (NEG, 1.96, InputValidationError, "unknown threshold type"))
+        for sign, threshold, error, message in refused:
+            with pytest.raises(error, match=message):
+                piv(BELIEF_1_CORNER, CASE_STUDY, sign, threshold)
+            assert core._last is before
+        if warm:
+            assert _hex(piv(BELIEF_1_CORNER, CASE_STUDY, NEG, C196)) == _hex(good)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_overflow_raises_before_sign_mismatch(self, cold_memo, warm):
+        # the correlation raises first on a miss, as it did before the memo
+        far = CounterfactualBelief(1e200, 0.0)
+        if warm:
+            piv(BELIEF_1_CORNER, CASE_STUDY, NEG, C196)
+            with pytest.raises(InputValidationError, match="variance overflows"):
+                piv(far, CASE_STUDY, NEG, C196)
+        before = core._last
+        with pytest.raises(InputValidationError, match="variance overflows"):
+            piv(far, CASE_STUDY, NEG, FixedThreshold(0.1))
+        assert core._last is before
+
+    def test_threads_read_their_own_analysis(self):
+        # each thread's analysis differs, so a key paired with another
+        # analysis's values would change a result's bits
+        cases = _memo_cases(43, 2000)
+        want = [[_uncached_hex(belief, stats, sign, threshold) for belief in beliefs]
+                for stats, sign, threshold, beliefs in cases]
+        got = [None] * len(cases)
+
+        def run(i):
+            stats, sign, threshold, beliefs = cases[i]
+            got[i] = [_hex(piv(belief, stats, sign, threshold)) for belief in beliefs]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == want
+
+    def test_a_hit_skips_the_analysis_work(self, monkeypatch):
+        want = _hex(piv(BELIEF_1_CORNER, CASE_STUDY, NEG, C196))
+
+        def refuse(*args):
+            raise AssertionError("resolved the analysis again")
+
+        monkeypatch.setattr(core, "_threshold", refuse)
+        monkeypatch.setattr(core, "_kernel_terms", refuse)
+        assert _hex(piv(BELIEF_1_CORNER, CASE_STUDY, NEG, C196)) == want
+        # the positive control: a new stats object is a miss
+        with pytest.raises(AssertionError, match="resolved the analysis again"):
+            piv(BELIEF_1_CORNER, replace(CASE_STUDY), NEG, C196)
+
+    def test_stats_that_is_not_an_observed_stats_is_refused(self):
+        # a duck-typed stats can change under a memo keyed by identity, so
+        # only the frozen record is taken
+        duck = SimpleNamespace(**CASE_STUDY._asdict())
+        belief = CounterfactualBelief(45.2, 45.0)
+        region = BeliefRegion((45.0, 45.5), (44.5, 45.5))
+        unbounded = BeliefRegion((-math.inf, math.inf), (-math.inf, math.inf))
+        calls = {
+            "_kernel_terms": lambda s: _kernel_terms(s),
+            "piv": lambda s: piv(belief, s, NEG, C196),
+            "ideal_correlation": lambda s: ideal_correlation(belief, s),
+            "bound_piv": lambda s: bound_piv(region, s, NEG, C196),
+            "bound_piv unbounded": lambda s: bound_piv(unbounded, s, NEG, C196),
+            "evaluate_grid": lambda s: evaluate_grid(region, (4, 3), s, NEG, C196),
+            "grid_export": lambda s: _grid_text.grid_export(region, (4, 3), s, NEG, C196, "csv"),
+        }
+        for stats in (duck, None, tuple(CASE_STUDY._values()), CASE_STUDY._asdict(), duck):
+            message = f"^stats must be an ObservedStats, got {re.escape(reprlib.repr(stats))}$"
+            for call in calls.values():
+                with pytest.raises(InputValidationError, match=message):
+                    call(stats)
+            # the row path gives the grid up, so that evaluate_grid raises the refusal
+            assert _grid_text._row_cells(region, 4, 3, stats, NEG, C196) is None
+            duck.y_c_ob = 30.0  # the second time round, the duck has changed
 
 
 class TestPowerOfIdealTest:

@@ -25,6 +25,7 @@ from piv.core import (
     ObservedStats,
     StatisticalThreshold,
     _gap_and_variance,
+    _kernel_terms,
     ideal_correlation,
     piv_from_correlation,
     std_normal_cdf,
@@ -626,7 +627,7 @@ class TestMixtureVarianceConsistency:
             ds = build_exact_dataset(spec)
             belief, stats = _spec_belief_stats(spec)
             assert float(np.var(ds.outcome)) == pytest.approx(
-                _gap_and_variance(belief.y_t_un, belief.y_c_un, stats)[1], rel=1e-10
+                _gap_and_variance(belief.y_t_un, belief.y_c_un, _kernel_terms(stats))[1], rel=1e-10
             )
 
 
