@@ -48,8 +48,8 @@ from .core import (
     _probit,
     _read_only,
     _Record,
-    _as_float,
     _require_int,
+    _require_piv_threshold,
     _threshold,
     piv,  # unused here; perfbench/tracing.py wraps bounds.piv by name
     saturation_limits,
@@ -531,8 +531,7 @@ def robustness_verdict(bound: BoundResult, piv_threshold: float = 0.8) -> Verdic
     Robust when even the lower bound clears the threshold; not robust when
     even the upper bound misses it; indeterminate otherwise.
     """
-    if not 0.0 < _as_float(piv_threshold, "piv_threshold", "in (0, 1)") < 1.0:
-        raise InputValidationError(f"piv_threshold must be in (0, 1), got {piv_threshold}")
+    _require_piv_threshold(piv_threshold, "piv_threshold")
     if bound.piv_min >= piv_threshold:
         return Verdict.ROBUST
     if bound.piv_max < piv_threshold:

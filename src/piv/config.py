@@ -1,10 +1,11 @@
 """The analysis config: its JSON schema, and the built-in case study.
 
 parse_config checks the shape of a decoded JSON object, rejecting unknown
-keys, and leaves the values to the domain types; config_to_json_object is its
-inverse.  The sign is that of y_t_ob - y_c_ob; a "sign" key, if given, must
-agree.  This module loads neither numpy, argparse nor piv.bounds, so a caller
-that only reads configs loads neither the command line nor the bound search.
+keys, and hands the values to the constructors, which refuse a config built in
+code where they refuse a parsed one; config_to_json_object is its inverse.
+The sign is that of y_t_ob - y_c_ob; a "sign" key, if given, must agree.  This
+module loads neither numpy, argparse nor piv.bounds, so a caller that only
+reads configs loads neither the command line nor the bound search.
 """
 
 from __future__ import annotations
@@ -25,18 +26,27 @@ from .core import (
     StatisticalThreshold,
     Threshold,
     _Record,
-    _as_float,
     _require_int,
+    _require_piv_threshold,
+    _require_stats,
+    _threshold,
 )
 
 
 class NamedBelief(_Record):
+    """A point or a region under a name; the config that holds it checks the name."""
+
     __slots__ = ("name", "point", "region")
 
     def __init__(self, name: str, point: CounterfactualBelief | None = None,
                  region: BeliefRegion | None = None) -> None:
         if (point is None) == (region is None):
             raise InputValidationError("exactly one of 'point' or 'region' is required")
+        for shape, value, kind in (("point", point, CounterfactualBelief),
+                                   ("region", region, BeliefRegion)):
+            if value is not None and not isinstance(value, kind):
+                raise InputValidationError(
+                    f"{shape}: expected a {kind.__name__}, got {reprlib.repr(value)}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "region", region)
@@ -55,14 +65,29 @@ class AnalysisConfig(_Record):
     def __init__(self, observed: ObservedStats, threshold: Threshold,
                  beliefs: tuple[NamedBelief, ...], piv_threshold: float = 0.8,
                  grid: tuple[int, int] | None = None) -> None:
-        _estimate_sign(observed)  # refuses a zero gap
+        sign = _estimate_sign(_require_stats(observed, "observed"))  # refuses a zero gap
         beliefs = tuple(beliefs)
+        if not beliefs:
+            raise InputValidationError("beliefs: expected a non-empty list")
         names: set[str] = set()
         for i, belief in enumerate(beliefs):
+            if not isinstance(belief, NamedBelief):
+                raise InputValidationError(
+                    f"beliefs[{i}]: expected a NamedBelief, got {reprlib.repr(belief)}")
+            if not isinstance(belief.name, str) or not belief.name:
+                raise InputValidationError(f"beliefs[{i}].name: expected a non-empty string")
             if belief.name in names:
                 raise InputValidationError(
                     f"beliefs[{i}].name: duplicate belief name {reprlib.repr(belief.name)}")
             names.add(belief.name)
+        with _at("threshold"):  # either type, and a fixed cut on the estimate's side of zero
+            _threshold(observed, sign, threshold)
+        _require_piv_threshold(piv_threshold, "piv_threshold:")
+        if grid is not None:
+            if not isinstance(grid, tuple) or len(grid) != 2:
+                raise InputValidationError(f"grid: expected (nt, nc), got {reprlib.repr(grid)}")
+            for label, n in zip(("nt", "nc"), grid):
+                _require_int(n, f"grid.{label}:", 2)
         object.__setattr__(self, "observed", observed)
         object.__setattr__(self, "threshold", threshold)
         object.__setattr__(self, "beliefs", beliefs)
@@ -135,7 +160,7 @@ def _interval(value, path: str) -> tuple:
 def parse_config(obj) -> AnalysisConfig:
     """Validate a decoded JSON object into an AnalysisConfig; unknown keys are rejected.
 
-    This checks the JSON shape; the domain types check the values.
+    This checks the JSON shape; the constructors check the values.
     """
     root = _check_keys(obj, "config", ("observed", "threshold", "beliefs"),
                        ("sign", "piv_threshold", "grid"))
@@ -160,18 +185,13 @@ def parse_config(obj) -> AnalysisConfig:
     _check_keys(threshold_obj, "threshold", ("kind", key))
     with _at("threshold"):
         threshold = threshold_type(threshold_obj[key])
-        threshold.signed(sign)
 
     beliefs_obj = root["beliefs"]
-    if not isinstance(beliefs_obj, list) or not beliefs_obj:
-        raise InputValidationError("beliefs: expected a non-empty list")
     beliefs: list[NamedBelief] = []
-    for i, entry in enumerate(beliefs_obj):
+    # anything but a list holds no beliefs, which AnalysisConfig refuses
+    for i, entry in enumerate(beliefs_obj if isinstance(beliefs_obj, list) else ()):
         path = f"beliefs[{i}]"
         entry = _check_keys(entry, path, ("name",), ("point", "region"))
-        name = entry["name"]
-        if not isinstance(name, str) or not name:
-            raise InputValidationError(f"{path}.name: expected a non-empty string")
         point = region = None
         if "point" in entry:
             point_obj = _check_keys(entry["point"], f"{path}.point", ("y_t_un", "y_c_un"))
@@ -183,25 +203,18 @@ def parse_config(obj) -> AnalysisConfig:
             with _at(f"{path}.region"):
                 region = BeliefRegion(t, c)
         with _at(path):
-            beliefs.append(NamedBelief(name, point, region))
-
-    piv_threshold = root.get("piv_threshold", 0.8)
-    if not 0.0 < _as_float(piv_threshold, "piv_threshold:", "in (0, 1)") < 1.0:
-        raise InputValidationError(
-            f"piv_threshold: must be in (0, 1), got {reprlib.repr(piv_threshold)}")
+            beliefs.append(NamedBelief(entry["name"], point, region))
 
     grid = None
     if "grid" in root:
         grid_obj = _check_keys(root["grid"], "grid", ("nt", "nc"))
         grid = (grid_obj["nt"], grid_obj["nc"])
-        for label, n in zip(("nt", "nc"), grid):
-            _require_int(n, f"grid.{label}:", 2)
 
     return AnalysisConfig(
         observed=observed,
         threshold=threshold,
         beliefs=beliefs,
-        piv_threshold=piv_threshold,
+        piv_threshold=root.get("piv_threshold", 0.8),
         grid=grid,
     )
 

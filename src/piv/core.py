@@ -107,6 +107,11 @@ def _require_finite(value: float, name: str) -> float:
     return x
 
 
+def _require_piv_threshold(value, name: str) -> None:
+    if not 0.0 < _as_float(value, name, "in (0, 1)") < 1.0:
+        raise InputValidationError(f"{name} must be in (0, 1), got {reprlib.repr(value)}")
+
+
 def _require_int(value: int, name: str, least: int) -> int:
     """value, an int that is no bool and is at least least."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
@@ -358,10 +363,16 @@ def _cdf(x, erfc=math.erfc):
 # applied to an argument, so a caller's arrays are never written.
 
 
+def _require_stats(stats, name: str = "stats") -> ObservedStats:
+    """stats, checked to be an ObservedStats: only a frozen record may be keyed by identity."""
+    if not isinstance(stats, ObservedStats):
+        raise InputValidationError(f"{name} must be an ObservedStats, got {reprlib.repr(stats)}")
+    return stats
+
+
 def _kernel_terms(stats: ObservedStats) -> tuple:
     """(y_t_ob, y_c_ob, 0.5*pi*(1-pi), 0.5*var_t, 0.5*var_c, pi, 1-pi, pi*y_t_ob, (1-pi)*y_c_ob)."""
-    if not isinstance(stats, ObservedStats):
-        raise InputValidationError(f"stats must be an ObservedStats, got {reprlib.repr(stats)}")
+    _require_stats(stats)
     pi, a = stats.pi, 1.0 - stats.pi
     y_t_ob, y_c_ob = stats.y_t_ob, stats.y_c_ob
     return y_t_ob, y_c_ob, 0.5 * pi * a, 0.5 * stats.var_t, 0.5 * stats.var_c, pi, a, pi * y_t_ob, a * y_c_ob
@@ -437,7 +448,7 @@ def se_ideal(stats: ObservedStats) -> float:
     sqrt((1 - r_squared) / (2 * n_ob)); the completed sample has 2*n_ob rows
     and a balanced binary predictor.
     """
-    return math.sqrt((1.0 - stats.r_squared) / (2.0 * stats.n_ob))
+    return math.sqrt((1.0 - _require_stats(stats).r_squared) / (2.0 * stats.n_ob))
 
 
 # =============================================================================
@@ -454,7 +465,7 @@ def saturation_limits(stats: ObservedStats) -> tuple[float, float]:
     infinity along +/-(1-pi, -pi), |correlation| tends to
     sqrt(1 - 2*pi*(1-pi)), which exceeds both limits for every pi in (0, 1).
     """
-    pi = stats.pi
+    pi = _require_stats(stats).pi
     return (
         math.sqrt((1.0 - pi) / (1.0 + pi)),
         math.sqrt(pi / (2.0 - pi)),

@@ -50,6 +50,7 @@ from .core import (
     _Record,
     _require_finite,
     _require_int,
+    _require_stats,
 )
 
 __all__ = [
@@ -480,6 +481,7 @@ def monte_carlo_piv(
     """
     _require_reps(reps)
     _require_seed(seed)
+    _require_stats(stats)
     for name in ("n_ob", "pi", "y_t_ob", "y_c_ob", "var_t", "var_c"):
         if not math.isclose(getattr(spec, name), getattr(stats, name), rel_tol=1e-12, abs_tol=1e-12):
             raise InputValidationError(

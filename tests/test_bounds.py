@@ -65,20 +65,6 @@ class TestBeliefRegion:
         region = BeliefRegion(t_interval=(-math.inf, 45.78), c_interval=(44.0, math.inf))
         assert not region.is_finite
 
-    def test_rejects_empty_interval(self):
-        with pytest.raises(InputValidationError):
-            BeliefRegion(t_interval=(2.0, 1.0), c_interval=(0.0, 1.0))
-
-    def test_rejects_pointless_interval(self):
-        with pytest.raises(InputValidationError):
-            BeliefRegion(t_interval=(math.inf, math.inf), c_interval=(0.0, 1.0))
-        with pytest.raises(InputValidationError):
-            BeliefRegion(t_interval=(0.0, 1.0), c_interval=(-math.inf, -math.inf))
-
-    def test_rejects_nan(self):
-        with pytest.raises(InputValidationError):
-            BeliefRegion(t_interval=(math.nan, 1.0), c_interval=(0.0, 1.0))
-
     def test_point_region_is_valid(self):
         region = BeliefRegion(t_interval=(45.2, 45.2), c_interval=(44.0, 44.0))
         assert region.is_finite
@@ -693,29 +679,8 @@ class TestCsvWriterExact:
 
 
 class TestContourGridCheck:
-    """A ContourGrid refuses, when it is constructed, a piv that does not fill
-    its two finite, non-empty axes; its cells are not checked."""
-
-    @pytest.mark.parametrize("nt, nc, shape", [(3, 0, (3, 0)), (0, 3, (0, 3)), (0, 0, (0, 0)),
-                                               (2, 3, (2, 2)), (2, 3, (3, 2)), (2, 3, (6,))])
-    def test_piv_that_does_not_fill_its_axes_refused(self, nt, nc, shape):
-        # before the check, (3, 0) and (0, 3) raised ZeroDivisionError on export,
-        # and (2, 2) on 3 c values wrote a CSV whose header and rows disagree
-        t_values, c_values = tuple(map(float, range(nt))), tuple(map(float, range(nc)))
-        with pytest.raises(InputValidationError, match="ContourGrid"):
-            bounds.ContourGrid(t_values, c_values, np.full(shape, 0.5))
-
-    def test_piv_that_is_not_an_array_refused(self):
-        with pytest.raises(InputValidationError, match="ContourGrid"):
-            bounds.ContourGrid((0.0,), (0.0, 1.0), [[0.5, 0.5]])
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
-    @pytest.mark.parametrize("axis", ["t_values", "c_values"])
-    def test_non_finite_axis_value_refused(self, axis, value):
-        axes = {"t_values": (0.0, 1.0), "c_values": (0.0, 1.0, 2.0)}
-        axes[axis] = (value,) + axes[axis][1:]
-        with pytest.raises(InputValidationError, match="finite"):
-            bounds.ContourGrid(piv=np.full((2, 3), 0.5), **axes)
+    """A ContourGrid refuses a piv that does not fill its two finite, non-empty
+    axes (test_core.RECORD_REFUSALS); its cells are not checked."""
 
     @pytest.mark.parametrize("value", [math.nan, -0.0, math.inf, -math.inf], ids=repr)
     @pytest.mark.parametrize("shape", [(3, 4), (300, 2)])

@@ -40,6 +40,7 @@ from piv import _grid_text, bounds, cli
 from piv.report import replicate_report
 from piv.config import AnalysisConfig, NamedBelief
 from piv.core import (
+    BeliefRegion,
     CounterfactualBelief,
     DegenerateSpreadError,
     EstimateSign,
@@ -230,19 +231,11 @@ class TestConfigParsing:
         assert isinstance(parse_config(obj).threshold, FixedThreshold)
 
     def test_a_config_built_in_code_holds_what_a_parsed_one_holds(self):
-        # a tuple of beliefs, so that the frozen record hashes, of unique names,
-        # each belief of exactly one shape
+        # a tuple of beliefs, so that the frozen record hashes; what a config
+        # built in code refuses is in test_core.RECORD_REFUSALS
         parsed = parse_config(base_config_object())
         built = AnalysisConfig(parsed.observed, parsed.threshold, list(parsed.beliefs))
         assert built == parsed and hash(built) == hash(parsed)
-        corner = parsed.belief("corner")
-        with pytest.raises(InputValidationError,
-                           match=r"^beliefs\[1\]\.name: duplicate belief name 'corner'$"):
-            AnalysisConfig(parsed.observed, parsed.threshold, [corner, corner])
-        for shapes in ({}, {"point": corner.point, "region": parsed.belief("box").region}):
-            with pytest.raises(InputValidationError,
-                               match="^exactly one of 'point' or 'region' is required$"):
-                NamedBelief("y", **shapes)
 
     def test_many_beliefs_parse_in_linear_time(self):
         # the duplicate-name check looks each name up in a set; a scan of every
@@ -260,6 +253,16 @@ class TestConfigParsing:
         assert parse_config(config_to_json_object(config)) == config
         case = case_study_config()
         assert parse_config(config_to_json_object(case)) == case
+
+    @pytest.mark.parametrize("threshold, piv_threshold, grid", [
+        (StatisticalThreshold(2.5), 0.9, (30, 40)), (FixedThreshold(-0.02), 0.5, None),
+    ], ids=["statistical", "fixed"])
+    def test_round_trip_of_a_config_built_in_code(self, threshold, piv_threshold, grid):
+        observed = ObservedStats(0.36, 7639, 36.77, 45.78, 143.26, 138.83, 0.0617)
+        beliefs = (NamedBelief("corner", CounterfactualBelief(45.78, 45.2)),
+                   NamedBelief("open", region=BeliefRegion((-math.inf, 45.2), (36.77, math.inf))))
+        config = AnalysisConfig(observed, threshold, beliefs, piv_threshold, grid)
+        assert parse_config(config_to_json_object(config)) == config
 
     def test_round_trip_through_rendered_json(self):
         case = case_study_config()

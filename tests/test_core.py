@@ -79,57 +79,17 @@ class TestObservedStats:
     def test_case_study_accepted(self):
         assert CASE_STUDY.pi == 0.0617
 
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("r_squared", -0.01),
-            ("r_squared", 1.0),
-            ("r_squared", math.nan),
-            ("n_ob", 1),
-            ("n_ob", 7639.0),
-            pytest.param("n_ob", 10**400, id="n_ob-10**400"),
-            # converts to a float, but se = sqrt((1 - r_squared)/(2*n_ob)) rounds to 0
-            pytest.param("n_ob", 10**308, id="n_ob-10**308"),
-            ("y_t_ob", math.inf),
-            ("var_t", -1.0),
-            ("var_c", -1e-9),
-            ("pi", 0.0),
-            ("pi", 1.0),
-            ("pi", 1.5),
-        ],
-    )
-    def test_invalid_field_rejected(self, field, value):
-        kwargs = dict(
-            r_squared=0.36, n_ob=7639, y_t_ob=36.77, y_c_ob=45.78,
-            var_t=143.26, var_c=138.83, pi=0.0617,
-        )
-        kwargs[field] = value
-        with pytest.raises(InputValidationError):
-            ObservedStats(**kwargs)
-
-    def test_belief_rejects_non_finite(self):
-        with pytest.raises(InputValidationError):
-            CounterfactualBelief(math.nan, 0.0)
-        with pytest.raises(InputValidationError):
-            CounterfactualBelief(0.0, math.inf)
-
-    @pytest.mark.parametrize("build", [
-        lambda huge: ObservedStats(0.36, 7639, huge, 45.78, 143.26, 138.83, 0.0617),
-        lambda huge: CounterfactualBelief(0.0, huge),
-        lambda huge: BeliefRegion(t_interval=(-math.inf, huge), c_interval=(0.0, 1.0)),
+    @pytest.mark.parametrize("build, message", [
+        (lambda huge: replace(CASE_STUDY, y_t_ob=huge), "y_t_ob must be a finite real number"),
+        (lambda huge: CounterfactualBelief(0.0, huge), "y_c_un must be a finite real number"),
+        (lambda huge: BeliefRegion((-math.inf, huge), (0.0, 1.0)),
+         "t_interval upper bound must be a real number or +/-inf"),
     ], ids=["observed", "belief", "region"])
-    def test_integer_beyond_float_range_rejected(self, build):
+    def test_integer_beyond_float_range_rejected(self, build, message):
         # float() raises OverflowError on such an integer, which JSON can hold
-        with pytest.raises(InputValidationError, match="too large for a float"):
+        with pytest.raises(InputValidationError) as info:
             build(10**400)
-
-    def test_threshold_validation(self):
-        with pytest.raises(InputValidationError):
-            StatisticalThreshold(0.0)
-        with pytest.raises(InputValidationError):
-            StatisticalThreshold(-1.96)
-        with pytest.raises(InputValidationError):
-            FixedThreshold(math.nan)
+        assert str(info.value) == f"{message}, got an integer too large for a float"
 
 
 def _records() -> dict:
@@ -155,10 +115,157 @@ def _records() -> dict:
 
 _RECORD_TYPES = list(_records())
 _IDENTITY_TYPES = (ContourGrid, IdealDataset)
+_OUTPUT_TYPES = (PivResult, BoundResult)  # built by the package, so they check no input
 
 
 def _arrays(record) -> list:
     return [value for value in record._values() if isinstance(value, np.ndarray)]
+
+
+def _subclasses(kind: type) -> list:
+    return [sub for direct in kind.__subclasses__() for sub in (direct, *_subclasses(direct))]
+
+
+def _args(record, **changes) -> tuple:
+    """The constructor arguments of record, in order, with the named fields changed."""
+    return tuple({**record._asdict(), **changes}.values())
+
+
+_SPEC = SyntheticSpec(8, 0.5, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0)
+# the constructor reads only dtype and shape
+_DATASET = IdealDataset(np.zeros(4), np.array([1.0, 0.0, 0.0, 1.0]), np.zeros((4, 1)),
+                        np.array([True, True, False, False]))
+_SHAPES = {"outcome": (4,), "w": (4,), "z": (4, 1), "observed": (4,)}
+_CONFIG = case_study_config()
+_CORNER = NamedBelief("corner", BELIEF_1_CORNER)
+_DUCK = SimpleNamespace(**CASE_STUDY._asdict())
+_NOT_STATS = "stats must be an ObservedStats, got namespace(r_s...83, pi=0.0617)"
+
+# The records' refusals of bad input: name -> (record type, or a function that
+# takes a record; its arguments; error type; the whole message).  Every record
+# type but the _OUTPUT_TYPES has a row.  test_integer_beyond_float_range_rejected
+# and test_bounds.TestBeliefRegion state the rest, one rule each.
+RECORD_REFUSALS = {
+    **{f"ObservedStats-{name}-{value}": (ObservedStats, _args(CASE_STUDY, **{name: value}),
+                                         InputValidationError, message)
+       for name, value, message in [
+           ("r_squared", -0.01, "r_squared must be in [0, 1), got -0.01"),
+           ("r_squared", 1.0, "r_squared must be in [0, 1), got 1.0"),
+           ("r_squared", math.nan, "r_squared must be finite, got nan"),
+           ("n_ob", 1, "n_ob must be an integer >= 2, got 1"),
+           ("n_ob", 7639.0, "n_ob must be an integer >= 2, got 7639.0"),
+           ("y_t_ob", math.inf, "y_t_ob must be finite, got inf"),
+           ("var_t", -1.0, "var_t must be >= 0, got -1.0"),
+           ("var_c", -1e-9, "var_c must be >= 0, got -1e-09"),
+           ("pi", 0.0, "pi must be strictly inside (0, 1), got 0.0"),
+           ("pi", 1.0, "pi must be strictly inside (0, 1), got 1.0"),
+           ("pi", 1.5, "pi must be strictly inside (0, 1), got 1.5")]},
+    "ObservedStats-n_ob-10**400": (ObservedStats, _args(CASE_STUDY, n_ob=10**400), InputValidationError,
+                                   "n_ob must be a finite real number, got an integer too large for a float"),
+    # converts to a float, but se = sqrt((1 - r_squared)/(2*n_ob)) rounds to 0
+    "ObservedStats-n_ob-10**308": (ObservedStats, _args(CASE_STUDY, n_ob=10**308), InputValidationError,
+                                   "n_ob is too large for a positive standard error, got 1e+308"),
+    "CounterfactualBelief-nan": (CounterfactualBelief, (math.nan, 0.0), InputValidationError,
+                                 "y_t_un must be finite, got nan"),
+    "CounterfactualBelief-inf": (CounterfactualBelief, (0.0, math.inf), InputValidationError,
+                                 "y_c_un must be finite, got inf"),
+    "StatisticalThreshold-0": (StatisticalThreshold, (0.0,), InputValidationError,
+                               "critical_magnitude must be > 0, got 0.0"),
+    "StatisticalThreshold-negative": (StatisticalThreshold, (-1.96,), InputValidationError,
+                                      "critical_magnitude must be > 0, got -1.96"),
+    "FixedThreshold-nan": (FixedThreshold, (math.nan,), InputValidationError,
+                           "beta_sharp must be finite, got nan"),
+    "BeliefRegion-empty": (BeliefRegion, ((2.0, 1.0), (0.0, 1.0)), InputValidationError,
+                           "t_interval is empty: lower bound 2.0 exceeds upper bound 1.0"),
+    "BeliefRegion-t-pointless": (BeliefRegion, ((math.inf, math.inf), (0.0, 1.0)),
+                                 InputValidationError, "t_interval contains no finite point"),
+    "BeliefRegion-c-pointless": (BeliefRegion, ((0.0, 1.0), (-math.inf, -math.inf)),
+                                 InputValidationError, "c_interval contains no finite point"),
+    "BeliefRegion-nan": (BeliefRegion, ((math.nan, 1.0), (0.0, 1.0)), InputValidationError,
+                         "t_interval lower bound must not be NaN"),
+    # before the check, (3, 0) and (0, 3) raised ZeroDivisionError on export,
+    # and (2, 2) on 3 c values wrote a CSV whose header and rows disagree
+    **{f"ContourGrid-{nt}x{nc}-piv-{'x'.join(map(str, shape))}": (
+        ContourGrid, (tuple(map(float, range(nt))), tuple(map(float, range(nc))), np.full(shape, 0.5)),
+        InputValidationError, f"ContourGrid needs non-empty axes and a piv of their shape, got "
+        f"axes of {(nt, nc)} and piv of {shape}")
+       for nt, nc, shape in [(3, 0, (3, 0)), (0, 3, (0, 3)), (0, 0, (0, 0)), (2, 3, (2, 2)),
+                             (2, 3, (3, 2)), (2, 3, (6,))]},
+    "ContourGrid-piv-not-an-array": (ContourGrid, ((0.0,), (0.0, 1.0), [[0.5, 0.5]]),
+                                     InputValidationError, "ContourGrid needs non-empty axes and a "
+                                     "piv of their shape, got axes of (1, 2) and piv of list"),
+    **{f"ContourGrid-{axis}-{value}": (
+        ContourGrid, {"t": ((value, 1.0), (0.0, 1.0, 2.0)), "c": ((0.0, 1.0), (value, 1.0, 2.0))}[axis]
+        + (np.full((2, 3), 0.5),), InputValidationError, "ContourGrid axis values must be finite")
+       for axis in ("t", "c") for value in (math.nan, math.inf, -math.inf)},
+    **{f"NamedBelief-{name}": (NamedBelief, ("y", *shapes), InputValidationError, message)
+       for name, shapes, message in [
+           ("no-shape", (), "exactly one of 'point' or 'region' is required"),
+           ("both-shapes", (BELIEF_1_CORNER, _CONFIG.belief("belief-1").region),
+            "exactly one of 'point' or 'region' is required"),
+           ("point-not-a-belief", ((45.78, 45.2),),
+            "point: expected a CounterfactualBelief, got (45.78, 45.2)"),
+           ("region-not-a-region", (None, ((0.0, 1.0), (0.0, 1.0))),
+            "region: expected a BeliefRegion, got ((0.0, 1.0), (0.0, 1.0))")]},
+    **{f"AnalysisConfig-{name}": (AnalysisConfig, _args(_CONFIG, **changes), InputValidationError, message)
+       for name, changes, message in [
+           ("observed-not-stats", {"observed": _DUCK},
+            "observed must be an ObservedStats, got namespace(r_s...83, pi=0.0617)"),
+           ("no-gap", {"observed": replace(CASE_STUDY, y_t_ob=45.78)},
+            "observed: no gap between y_t_ob and y_c_ob, so no estimate"),
+           ("no-beliefs", {"beliefs": ()}, "beliefs: expected a non-empty list"),
+           ("belief-not-named", {"beliefs": (_CORNER, 5)}, "beliefs[1]: expected a NamedBelief, got 5"),
+           ("name-not-a-string", {"beliefs": (NamedBelief(5, BELIEF_1_CORNER),)},
+            "beliefs[0].name: expected a non-empty string"),
+           ("name-empty", {"beliefs": (NamedBelief("", BELIEF_1_CORNER),)},
+            "beliefs[0].name: expected a non-empty string"),
+           ("duplicate-name", {"beliefs": [_CORNER, _CORNER]},
+            "beliefs[1].name: duplicate belief name 'corner'"),
+           ("threshold-other-sign", {"threshold": FixedThreshold(0.1)},
+            "threshold: fixed threshold 0.1 is positive but the estimate sign is negative"),
+           ("threshold-not-a-threshold", {"threshold": 1.96}, "threshold: unknown threshold type: 1.96"),
+           ("piv_threshold-1.5", {"piv_threshold": 1.5}, "piv_threshold: must be in (0, 1), got 1.5"),
+           ("grid-0x0", {"grid": (0, 0)}, "grid.nt: must be an integer >= 2, got 0"),
+           ("grid-not-a-pair", {"grid": (200,)}, "grid: expected (nt, nc), got (200,)")]},
+    **{f"SyntheticSpec-{name}": (SyntheticSpec, _args(_SPEC, **changes), InputValidationError, message)
+       for name, changes, message in [
+           ("odd-treated-count", {"n_ob": 10, "pi": 0.3},
+            "pi * n_ob must be a positive even integer, got 3"),
+           ("odd-n_ob", {"n_ob": 9}, "n_ob must be a positive even integer, got 9"),
+           ("non-integral-pi", {"n_ob": 100, "pi": 0.0617}, "pi * n_ob must be integral, got 6.17"),
+           ("var_t-negative", {"var_t": -1.0}, "var_t must be >= 0"),
+           ("var_c-negative", {"var_c": -1.0}, "var_c must be >= 0"),
+           # True is an int to isinstance, but no seed and no covariate count
+           *((f"seed-{seed}", {"seed": seed}, f"seed must be a nonnegative integer, got {seed}")
+             for seed in (-1, 1.5, True)),
+           *((f"p-{p}", {"p": p}, f"p must be an integer >= 0, got {p}") for p in (-1, 1.5, True)),
+           *((f"{name}-{value}", {name: value}, f"{name} must be finite, got {value}")
+             for name, value in [("pi", math.nan), ("pi", math.inf), ("y_t_ob", math.nan),
+                                 ("y_c_ob", -math.inf), ("y_t_un", math.inf), ("y_c_un", math.nan),
+                                 ("var_t", math.nan), ("var_c", math.inf)]),
+           *((f"{name}-{type(value).__name__}", {name: value},
+              f"{name} must be a finite real number, got {value!r}")
+             for name, value in [("pi", "0.5"), ("y_t_ob", "a"), ("y_c_ob", None), ("y_t_un", [0.0]),
+                                 ("y_c_un", True), ("var_t", "1"), ("var_c", 1j)])]},
+    **{f"IdealDataset-{name}": (IdealDataset, _args(_DATASET, **changes), InputValidationError, message)
+       for name, changes, message in [
+           # used as an index array, [1, 1, 0, 0] would pick rows 0 and 1
+           ("integer-observed", {"observed": _DATASET.observed.astype(np.int64)},
+            "IdealDataset observed must be a boolean mask, got dtype int64"),
+           *((f"{field}-list", {field: getattr(_DATASET, field).tolist()},
+              f"IdealDataset {field} must be a numpy array, got list") for field in _SHAPES),
+           *((f"{field}-shape-{'x'.join(map(str, array.shape))}", {field: array},
+              "IdealDataset needs 1-D outcome, w and observed and a 2-D z, all of one row count, "
+              f"got shapes {({**_SHAPES, field: array.shape})}")
+             for field, array in [(field, getattr(_DATASET, field)[:-1]) for field in _SHAPES]
+             + [("z", np.zeros(4)), ("outcome", np.zeros((4, 1))), ("w", np.zeros((1, 4))),
+                ("observed", np.ones((4, 1), bool))])]},
+    # a stats that is not an ObservedStats is refused by every function that reads one
+    **{f"{function.__name__}-stats": (function, args, InputValidationError, _NOT_STATS)
+       for function, args in [(piv_from_correlation, (0.1, _DUCK, NEG, C196)), (se_ideal, (_DUCK,)),
+                              (saturation_limits, (_DUCK,)),
+                              (monte_carlo_piv, (_SPEC, _DUCK, NEG, C196, 1000))]},
+}
 
 
 class TestRecordContract:
@@ -245,6 +352,23 @@ class TestRecordContract:
         b = kind(*a._values())
         assert a == a and a != b
         assert hash(a) == object.__hash__(a)
+
+    def test_every_record_type_is_listed(self):
+        packaged = {kind for kind in _subclasses(core._Record)
+                    if kind.__module__ in ("piv.core", "piv.bounds", "piv.config", "piv.oracle")}
+        assert set(_RECORD_TYPES) == packaged
+
+    @pytest.mark.parametrize("case", sorted(RECORD_REFUSALS))
+    def test_refused(self, case):
+        make, args, error, message = RECORD_REFUSALS[case]
+        with pytest.raises(error) as info:
+            make(*args)
+        assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize("kind", [kind for kind in _RECORD_TYPES if kind not in _OUTPUT_TYPES],
+                             ids=lambda kind: kind.__name__)
+    def test_every_record_states_its_refusals(self, kind):
+        assert any(make is kind for make, *_ in RECORD_REFUSALS.values())
 
 
 # =============================================================================
